@@ -33,7 +33,7 @@ from pathlib import Path
 from .cegis import Success, Timeout, Unsat, synthesize
 from .interp import env_of_ints, simulate
 from .ir import Prog, SketchmapError, var_widths
-from .sketches import generate_sketch
+from .sketches import document_params, generate_sketch
 from .specdsl import parse_document
 
 __all__ = [
@@ -192,10 +192,7 @@ def _run_one(bench: Benchmark, corpus_dir: Path, arch, template: str,
              solvers) -> ReportRow:
     text = (corpus_dir / bench.file).read_text()
     doc = parse_document(text)
-    params = {"width": bench.width,
-              "inputs": tuple(n for n, _ in doc.inputs)}
-    if template == "dsp":
-        params["pipeline_depth"] = doc.pipeline
+    params = document_params(template, doc, bench.width)
     started = time.monotonic()
     try:
         sketch = generate_sketch(template, arch, params)

@@ -32,7 +32,7 @@ from .cegis import Success, Timeout, Unsat, synthesize
 from .emit import to_json_netlist, to_structural_verilog
 from .ir import SketchmapError
 from .portfolio import load_solver_config
-from .sketches import generate_sketch, list_templates
+from .sketches import document_params, generate_sketch, list_templates
 from .specdsl import parse_document
 
 EXIT_SUCCESS = 0
@@ -86,8 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("templates", help="list sketch templates")
 
     g = sub.add_parser("benchgen", help="generate the benchmark corpus")
-    g.add_argument("--arch", choices=("minidsp",), default="minidsp",
-                   help="target family the corpus is sized for")
     g.add_argument("--out-dir", required=True)
 
     r = sub.add_parser("benchrun", help="run a benchmark corpus")
@@ -107,13 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _template_params(name: str, doc, width: int) -> dict:
-    params = {"width": width, "inputs": tuple(n for n, _ in doc.inputs)}
-    if name == "dsp":
-        params["pipeline_depth"] = doc.pipeline
-    return params
-
-
 def run_map(args) -> int:
     try:
         text = Path(args.spec).read_text()
@@ -127,15 +118,14 @@ def run_map(args) -> int:
                 "sketch templates need uniform input widths, got "
                 f"{sorted(widths)}")
         sketch = generate_sketch(args.template, arch,
-                                 _template_params(args.template, doc,
-                                                  widths.pop()))
+                                 document_params(args.template, doc,
+                                                 widths.pop()))
+        result = synthesize(doc.prog, sketch, t=doc.pipeline,
+                            c=args.clock_cycles, solvers=solvers,
+                            timeout=args.timeout, seed=args.seed)
     except (OSError, SketchmapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    result = synthesize(doc.prog, sketch, t=doc.pipeline,
-                        c=args.clock_cycles, solvers=solvers,
-                        timeout=args.timeout, seed=args.seed)
     if isinstance(result, Unsat):
         print(f"unsat: no hole assignment implements the specification "
               f"({result.wall_time:.2f}s, {result.iterations} iterations)",

@@ -4,7 +4,8 @@ Semantics, per node at cycle t:
 
   * BV b           -> b
   * Var x          -> env[x][t]
-  * Op o args      -> eval_op(o, args at t)
+  * Op o args      -> o applied to args at t, by o's semantics in the
+                      operator table (ir.OPS)
   * Reg data init  -> init at t = 0, value of data at t-1 otherwise
   * Prim binds body-> body root at t under a fresh environment where each
                       body variable x reads the bound node binds[x]
@@ -12,9 +13,9 @@ Semantics, per node at cycle t:
 Two implementations with identical observable behavior:
 
   * interp / simulate: schedules every node (including nodes inside Prim
-    bodies) by the well-formedness witness and evaluates cycle by cycle on
-    plain ints.  Linear in nodes x cycles, no recursion, keeps only two
-    cycles of values alive.
+    bodies) by the well-formedness witness (ir.schedule) and evaluates
+    cycle by cycle on plain ints.  Linear in nodes x cycles, no recursion,
+    keeps only two cycles of values alive.
   * interp_naive: the recursive definition above, memo-free, for small
     programs; exists so tests can check that memoization is unobservable.
 """
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 from .ir import (
-    BV, BitVec, Hole, Id, Op, Operator, Prim, Prog, Reg, SketchmapError, Var,
-    check_well_formed, _collect_programs, node_widths,
+    BV, OPS, BitVec, Hole, Id, Op, Operator, Prim, Prog, Reg, SketchmapError,
+    Var, check_well_formed, op_result_width, schedule, _collect_programs,
 )
 
 
@@ -77,83 +78,13 @@ def env_of_ints(spec: Mapping[str, tuple[Sequence[int], int]]) -> dict[str, Stre
 # -- operator evaluation ----------------------------------------------------
 
 
-def _signed(v: int, w: int) -> int:
-    return v - (1 << w) if (v >> (w - 1)) & 1 else v
-
-
 def eval_op(op: Operator, args: list[BitVec]) -> BitVec:
-    """Evaluate one operator application on constants.
-
-    Shifts read the full unsigned shift amount; amounts >= width give 0
-    (ashr: all sign bits), matching SMT-LIB.  mul truncates.  Comparisons
-    and reductions return width 1.
-    """
-    from .ir import op_result_width
-    rw = op_result_width(op, [a.width for a in args])
-    return BitVec(rw, eval_op_int(op, [a.value for a in args],
-                                  [a.width for a in args]))
-
-
-def eval_op_int(op: Operator, vals: list[int], widths: list[int]) -> int:
-    """Int-level core of eval_op; callers guarantee the width rule holds."""
-    name = op.name
-    w = widths[0]
-    mask = (1 << w) - 1
-    if name == "add":
-        return (vals[0] + vals[1]) & mask
-    if name == "sub":
-        return (vals[0] - vals[1]) & mask
-    if name == "mul":
-        return (vals[0] * vals[1]) & mask
-    if name == "and":
-        return vals[0] & vals[1]
-    if name == "or":
-        return vals[0] | vals[1]
-    if name == "xor":
-        return vals[0] ^ vals[1]
-    if name == "not":
-        return vals[0] ^ mask
-    if name == "neg":
-        return (-vals[0]) & mask
-    if name == "shl":
-        s = vals[1]
-        return (vals[0] << s) & mask if s < w else 0
-    if name == "lshr":
-        s = vals[1]
-        return vals[0] >> s if s < w else 0
-    if name == "ashr":
-        s = vals[1]
-        sv = _signed(vals[0], w)
-        return (sv >> s) & mask if s < w else (mask if sv < 0 else 0)
-    if name == "eq":
-        return 1 if vals[0] == vals[1] else 0
-    if name == "ult":
-        return 1 if vals[0] < vals[1] else 0
-    if name == "ule":
-        return 1 if vals[0] <= vals[1] else 0
-    if name == "slt":
-        return 1 if _signed(vals[0], w) < _signed(vals[1], widths[1]) else 0
-    if name == "sle":
-        return 1 if _signed(vals[0], w) <= _signed(vals[1], widths[1]) else 0
-    if name == "mux":
-        return vals[1] if vals[0] == 1 else vals[2]
-    if name == "reduce_or":
-        return 1 if vals[0] != 0 else 0
-    if name == "reduce_and":
-        return 1 if vals[0] == mask else 0
-    if name == "concat":
-        return (vals[0] << widths[1]) | vals[1]
-    if name == "extract":
-        hi, lo = op.params
-        return (vals[0] >> lo) & ((1 << (hi - lo + 1)) - 1)
-    if name == "zero_extend":
-        return vals[0]
-    if name == "sign_extend":
-        (k,) = op.params
-        if k and (vals[0] >> (w - 1)) & 1:
-            return vals[0] | (((1 << k) - 1) << w)
-        return vals[0]
-    raise AssertionError(f"unhandled operator {name}")
+    """Evaluate one operator application on constants, by the semantics
+    in the operator table (ir.OPS)."""
+    widths = [a.width for a in args]
+    rw = op_result_width(op, widths)
+    f = OPS[op.name].sem(widths, op.params)
+    return BitVec(rw, f(*[a.value for a in args]))
 
 
 # -- compiled evaluation ----------------------------------------------------
@@ -180,19 +111,11 @@ class _Compiled:
     """
 
     def __init__(self, p: Prog, env: Env):
-        self.witness = check_well_formed(p)
+        sched = schedule(p)
         self.root = p.root
-        progs: list = []
-        _collect_programs(p, progs, set())
-
-        widths = node_widths(p)
-        self.widths = widths
-        fv_widths: dict[str, int] = {}
-        for prog, enclosing in progs:
-            if enclosing is None and prog is p:
-                for n in prog.nodes.values():
-                    if isinstance(n, Var):
-                        fv_widths[n.name] = n.width
+        self.widths = widths = sched.widths
+        fv_widths = {n.name: n.width for n in p.nodes.values()
+                     if isinstance(n, Var)}
         for name, w in fv_widths.items():
             if name not in env:
                 raise SketchmapError(f"environment is missing input {name!r}")
@@ -203,52 +126,28 @@ class _Compiled:
         self.env = env
         self.horizon = min(len(s) for s in env.values()) if env else None
 
-        # Map every Var to its source: top-level vars read env, body vars
-        # read the enclosing prim's bound id.
-        var_src: dict[Id, tuple[str, object]] = {}
-        for prog, enclosing in progs:
-            if enclosing is None:
-                for i, n in prog.nodes.items():
-                    if isinstance(n, Var):
-                        var_src[i] = ("env", n.name)
-            else:
-                _, prim = enclosing
-                bm = prim.bind_map()
-                for i, n in prog.nodes.items():
-                    if isinstance(n, Var):
-                        var_src[i] = ("bind", bm[n.name])
-
-        order = sorted(
-            (i for prog, _ in progs for i in prog.nodes),
-            key=lambda j: (self.witness[j], j))
-        node_of: dict[Id, object] = {}
-        for prog, _ in progs:
-            node_of.update(prog.nodes)
-
-        self.regs: list[tuple[Id, Id, int]] = []  # (id, data id, init value)
+        # (id, data id, init value)
+        self.regs = [(i, n.data, n.init.value) for i, n in sched.regs]
         plan: list[tuple[Id, Callable]] = []
-        for i in order:
-            n = node_of[i]
+        for i in sched.order:
+            n = sched.nodes[i]
             if isinstance(n, BV):
                 c = n.b.value
                 plan.append((i, (lambda cur, prev, t, c=c: c)))
             elif isinstance(n, Var):
-                kind, src = var_src[i]
-                if kind == "env":
-                    stream = env[src]
-                    plan.append((i, (lambda cur, prev, t, s=stream: s.at(t).value)))
+                if i in sched.binds:
+                    a = sched.binds[i]
+                    plan.append((i, (lambda cur, prev, t, a=a: cur[a])))
                 else:
-                    plan.append((i, (lambda cur, prev, t, a=src: cur[a])))
-            elif isinstance(n, Reg):
-                self.regs.append((i, n.data, n.init.value))
+                    stream = env[n.name]
+                    plan.append((i, (lambda cur, prev, t, s=stream: s.at(t).value)))
             elif isinstance(n, Prim):
                 r = n.body.root
                 plan.append((i, (lambda cur, prev, t, a=r: cur[a])))
             elif isinstance(n, Op):
-                opr, args = n.op, n.args
-                aw = [widths[a] for a in args]
-                plan.append((i, _op_closure(opr, args, aw)))
-            else:
+                plan.append((i, _op_closure(n.op, n.args,
+                                            [widths[a] for a in n.args])))
+            elif not isinstance(n, Reg):
                 raise AssertionError(n)
         self.plan = plan
 
@@ -257,48 +156,16 @@ class _Compiled:
 
 
 def _op_closure(op: Operator, args: tuple[Id, ...], aw: list[int]) -> Callable:
-    """Specialize the hot operators; fall back to eval_op_int."""
-    name = op.name
-    w = aw[0]
-    mask = (1 << w) - 1
-    if name == "add" and len(args) == 2:
+    """The node's closure: the table's int function over its operands."""
+    f = OPS[op.name].sem(aw, op.params)
+    if len(args) == 1:
+        (a,) = args
+        return lambda cur, prev, t, f=f, a=a: f(cur[a])
+    if len(args) == 2:
         a, b = args
-        return lambda cur, prev, t: (cur[a] + cur[b]) & mask
-    if name == "sub" and len(args) == 2:
-        a, b = args
-        return lambda cur, prev, t: (cur[a] - cur[b]) & mask
-    if name == "mul" and len(args) == 2:
-        a, b = args
-        return lambda cur, prev, t: (cur[a] * cur[b]) & mask
-    if name == "and":
-        a, b = args
-        return lambda cur, prev, t: cur[a] & cur[b]
-    if name == "or":
-        a, b = args
-        return lambda cur, prev, t: cur[a] | cur[b]
-    if name == "xor":
-        a, b = args
-        return lambda cur, prev, t: cur[a] ^ cur[b]
-    if name == "mux":
-        s, x, y = args
-        return lambda cur, prev, t: cur[x] if cur[s] == 1 else cur[y]
-    if name == "concat":
-        a, b = args
-        wb = aw[1]
-        return lambda cur, prev, t: (cur[a] << wb) | cur[b]
-    if name == "extract":
-        hi, lo = op.params
-        m = (1 << (hi - lo + 1)) - 1
-        a = args[0]
-        return lambda cur, prev, t: (cur[a] >> lo) & m
-    if name == "lshr":
-        a, b = args
-        return lambda cur, prev, t: cur[a] >> cur[b] if cur[b] < w else 0
-    if name == "zero_extend":
-        a = args[0]
-        return lambda cur, prev, t: cur[a]
-    ids = list(args)
-    return lambda cur, prev, t: eval_op_int(op, [cur[a] for a in ids], aw)
+        return lambda cur, prev, t, f=f, a=a, b=b: f(cur[a], cur[b])
+    a, b, c = args
+    return lambda cur, prev, t, f=f, a=a, b=b, c=c: f(cur[a], cur[b], cur[c])
 
 
 class _Run:

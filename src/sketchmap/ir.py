@@ -25,9 +25,10 @@ interpreters.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 Id = int
 
@@ -128,36 +129,162 @@ class Operator:
 # programs.
 WIRING_OPS = frozenset(["concat", "extract", "zero_extend", "sign_extend"])
 
-# name -> arity for the parameter-free operators.
-_OP_ARITY = {
-    "add": 2, "sub": 2, "mul": 2,
-    "and": 2, "or": 2, "xor": 2, "not": 1, "neg": 1,
-    "shl": 2, "lshr": 2, "ashr": 2,
-    "eq": 2, "ult": 2, "ule": 2, "slt": 2, "sle": 2,
-    "mux": 3, "reduce_or": 1, "reduce_and": 1,
-    "concat": 2,
+
+@dataclass(frozen=True)
+class OpSpec:
+    """Everything the mapper knows about one operator, stated once.
+
+    width(op, widths) is the width rule: it returns the result width or
+    raises WidthError; arity and parameter count are checked before it
+    runs.  sem(widths, params) returns the concrete semantics as a plain
+    int function of the operand values, valid for those widths and params
+    (results already truncated to the result width).  smt is the SMT-LIB
+    form, filled by str.format with the operand terms as {0}..{2}, the
+    params as {p}, and the all-zero / all-one literals of the first
+    operand's width as {zeros} / {ones}.
+    """
+
+    arity: int
+    nparams: int
+    width: Callable[[Operator, list[int]], int]
+    sem: Callable[[list[int], tuple[int, ...]], Callable[..., int]]
+    smt: str
+
+
+def _same_width(op: Operator, w: list[int]) -> int:
+    if w[0] != w[1]:
+        raise WidthError(f"{op.name} needs equal widths, got {w}")
+    return w[0]
+
+
+def _compare(op: Operator, w: list[int]) -> int:
+    _same_width(op, w)
+    return 1
+
+
+def _mux_width(op: Operator, w: list[int]) -> int:
+    if w[0] != 1:
+        raise WidthError(f"mux selector must be width 1, got {w[0]}")
+    if w[1] != w[2]:
+        raise WidthError(f"mux branches need equal widths, got {w}")
+    return w[1]
+
+
+def _extract_width(op: Operator, w: list[int]) -> int:
+    hi, lo = op.params
+    if not (0 <= lo <= hi < w[0]):
+        raise WidthError(f"extract[{hi},{lo}] out of range for width {w[0]}")
+    return hi - lo + 1
+
+
+def _extend_width(op: Operator, w: list[int]) -> int:
+    (k,) = op.params
+    if k < 0:
+        raise WidthError(f"{op.name} amount must be >= 0, got {k}")
+    return w[0] + k
+
+
+def _mask(w: int) -> int:
+    return (1 << w) - 1
+
+
+# Semantics factories bind their width-derived constants as default
+# arguments, so the returned function reads them as fast locals.  With h
+# the sign bit of a width, (x ^ h) - h is x's signed reading, and x ^ h
+# orders signed values as unsigned ones.  Shifts take the full unsigned
+# amount: amounts >= width give 0 (ashr: the sign bits), as in SMT-LIB.
+# mux picks its second operand when the selector is 1; concat puts its
+# first operand high.
+OPS: dict[str, OpSpec] = {
+    "add": OpSpec(2, 0, _same_width,
+                  lambda w, p: lambda x, y, m=_mask(w[0]): (x + y) & m,
+                  "(bvadd {0} {1})"),
+    "sub": OpSpec(2, 0, _same_width,
+                  lambda w, p: lambda x, y, m=_mask(w[0]): (x - y) & m,
+                  "(bvsub {0} {1})"),
+    "mul": OpSpec(2, 0, _same_width,
+                  lambda w, p: lambda x, y, m=_mask(w[0]): (x * y) & m,
+                  "(bvmul {0} {1})"),
+    "and": OpSpec(2, 0, _same_width, lambda w, p: operator.and_,
+                  "(bvand {0} {1})"),
+    "or": OpSpec(2, 0, _same_width, lambda w, p: operator.or_,
+                 "(bvor {0} {1})"),
+    "xor": OpSpec(2, 0, _same_width, lambda w, p: operator.xor,
+                  "(bvxor {0} {1})"),
+    "not": OpSpec(1, 0, lambda op, w: w[0],
+                  lambda w, p: lambda x, m=_mask(w[0]): x ^ m,
+                  "(bvnot {0})"),
+    "neg": OpSpec(1, 0, lambda op, w: w[0],
+                  lambda w, p: lambda x, m=_mask(w[0]): -x & m,
+                  "(bvneg {0})"),
+    "shl": OpSpec(2, 0, _same_width,
+                  lambda w, p: lambda x, s, n=w[0], m=_mask(w[0]):
+                      (x << s) & m if s < n else 0,
+                  "(bvshl {0} {1})"),
+    "lshr": OpSpec(2, 0, _same_width, lambda w, p: operator.rshift,
+                   "(bvlshr {0} {1})"),
+    "ashr": OpSpec(2, 0, _same_width,
+                   lambda w, p: lambda x, s, h=1 << (w[0] - 1), m=_mask(w[0]):
+                       (((x ^ h) - h) >> s) & m,
+                   "(bvashr {0} {1})"),
+    "eq": OpSpec(2, 0, _compare,
+                 lambda w, p: lambda x, y: 1 if x == y else 0,
+                 "(ite (= {0} {1}) #b1 #b0)"),
+    "ult": OpSpec(2, 0, _compare,
+                  lambda w, p: lambda x, y: 1 if x < y else 0,
+                  "(ite (bvult {0} {1}) #b1 #b0)"),
+    "ule": OpSpec(2, 0, _compare,
+                  lambda w, p: lambda x, y: 1 if x <= y else 0,
+                  "(ite (bvule {0} {1}) #b1 #b0)"),
+    "slt": OpSpec(2, 0, _compare,
+                  lambda w, p: lambda x, y, h=1 << (w[0] - 1):
+                      1 if x ^ h < y ^ h else 0,
+                  "(ite (bvslt {0} {1}) #b1 #b0)"),
+    "sle": OpSpec(2, 0, _compare,
+                  lambda w, p: lambda x, y, h=1 << (w[0] - 1):
+                      1 if x ^ h <= y ^ h else 0,
+                  "(ite (bvsle {0} {1}) #b1 #b0)"),
+    "mux": OpSpec(3, 0, _mux_width,
+                  lambda w, p: lambda s, x, y: x if s else y,
+                  "(ite (= {0} #b1) {1} {2})"),
+    "reduce_or": OpSpec(1, 0, lambda op, w: 1,
+                        lambda w, p: lambda x: 1 if x else 0,
+                        "(ite (distinct {0} {zeros}) #b1 #b0)"),
+    "reduce_and": OpSpec(1, 0, lambda op, w: 1,
+                         lambda w, p: lambda x, m=_mask(w[0]):
+                             1 if x == m else 0,
+                         "(ite (= {0} {ones}) #b1 #b0)"),
+    "concat": OpSpec(2, 0, lambda op, w: w[0] + w[1],
+                     lambda w, p: lambda x, y, n=w[1]: (x << n) | y,
+                     "(concat {0} {1})"),
+    "extract": OpSpec(1, 2, _extract_width,
+                      lambda w, p: lambda x, lo=p[1], m=_mask(p[0] - p[1] + 1):
+                          (x >> lo) & m,
+                      "((_ extract {p[0]} {p[1]}) {0})"),
+    "zero_extend": OpSpec(1, 1, _extend_width, lambda w, p: lambda x: x,
+                          "((_ zero_extend {p[0]}) {0})"),
+    "sign_extend": OpSpec(1, 1, _extend_width,
+                          lambda w, p: lambda x, h=1 << (w[0] - 1),
+                                              m=_mask(w[0] + p[0]):
+                              ((x ^ h) - h) & m,
+                          "((_ sign_extend {p[0]}) {0})"),
 }
 
-_SAME_WIDTH_2 = frozenset([
-    "add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr",
-])
-_CMP_OPS = frozenset(["eq", "ult", "ule", "slt", "sle"])
+
+def _op_spec(op: Operator) -> OpSpec:
+    """The table entry for op; raises ArityError for an unknown operator
+    or a wrong number of params."""
+    spec = OPS.get(op.name)
+    if spec is None:
+        raise ArityError(f"unknown operator {op.name!r}")
+    if len(op.params) != spec.nparams:
+        raise ArityError(
+            f"{op.name} takes {spec.nparams} params, got {op.params}")
+    return spec
 
 
 def op_arity(op: Operator) -> int:
-    if op.name == "extract":
-        if len(op.params) != 2:
-            raise ArityError(f"extract needs params (hi, lo), got {op.params}")
-        return 1
-    if op.name in ("zero_extend", "sign_extend"):
-        if len(op.params) != 1:
-            raise ArityError(f"{op.name} needs param (k,), got {op.params}")
-        return 1
-    if op.name not in _OP_ARITY:
-        raise ArityError(f"unknown operator {op.name!r}")
-    if op.params:
-        raise ArityError(f"{op.name} takes no params, got {op.params}")
-    return _OP_ARITY[op.name]
+    return _op_spec(op).arity
 
 
 def op_result_width(op: Operator, arg_widths: list[int]) -> int:
@@ -167,43 +294,11 @@ def op_result_width(op: Operator, arg_widths: list[int]) -> int:
     inclusive on both ends; mul truncates to the operand width; comparisons
     and the reductions produce width 1; mux takes a 1-bit selector.
     """
-    n = op_arity(op)
-    if len(arg_widths) != n:
-        raise ArityError(f"{op} expects {n} args, got {len(arg_widths)}")
-    name = op.name
-    if name in _SAME_WIDTH_2:
-        if arg_widths[0] != arg_widths[1]:
-            raise WidthError(f"{name} needs equal widths, got {arg_widths}")
-        return arg_widths[0]
-    if name in _CMP_OPS:
-        if arg_widths[0] != arg_widths[1]:
-            raise WidthError(f"{name} needs equal widths, got {arg_widths}")
-        return 1
-    if name in ("not", "neg"):
-        return arg_widths[0]
-    if name in ("reduce_or", "reduce_and"):
-        return 1
-    if name == "mux":
-        if arg_widths[0] != 1:
-            raise WidthError(f"mux selector must be width 1, got {arg_widths[0]}")
-        if arg_widths[1] != arg_widths[2]:
-            raise WidthError(f"mux branches need equal widths, got {arg_widths}")
-        return arg_widths[1]
-    if name == "concat":
-        return arg_widths[0] + arg_widths[1]
-    if name == "extract":
-        hi, lo = op.params
-        if not (0 <= lo <= hi < arg_widths[0]):
-            raise WidthError(
-                f"extract[{hi},{lo}] out of range for width {arg_widths[0]}"
-            )
-        return hi - lo + 1
-    if name in ("zero_extend", "sign_extend"):
-        (k,) = op.params
-        if k < 0:
-            raise WidthError(f"{name} amount must be >= 0, got {k}")
-        return arg_widths[0] + k
-    raise ArityError(f"unknown operator {name!r}")
+    spec = _op_spec(op)
+    if len(arg_widths) != spec.arity:
+        raise ArityError(
+            f"{op} expects {spec.arity} args, got {len(arg_widths)}")
+    return spec.width(op, arg_widths)
 
 
 # -- node variants ----------------------------------------------------------
@@ -478,6 +573,12 @@ def check_well_formed(p: Prog) -> WitnessMap:
     level; registers always sit at level 0.  Raises WellFormednessError.
     Side effect of success: node widths are consistent everywhere.
     """
+    return _check(p)[0]
+
+
+def _check(p: Prog) -> tuple[WitnessMap, dict[Id, int],
+                             list[tuple[Prog, Optional[tuple[Id, Prim]]]]]:
+    """check_well_formed's work: (witness, id -> width, flattened tree)."""
     progs: list[tuple[Prog, Optional[tuple[Id, Prim]]]] = []
     _collect_programs(p, progs, set())
 
@@ -601,19 +702,48 @@ def check_well_formed(p: Prog) -> WitnessMap:
                             "width",
                             f"prim {i}: bind {x!r} has width {widths[bi]} "
                             f"but the body expects {bw[x]}", (i,))
-    return witness
+    return witness, widths, progs
 
 
 def node_widths(p: Prog) -> dict[Id, int]:
     """id -> width for every node in the tree (checks well-formedness)."""
-    witness = check_well_formed(p)
-    progs: list[tuple[Prog, Optional[tuple[Id, Prim]]]] = []
-    _collect_programs(p, progs, set())
-    owner = {i: prog for prog, _ in progs for i in prog.nodes}
-    widths: dict[Id, int] = {}
-    for i in sorted(owner, key=lambda j: (witness[j], j)):
-        widths[i] = _node_width(owner[i], i, owner[i].nodes[i], widths)
-    return widths
+    return _check(p)[1]
+
+
+@dataclass
+class Schedule:
+    """The cycle-by-cycle walk of a well-formed program tree, shared by the
+    concrete and the symbolic interpreter.
+
+    nodes holds every node of the tree (p and all Prim bodies) by id and
+    widths their widths; order lists them by witness level, then id, so
+    each node comes after everything it reads in the same cycle.  A body Var reads the outer id
+    in binds; any other Var reads the input stream of its name.  regs
+    lists the registers, whose values are set before the walk of a cycle.
+    """
+
+    nodes: dict[Id, Node]
+    widths: dict[Id, int]
+    order: list[Id]
+    binds: dict[Id, Id]
+    regs: list[tuple[Id, Reg]]
+
+
+def schedule(p: Prog) -> Schedule:
+    """Check p's well-formedness and plan its evaluation."""
+    witness, widths, progs = _check(p)
+    nodes: dict[Id, Node] = {}
+    binds: dict[Id, Id] = {}
+    for prog, enclosing in progs:
+        nodes.update(prog.nodes)
+        if enclosing is not None:
+            bm = enclosing[1].bind_map()
+            for i, n in prog.nodes.items():
+                if isinstance(n, Var):
+                    binds[i] = bm[n.name]
+    order = sorted(nodes, key=lambda j: (witness[j], j))
+    regs = [(i, n) for i, n in nodes.items() if isinstance(n, Reg)]
+    return Schedule(nodes, widths, order, binds, regs)
 
 
 def verify_witness(p: Prog, w: WitnessMap) -> bool:

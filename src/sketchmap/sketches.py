@@ -56,6 +56,7 @@ from .primitives import carry_interface, dsp_interface, lut_interface
 
 __all__ = [
     "TemplateInfo",
+    "document_params",
     "generate_sketch",
     "list_templates",
 ]
@@ -317,6 +318,16 @@ _GENERATORS = {
     "comparison": _gen_comparison,
     "multiplication": _gen_multiplication,
 }
+
+
+def document_params(template: str, doc, width: int) -> dict:
+    """The params a specification document whose inputs are all `width`
+    bits wide gives template: its input names, plus its pipeline depth for
+    the dsp template."""
+    params = {"width": width, "inputs": tuple(n for n, _ in doc.inputs)}
+    if template == "dsp":
+        params["pipeline_depth"] = doc.pipeline
+    return params
 
 
 def generate_sketch(template: str, desc: ArchDescription,

@@ -14,14 +14,8 @@ from __future__ import annotations
 
 import re
 
-from .ir import BitVec, Operator, SketchmapError
+from .ir import OPS, BitVec, SketchmapError
 from .terms import Term
-
-_CMP = {"eq": "=", "ult": "bvult", "ule": "bvule", "slt": "bvslt",
-        "sle": "bvsle"}
-_BIN = {"add": "bvadd", "sub": "bvsub", "mul": "bvmul", "and": "bvand",
-        "or": "bvor", "xor": "bvxor", "shl": "bvshl", "lshr": "bvlshr",
-        "ashr": "bvashr"}
 
 
 def _sanitize(name: str) -> str:
@@ -64,39 +58,13 @@ class _Emitter:
         return s
 
     def _expr(self, t: Term) -> str:
-        if t.kind == "ite":
-            c, a, b = (self.ref(x) for x in t.args)
-            return f"(ite (= {c} #b1) {a} {b})"
-        op = t.op
         args = [self.ref(x) for x in t.args]
-        name = op.name
-        if name in _BIN:
-            return f"({_BIN[name]} {args[0]} {args[1]})"
-        if name in _CMP:
-            return f"(ite ({_CMP[name]} {args[0]} {args[1]}) #b1 #b0)"
-        if name == "not":
-            return f"(bvnot {args[0]})"
-        if name == "neg":
-            return f"(bvneg {args[0]})"
-        if name == "mux":
-            return f"(ite (= {args[0]} #b1) {args[1]} {args[2]})"
-        if name == "concat":
-            return f"(concat {args[0]} {args[1]})"
-        if name == "extract":
-            hi, lo = op.params
-            return f"((_ extract {hi} {lo}) {args[0]})"
-        if name == "zero_extend":
-            return f"((_ zero_extend {op.params[0]}) {args[0]})"
-        if name == "sign_extend":
-            return f"((_ sign_extend {op.params[0]}) {args[0]})"
+        if t.kind == "ite":  # the same choice as the IR's mux
+            return OPS["mux"].smt.format(*args)
         w = t.args[0].width
-        zero = "#b" + "0" * w
-        ones = "#b" + "1" * w
-        if name == "reduce_or":
-            return f"(ite (distinct {args[0]} {zero}) #b1 #b0)"
-        if name == "reduce_and":
-            return f"(ite (= {args[0]} {ones}) #b1 #b0)"
-        raise SketchmapError(f"cannot emit operator {name!r}")
+        return OPS[t.op.name].smt.format(*args, p=t.op.params,
+                                         zeros="#b" + "0" * w,
+                                         ones="#b" + "1" * w)
 
 
 def emit_smtlib(asserts: list[Term], declare: list[Term],

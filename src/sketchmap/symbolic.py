@@ -18,10 +18,9 @@ from math import ceil, log2
 from typing import Optional
 
 from .ir import (
-    BV, BitVec, ChoiceHole, ConstantHole, Hole, Id, Node, Op, Operator, Prim,
-    Prog, Reg, Sketch, SketchmapError, Var, WidthError, check_well_formed,
-    free_vars, is_behavioral, sketch_holes_consistent, structural_violations,
-    var_widths, _collect_programs,
+    BV, ChoiceHole, ConstantHole, Hole, Id, Node, Op, Operator, Prim, Prog,
+    Reg, Sketch, SketchmapError, Var, WidthError, is_behavioral, schedule,
+    sketch_holes_consistent, structural_violations, var_widths,
 )
 from .terms import Term, TermBuilder, term_leaves
 
@@ -55,26 +54,7 @@ def symbolic_run(p: Prog, upto: int, tb: Optional[TermBuilder] = None
     """Terms for the root at cycles 0..upto (well-formedness checked)."""
     if tb is None:
         tb = TermBuilder()
-    witness = check_well_formed(p)
-    progs: list = []
-    _collect_programs(p, progs, set())
-    node_of: dict[Id, Node] = {}
-    for prog, _ in progs:
-        node_of.update(prog.nodes)
-    var_src: dict[Id, tuple[str, object]] = {}
-    for prog, enclosing in progs:
-        if enclosing is None:
-            for i, n in prog.nodes.items():
-                if isinstance(n, Var):
-                    var_src[i] = ("env", n.name)
-        else:
-            _, prim = enclosing
-            bm = prim.bind_map()
-            for i, n in prog.nodes.items():
-                if isinstance(n, Var):
-                    var_src[i] = ("bind", bm[n.name])
-    order = sorted(node_of, key=lambda j: (witness[j], j))
-    regs = [(i, n) for i, n in node_of.items() if isinstance(n, Reg)]
+    sched = schedule(p)
 
     def eval_plain(n: Node, cur: dict[Id, Term], t: int) -> Term:
         """A node with no id of its own (a choice alternative)."""
@@ -90,20 +70,19 @@ def symbolic_run(p: Prog, upto: int, tb: Optional[TermBuilder] = None
     prev: dict[Id, Term] = {}
     for t in range(upto + 1):
         cur: dict[Id, Term] = {}
-        for i, n in regs:
+        for i, n in sched.regs:
             cur[i] = tb.const(n.init) if t == 0 else prev[n.data]
-        for i in order:
-            n = node_of[i]
+        for i in sched.order:
+            n = sched.nodes[i]
             if isinstance(n, Reg):
                 continue
             if isinstance(n, BV):
                 cur[i] = tb.const(n.b)
             elif isinstance(n, Var):
-                kind, src = var_src[i]
-                if kind == "env":
-                    cur[i] = tb.input(src, t, n.width)
+                if i in sched.binds:
+                    cur[i] = cur[sched.binds[i]]
                 else:
-                    cur[i] = cur[src]
+                    cur[i] = tb.input(n.name, t, n.width)
             elif isinstance(n, Op):
                 cur[i] = tb.app(n.op, [cur[a] for a in n.args])
             elif isinstance(n, Prim):

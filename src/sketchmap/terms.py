@@ -6,7 +6,7 @@ TermBuilder: structurally equal terms are the same object, so equality
 checks are pointer checks and structurally aligned circuits collapse.
 
 Construction folds aggressively but only with rules that preserve the
-concrete semantics of eval_op bit for bit:
+concrete semantics of the operator table (ir.OPS) bit for bit:
 
   * all-constant applications evaluate away,
   * algebraic identities (x&0, x^0, x*1, eq(x,x), ...),

@@ -107,6 +107,19 @@ class TestMap:
                      "--pipeline-depth", "9"])
         assert code == 1  # the dsp template has at most 3 stages
 
+    def test_unlaunchable_solver_exit_1(self, tmp_path, capsys):
+        spec = _write(tmp_path, "(spec (inputs (a 2) (b 2)) (xor a b))")
+        config = _write(tmp_path, json.dumps(
+            [{"name": "ghost", "command": [str(tmp_path / "no-solver")]}]),
+            "solvers.json")
+        code = main(["map", spec, "--template", "bitwise",
+                     "--arch-desc", "generic-lut-carry.yml",
+                     "--solver-config", config])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ghost" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestTemplates:
     def test_lists_all(self, capsys):
