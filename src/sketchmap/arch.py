@@ -3,7 +3,7 @@
 An architecture-description file is a YAML document listing, for each
 primitive interface the target implements, the concrete module that
 realizes it: the module name, how its ports are wired from interface
-inputs (via a tiny wiring-expression grammar), which internal data
+inputs (via value expressions), which internal data
 (LUT memories, DSP mode bits) become solver holes, and how interface
 outputs map onto module ports.
 
@@ -34,9 +34,16 @@ File-format reference
         outputs: {O: out}       # LUT output key "0" also accepted
         constraints: []          # optional width-1 expressions
 
-Value expressions: an interface input name, an internal_data name,
-``(bv value width)``, ``(concat e ...)`` (first argument is the high
-part), or ``(extract hi lo e)``.  A port named ``clk`` takes no value:
+Value expressions are expressions of the specification language
+(``sketchmap.specdsl``) limited to names -- interface inputs and
+internal_data -- plus ``(bv value width)``, ``(concat e ...)`` (first
+argument is the high part) and ``(extract hi lo e)``; ``specdsl.lower``
+reads and checks them once, when the file loads, and builds them into
+each instance.  A parameter value is an internal_data name or a ``bv``.
+A constraint is a 1-bit expression over internal_data; each instance
+lowers it to a program of its own over that instance's holes, or over
+the constants a lowering rule pins them to, and synthesis only accepts
+hole values under which it is 1.  A port named ``clk`` takes no value:
 it is wired to the global clock at emission.  Unknown keys anywhere are
 errors — the schema is strict.
 """
@@ -45,13 +52,16 @@ import os
 from dataclasses import dataclass, field
 
 from .ir import (
-    BV, BitVec, ConstantHole, EmitMeta, Hole, Id, Op, Operator,
-    PortBinding, Prim, Prog, ProgBuilder, Reg, SketchmapError, Var,
+    BV, BitVec, ConstantHole, EmitMeta, Hole, Id, Node, Op, PortBinding,
+    Prim, Prog, ProgBuilder, Reg, SketchmapError, Var, WidthError,
+    free_vars,
 )
 from .primitives import (
-    PrimitiveInterface, PrimitiveModel, builtin_model, carry_interface,
-    dsp_interface, lut_interface, mux_interface, output_slice,
+    PrimitiveInterface, builtin_model, carry_interface, dsp_interface,
+    lut_interface, mux_interface, packed_ranges,
 )
+from .solver.qfbv import SolverInputError, parse_all
+from .specdsl import ParseError, lower
 
 __all__ = [
     "SchemaError", "UnknownInterface", "ModelLoadError", "WidthMismatch",
@@ -87,110 +97,53 @@ class NoImplementation(SketchmapError):
         self.requested = requested
 
 
-# -- wiring-expression grammar ------------------------------------------------
+# -- value expressions --------------------------------------------------------
+
+# Value expressions are spec-language expressions limited to these heads.
+_VALUE_HEADS = frozenset({"bv", "concat", "extract"})
+
 
 def parse_value_expr(text: str, path: str):
-    """One expression: var | (bv v w) | (concat e ...) | (extract hi lo e)."""
-    from .solver.qfbv import SolverInputError, parse_all
-
+    """Read one value expression (unchecked; see _lower_alone)."""
     try:
         exprs = parse_all(text)
     except SolverInputError as e:
         raise SchemaError(path, f"bad expression syntax: {e}")
     if len(exprs) != 1:
         raise SchemaError(path, "expected exactly one expression")
-
-    def conv(e):
-        if isinstance(e, str):
-            if e[0].isdigit() or e[0] == "-":
-                raise SchemaError(path, f"bare number {e!r}; use (bv v w)")
-            return ("var", e)
-        if not e:
-            raise SchemaError(path, "empty expression")
-        head = e[0]
-        if head == "bv":
-            if len(e) != 3:
-                raise SchemaError(path, "(bv value width) takes 2 numbers")
-            try:
-                return ("bv", int(e[1]), int(e[2]))
-            except (ValueError, TypeError):
-                raise SchemaError(path, f"bad bv literal {e!r}")
-        if head == "concat":
-            if len(e) < 3:
-                raise SchemaError(path, "concat needs >= 2 operands")
-            parts = [conv(x) for x in e[1:]]
-            out = parts[-1]
-            for p in reversed(parts[:-1]):
-                out = ("concat", p, out)
-            return out
-        if head == "extract":
-            if len(e) != 4:
-                raise SchemaError(path, "(extract hi lo e)")
-            try:
-                hi, lo = int(e[1]), int(e[2])
-            except (ValueError, TypeError):
-                raise SchemaError(path, f"bad extract bounds in {e!r}")
-            return ("extract", hi, lo, conv(e[3]))
-        raise SchemaError(path, f"unknown expression head {head!r}")
-
-    return conv(exprs[0])
+    return exprs[0]
 
 
-def expr_width(expr, widths: dict[str, int], path: str) -> int:
-    tag = expr[0]
-    if tag == "var":
-        if expr[1] not in widths:
-            raise SchemaError(path, f"unknown name {expr[1]!r}")
-        return widths[expr[1]]
-    if tag == "bv":
-        if expr[2] <= 0:
-            raise SchemaError(path, "bv width must be positive")
-        return expr[2]
-    if tag == "concat":
-        return (expr_width(expr[1], widths, path)
-                + expr_width(expr[2], widths, path))
-    hi, lo = expr[1], expr[2]
-    inner = expr_width(expr[3], widths, path)
-    if not 0 <= lo <= hi < inner:
-        raise SchemaError(path, f"extract [{hi}:{lo}] out of range for "
-                          f"width {inner}")
-    return hi - lo + 1
+def _lower_alone(expr, leaves: dict[str, tuple[Node, int]]
+                 ) -> tuple[Prog, int]:
+    """Lower a value expression into a program of its own -> (prog, width).
+
+    leaves maps each name to the node it stands for and its width; a
+    name's node is added the first time the expression reads it, so the
+    program holds only the leaves the expression uses.
+    """
+    b = ProgBuilder()
+    made: dict[str, tuple[Id, int]] = {}
+
+    def leaf(name: str) -> tuple[Id, int]:
+        if name not in made:
+            node, w = leaves[name]
+            made[name] = (b.add(node), w)
+        return made[name]
+
+    root, w = lower(expr, b, leaf, _VALUE_HEADS)
+    return b.prog(root), w
 
 
-def expr_vars(expr) -> set[str]:
-    tag = expr[0]
-    if tag == "var":
-        return {expr[1]}
-    if tag == "bv":
-        return set()
-    if tag == "concat":
-        return expr_vars(expr[1]) | expr_vars(expr[2])
-    return expr_vars(expr[3])
-
-
-def build_expr(b: ProgBuilder, expr, env: dict[str, Id]) -> Id:
-    tag = expr[0]
-    if tag == "var":
-        return env[expr[1]]
-    if tag == "bv":
-        return b.bv(expr[1], expr[2])
-    if tag == "concat":
-        return b.concat(build_expr(b, expr[1], env),
-                        build_expr(b, expr[2], env))
-    return b.extract(expr[1], expr[2], build_expr(b, expr[3], env))
-
-
-def rename_expr(expr, mapping: dict[str, str]):
-    """var renaming, used to prefix hole labels in constraints."""
-    tag = expr[0]
-    if tag == "var":
-        return ("hole", mapping[expr[1]])
-    if tag == "bv":
-        return expr
-    if tag == "concat":
-        return ("concat", rename_expr(expr[1], mapping),
-                rename_expr(expr[2], mapping))
-    return ("extract", expr[1], expr[2], rename_expr(expr[3], mapping))
+def _check_value(text, path: str, leaves: dict[str, tuple[Node, int]]):
+    """Read and check one value expression at load time -> (expression,
+    its program over Var leaves, width); errors become SchemaError."""
+    expr = parse_value_expr(str(text), path)
+    try:
+        prog, w = _lower_alone(expr, leaves)
+    except (ParseError, WidthError) as e:
+        raise SchemaError(path, str(e))
+    return expr, prog, w
 
 
 # -- schema -------------------------------------------------------------------
@@ -200,7 +153,7 @@ class PortSpec:
     name: str
     direction: str           # "in" | "out"
     width: int
-    value: object = None     # parsed expression; None for outputs / clk
+    value: object = None     # expression as read; None for outputs / clk
 
 
 @dataclass(frozen=True)
@@ -210,9 +163,9 @@ class InterfaceImpl:
     source: tuple[str, str]             # ("builtin", family) | ("btor2", path)
     internal_data: tuple[tuple[str, int], ...]
     ports: tuple[PortSpec, ...]
-    parameters: tuple[tuple[str, object], ...]   # (name, expr)
+    parameters: tuple[tuple[str, str | BitVec], ...]  # as EmitMeta binds
     outputs: tuple[tuple[str, str], ...]         # iface output -> module port
-    constraints: tuple[object, ...]
+    constraints: tuple[object, ...]              # expressions as read
 
     @property
     def internal_map(self) -> dict[str, int]:
@@ -314,12 +267,13 @@ def _parse_impl(m, path: str) -> InterfaceImpl:
         internal.append((str(k), _pos_int(v, f"{path}.internal_data.{k}")))
 
     iface_in = dict(iface.inputs)
-    widths = dict(iface_in)
+    leaves = {n: (Var(n, w), w) for n, w in iface_in.items()}
     for k, w in internal:
-        if k in widths:
+        if k in leaves:
             raise SchemaError(f"{path}.internal_data.{k}",
                               "name collides with an interface input")
-        widths[k] = w
+        leaves[k] = (Var(k, w), w)
+    consumed: set[str] = set()
 
     ports: list[PortSpec] = []
     raw_ports = m["ports"]
@@ -338,8 +292,9 @@ def _parse_impl(m, path: str) -> InterfaceImpl:
         if pdir == "in" and pname != "clk":
             if "value" not in pm:
                 raise SchemaError(ppath, "input ports need a value")
-            value = parse_value_expr(str(pm["value"]), f"{ppath}.value")
-            got = expr_width(value, widths, f"{ppath}.value")
+            value, prog, got = _check_value(pm["value"], f"{ppath}.value",
+                                            leaves)
+            consumed |= free_vars(prog)
             if got != pw:
                 raise WidthMismatch(
                     f"{ppath}: port {pname!r} is {pw} bits but its value "
@@ -352,20 +307,24 @@ def _parse_impl(m, path: str) -> InterfaceImpl:
             raise SchemaError(ppath, f"duplicate port {pname!r}")
         ports.append(PortSpec(pname, pdir, pw, value))
 
-    params: list[tuple[str, object]] = []
+    params: list[tuple[str, str | BitVec]] = []
     for i, pm in enumerate(m.get("parameters", ())):
         ppath = f"{path}.parameters[{i}]"
         pm = _expect_map(pm, ppath)
         _expect_keys(pm, ppath, ("name", "value"))
-        expr = parse_value_expr(str(pm["value"]), f"{ppath}.value")
-        for nm in expr_vars(expr):
-            if nm not in dict(internal):
-                raise SchemaError(
-                    f"{ppath}.value",
-                    f"parameters may only reference internal_data, "
-                    f"not {nm!r}")
-        expr_width(expr, widths, f"{ppath}.value")
-        params.append((str(pm["name"]), expr))
+        _, prog, _ = _check_value(pm["value"], f"{ppath}.value", leaves)
+        bad = free_vars(prog) - set(dict(internal))
+        if bad:
+            raise SchemaError(f"{ppath}.value", "parameters may only "
+                              f"reference internal_data, not {sorted(bad)}")
+        node = prog.nodes[prog.root]
+        if isinstance(node, Var):
+            params.append((str(pm["name"]), node.name))
+        elif isinstance(node, BV):
+            params.append((str(pm["name"]), node.b))
+        else:
+            raise SchemaError(f"{ppath}.value", "parameter values must be "
+                              "a name or (bv v w)")
 
     outputs: list[tuple[str, str]] = []
     iface_out = dict(iface.outputs)
@@ -395,21 +354,16 @@ def _parse_impl(m, path: str) -> InterfaceImpl:
     constraints = []
     for i, c in enumerate(m.get("constraints", ())):
         cpath = f"{path}.constraints[{i}]"
-        expr = parse_value_expr(str(c), cpath)
-        names = expr_vars(expr)
-        bad = names - set(dict(internal))
+        expr, prog, w = _check_value(c, cpath, leaves)
+        bad = free_vars(prog) - set(dict(internal))
         if bad:
             raise SchemaError(cpath, "constraints may only reference "
                               f"internal_data, not {sorted(bad)}")
-        if expr_width(expr, widths, cpath) != 1:
+        if w != 1:
             raise SchemaError(cpath, "constraints must be 1 bit wide")
         constraints.append(expr)
 
     # every interface input must feed some port value expression
-    consumed = set()
-    for p in ports:
-        if p.value is not None:
-            consumed |= expr_vars(p.value)
     missing = {n for n in iface_in if n != "clk"} - consumed
     if missing:
         raise SchemaError(f"{path}.ports",
@@ -547,7 +501,7 @@ class HoleNamer:
 class BuildResult:
     outputs: dict[str, Id]                 # interface output -> node id
     holes: dict[str, ConstantHole] = field(default_factory=dict)
-    constraints: list = field(default_factory=list)
+    constraints: list[Prog] = field(default_factory=list)
 
 
 def instantiate(impl: InterfaceImpl, b: ProgBuilder,
@@ -559,7 +513,9 @@ def instantiate(impl: InterfaceImpl, b: ProgBuilder,
     inputs maps interface input names to existing node ids.  Each
     internal_data entry becomes a fresh ConstantHole unless `pinned`
     supplies a constant for it.  Returns the interface outputs (extract
-    nodes over the packed primitive value when there are several).
+    nodes over the packed primitive value when there are several) and
+    each constraint as a program over this instance's holes and pinned
+    constants.
     """
     semantics, fvw, packed = _load_model(impl, arch)
     pinned = pinned or {}
@@ -574,7 +530,9 @@ def instantiate(impl: InterfaceImpl, b: ProgBuilder,
 
     prefix = namer.prefix()
     holes: dict[str, ConstantHole] = {}
-    env: dict[str, Id] = dict(inputs)
+    iface_w = dict(impl.interface.inputs)
+    env = {n: (i, iface_w[n]) for n, i in inputs.items()}
+    leaves: dict[str, tuple[Node, int]] = {}
     for nm, w in impl.internal_data:
         if nm not in fvw:
             raise ModelLoadError(
@@ -589,24 +547,23 @@ def instantiate(impl: InterfaceImpl, b: ProgBuilder,
                 raise WidthMismatch(
                     f"{impl.module_name}: pinned {nm!r} has width "
                     f"{pinned[nm].width}, expected {w}")
-            env[nm] = b.bv(pinned[nm].value, w)
+            leaves[nm] = (BV(pinned[nm]), w)
         else:
-            spec = ConstantHole(w)
-            holes[prefix + nm] = spec
-            env[nm] = b.hole(prefix + nm, spec)
+            holes[prefix + nm] = ConstantHole(w)
+            leaves[nm] = (Hole(prefix + nm, holes[prefix + nm]), w)
+        env[nm] = (b.add(leaves[nm][0]), w)
 
     port_values: dict[str, Id] = {}
     for p in impl.ports:
         if p.direction == "in" and p.name != "clk":
-            port_values[p.name] = build_expr(b, p.value, env)
+            port_values[p.name] = lower(p.value, b, env.__getitem__,
+                                        _VALUE_HEADS)[0]
 
     prim, outputs = _assemble_prim(impl, b, semantics, fvw, packed,
                                    port_values,
-                                   {nm: env[nm] for nm, _ in
+                                   {nm: env[nm][0] for nm, _ in
                                     impl.internal_data})
-    constraints = [rename_expr(c, {nm: prefix + nm
-                                   for nm, _ in impl.internal_data})
-                   for c in impl.constraints]
+    constraints = [_lower_alone(c, leaves)[0] for c in impl.constraints]
     return BuildResult(outputs, holes, constraints)
 
 
@@ -647,42 +604,22 @@ def _assemble_prim(impl: InterfaceImpl, b: ProgBuilder, semantics, fvw,
             f"{impl.module_name}: model inputs never wired: "
             f"{sorted(unwired)}")
 
-    param_bindings: list[tuple[str, object]] = []
-    for pname, expr in impl.parameters:
-        if expr[0] == "var":
-            param_bindings.append((pname, expr[1]))
-        elif expr[0] == "bv":
-            param_bindings.append((pname, BitVec.of(expr[1], expr[2])))
-        else:
-            raise SchemaError(
-                f"{impl.module_name}.parameters.{pname}",
-                "parameter values must be a name or (bv v w)")
-
     out_map = dict(impl.outputs)
-    slices = []
-    lo = 0
-    for oname, ow in reversed(packed):
-        slices.append((out_map[oname], lo + ow - 1, lo))
-        lo += ow
-    slices.reverse()
+    ranges = packed_ranges(packed)
     meta = EmitMeta(
         module_name=impl.module_name,
         port_bindings=tuple(port_bindings),
-        parameter_bindings=tuple(param_bindings),
+        parameter_bindings=impl.parameters,
         output_port=out_map[packed[-1][0]],
-        output_slices=tuple(slices) if len(packed) > 1 else ())
+        output_slices=tuple((out_map[o], *ranges[o]) for o, _ in packed)
+        if len(packed) > 1 else ())
 
     body = _relabel(semantics, b)
     prim = b.add(Prim(tuple(binds), body, meta))
-    outputs: dict[str, Id] = {}
     if len(packed) == 1:
-        outputs[packed[0][0]] = prim
-    else:
-        lo = 0
-        for oname, ow in reversed(packed):
-            outputs[oname] = b.extract(lo + ow - 1, lo, prim)
-            lo += ow
-    return prim, outputs
+        return prim, {packed[0][0]: prim}
+    return prim, {o: b.extract(hi, lo, prim)
+                  for o, (hi, lo) in ranges.items()}
 
 
 def instantiate_from_ports(impl: InterfaceImpl, b: ProgBuilder,

@@ -16,7 +16,9 @@ row; generation is deterministic, byte for byte.
 records one CSV row per benchmark (name, outcome, solver, seconds), and
 re-validates every Success by random simulation over thousands of cycles
 before recording it.  A simulation mismatch is a soundness failure and
-aborts the whole run.
+aborts the whole run, as does a SolverError (no solver could answer, or
+CEGIS caught its solver giving a wrong model): those are faults of the
+run, not of one design.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ from pathlib import Path
 from .cegis import Success, Timeout, Unsat, synthesize
 from .interp import env_of_ints, simulate
 from .ir import Prog, SketchmapError, var_widths
+from .portfolio import SolverError
 from .sketches import document_params, generate_sketch
-from .specdsl import parse_document
+from .specdsl import SPEC_OPERATORS, parse_document
 
 __all__ = [
     "Benchmark",
@@ -88,14 +91,10 @@ def _shapes() -> list[tuple[str, tuple[str, ...], str]]:
     return out
 
 
-_OPERATORS = frozenset({"add", "sub", "mul", "and", "or", "xor", "not",
-                        "eq", "ult", "mux", "concat", "extract", "zext"})
-
-
 def _expressible(expression: str, width: int, depth: int) -> bool:
     ops = {tok for tok in
            expression.replace("(", " ").replace(")", " ").split()
-           if tok in _OPERATORS}
+           if tok in SPEC_OPERATORS}
     return (ops <= _DSP_ALU_OPS | {"mul"} and width <= _DSP_WIDTH
             and depth <= _DSP_MAX_DEPTH)
 
@@ -199,6 +198,8 @@ def _run_one(bench: Benchmark, corpus_dir: Path, arch, template: str,
         result = synthesize(doc.prog, sketch, t=doc.pipeline,
                             c=clock_cycles, timeout=timeout,
                             solvers=solvers)
+    except SolverError:
+        raise                 # the solver, not this design, failed
     except SketchmapError:
         return ReportRow(bench.name, "error", "",
                          time.monotonic() - started)
@@ -228,7 +229,7 @@ def run_corpus(corpus_dir, arch, template: str = "dsp",
     Rows are appended to report_path as they complete (under a lock when
     jobs > 1).  `only` restricts the run to the named benchmarks.  Raises
     SoundnessFailure — after flushing the failing row — if any Success
-    fails its simulation check.
+    fails its simulation check, and SolverError if the solver fails.
     """
     corpus_dir = Path(corpus_dir)
     benchmarks = read_manifest(corpus_dir / "manifest.csv")

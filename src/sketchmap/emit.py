@@ -26,6 +26,7 @@ from .arch import ArchDescription, instantiate_from_ports
 from .ir import (WIRING_OPS, BV, BitVec, Hole, Id, Op, Prim, Prog, Reg,
                  SketchmapError, Var, check_well_formed, node_widths,
                  var_widths)
+from .primitives import packed_ranges
 
 __all__ = [
     "JsonSchemaError",
@@ -598,13 +599,10 @@ def from_json_netlist(text: str, arch: ArchDescription) -> Prog:
         prim, _outs, packed = instantiate_from_ports(
             impl, b, port_values, internals, arch)
         out_map = dict(impl.outputs)
-        slices = {}
-        lo = 0
-        for oname, ow in reversed(packed):
-            slices[out_map[oname]] = (lo + ow - 1, lo)
-            lo += ow
-        built[cname] = (prim, slices, lo)
-        node_width_of[prim] = lo
+        slices = {out_map[o]: r for o, r in packed_ranges(packed).items()}
+        width = sum(w for _, w in packed)
+        built[cname] = (prim, slices, width)
+        node_width_of[prim] = width
         remaining.remove(cname)
 
     root = materialize(root_bits)
@@ -623,18 +621,17 @@ def _internals_from_params(impl, cell) -> dict[str, BitVec]:
             f"do not match declared {sorted(declared)}")
     widths = dict(impl.internal_data)
     internals: dict[str, BitVec] = {}
-    for pname, expr in impl.parameters:
-        if expr[0] == "var":
-            nm = expr[1]
-            internals[nm] = _decode_param(impl.module_name, pname,
-                                          params[pname], widths[nm])
-        else:                          # ("bv", value, width)
+    for pname, value in impl.parameters:
+        if isinstance(value, str):
+            internals[value] = _decode_param(impl.module_name, pname,
+                                             params[pname], widths[value])
+        else:
             got = _decode_param(impl.module_name, pname, params[pname],
-                                expr[2])
-            _expect(got.value == expr[1],
+                                value.width)
+            _expect(got == value,
                     f"cell of type {impl.module_name}: parameter "
                     f"{pname!r} must be the fixed constant "
-                    f"{expr[1]:#x}, got {got.value:#x}")
+                    f"{value.value:#x}, got {got.value:#x}")
     missing = set(widths) - set(internals)
     _expect(not missing,
             f"cell of type {impl.module_name}: internal data "

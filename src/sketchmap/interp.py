@@ -27,7 +27,8 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .ir import (
     BV, OPS, BitVec, Hole, Id, Op, Operator, Prim, Prog, Reg, SketchmapError,
-    Var, check_well_formed, op_result_width, schedule, _collect_programs,
+    Var, check_well_formed, op_result_width, schedule, var_widths,
+    _collect_programs,
 )
 
 
@@ -114,9 +115,7 @@ class _Compiled:
         sched = schedule(p)
         self.root = p.root
         self.widths = widths = sched.widths
-        fv_widths = {n.name: n.width for n in p.nodes.values()
-                     if isinstance(n, Var)}
-        for name, w in fv_widths.items():
+        for name, w in var_widths(p).items():
             if name not in env:
                 raise SketchmapError(f"environment is missing input {name!r}")
             if env[name].width != w:

@@ -440,14 +440,15 @@ class Sketch:
     architecture-declared side constraints.
 
     holes maps label -> HoleSpec and must list exactly the Hole nodes
-    reachable in psi.  side_constraints are width-1 value expressions over
-    hole labels (see sketchmap.arch for the expression grammar); each must
+    reachable in psi.  side_constraints are width-1 programs of their own
+    whose leaves are Hole nodes of that table or constants (an
+    architecture's ``constraints:``, lowered per instance); each must
     evaluate to 1 under any accepted hole assignment.
     """
 
     psi: Prog
     holes: dict[str, HoleSpec]
-    side_constraints: tuple = ()
+    side_constraints: tuple[Prog, ...] = ()
 
 
 WitnessMap = dict[Id, int]
@@ -621,6 +622,13 @@ def _check(p: Prog) -> tuple[WitnessMap, dict[Id, int],
                                 f"hole {i} alternative references missing id {a}",
                                 (i, a))
 
+    var_w: dict[int, dict[str, int]] = {}     # id(prog) -> its var widths
+    for prog, _ in progs:
+        try:
+            var_w[id(prog)] = var_widths(prog)
+        except WidthError as e:
+            raise WellFormednessError("width", str(e)) from e
+
     for prog, _ in progs:
         for i, n in prog.nodes.items():
             if isinstance(n, Prim):
@@ -628,7 +636,7 @@ def _check(p: Prog) -> tuple[WitnessMap, dict[Id, int],
                 if len(bound) != len(n.binds):
                     raise WellFormednessError(
                         "W5", f"prim {i} binds a variable twice", (i,))
-                fv = free_vars(n.body)
+                fv = set(var_w[id(n.body)])
                 if bound != fv:
                     raise WellFormednessError(
                         "W5",
@@ -695,7 +703,7 @@ def _check(p: Prog) -> tuple[WitnessMap, dict[Id, int],
                     f"register {i}: data width {widths[n.data]} != init "
                     f"width {n.init.width}", (i,))
             if isinstance(n, Prim):
-                bw = var_widths(n.body)
+                bw = var_w[id(n.body)]
                 for x, bi in n.binds:
                     if widths[bi] != bw[x]:
                         raise WellFormednessError(

@@ -15,7 +15,7 @@ Conventions fixed here and relied on everywhere downstream:
   memory ``0b0110``.
 * Multi-output models pack their outputs into a single root as
   ``concat`` with the *later-listed* output in the low bits: the carry
-  chain's root is ``concat(CO, O)``.  ``output_slice`` recovers each
+  chain's root is ``concat(CO, O)``.  ``packed_ranges`` recovers each
   output's bit range.
 * ``clk`` is a port of sequential models but never a free variable of
   the semantics: registers are explicit Reg nodes and the clock is
@@ -30,6 +30,7 @@ from .ir import (
 
 __all__ = [
     "PrimitiveInterface", "PrimitiveModel", "interface_of", "output_slice",
+    "packed_ranges",
     "lut_model", "carry_model", "mux_model", "minidsp_model",
     "builtin_model",
 ]
@@ -123,14 +124,25 @@ def interface_of(model: PrimitiveModel) -> PrimitiveInterface:
     return model.interface
 
 
+def packed_ranges(outputs: tuple[tuple[str, int], ...]
+                  ) -> dict[str, tuple[int, int]]:
+    """name -> (hi, lo) bit range of each output in the packed root, for
+    outputs listed (name, width) in packing order, MSB first.  The result
+    lists them from the low slice up."""
+    ranges: dict[str, tuple[int, int]] = {}
+    lo = 0
+    for n, w in reversed(outputs):
+        ranges[n] = (lo + w - 1, lo)
+        lo += w
+    return ranges
+
+
 def output_slice(model: PrimitiveModel, name: str) -> tuple[int, int]:
     """(hi, lo) bit range of an output in the packed semantics root."""
-    lo = 0
-    for n, w in reversed(model.outputs):
-        if n == name:
-            return lo + w - 1, lo
-        lo += w
-    raise DomainError(f"model {model.name} has no output {name!r}")
+    ranges = packed_ranges(model.outputs)
+    if name not in ranges:
+        raise DomainError(f"model {model.name} has no output {name!r}")
+    return ranges[name]
 
 
 def _lut_read(b: ProgBuilder, mem, index_bits, mem_width: int):

@@ -8,8 +8,10 @@ bvxor bvshl bvlshr bvashr bvcomp concat (_ extract hi lo)
 (_ zero_extend k) (_ sign_extend k) bvult bvule bvugt bvuge bvslt bvsle
 (! term :attr ...) annotations, and (let ((x t) ...) body).
 
-One check-sat per script (matching what the mapper emits); get-value then
-reports bits from the SAT model, defaulting unconstrained bits to 0.
+One check-sat per script (matching what the mapper emits); push and pop
+are rejected, not ignored, since ignoring them would answer for the wrong
+set of assertions.  get-value reports bits from the SAT model, defaulting
+unconstrained bits to 0.
 After extracting a model the driver re-evaluates the asserted formula
 under it and refuses to answer if the check fails, so a bug here shows up
 as an error, never as a wrong model.
@@ -297,7 +299,7 @@ class Script:
         if not isinstance(cmd, list) or not cmd:
             raise SolverInputError(f"bad command {cmd!r}")
         head = cmd[0]
-        if head in ("set-logic", "set-option", "set-info", "push", "pop"):
+        if head in ("set-logic", "set-option", "set-info"):
             return
         if head == "echo":
             self.output.append(cmd[1].strip('"'))

@@ -26,19 +26,31 @@ Expression operators and their width rules:
 
 Malformed documents raise ParseError; expressions that violate a width rule
 raise WidthError.  ``;`` starts a comment running to end of line.
+
+The text is read by the bundled solver's s-expression reader
+(``qfbv.parse_all``) and ``lower`` turns an expression into IR nodes,
+taking each operator's arity, params and width rule from ``ir.OPS``.
+``lower`` is the one path from a user-written expression to IR: the value
+expressions of architecture descriptions (``sketchmap.arch``) go through
+it too, restricted to names, ``bv``, ``concat`` and ``extract``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, Collection
 
-from .ir import (BitVec, Operator, Prog, ProgBuilder, SketchmapError,
-                 check_well_formed, op_result_width)
+from .ir import (BitVec, Id, OPS, Op, Operator, Prog, ProgBuilder,
+                 SketchmapError, WidthError, check_well_formed,
+                 op_result_width)
+from .solver.qfbv import SolverInputError, parse_all
 
 __all__ = [
     "ParseError",
+    "SPEC_OPERATORS",
     "SpecDocument",
+    "lower",
     "parse_document",
     "parse_spec",
 ]
@@ -57,38 +69,14 @@ class SpecDocument:
     prog: Prog
 
 
-_TOKEN = re.compile(r"\(|\)|[^\s();]+")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-_BINARY = ("add", "sub", "mul", "and", "or", "xor")
-_COMPARE = ("eq", "ult")
+# The operator heads a specification expression may use.
+SPEC_OPERATORS = frozenset({"add", "sub", "mul", "and", "or", "xor", "not",
+                            "eq", "ult", "mux", "concat", "extract", "zext"})
 
-
-def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    for line in text.splitlines():
-        out.extend(_TOKEN.findall(line.split(";", 1)[0]))
-    return out
-
-
-def _read(tokens: list[str], pos: int):
-    """One datum starting at pos -> (str or nested list, next pos)."""
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise ParseError("missing ')'")
-            if tokens[pos] == ")":
-                return items, pos + 1
-            item, pos = _read(tokens, pos)
-            items.append(item)
-    if tok == ")":
-        raise ParseError("unexpected ')'")
-    return tok, pos + 1
+# Heads whose IR operator is spelled differently.
+_IR_NAME = {"zext": "zero_extend"}
 
 
 def _int(atom, what: str) -> int:
@@ -103,58 +91,74 @@ def _clause(form, head: str):
     return form[1:]
 
 
-def _build(expr, b: ProgBuilder, env: dict[str, tuple[int, int]]):
-    """Lower one expression tree -> (node id, width)."""
+def lower(expr, b: ProgBuilder, leaf: Callable[[str], tuple[Id, int]],
+          heads: Collection[str]) -> tuple[Id, int]:
+    """Lower one expression, as read by parse_all, to nodes under b.
+
+    Returns (root id, width).  An atom is a name; leaf(name) gives its
+    (id, width) or raises KeyError.  A list is (head param... operand...)
+    with head one of heads: either ``bv`` -- ``(bv value width)``, a
+    constant -- or an ir.OPS operator, whose params come first and whose
+    arity and width rule the table gives.  ``concat`` takes two or more
+    operands, the first most significant, folding to the right.  Nodes are
+    allocated in post-order.  Raises ParseError for a malformed expression
+    and WidthError when a width rule fails.
+    """
     if isinstance(expr, str):
-        if expr not in env:
-            raise ParseError(f"unknown input {expr!r}")
-        return env[expr]
+        try:
+            return leaf(expr)
+        except KeyError:
+            raise ParseError(f"unknown name {expr!r}") from None
     if not expr:
         raise ParseError("empty expression ()")
-    head = expr[0]
-    if not isinstance(head, str):
-        raise ParseError(f"operator expected, got {head!r}")
-    args = expr[1:]
-
-    def need(n: int):
-        if len(args) != n:
-            raise ParseError(f"{head} takes {n} operands, got {len(args)}")
-
-    if head in _BINARY or head in _COMPARE:
-        need(2)
-        (x, wx), (y, wy) = (_build(a, b, env) for a in args)
-        w = op_result_width(Operator(head, ()), [wx, wy])
-        return b.op(head, x, y), w
-    if head == "not":
-        need(1)
-        x, wx = _build(args[0], b, env)
-        return b.op("not", x), wx
-    if head == "mux":
-        need(3)
-        (s, ws), (x, wx), (y, wy) = (_build(a, b, env) for a in args)
-        w = op_result_width(Operator("mux", ()), [ws, wx, wy])
-        return b.op("mux", s, x, y), w
-    if head == "concat":
-        if len(args) < 2:
-            raise ParseError(f"concat takes 2+ operands, got {len(args)}")
-        parts = [_build(a, b, env) for a in args]
-        out, w = parts[0]
-        for x, wx in parts[1:]:
-            out, w = b.concat(out, x), w + wx
+    head, args = expr[0], expr[1:]
+    if not isinstance(head, str) or head not in heads:
+        raise ParseError(f"unknown operator {head!r}")
+    if head == "bv":
+        if len(args) != 2:
+            raise ParseError(f"bv takes 2 operands, got {len(args)}")
+        value, width = (_int(a, "bv operand") for a in args)
+        if width <= 0:
+            raise WidthError(f"bv width must be positive, got {width}")
+        return b.bv(value, width), width
+    name = _IR_NAME.get(head, head)
+    spec = OPS[name]
+    want = spec.nparams + spec.arity
+    nary = name == "concat"
+    if len(args) < want if nary else len(args) != want:
+        raise ParseError(f"{head} takes {want}{'+' if nary else ''} "
+                         f"operands, got {len(args)}")
+    op = Operator(name, tuple(_int(a, f"{head} parameter")
+                              for a in args[:spec.nparams]))
+    parts = [lower(a, b, leaf, heads) for a in args[spec.nparams:]]
+    if nary:
+        out, w = parts[-1]
+        for x, wx in reversed(parts[:-1]):
+            w = op_result_width(op, [wx, w])
+            out = b.add(Op(op, (x, out)))
         return out, w
-    if head == "extract":
-        need(3)
-        hi, lo = _int(args[0], "extract hi"), _int(args[1], "extract lo")
-        x, wx = _build(args[2], b, env)
-        w = op_result_width(Operator("extract", (hi, lo)), [wx])
-        return b.extract(hi, lo, x), w
-    if head == "zext":
-        need(2)
-        k = _int(args[0], "zext amount")
-        x, wx = _build(args[1], b, env)
-        w = op_result_width(Operator("zero_extend", (k,)), [wx])
-        return b.zext(k, x), w
-    raise ParseError(f"unknown operator {head!r}")
+    w = op_result_width(op, [wx for _, wx in parts])
+    return b.add(Op(op, tuple(x for x, _ in parts))), w
+
+
+def _read(text: str):
+    """The one s-expression in text.  ``;`` comments run to end of line,
+    any whitespace separates, and ``|`` and ``"`` are not part of the
+    language (parse_all would read them as SMT-LIB quoting)."""
+    text = re.sub(r"\s", " ", " ".join(line.split(";", 1)[0]
+                                       for line in text.splitlines()))
+    for ch in "|\"":
+        if ch in text:
+            raise ParseError(f"unexpected {ch!r}")
+    try:
+        forms = parse_all(text)
+    except SolverInputError as e:
+        raise ParseError(str(e)) from None
+    if not forms:
+        raise ParseError("unexpected end of input")
+    if len(forms) > 1:
+        raise ParseError(f"trailing input after document: {forms[1]!r}")
+    return forms[0]
 
 
 def parse_document(text: str, pipeline_override: int | None = None
@@ -164,11 +168,7 @@ def parse_document(text: str, pipeline_override: int | None = None
     pipeline_override, when given, replaces the document's own pipeline
     depth (used by the command line's --pipeline-depth flag).
     """
-    tokens = _tokenize(text)
-    form, pos = _read(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError(f"trailing input after document: {tokens[pos]!r}")
-    body = _clause(form, "spec")
+    body = _clause(_read(text), "spec")
     if not body:
         raise ParseError("spec needs (inputs ...) and an expression")
 
@@ -207,7 +207,7 @@ def parse_document(text: str, pipeline_override: int | None = None
 
     b = ProgBuilder()
     env = {name: (b.var(name, w), w) for name, w in inputs}
-    root, w = _build(rest[0], b, env)
+    root, w = lower(rest[0], b, env.__getitem__, SPEC_OPERATORS)
     for _ in range(pipeline):
         root = b.reg(root, BitVec.of(0, w))
     prog = b.prog(root)

@@ -99,34 +99,6 @@ def symbolic_run(p: Prog, upto: int, tb: Optional[TermBuilder] = None
     return roots
 
 
-def eval_constraint_expr(tb: TermBuilder, expr, holes: dict[str, "ConstantHole | ChoiceHole"]) -> Term:
-    """Side-constraint expression -> Term over hole symbols.
-
-    Grammar (nested tuples): ("bv", value, width) | ("hole", label) |
-    ("concat", hi, lo) | ("extract", hi, lo, e).  A constraint holds when
-    the term equals 1 (width must be 1).
-    """
-    tag = expr[0]
-    if tag == "bv":
-        return tb.const_of(expr[1], expr[2])
-    if tag == "hole":
-        label = expr[1]
-        spec = holes.get(label)
-        if spec is None:
-            raise SketchmapError(f"constraint references unknown hole {label!r}")
-        if isinstance(spec, ConstantHole):
-            return tb.hole(label, spec.width)
-        return tb.hole(label, selector_width(len(spec.alternatives)))
-    if tag == "concat":
-        a = eval_constraint_expr(tb, expr[1], holes)
-        b = eval_constraint_expr(tb, expr[2], holes)
-        return tb.app(Operator("concat"), [a, b])
-    if tag == "extract":
-        e = eval_constraint_expr(tb, expr[3], holes)
-        return tb.app(Operator("extract", (expr[1], expr[2])), [e])
-    raise SketchmapError(f"bad constraint expression {expr!r}")
-
-
 @dataclass
 class EquivalenceQuery:
     """Everything the CEGIS loop needs, term side.
@@ -189,8 +161,12 @@ def build_query(spec: Prog, sketch: Sketch, t: int, c: int
                 sel = tb.hole(label, w)
                 side.append(tb.app(Operator("ult"),
                                    [sel, tb.const_of(k, w)]))
-    for expr in sketch.side_constraints:
-        ct = eval_constraint_expr(tb, expr, sketch.holes)
+    for constraint in sketch.side_constraints:
+        for n in constraint.nodes.values():
+            if isinstance(n, Hole) and sketch.holes.get(n.label) != n.spec:
+                raise SketchmapError(
+                    f"constraint references unknown hole {n.label!r}")
+        (ct,) = symbolic_run(constraint, 0, tb)
         if ct.width != 1:
             raise WidthError("side constraints must have width 1")
         side.append(ct)

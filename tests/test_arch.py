@@ -11,14 +11,17 @@ from sketchmap.arch import (
     instantiate, load_arch, lower_interface, packaged_arch_path,
     parse_arch, parse_value_expr,
 )
+from sketchmap.cegis import Success, Unsat, synthesize
 from sketchmap.interp import Stream, interp
 from sketchmap.ir import (
-    BV, BitVec, Prim, ProgBuilder, Sketch, check_well_formed,
-    substitute_holes,
+    BV, BitVec, ConstantHole, Hole, Operator, Prim, ProgBuilder, Sketch, Var,
+    WidthError, check_well_formed, substitute_holes,
 )
 from sketchmap.primitives import (
     carry_interface, dsp_interface, lut_interface, mux_interface,
 )
+from sketchmap.sketches import generate_sketch
+from sketchmap.specdsl import ParseError, parse_spec
 
 
 def _bv(v, w):
@@ -69,12 +72,10 @@ class TestParsing:
         assert impl.internal_map == {"sram": 16}
         assert impl.module_name == "frac_lut4"
         assert impl.source[0] == "btor2"
-        assert impl.port("mode").value == ("bv", 0, 1)
+        assert impl.port("mode").value == ["bv", "0", "1"]
         assert impl.outputs == (("O", "out"),)   # "0" key canonicalized
-        assert impl.port("in").value == \
-            ("concat", ("var", "I3"),
-             ("concat", ("var", "I2"),
-              ("concat", ("var", "I1"), ("var", "I0"))))
+        assert impl.port("in").value == ["concat", "I3", "I2", "I1", "I0"]
+        assert impl.parameters == (("sram", "sram"),)
 
     def test_generic_lut_carry_document(self):
         arch = _glc()
@@ -126,17 +127,19 @@ class TestParsing:
             parse_arch(text)
 
     def test_expression_grammar(self):
-        assert parse_value_expr("I0", "t") == ("var", "I0")
-        assert parse_value_expr("(bv 10 4)", "t") == ("bv", 10, 4)
+        assert parse_value_expr("I0", "t") == "I0"
+        assert parse_value_expr("(bv 10 4)", "t") == ["bv", "10", "4"]
         e = parse_value_expr("(extract 3 1 (concat A B))", "t")
-        assert e == ("extract", 3, 1,
-                     ("concat", ("var", "A"), ("var", "B")))
-        with pytest.raises(SchemaError):
-            parse_value_expr("42", "t")
-        with pytest.raises(SchemaError):
-            parse_value_expr("(shuffle A)", "t")
+        assert e == ["extract", "3", "1", ["concat", "A", "B"]]
         with pytest.raises(SchemaError):
             parse_value_expr("A B", "t")
+        # names, (bv v w), concat and extract are checked when the
+        # description loads: a bare number and any other head fail there
+        good = "(extract 4 1 (concat I3 I2 I1 I0 (bv 0 1)))"
+        parse_arch(_sofa_text().replace("(concat I3 I2 I1 I0)", good))
+        for bad in ("(concat I3 I2 I1 42)", "(concat I3 I2 I1 (shuffle I0))"):
+            with pytest.raises(SchemaError):
+                parse_arch(_sofa_text().replace("(concat I3 I2 I1 I0)", bad))
 
     def test_constraints_schema(self):
         text = _sofa_text().replace(
@@ -145,7 +148,7 @@ class TestParsing:
             "      - (extract 0 0 sram)")
         arch = parse_arch(text)
         assert arch.implementations[0].constraints == \
-            (("extract", 0, 0, ("var", "sram")),)
+            (["extract", "0", "0", "sram"],)
         bad = text.replace("(extract 0 0 sram)", "(extract 1 0 sram)")
         with pytest.raises(SchemaError):
             parse_arch(bad)
@@ -211,7 +214,10 @@ class TestInstantiate:
         b = ProgBuilder()
         ids = {f"I{i}": b.var(f"I{i}", 1) for i in range(4)}
         r = instantiate(arch.implementations[0], b, ids, HoleNamer(), arch)
-        assert r.constraints == [("extract", 0, 0, ("hole", "u0_sram"))]
+        (c,) = r.constraints
+        root = c.nodes[c.root]
+        assert root.op == Operator("extract", (0, 0)) and len(c.nodes) == 2
+        assert c.nodes[root.args[0]] == Hole("u0_sram", ConstantHole(16))
 
     def test_missing_model_file(self):
         text = _sofa_text().replace("frac_lut4.btor2", "missing.btor2")
@@ -240,6 +246,88 @@ class TestInstantiate:
                        "CI": Stream((_bv(0, 1),))}
                 got = interp(p, env, 0, p.root).value
                 assert got == a + bval
+
+
+def _sofa_constrained(expr):
+    text = _sofa_text().replace(
+        "outputs: {0: out}",
+        f"outputs: {{0: out}}\n    constraints:\n      - {expr}")
+    return parse_arch(text, base_dir=_sofa().base_dir)
+
+
+class TestConstraints:
+    """Architecture constraints through generate_sketch, build_query and
+    CEGIS; bitwise-with-carry pins the carry chain's LUTs."""
+
+    SPEC = "(spec (inputs (a 3) (b 3)) (add a b))"
+
+    def _map(self, expr):
+        sketch = generate_sketch("bitwise-with-carry", _sofa_constrained(expr),
+                                 {"width": 3, "inputs": ("a", "b")})
+        return sketch, synthesize(parse_spec(self.SPEC), sketch, t=0, c=0)
+
+    def test_constraint_holds_on_every_free_memory(self):
+        # bit 1 is set in both pinned tables (0x06 and 0xca)
+        sketch, r = self._map("(extract 1 1 sram)")
+        assert isinstance(r, Success)
+        srams = [v for k, v in r.model.items() if k.endswith("_sram")]
+        assert len(srams) == 6 and all(v.bit(1) for v in srams)
+        assert len(sketch.side_constraints) > len(srams)  # pinned ones too
+
+    def test_pinned_memory_can_break_a_constraint(self):
+        # bit 15 is clear in every pinned table
+        _, r = self._map("(extract 15 15 sram)")
+        assert isinstance(r, Unsat)
+
+
+def _tree(nodes, i):
+    """The expression under node i, for comparing node structure."""
+    n = nodes[i]
+    if isinstance(n, Var):
+        return n.name
+    return (str(n.op),) + tuple(_tree(nodes, a) for a in n.args)
+
+
+# Expressions in both the spec language and architecture value expressions:
+# (expression, error a spec document raises or None).  On minidsp's A port
+# (18 bits) a value expression must fail, with SchemaError, exactly when
+# the spec does, and otherwise build the same nodes.
+_SHARED = [
+    ("A", None),
+    ("(concat (extract 8 0 A) (extract 17 9 B))", None),
+    ("(concat (extract 5 0 A) (extract 5 0 B) (extract 5 0 C))", None),
+    ("(extract 17 0 (concat A (extract 3 0 D)))", None),
+    ("(extract 18 0 A)", WidthError),
+    ("(extract 1 2 A)", WidthError),
+    ("(concat A)", ParseError),
+    ("(extract 0 A)", ParseError),
+    ("(extract x 0 A)", ParseError),
+    ("(shuffle A)", ParseError),
+    ("(concat A Z)", ParseError),
+    ("()", ParseError),
+    ("42", ParseError),
+]
+
+
+@pytest.mark.parametrize("expr,spec_error", _SHARED)
+def test_value_expressions_are_spec_expressions(expr, spec_error):
+    doc = "(spec (inputs (A 18) (B 18) (C 18) (D 18)) " + expr + ")"
+    text = open(packaged_arch_path("minidsp.yml")).read().replace(
+        "value: A}", "value: " + expr + "}")
+    if spec_error is not None:
+        with pytest.raises(spec_error):
+            parse_spec(doc)
+        with pytest.raises(SchemaError):
+            parse_arch(text)
+        return
+    prog = parse_spec(doc)
+    arch = parse_arch(text, base_dir=_mdsp().base_dir)
+    b = ProgBuilder()
+    ids = {n: b.var(n, 18) for n in "ABCD"}
+    instantiate(arch.implementations[0], b, ids, HoleNamer(), arch)
+    (prim,) = (n for n in b.nodes.values() if isinstance(n, Prim))
+    assert _tree(b.nodes, prim.bind_map()["A"]) == \
+        _tree(prog.nodes, prog.root)
 
 
 class TestLowering:

@@ -176,6 +176,23 @@ class TestBench:
         assert code == 1
         assert "SOUNDNESS FAILURE" in capsys.readouterr().err
 
+    def test_benchrun_unlaunchable_solver_exit_1(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        main(["benchgen", "--out-dir", str(corpus)])
+        capsys.readouterr()
+        config = _write(tmp_path, json.dumps(
+            [{"name": "ghost", "command": [str(tmp_path / "no-solver")]}]),
+            "solvers.json")
+        code = main(["benchrun", "--corpus", str(corpus),
+                     "--arch-desc", "minidsp.yml",
+                     "--report", str(tmp_path / "r.csv"),
+                     "--solver-config", config,
+                     "--only", "mul_w08_d0", "mul_w09_d0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ghost" in err
+        assert len(err.splitlines()) == 1
+
     def test_benchrun_missing_corpus(self, tmp_path, capsys):
         code = main(["benchrun", "--corpus", str(tmp_path / "nope"),
                      "--arch-desc", "minidsp.yml",

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sketchmap.interp import env_of_ints, simulate
 from sketchmap.ir import (
     BV, BitVec, ChoiceHole, ConstantHole, DomainError, EmitMeta, Hole,
     MissingAssignment, Op, Operator, PortBinding, Prim, Prog, ProgBuilder,
@@ -161,6 +162,16 @@ def test_reg_init_width_mismatch_is_width_error():
     with pytest.raises(WellFormednessError) as e:
         check_well_formed(p)
     assert e.value.kind == "width"
+
+
+def test_one_input_at_two_widths_is_width_error():
+    p = Prog(3, {1: Var("a", 4), 2: Var("a", 8), 3: Op(Operator("concat"),
+                                                      (1, 2))})
+    with pytest.raises(WellFormednessError) as e:
+        check_well_formed(p)
+    assert e.value.kind == "width"
+    with pytest.raises(WellFormednessError):
+        simulate(p, env_of_ints({"a": ([255], 8)}), 1)
 
 
 def test_prim_bind_width_mismatch():

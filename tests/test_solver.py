@@ -221,6 +221,21 @@ class TestScripts:
         with pytest.raises(SolverInputError):
             run_script("(frobnicate)")
 
+    def test_push_pop_rejected(self):
+        # this script is sat (x = 0); treating push and pop as no-ops
+        # would keep the popped assertion and answer unsat
+        with pytest.raises(SolverInputError):
+            run_script("""
+                (declare-const x (_ BitVec 1))
+                (push 1)
+                (assert (= x #b1))
+                (pop 1)
+                (assert (= x #b0))
+                (check-sat)
+            """)
+        with pytest.raises(SolverInputError):
+            run_script("(pop 1)")
+
     def test_get_value_without_sat_answers_in_band(self):
         # get-value after unsat (or before check-sat) reports the missing
         # model on stdout rather than dying, as mainstream solvers do
