@@ -183,6 +183,9 @@ class ArchDescription:
     name: str
     implementations: tuple[InterfaceImpl, ...]
     base_dir: str = "."
+    # id(impl) -> (impl, model); filled by _load_model on first use
+    _models: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def find(self, iface: PrimitiveInterface) -> InterfaceImpl | None:
         for impl in self.implementations:
@@ -424,7 +427,21 @@ def packaged_arch_path(name: str) -> str:
 
 def _load_model(impl: InterfaceImpl, arch: ArchDescription
                 ) -> tuple[Prog, dict[str, int], tuple[tuple[str, int], ...]]:
-    """(semantics, free-var widths, packed outputs MSB-first)."""
+    """(semantics, free-var widths, packed outputs MSB-first).
+
+    Built once per implementation and architecture, on first use, and
+    shared after that: callers copy the semantics onto fresh ids and
+    change none of the three."""
+    hit = arch._models.get(id(impl))
+    if hit is not None and hit[0] is impl:
+        return hit[1]
+    model = _read_model(impl, arch)
+    arch._models[id(impl)] = (impl, model)  # holding impl pins its id
+    return model
+
+
+def _read_model(impl: InterfaceImpl, arch: ArchDescription
+                ) -> tuple[Prog, dict[str, int], tuple[tuple[str, int], ...]]:
     kind, val = impl.source
     if kind == "builtin":
         try:

@@ -6,7 +6,8 @@ unsat) cancels the rest; a wedged or crashed solver only costs its own
 process.  The winner's name travels with the result so synthesis can
 report which backend produced each answer.
 
-The default portfolio is the bundled solver (python -m sketchmap.solver).
+The default portfolio is the bundled solver (sketchmap.solver, the same
+code as python -m sketchmap.solver).
 A JSON config file swaps in real solvers:
 
     [{"name": "bitwuzla", "command": ["bitwuzla", "--lang", "smt2"],
@@ -16,6 +17,7 @@ A JSON config file swaps in real solvers:
 from __future__ import annotations
 
 import json
+import os
 import queue
 import subprocess
 import sys
@@ -55,8 +57,13 @@ class PortfolioResult:
 
 
 def default_portfolio() -> list[SolverConfig]:
-    return [SolverConfig("builtin",
-                         (sys.executable, "-m", "sketchmap.solver"))]
+    """The bundled solver, run from the copy of sketchmap this process
+    imported: its directory goes first on the child's path, so the child
+    needs neither PYTHONPATH nor an installed package."""
+    home = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (f"import sys; sys.path.insert(0, {home!r}); "
+            "from sketchmap.solver.__main__ import main; sys.exit(main())")
+    return [SolverConfig("builtin", (sys.executable, "-c", code))]
 
 
 def load_solver_config(path: str) -> list[SolverConfig]:

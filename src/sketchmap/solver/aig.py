@@ -10,11 +10,17 @@ Bit vectors are Python lists of literals, LSB first.  The blasting
 strategies are chosen for sharing, not size: ripple adders and ascending
 shift-add multipliers mean the low k bits of a wide operation are the same
 AIG nodes as the bits of the k-wide operation over the same inputs.
+
+to_sat Tseitin-encodes the cone of one root into a SatSolver, writing the
+clauses and watch lists directly.  evaluate computes every node's value
+under an input assignment in one ascending sweep, since an AND node is
+always created after its fanins; the driver checks models with it
+independently of the SAT solver.
 """
 
 from __future__ import annotations
 
-from .sat import SatSolver, neg
+from .sat import SatSolver
 
 FALSE = 0
 TRUE = 1
@@ -179,66 +185,84 @@ class AIG:
 
     def to_sat(self, root: int) -> tuple[SatSolver, dict[int, int]]:
         """Tseitin-encode the cone of root; asserts root.  Returns the
-        solver and a map AIG node -> SAT var for the cone."""
-        solver = SatSolver()
-        node_var: dict[int, int] = {}
+        solver and a map AIG node -> SAT var for the cone.
 
-        def sat_lit(lit: int) -> int:
-            node = lit >> 1
-            v = node_var[node]
-            return 2 * v + (lit & 1)
-
-        stack = [root >> 1]
-        seen = set()
+        Cone nodes are numbered in ascending id order.  Walking the cone
+        depth first from the root, each AND node n = a & b gets the
+        clauses (~n | a), (~n | b) and (n | ~a | ~b), written straight
+        into the solver's clause and watch lists exactly as add_clause
+        would write them: strashing keeps a and b distinct,
+        non-complementary and non-constant, and nothing is assigned
+        before the root's unit clause, so add_clause could drop nothing.
+        Each SAT literal is one shared int object, which keeps the
+        clause lists small.  The root's unit clause goes through
+        add_clause, which propagates it.
+        """
+        if root in (FALSE, TRUE):
+            raise ValueError("a constant root has no cone to encode")
+        nodes = self.nodes
+        seen = bytearray(len(nodes))
+        seen[0] = 1  # the constant node gets no variable
         order = []
+        stack = [root >> 1]
         while stack:
             n = stack.pop()
-            if n in seen or n == 0:
+            if seen[n]:
                 continue
-            seen.add(n)
+            seen[n] = 1
             order.append(n)
-            entry = self.nodes[n]
+            entry = nodes[n]
             if entry is not None:
                 stack.append(entry[0] >> 1)
                 stack.append(entry[1] >> 1)
-        for n in sorted(seen):
-            node_var[n] = solver.new_var()
+        cone = sorted(order)
+        node_var = dict(zip(cone, range(len(cone))))
+        solver = SatSolver(len(cone))
+        # sat[x]: the SAT literal of AIG literal x, for x in the cone
+        sat = [0] * (2 * len(nodes))
+        lit = 0
+        for n in cone:
+            sat[2 * n] = lit
+            sat[2 * n + 1] = lit + 1
+            lit += 2
+        clauses, watches = solver.clauses, solver.watches
+        ci = 0
         for n in order:
-            entry = self.nodes[n]
+            entry = nodes[n]
             if entry is None:
                 continue
             a, b = entry
-            ln, la, lb = 2 * node_var[n], sat_lit(a), sat_lit(b)
-            solver.add_clause([neg(ln), la])
-            solver.add_clause([neg(ln), lb])
-            solver.add_clause([ln, neg(la), neg(lb)])
-        solver.add_clause([sat_lit(root)])
+            pn, nn = sat[2 * n], sat[2 * n + 1]
+            pa, na, pb, nb = sat[a], sat[a ^ 1], sat[b], sat[b ^ 1]
+            c1, c2 = ci + 1, ci + 2
+            clauses.append([nn, pa])
+            clauses.append([nn, pb])
+            clauses.append([pn, na, nb])
+            wn = watches[pn]
+            wn.append(ci)
+            wn.append(c1)
+            watches[na].append(ci)
+            watches[nb].append(c1)
+            watches[nn].append(c2)
+            watches[pa].append(c2)
+            ci += 3
+        solver.add_clause([sat[root]])
         return solver, node_var
 
-    def eval_root(self, root: int, values: dict[int, bool]) -> bool:
-        """Evaluate under var-node assignments (missing vars read False)."""
-        memo: dict[int, bool] = {0: False}
-        # iterative to survive deep graphs
-        stack = [root >> 1]
-        while stack:
-            n = stack[-1]
-            if n in memo:
-                stack.pop()
-                continue
-            entry = self.nodes[n]
-            if entry is None:
-                memo[n] = values.get(n, False)
-                stack.pop()
-                continue
-            a, b = entry[0] >> 1, entry[1] >> 1
-            if a in memo and b in memo:
-                va = memo[a] ^ bool(entry[0] & 1)
-                vb = memo[b] ^ bool(entry[1] & 1)
-                memo[n] = va and vb
-                stack.pop()
-            else:
-                if a not in memo:
-                    stack.append(a)
-                if b not in memo:
-                    stack.append(b)
-        return memo[root >> 1] ^ bool(root & 1)
+    def evaluate(self, inputs: dict[int, bool]) -> bytearray:
+        """Value of every node under an assignment of input nodes
+        (missing inputs read False): literal x is values[x >> 1] ^ (x & 1).
+
+        One ascending sweep: an AND node's fanins always have lower ids,
+        so they are evaluated before it."""
+        nodes = self.nodes
+        values = bytearray(len(nodes))
+        for n, v in inputs.items():
+            if v:
+                values[n] = 1
+        for n, entry in enumerate(nodes):
+            if entry is not None:
+                a, b = entry
+                values[n] = ((values[a >> 1] ^ (a & 1))
+                             & (values[b >> 1] ^ (b & 1)))
+        return values

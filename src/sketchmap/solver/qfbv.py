@@ -13,8 +13,10 @@ are rejected, not ignored, since ignoring them would answer for the wrong
 set of assertions.  get-value reports bits from the SAT model, defaulting
 unconstrained bits to 0.
 After extracting a model the driver re-evaluates the asserted formula
-under it and refuses to answer if the check fails, so a bug here shows up
-as an error, never as a wrong model.
+under it, without the SAT solver, and refuses to answer if the check
+fails, so a bug here shows up as an error, never as a wrong model.  The
+check is one ascending sweep over the AIG (AIG.evaluate), and get-value
+reads its answers from the same sweep.
 """
 
 from __future__ import annotations
@@ -104,7 +106,8 @@ class Script:
         self.symbols: list[tuple[str, tuple]] = []  # declaration order
         self.assertions: list[int] = []
         self.status: str | None = None
-        self.model: dict[int, bool] = {}
+        self.model: dict[int, bool] = {}   # input node -> value
+        self.values = bytearray()            # node -> value under model
         self.output: list[str] = []
 
     # -- term evaluation --
@@ -341,19 +344,31 @@ class Script:
 
     def _check_sat(self) -> None:
         root = self.aig.and_many(self.assertions)
+        self.values = bytearray()
         if root == FALSE:
             self.status = "unsat"
         elif root == TRUE:
             self.status = "sat"
             self.model = {}
         else:
-            solver, node_var = self.aig.to_sat(root)
-            if solver.solve():
+            # The CNF is one small list per clause, none of them in a
+            # cycle; with the cyclic collector running, building it took
+            # twice as long, the collector walking the heap again and again.
+            import gc
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                solver, node_var = self.aig.to_sat(root)
+                sat = solver.solve()
+            finally:
+                if collecting:
+                    gc.enable()
+            if sat:
                 self.model = {
                     n: solver.model_value(v) for n, v in node_var.items()
                     if self.aig.nodes[n] is None
                 }
-                if not self.aig.eval_root(root, self.model):
+                if not self._value(root):
                     raise SolverInputError(
                         "internal error: extracted model does not satisfy "
                         "the formula")
@@ -362,10 +377,18 @@ class Script:
                 self.status = "unsat"
         self.output.append(self.status)
 
+    def _value(self, lit: int) -> bool:
+        """lit under the model, from one sweep over the AIG that the
+        model check and every get-value share; nodes made after the sweep
+        (define-fun after check-sat) start a new one."""
+        if len(self.values) <= lit >> 1:
+            self.values = self.aig.evaluate(self.model)
+        return bool(self.values[lit >> 1] ^ (lit & 1))
+
     def _value_bits(self, val: tuple) -> str:
         if val[0] == "bool":
-            return "true" if self.aig.eval_root(val[1], self.model) else "false"
-        bits = [self.aig.eval_root(b, self.model) for b in val[1]]
+            return "true" if self._value(val[1]) else "false"
+        bits = [self._value(b) for b in val[1]]
         return "#b" + "".join("1" if b else "0" for b in reversed(bits))
 
     def _get_value(self, names) -> None:

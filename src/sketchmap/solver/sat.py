@@ -6,32 +6,57 @@ is deterministic: ties break on variable index and unassigned variables
 default to False, so models are reproducible run to run.
 
 Literals are encoded as 2*var for the positive polarity and 2*var+1 for
-the negative one (vars count from 0).
+the negative one (vars count from 0).  assign[v] is 1, 0 or -1 (free), so
+literal l is true when assign[l >> 1] == (l & 1) ^ 1 and false when
+assign[l >> 1] == l & 1.
+
+Propagation follows MiniSat (Een and Sorensson, "An Extensible
+SAT-solver", SAT 2003).  Each clause keeps its two watched literals at
+positions 0 and 1, and watches[l] lists the clauses watching neg(l), in
+the order they started watching it.  When l becomes true, each of those
+clauses moves its false literal to position 1; it is satisfied if
+position 0 is true, otherwise it looks from position 2 on for a literal
+that is not false, swaps it into position 1 and moves to that literal's
+watch list; failing that, position 0 is implied, or the clause is the
+conflict.  The loop runs on local names and reads assignments inline.
+
+Decisions take the free variable of highest activity, the lowest index
+among equals: exactly what a scan over all variables would pick, without
+the scan.  Variables of activity 0 (never bumped, or underflowed by the
+1e-100 rescale) are found by a cursor, below which no such variable is
+free; bumped ones sit in a binary heap of (-activity, var) entries.
+Bumps happen in conflict analysis, while the variable is assigned, so
+_cancel_until pushes each freed bumped variable with its current
+activity, and the rescale rebuilds the heap.  Entries are never removed
+early: as activities only grow between rescales, a variable's older
+entries surface after its current one, by when it is assigned, and
+entries of assigned variables are skipped.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 
 def neg(lit: int) -> int:
     return lit ^ 1
 
 
-def lit_var(lit: int) -> int:
-    return lit >> 1
-
-
 class SatSolver:
-    def __init__(self):
+    def __init__(self, num_vars: int = 0):
+        n = num_vars
         self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = []  # lit -> clause indexes
-        self.assign: list[int] = []         # var -> 0 false, 1 true, -1 free
-        self.level: list[int] = []
-        self.reason: list[int] = []         # var -> clause index or -1
+        self.watches: list[list[int]] = [[] for _ in range(2 * n)]
+        self.assign: list[int] = [-1] * n    # var -> 0 false, 1 true, -1 free
+        self.level: list[int] = [-1] * n
+        self.reason: list[int] = [-1] * n    # var -> clause index or -1
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
-        self.activity: list[float] = []
+        self.activity: list[float] = [0.0] * n
         self.var_inc = 1.0
-        self.saved_phase: list[int] = []
+        self.saved_phase: list[int] = [0] * n
+        self.heap: list[tuple[float, int]] = []  # bumped free vars
+        self.cursor = 0     # no free var of activity 0 below this index
         self.qhead = 0
         self.ok = True
 
@@ -104,44 +129,63 @@ class SatSolver:
 
     def _propagate(self) -> int:
         """Unit propagation; returns conflicting clause index or -1."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            watchlist = self.watches[lit]
-            i = 0
-            while i < len(watchlist):
+        assign, level, reason = self.assign, self.level, self.reason
+        clauses, watches, trail = self.clauses, self.watches, self.trail
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            false_lit = lit ^ 1
+            watchlist = watches[lit]
+            i, end = 0, len(watchlist)
+            while i < end:
                 ci = watchlist[i]
-                clause = self.clauses[ci]
+                clause = clauses[ci]
                 # ensure the falsified literal sits at position 1
-                if clause[0] == neg(lit):
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self.value(first) == 1:
+                if first == false_lit:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_lit
+                a = assign[first >> 1]
+                if a == (first & 1) ^ 1:
                     i += 1
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self.value(clause[k]) != 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[neg(clause[1])].append(ci)
+                    q = clause[k]
+                    if assign[q >> 1] != q & 1:
+                        clause[k] = clause[1]
+                        clause[1] = q
+                        watches[q ^ 1].append(ci)
                         watchlist[i] = watchlist[-1]
                         watchlist.pop()
-                        moved = True
+                        end -= 1
                         break
-                if moved:
-                    continue
-                if self.value(first) == 0:
-                    return ci  # conflict
-                self._enqueue(first, ci)
-                i += 1
+                else:
+                    if a == first & 1:
+                        self.qhead = qhead
+                        return ci  # conflict
+                    v = first >> 1
+                    assign[v] = (first & 1) ^ 1
+                    level[v] = lvl
+                    reason[v] = ci
+                    trail.append(first)
+                    i += 1
+        self.qhead = qhead
         return -1
 
     def _bump(self, v: int) -> None:
         self.activity[v] += self.var_inc
         if self.activity[v] > 1e100:
-            for u in range(len(self.activity)):
-                self.activity[u] *= 1e-100
+            act, assign = self.activity, self.assign
+            for u in range(len(act)):
+                act[u] *= 1e-100
             self.var_inc *= 1e-100
+            # every key changed; small activities may have become 0
+            self.heap = [(-a, u) for u, a in enumerate(act)
+                         if a > 0.0 and assign[u] < 0]
+            heapify(self.heap)
+            self.cursor = 0
 
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         """First-UIP conflict analysis: returns (learnt clause, backjump
@@ -187,27 +231,42 @@ class SatSolver:
         return learnt, self.level[learnt[1] >> 1]
 
     def _cancel_until(self, lvl: int) -> None:
-        while len(self.trail_lim) > lvl:
-            limit = self.trail_lim.pop()
-            for k in range(len(self.trail) - 1, limit - 1, -1):
-                lit = self.trail[k]
-                v = lit >> 1
-                self.saved_phase[v] = self.assign[v]
-                self.assign[v] = -1
-                self.reason[v] = -1
-            del self.trail[limit:]
+        if len(self.trail_lim) > lvl:
+            assign, activity, heap = self.assign, self.activity, self.heap
+            saved_phase, reason = self.saved_phase, self.reason
+            trail = self.trail
+            limit = self.trail_lim[lvl]
+            del self.trail_lim[lvl:]
+            cursor = self.cursor
+            for k in range(len(trail) - 1, limit - 1, -1):
+                v = trail[k] >> 1
+                saved_phase[v] = assign[v]
+                assign[v] = -1
+                reason[v] = -1
+                a = activity[v]
+                if a > 0.0:
+                    heappush(heap, (-a, v))
+                elif v < cursor:
+                    cursor = v
+            self.cursor = cursor
+            del trail[limit:]
         self.qhead = len(self.trail)
 
     def _decide(self) -> int:
-        best = -1
-        best_act = -1.0
-        for v in range(len(self.assign)):
-            if self.assign[v] < 0 and self.activity[v] > best_act:
-                best = v
-                best_act = self.activity[v]
-        if best < 0:
-            return -1
-        return 2 * best + (0 if self.saved_phase[best] == 1 else 1)
+        assign, heap = self.assign, self.heap
+        while heap:
+            v = heappop(heap)[1]
+            if assign[v] < 0:
+                break
+        else:
+            # no bumped var is free: the lowest free var has activity 0
+            v, n = self.cursor, len(assign)
+            while v < n and assign[v] >= 0:
+                v += 1
+            self.cursor = v
+            if v == n:
+                return -1
+        return 2 * v + (0 if self.saved_phase[v] == 1 else 1)
 
     def solve(self) -> bool:
         if not self.ok:

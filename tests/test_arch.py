@@ -15,7 +15,7 @@ from sketchmap.cegis import Success, Unsat, synthesize
 from sketchmap.interp import Stream, interp
 from sketchmap.ir import (
     BV, BitVec, ConstantHole, Hole, Operator, Prim, ProgBuilder, Sketch, Var,
-    WidthError, check_well_formed, substitute_holes,
+    WidthError, check_well_formed, dump_sexpr, substitute_holes,
 )
 from sketchmap.primitives import (
     carry_interface, dsp_interface, lut_interface, mux_interface,
@@ -278,6 +278,36 @@ class TestConstraints:
         # bit 15 is clear in every pinned table
         _, r = self._map("(extract 15 15 sram)")
         assert isinstance(r, Unsat)
+
+
+def test_models_load_once_per_implementation(monkeypatch):
+    """instantiate reads each btor2 model once per architecture; sharing
+    it leaves the sketch exactly as a build that reads it every time."""
+    import sketchmap.arch as arch_mod
+    import sketchmap.btor2 as btor2
+    reads = []
+    real = btor2.load_btor2
+
+    def counting(path, *args, **kwargs):
+        reads.append(path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(btor2, "load_btor2", counting)
+    params = {"width": 8, "inputs": ("a", "b")}
+    sofa = _sofa()
+    cached = generate_sketch("bitwise-with-carry", sofa, params)
+    again = generate_sketch("bitwise-with-carry", sofa, params)
+    btor_impls = [i for i in sofa.implementations if i.source[0] == "btor2"]
+    assert reads and len(reads) == len(set(reads)) <= len(btor_impls)
+
+    monkeypatch.setattr(arch_mod, "_load_model", arch_mod._read_model)
+    plain = generate_sketch("bitwise-with-carry", _sofa(), params)
+    assert len(reads) > len(btor_impls)     # really read on every use
+    for sketch in (cached, again):
+        assert dump_sexpr(sketch.psi) == dump_sexpr(plain.psi)
+        assert sketch.holes == plain.holes
+        assert [dump_sexpr(c) for c in sketch.side_constraints] == \
+            [dump_sexpr(c) for c in plain.side_constraints]
 
 
 def _tree(nodes, i):

@@ -1,11 +1,14 @@
 """Concurrent solver execution: first answer wins, stragglers die."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 
 import pytest
 
+import sketchmap
 from sketchmap.portfolio import (
     AllSolversFailed, PortfolioTimeout, SolverConfig, SolverError,
     default_portfolio, load_solver_config, portfolio_solve,
@@ -48,6 +51,20 @@ def test_builtin_unsat():
     r = portfolio_solve(UNSAT_QUERY)
     assert r.status == "unsat"
     assert r.model == {}
+
+
+def test_builtin_runs_from_the_imported_package(tmp_path):
+    # A parent that found sketchmap through sys.path alone (no PYTHONPATH,
+    # no installed package) must still be able to launch the solver.
+    src = os.path.dirname(os.path.dirname(sketchmap.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "from sketchmap.portfolio import portfolio_solve; "
+            f"print(portfolio_solve({SAT_QUERY!r}, timeout=60).status)")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["sat"]
 
 
 def test_wedged_loser_is_cancelled():
