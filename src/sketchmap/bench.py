@@ -18,13 +18,17 @@ re-validates every Success by random simulation over thousands of cycles
 before recording it.  A simulation mismatch is a soundness failure and
 aborts the whole run, as does a SolverError (no solver could answer, or
 CEGIS caught its solver giving a wrong model): those are faults of the
-run, not of one design.
+run, not of one design.  A run keeps one solver session
+(``portfolio.SolverSession``) for all its queries, one per worker thread
+when ``jobs`` > 1, and closes them all, waiting for their solver
+processes, before it returns.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import csv
+import queue
 import random
 import threading
 import time
@@ -35,7 +39,7 @@ from pathlib import Path
 from .cegis import Success, Timeout, Unsat, synthesize
 from .interp import env_of_ints, simulate
 from .ir import Prog, SketchmapError, var_widths
-from .portfolio import SolverError
+from .portfolio import SolverError, SolverSession
 from .sketches import document_params, generate_sketch
 from .specdsl import SPEC_OPERATORS, parse_document
 
@@ -188,7 +192,7 @@ class ReportRow:
 
 def _run_one(bench: Benchmark, corpus_dir: Path, arch, template: str,
              timeout: float, clock_cycles: int, sim_cycles: int,
-             solvers) -> ReportRow:
+             solvers, session: SolverSession) -> ReportRow:
     text = (corpus_dir / bench.file).read_text()
     doc = parse_document(text)
     params = document_params(template, doc, bench.width)
@@ -197,7 +201,7 @@ def _run_one(bench: Benchmark, corpus_dir: Path, arch, template: str,
         sketch = generate_sketch(template, arch, params)
         result = synthesize(doc.prog, sketch, t=doc.pipeline,
                             c=clock_cycles, timeout=timeout,
-                            solvers=solvers)
+                            solvers=solvers, session=session)
     except SolverError:
         raise                 # the solver, not this design, failed
     except SketchmapError:
@@ -227,8 +231,9 @@ def run_corpus(corpus_dir, arch, template: str = "dsp",
     """Map every benchmark in the corpus manifest; returns report rows.
 
     Rows are appended to report_path as they complete (under a lock when
-    jobs > 1).  `only` restricts the run to the named benchmarks.  Raises
-    SoundnessFailure — after flushing the failing row — if any Success
+    jobs > 1).  Each worker thread sends its queries through its own
+    solver session.  `only` restricts the run to the named benchmarks.
+    Raises SoundnessFailure — after flushing the failing row — if any Success
     fails its simulation check, and SolverError if the solver fails.
     """
     corpus_dir = Path(corpus_dir)
@@ -258,22 +263,36 @@ def run_corpus(corpus_dir, arch, template: str = "dsp",
 
     try:
         if jobs <= 1:
-            for bench in benchmarks:
-                record(_run_one(bench, corpus_dir, arch, template, timeout,
-                                clock_cycles, sim_cycles, solvers))
+            with SolverSession() as session:
+                for bench in benchmarks:
+                    record(_run_one(bench, corpus_dir, arch, template,
+                                    timeout, clock_cycles, sim_cycles,
+                                    solvers, session))
         else:
+            # one session per pool thread: a task borrows one for its run
+            sessions = [SolverSession() for _ in range(jobs)]
+            idle: queue.SimpleQueue = queue.SimpleQueue()
+            for session in sessions:
+                idle.put(session)
+
+            def run(bench: Benchmark) -> ReportRow:
+                session = idle.get()
+                try:
+                    return _run_one(bench, corpus_dir, arch, template,
+                                    timeout, clock_cycles, sim_cycles,
+                                    solvers, session)
+                finally:
+                    idle.put(session)
+
             pool = concurrent.futures.ThreadPoolExecutor(jobs)
             try:
-                futures = [
-                    pool.submit(_run_one, bench, corpus_dir, arch,
-                                template, timeout, clock_cycles,
-                                sim_cycles, solvers)
-                    for bench in benchmarks
-                ]
+                futures = [pool.submit(run, bench) for bench in benchmarks]
                 for fut in concurrent.futures.as_completed(futures):
                     record(fut.result())
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
+                for session in sessions:
+                    session.close()
     except SoundnessFailure as exc:
         if writer is not None:
             writer.writerow(["SOUNDNESS-FAILURE", str(exc), "", ""])

@@ -35,7 +35,7 @@ from .ir import (
 )
 from .portfolio import (
     PortfolioResult, PortfolioTimeout, SolverConfig, SolverError,
-    portfolio_solve,
+    SolverSession, portfolio_solve,
 )
 from .smtlib import emit_smtlib, symbol_name
 from .symbolic import EquivalenceQuery, build_query, selector_width
@@ -144,7 +144,11 @@ def cegis(query: EquivalenceQuery,
           solvers: Optional[list[SolverConfig]] = None,
           timeout: float = 120.0,
           initial_samples: int = 4,
-          seed: int = 2024) -> SynthesisResult:
+          seed: int = 2024,
+          session: Optional[SolverSession] = None) -> SynthesisResult:
+    """Run the loop on query.  Every solver call goes to session's
+    children when one is given (see portfolio.SolverSession), else to
+    children started for that call alone."""
     start = time.monotonic()
     deadline = start + timeout
 
@@ -154,7 +158,8 @@ def cegis(query: EquivalenceQuery,
     def solve(asserts: list[Term], declare: list[Term],
               get: list[Term]) -> PortfolioResult:
         text, _ = emit_smtlib(asserts, declare, get)
-        return portfolio_solve(text, solvers, timeout=remaining())
+        return portfolio_solve(text, solvers, timeout=remaining(),
+                               session=session)
 
     tb = query.builder
     one = tb.const_of(1, 1)
@@ -259,10 +264,11 @@ def synthesize(spec: Prog, sketch: Sketch, t: int = 0, c: int = 2,
                solvers: Optional[list[SolverConfig]] = None,
                timeout: float = 120.0,
                initial_samples: int = 4,
-               seed: int = 2024) -> SynthesisResult:
+               seed: int = 2024,
+               session: Optional[SolverSession] = None) -> SynthesisResult:
     """End-to-end: build the equivalence query for cycles t..t+c and run
     the loop.  c = 0 checks a single cycle; pipelined mappings use t equal
     to the pipeline depth so the fill cycles are excluded."""
     q = build_query(spec, sketch, t, c)
     return cegis(q, solvers=solvers, timeout=timeout,
-                 initial_samples=initial_samples, seed=seed)
+                 initial_samples=initial_samples, seed=seed, session=session)

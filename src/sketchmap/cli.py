@@ -31,7 +31,7 @@ from .bench import SoundnessFailure, run_corpus, write_corpus
 from .cegis import Success, Timeout, Unsat, synthesize
 from .emit import to_json_netlist, to_structural_verilog
 from .ir import SketchmapError
-from .portfolio import load_solver_config
+from .portfolio import SolverSession, load_solver_config
 from .sketches import document_params, generate_sketch, list_templates
 from .specdsl import parse_document
 
@@ -120,9 +120,11 @@ def run_map(args) -> int:
         sketch = generate_sketch(args.template, arch,
                                  document_params(args.template, doc,
                                                  widths.pop()))
-        result = synthesize(doc.prog, sketch, t=doc.pipeline,
-                            c=args.clock_cycles, solvers=solvers,
-                            timeout=args.timeout, seed=args.seed)
+        with SolverSession() as session:
+            result = synthesize(doc.prog, sketch, t=doc.pipeline,
+                                c=args.clock_cycles, solvers=solvers,
+                                timeout=args.timeout, seed=args.seed,
+                                session=session)
     except (OSError, SketchmapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,26 +1,37 @@
-"""Command-line entry: read one SMT-LIB2 script on stdin, answer on stdout.
+"""Command-line entry: run SMT-LIB2 commands from stdin, answer on stdout.
 
-Errors go to stderr with exit code 1; a clean run exits 0 after printing
-sat/unsat and any requested values.
+Each top-level command runs as soon as its line arrives, and whatever it
+prints is flushed at once, so the same reader serves a one-shot script
+piped in whole and a long-lived session that sends query after query,
+each opened by (reset) and closed by an (echo ...) the parent waits for.
+
+Errors go to stderr with exit code 1; at the end of the input the exit
+code is 0.
 """
 
 import sys
 
-from .qfbv import SolverInputError, run_script
+from .qfbv import Reader, Script, SolverInputError
 
 
 def main() -> int:
-    text = sys.stdin.read()
+    reader = Reader()
+    script = Script()
     try:
-        out = run_script(text)
+        for line in sys.stdin:
+            for cmd in reader.feed(line):
+                script.run_command(cmd)
+                if script.output:
+                    sys.stdout.write("\n".join(script.output) + "\n")
+                    sys.stdout.flush()
+                    script.output.clear()
+        reader.finish()
     except SolverInputError as e:
         print(f"(error \"{e}\")", file=sys.stderr)
         return 1
     except RecursionError:
         print("(error \"term too deep\")", file=sys.stderr)
         return 1
-    sys.stdout.write(out)
-    sys.stdout.flush()
     return 0
 
 

@@ -2,16 +2,17 @@
 
 Supported commands: set-logic, set-option, set-info, declare-const,
 declare-fun (0-ary), define-fun (0-ary), assert, check-sat, get-value,
-echo, exit.  Supported terms: true false and or not xor => ite = distinct,
-#b / #x literals, (_ bvN w), bvadd bvsub bvmul bvneg bvnot bvand bvor
-bvxor bvshl bvlshr bvashr bvcomp concat (_ extract hi lo)
-(_ zero_extend k) (_ sign_extend k) bvult bvule bvugt bvuge bvslt bvsle
+echo, reset, exit.  Supported terms: true false and or not xor => ite =
+distinct, #b / #x literals, (_ bvN w), bvadd bvsub bvmul bvneg bvnot bvand
+bvor bvxor bvshl bvlshr bvashr concat (_ extract hi lo) (_ zero_extend k)
+(_ sign_extend k) bvult bvule bvugt bvuge bvslt bvsle bvsgt bvsge
 (! term :attr ...) annotations, and (let ((x t) ...) body).
 
-One check-sat per script (matching what the mapper emits); push and pop
-are rejected, not ignored, since ignoring them would answer for the wrong
-set of assertions.  get-value reports bits from the SAT model, defaulting
-unconstrained bits to 0.
+One check-sat per reset (matching what the mapper emits): reset forgets
+every declaration, assertion and answer, so one Script can serve a stream
+of queries.  push and pop are rejected, not ignored, since ignoring them
+would answer for the wrong set of assertions.  get-value reports bits
+from the SAT model, defaulting unconstrained bits to 0.
 After extracting a model the driver re-evaluates the asserted formula
 under it, without the SAT solver, and refuses to answer if the check
 fails, so a bug here shows up as an error, never as a wrong model.  The
@@ -20,6 +21,8 @@ reads its answers from the same sweep.
 """
 
 from __future__ import annotations
+
+import re
 
 from .aig import AIG, FALSE, TRUE
 
@@ -30,67 +33,69 @@ class SolverInputError(Exception):
 
 # -- s-expression reader -----------------------------------------------------
 
+# One match per token: the blanks and comments before it, then the token.
+# A comment must run to a line end, so a failed token match cannot back up
+# into it.  A lone | or " is an opening bar or quote with no closing one;
+# the empty match at the end of the text is dropped.
+_TOKEN = re.compile(r"""
+    (?: [ \t\r\n]+ | ;[^\n]*(?![^\n]) )*
+    ( [()] | \|[^|]*\| | "[^"]*" | [^ \t\r\n();|"][^ \t\r\n();]* | [|"] | \Z )
+""", re.VERBOSE)
 
-def tokenize(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch
-            i += 1
-        elif ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SolverInputError("unterminated |symbol|")
-            yield text[i + 1:j]
-            i = j + 1
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise SolverInputError("unterminated string")
-            yield text[i:j + 1]
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            yield text[i:j]
-            i = j
-    yield None
+
+class Reader:
+    """Top-level s-expressions (atoms as strings) of text that arrives in
+    pieces.  Each piece must end at a line end or at the end of the input,
+    so only a |symbol| or a string can run on into the next one."""
+
+    def __init__(self):
+        self._stack: list[list] = []   # the open lists, outermost first
+        self._held = ""                # an unclosed |symbol| or string
+
+    def feed(self, text: str) -> list:
+        """The expressions that text completes, in order."""
+        if self._held:
+            text, self._held = self._held + text, ""
+        toks = _TOKEN.findall(text)
+        while toks and not toks[-1]:
+            toks.pop()
+        quoted = "|" in text or '"' in text
+        stack = self._stack
+        out = []
+        for tok in toks:
+            if tok == "(":
+                stack.append([])
+            elif tok == ")":
+                if not stack:
+                    raise SolverInputError("unbalanced )")
+                done = stack.pop()
+                (stack[-1] if stack else out).append(done)
+            else:
+                if quoted and tok[0] in "|\"":
+                    if len(tok) == 1:
+                        # no closing bar or quote after it in text
+                        self._held = text[text.rindex(tok):]
+                        break
+                    if tok[0] == "|":
+                        tok = tok[1:-1]
+                (stack[-1] if stack else out).append(tok)
+        return out
+
+    def finish(self) -> None:
+        """Raise unless the input read so far ends between expressions."""
+        if self._held:
+            raise SolverInputError("unterminated |symbol|"
+                                   if self._held[0] == "|"
+                                   else "unterminated string")
+        if self._stack:
+            raise SolverInputError("unbalanced (")
 
 
 def parse_all(text: str) -> list:
     """Every top-level s-expression in text (atoms as strings)."""
-    tokens = tokenize(text)
-    out = []
-    stack: list[list] = []
-    for tok in tokens:
-        if tok is None:
-            break
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            if not stack:
-                raise SolverInputError("unbalanced )")
-            done = stack.pop()
-            if stack:
-                stack[-1].append(done)
-            else:
-                out.append(done)
-        else:
-            if stack:
-                stack[-1].append(tok)
-            else:
-                out.append(tok)
-    if stack:
-        raise SolverInputError("unbalanced (")
+    reader = Reader()
+    out = reader.feed(text)
+    reader.finish()
     return out
 
 
@@ -101,6 +106,11 @@ def parse_all(text: str) -> list:
 
 class Script:
     def __init__(self):
+        self.output: list[str] = []
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every declaration, assertion and answer; keep output."""
         self.aig = AIG()
         self.env: dict[str, tuple] = {}
         self.symbols: list[tuple[str, tuple]] = []  # declaration order
@@ -108,7 +118,6 @@ class Script:
         self.status: str | None = None
         self.model: dict[int, bool] = {}   # input node -> value
         self.values = bytearray()            # node -> value under model
-        self.output: list[str] = []
 
     # -- term evaluation --
 
@@ -180,11 +189,6 @@ class Script:
             k = int(op[2])
             bits = self._bv(args[0])
             return ("bv", bits + [bits[-1]] * k)
-        if name == "rotate_left":
-            k = int(op[2])
-            bits = self._bv(args[0])
-            k %= len(bits)
-            return ("bv", bits[-k:] + bits[:-k] if k else bits)
         raise SolverInputError(f"unsupported indexed operator {name}")
 
     def _apply(self, name: str, args: list[tuple]) -> tuple:
@@ -256,8 +260,6 @@ class Script:
         if name in ("bvshl", "bvlshr", "bvashr"):
             kind = {"bvshl": "shl", "bvlshr": "lshr", "bvashr": "ashr"}[name]
             return ("bv", g.shift_bits(bvs[0], bvs[1], kind))
-        if name == "bvcomp":
-            return ("bv", [g.eq_bits(bvs[0], bvs[1])])
         if name == "bvult":
             return ("bool", g.ult_bits(bvs[0], bvs[1]))
         if name == "bvule":
@@ -308,6 +310,9 @@ class Script:
             self.output.append(cmd[1].strip('"'))
             return
         if head == "exit":
+            return
+        if head == "reset":
+            self.reset()
             return
         if head == "declare-const":
             self._declare(cmd[1], cmd[2])

@@ -19,7 +19,8 @@ from sketchmap.interp import Stream, env_of_ints, interp, simulate
 from sketchmap.ir import (BV, BitVec, Prim, ProgBuilder, Sketch,
                           WellFormednessError, check_well_formed, free_vars,
                           substitute_holes, var_widths, verify_witness)
-from sketchmap.portfolio import SolverConfig, default_portfolio
+from sketchmap.portfolio import (SolverConfig, SolverSession,
+                                 default_portfolio)
 from sketchmap.sketches import generate_sketch
 from sketchmap.specdsl import parse_document
 from sketchmap.symbolic import symbolic_run
@@ -80,22 +81,26 @@ def test_criterion_01_single_lut_function_completeness():
     started = time.monotonic()
     sofa = _arch("sofa.yml")
     solved = 0
-    for k in (2, 3):
-        for tt in range(2 ** (2 ** k)):
-            spec, names = _tt_spec(tt, k)
-            sketch = generate_sketch("bitwise", sofa,
-                                     {"width": 1, "inputs": names})
-            r = synthesize(spec, sketch, t=0, c=0, timeout=60.0)
-            assert isinstance(r, Success), f"{k}-input table {tt:#x}"
-            prims = [n for n in r.program.nodes.values()
-                     if isinstance(n, Prim)]
-            assert len(prims) == 1, "must fit in a single LUT"
-            for idx in range(2 ** k):
-                env = env_of_ints({names[j]: ([(idx >> j) & 1], 1)
-                                   for j in range(k)})
-                got = interp(r.program, env, 0, r.program.root).value
-                assert got == (tt >> idx) & 1, f"table {tt:#x} at {idx}"
-            solved += 1
+    # one session for all 272 designs: its solver child serves them all
+    with SolverSession() as session:
+        for k in (2, 3):
+            for tt in range(2 ** (2 ** k)):
+                spec, names = _tt_spec(tt, k)
+                sketch = generate_sketch("bitwise", sofa,
+                                         {"width": 1, "inputs": names})
+                r = synthesize(spec, sketch, t=0, c=0, timeout=60.0,
+                               session=session)
+                assert isinstance(r, Success), f"{k}-input table {tt:#x}"
+                prims = [n for n in r.program.nodes.values()
+                         if isinstance(n, Prim)]
+                assert len(prims) == 1, "must fit in a single LUT"
+                for idx in range(2 ** k):
+                    env = env_of_ints({names[j]: ([(idx >> j) & 1], 1)
+                                       for j in range(k)})
+                    got = interp(r.program, env, 0, r.program.root).value
+                    assert got == (tt >> idx) & 1, \
+                        f"table {tt:#x} at {idx}"
+                solved += 1
     elapsed = time.monotonic() - started
     assert solved == 16 + 256
     assert elapsed < 600.0, f"took {elapsed:.0f}s, budget 600s"

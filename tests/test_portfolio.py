@@ -1,4 +1,5 @@
-"""Concurrent solver execution: first answer wins, stragglers die."""
+"""Concurrent solver execution: first answer wins, stragglers die, and a
+session's children serve query after query."""
 
 import json
 import os
@@ -9,9 +10,11 @@ import time
 import pytest
 
 import sketchmap
+from sketchmap.arch import load_arch, packaged_arch_path
+from sketchmap.bench import run_corpus, write_corpus
 from sketchmap.portfolio import (
     AllSolversFailed, PortfolioTimeout, SolverConfig, SolverError,
-    default_portfolio, load_solver_config, portfolio_solve,
+    SolverSession, default_portfolio, load_solver_config, portfolio_solve,
 )
 
 SAT_QUERY = """\
@@ -38,6 +41,36 @@ CRASHER = SolverConfig(
     "crasher", (sys.executable, "-c", "import sys; sys.exit(3)"))
 LIAR = SolverConfig(
     "liar", (sys.executable, "-c", "print('maybe')"))
+# answers unsat to everything and prints echo strings with their quotes
+QUOTING = SolverConfig("quoting", (sys.executable, "-c", (
+    "import sys\n"
+    "for line in sys.stdin:\n"
+    "    if line.startswith('(check-sat'):\n"
+    "        print('unsat', flush=True)\n"
+    "    elif line.startswith('(echo'):\n"
+    "        print(line[len('(echo '):-len(')\\n')], flush=True)\n")))
+# multiplication commutes, but 32-bit operands are far beyond the builtin
+HARD_QUERY = """\
+(declare-const x (_ BitVec 32))
+(declare-const y (_ BitVec 32))
+(assert (distinct (bvmul x y) (bvmul y x)))
+(check-sat)
+(exit)
+"""
+
+
+def _spy_on_children(monkeypatch) -> list:
+    """Every process started from here on, for checking that each one
+    was waited for."""
+    spawned = []
+
+    class Spy(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spawned.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Spy)
+    return spawned
 
 
 def test_builtin_sat():
@@ -114,3 +147,76 @@ def test_config_loading(tmp_path):
     (tmp_path / "bad2.json").write_text(json.dumps([{"name": "x"}]))
     with pytest.raises(SolverError):
         load_solver_config(str(tmp_path / "bad2.json"))
+
+
+def test_session_serves_queries_from_one_child():
+    with SolverSession() as session:
+        children = set()
+        for query in (SAT_QUERY, UNSAT_QUERY, SAT_QUERY):
+            r = portfolio_solve(query, session=session)
+            alone = portfolio_solve(query)
+            assert (r.status, r.model, r.winner) == \
+                (alone.status, alone.model, alone.winner)
+            children.add(session._children["builtin"].pid)
+    assert len(children) == 1
+
+
+def test_session_respawns_a_timed_out_child():
+    with SolverSession() as session:
+        portfolio_solve(SAT_QUERY, session=session)
+        first = session._children["builtin"]
+        with pytest.raises(PortfolioTimeout):
+            portfolio_solve(HARD_QUERY, session=session, timeout=1.0)
+        assert first.returncode is not None, "killed and waited for"
+        r = portfolio_solve(SAT_QUERY, session=session)
+        assert r.status == "sat" and r.model["x"].value == 3
+        assert session._children["builtin"] is not first
+
+
+def test_session_reports_and_survives_a_malformed_query():
+    with SolverSession() as session:
+        with pytest.raises(AllSolversFailed,
+                           match="unsupported command 'bogus'"):
+            portfolio_solve("(bogus)\n(exit)\n", session=session)
+        r = portfolio_solve(SAT_QUERY, session=session)
+        assert r.status == "sat" and r.model["x"].value == 3
+
+
+def test_session_accepts_a_quoted_marker():
+    with SolverSession() as session:
+        for _ in range(2):
+            r = portfolio_solve(UNSAT_QUERY, [QUOTING], timeout=60,
+                                session=session)
+            assert (r.status, r.winner) == ("unsat", "quoting")
+            child = session._children["quoting"]
+            assert child.poll() is None
+        assert session._children["quoting"] is child
+
+
+def test_close_waits_for_every_child(monkeypatch):
+    spawned = _spy_on_children(monkeypatch)
+    builtin = default_portfolio()[0]
+    twin = SolverConfig("twin", builtin.command)
+    with SolverSession() as session:
+        for query in (SAT_QUERY, UNSAT_QUERY, SAT_QUERY):
+            portfolio_solve(query, [WEDGED, twin, builtin], timeout=60,
+                            session=session)
+    assert len(spawned) >= 4       # wedged twice, twin and builtin
+    assert all(p.returncode is not None for p in spawned)
+
+
+def test_run_corpus_jobs_agree_and_leave_no_child(tmp_path, monkeypatch):
+    write_corpus(tmp_path)
+    arch = load_arch(packaged_arch_path("minidsp.yml"))
+    only = ["mul_w08_d0", "mul_add_w08_d1", "add_mul_xor_w08_d0",
+            "sub_mul_or_w09_d2"]
+    rows = {}
+    for jobs in (1, 3):
+        spawned = _spy_on_children(monkeypatch)
+        rows[jobs] = sorted((r.name, r.outcome, r.solver) for r in
+                            run_corpus(tmp_path, arch, jobs=jobs,
+                                       sim_cycles=100, only=only))
+        assert 1 <= len(spawned) <= jobs, "one child per session"
+        assert all(p.returncode is not None for p in spawned)
+    assert [name for name, _, _ in rows[1]] == sorted(only)
+    assert rows[1] == rows[3]

@@ -2,13 +2,15 @@
 
 import hashlib
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 
 from sketchmap.solver.aig import AIG, FALSE, TRUE
-from sketchmap.solver.qfbv import SolverInputError, parse_all, run_script
+from sketchmap.solver.qfbv import (Reader, SolverInputError, parse_all,
+                                   run_script)
 from sketchmap.solver.sat import SatSolver
 
 
@@ -393,6 +395,134 @@ class TestScripts:
     def test_parse_all_handles_comments(self):
         exprs = parse_all("; hi\n(a (b 1)) ; tail\natom")
         assert exprs == [["a", ["b", "1"]], "atom"]
+
+    def test_reset_starts_a_fresh_script(self):
+        out = _eval_script("""
+            (declare-const x (_ BitVec 2))
+            (assert (= x #b01))
+            (check-sat)
+            (reset)
+            (declare-const x (_ BitVec 2))
+            (assert (distinct x x))
+            (check-sat)
+            (get-value (x))
+        """)
+        assert out == ["sat", "unsat", '(error "model is not available")']
+
+
+# -- the s-expression reader against the character-at-a-time scanner it
+# replaced, kept here as the reference ---------------------------------------
+
+
+class _Quoted(str):
+    """A |symbol|'s name: an atom even when it is ( or ).  (The scanner's
+    old parser read |(| and |)| as parentheses.)"""
+
+
+def _reference_tokens(text):
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            yield ch
+            i += 1
+        elif ch == "|":
+            j = text.find("|", i + 1)
+            if j < 0:
+                raise SolverInputError("unterminated |symbol|")
+            yield _Quoted(text[i + 1:j])
+            i = j + 1
+        elif ch == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                j += 1
+            if j >= n:
+                raise SolverInputError("unterminated string")
+            yield text[i:j + 1]
+            i = j + 1
+        else:
+            j = i
+            while j < n and text[j] not in " \t\r\n();":
+                j += 1
+            yield text[i:j]
+            i = j
+
+
+def _reference_parse(text):
+    out, stack = [], []
+    for tok in _reference_tokens(text):
+        if isinstance(tok, _Quoted):
+            (stack[-1] if stack else out).append(tok)
+        elif tok == "(":
+            stack.append([])
+        elif tok == ")":
+            if not stack:
+                raise SolverInputError("unbalanced )")
+            done = stack.pop()
+            (stack[-1] if stack else out).append(done)
+        else:
+            (stack[-1] if stack else out).append(tok)
+    if stack:
+        raise SolverInputError("unbalanced (")
+    return out
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except SolverInputError as e:
+        return f"error: {e}"
+
+
+def _read_by_lines(text):
+    reader = Reader()
+    out = []
+    for line in re.findall(r"[^\n]*\n|[^\n]+$", text):
+        out += reader.feed(line)
+    reader.finish()
+    return out
+
+
+READER_CASES = [
+    "", "  \n\t", "; only a comment", "atom", "(a b)(c)", "((a) b",
+    "(a))", ") \"open", "(|sym with (parens)\nand lines| x)", "||",
+    "|a|b", "ab|c|d e", 'a"b "c d" ""', '"unterminated (', "|open ) (",
+    '"s" |x', '(echo "done")\n', "(a ; comment (\n b)", "x;y\nz",
+    "a\x0bb\x0cc", "(_ bv5 8)", '" ; not a comment"', "|;|", "(a |b",
+    "\r\n(a\rb)\r\n", "(|)| |(|)",
+]
+
+
+@pytest.mark.parametrize("text", READER_CASES)
+def test_reader_matches_the_reference_scanner(text):
+    want = _outcome(_reference_parse, text)
+    assert _outcome(parse_all, text) == want
+    assert _outcome(_read_by_lines, text) == want
+
+
+def test_reader_matches_the_reference_scanner_on_random_text():
+    rng = random.Random(6)
+    alphabet = '()|"; \n\tab#1_'
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet)
+                       for _ in range(rng.randrange(24)))
+        want = _outcome(_reference_parse, text)
+        assert _outcome(parse_all, text) == want, text
+        assert _outcome(_read_by_lines, text) == want, text
+
+
+def test_reader_returns_commands_as_they_complete():
+    r = Reader()
+    assert r.feed("(assert\n") == []
+    assert r.feed("  x)(check-sat)\n") == [["assert", "x"], ["check-sat"]]
+    assert r.feed('(echo "two\n') == []
+    assert r.feed('lines")\n') == [["echo", '"two\nlines"']]
+    r.finish()
 
 
 def _mask(w):
