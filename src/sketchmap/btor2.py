@@ -191,7 +191,6 @@ def parse_btor2(text: str) -> list[Btor2Line]:
 def to_prog(lines: list[Btor2Line], name: str = "imported"
             ) -> ImportedModel:
     """Translate parsed lines into a single-rooted behavioral program."""
-    by_id = {ln.id: ln for ln in lines}
     widths: dict[int, int] = {}          # sort id -> bit width
     node_ids: dict[int, int] = {}        # btor2 id -> program node id
     nodes: dict[int, object] = {}
@@ -206,12 +205,6 @@ def to_prog(lines: list[Btor2Line], name: str = "imported"
         fresh[0] += 1
         nodes[fresh[0]] = node
         return fresh[0]
-
-    def node_width(nid: int) -> int:
-        ln = by_id[abs(nid)]
-        if ln.kind == "sort":
-            raise ParseError(ln.id, "sort used as a value")
-        return widths[ln.sort]
 
     def operand(ref: int) -> int:
         base = node_ids[abs(ref)]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Union
 
 from .interp import Stream, simulate
@@ -39,7 +40,7 @@ from .portfolio import (
 )
 from .smtlib import emit_smtlib, symbol_name
 from .symbolic import EquivalenceQuery, build_query, selector_width
-from .terms import Operator, Term, term_leaves
+from .terms import Operator, Term
 
 CexEnv = dict[tuple[str, int], BitVec]
 
@@ -173,26 +174,17 @@ def cegis(query: EquivalenceQuery,
             if remaining() <= 0:
                 return Timeout(time.monotonic() - start, iterations)
 
-            # SYNTH over the accumulated environments
-            synth_asserts = list(query.side_constraints)
-            infeasible = False
-            for env in cexs:
-                for eq in query.equal_terms:
-                    g = _subst_inputs(query, eq, env)
-                    if g.kind == "const":
-                        if g.value.value == 0:
-                            infeasible = True
-                            break
-                        continue
-                    synth_asserts.append(g)
-                if infeasible:
-                    break
-            if infeasible:
-                return Unsat(time.monotonic() - start, iterations)
-            if any(a.kind == "const" and a.value.value == 0
-                   for a in synth_asserts):
-                return Unsat(time.monotonic() - start, iterations)
-            synth_asserts = [a for a in synth_asserts if a.kind != "const"]
+            # SYNTH over the accumulated environments: a constant 0 is
+            # infeasible, a constant 1 holds for every hole value
+            synth_asserts = []
+            for g in chain(query.side_constraints,
+                           (_subst_inputs(query, eq, env) for env in cexs
+                            for eq in query.equal_terms)):
+                if g.kind == "const":
+                    if g.value.value == 0:
+                        return Unsat(time.monotonic() - start, iterations)
+                    continue
+                synth_asserts.append(g)
 
             if synth_asserts or query.hole_symbols:
                 r = solve(synth_asserts, query.hole_symbols,

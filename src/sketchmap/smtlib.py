@@ -41,24 +41,35 @@ class _Emitter:
         self.counter = 0
 
     def ref(self, t: Term) -> str:
-        s = self.names.get(id(t))
-        if s is not None:
-            return s
-        if t.kind == "const":
-            s = _bits(t.value)
-        elif t.kind in ("input", "hole"):
-            s = symbol_name(t)
-        else:
-            expr = self._expr(t)
-            s = f"t{self.counter}"
-            self.counter += 1
-            self.lines.append(
-                f"(define-fun {s} () (_ BitVec {t.width}) {expr})")
-        self.names[id(t)] = s
-        return s
+        """t's name or literal, first emitting the definitions of t and of
+        every term below it not yet named, each after its operands, left
+        to right.  The walk keeps its own stack, so a deep term costs no
+        Python frames."""
+        names = self.names
+        stack = [(t, False)]   # (term, operands named)
+        while stack:
+            x, ready = stack.pop()
+            if ready:
+                s = f"t{self.counter}"
+                self.counter += 1
+                self.lines.append(f"(define-fun {s} () (_ BitVec {x.width}) "
+                                  f"{self._expr(x)})")
+            elif id(x) in names:
+                continue
+            elif x.kind == "const":
+                s = _bits(x.value)
+            elif x.kind in ("input", "hole"):
+                s = symbol_name(x)
+            else:
+                stack.append((x, True))
+                stack += [(a, False) for a in reversed(x.args)
+                          if id(a) not in names]
+                continue
+            names[id(x)] = s
+        return names[id(t)]
 
     def _expr(self, t: Term) -> str:
-        args = [self.ref(x) for x in t.args]
+        args = [self.names[id(x)] for x in t.args]
         if t.kind == "ite":  # the same choice as the IR's mux
             return OPS["mux"].smt.format(*args)
         w = t.args[0].width
@@ -116,43 +127,29 @@ def emit_smtlib(asserts: list[Term], declare: list[Term],
 def parse_solver_output(text: str) -> tuple[str, dict[str, BitVec]]:
     """(status, model) from a solver's stdout.
 
-    status is "sat", "unsat", or "unknown".  Model values accept #b / #x
-    literals and (_ bvN w) triples, as printed by common QF_BV solvers.
+    status is "sat", "unsat", or "unknown".  Model values are read as the
+    bundled solver reads literals (qfbv.read_literal): #b / #x literals,
+    (_ bvN w) triples as printed by common QF_BV solvers, and true / false
+    as width 1.
     """
-    from .solver.qfbv import SolverInputError, parse_all
+    from .solver.qfbv import SolverInputError, parse_all, read_literal
 
     try:
         exprs = parse_all(text)
+        status = "unknown"
+        model: dict[str, BitVec] = {}
+        for e in exprs:
+            if isinstance(e, str):
+                if e in ("sat", "unsat", "unknown"):
+                    status = e
+                continue
+            for pair in e:
+                if (isinstance(pair, list) and len(pair) == 2
+                        and isinstance(pair[0], str)):
+                    v = read_literal(pair[1])
+                    if v is not None:
+                        w, value = v
+                        model[pair[0]] = BitVec.of(value, w or 1)
     except SolverInputError as e:
         raise SketchmapError(f"unparseable solver output: {e}") from e
-    status = "unknown"
-    model: dict[str, BitVec] = {}
-    for e in exprs:
-        if isinstance(e, str):
-            if e in ("sat", "unsat", "unknown"):
-                status = e
-            continue
-        for pair in e:
-            if (isinstance(pair, list) and len(pair) == 2
-                    and isinstance(pair[0], str)):
-                v = _parse_value(pair[1])
-                if v is not None:
-                    model[pair[0]] = v
     return status, model
-
-
-def _parse_value(v) -> BitVec | None:
-    if isinstance(v, str):
-        if v.startswith("#b"):
-            return BitVec(len(v) - 2, int(v[2:], 2))
-        if v.startswith("#x"):
-            return BitVec(4 * (len(v) - 2), int(v[2:], 16))
-        if v == "true":
-            return BitVec(1, 1)
-        if v == "false":
-            return BitVec(1, 0)
-        return None
-    if (isinstance(v, list) and len(v) == 3 and v[0] == "_"
-            and isinstance(v[1], str) and v[1].startswith("bv")):
-        return BitVec.of(int(v[1][2:]), int(v[2]))
-    return None

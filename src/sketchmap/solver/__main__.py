@@ -5,8 +5,11 @@ prints is flushed at once, so the same reader serves a one-shot script
 piped in whole and a long-lived session that sends query after query,
 each opened by (reset) and closed by an (echo ...) the parent waits for.
 
-Errors go to stderr with exit code 1; at the end of the input the exit
-code is 0.
+Input the solver cannot take (a malformed s-expression, an unsupported
+command or head, an ill-sorted term, a bad literal) stops it with
+(error "...") on stderr and exit code 1; terms are read without
+recursion, so their depth is bounded by memory alone.  At the end of the
+input the exit code is 0.
 """
 
 import sys
@@ -28,9 +31,6 @@ def main() -> int:
         reader.finish()
     except SolverInputError as e:
         print(f"(error \"{e}\")", file=sys.stderr)
-        return 1
-    except RecursionError:
-        print("(error \"term too deep\")", file=sys.stderr)
         return 1
     return 0
 

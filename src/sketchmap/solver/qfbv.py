@@ -2,11 +2,26 @@
 
 Supported commands: set-logic, set-option, set-info, declare-const,
 declare-fun (0-ary), define-fun (0-ary), assert, check-sat, get-value,
-echo, reset, exit.  Supported terms: true false and or not xor => ite =
-distinct, #b / #x literals, (_ bvN w), bvadd bvsub bvmul bvneg bvnot bvand
-bvor bvxor bvshl bvlshr bvashr concat (_ extract hi lo) (_ zero_extend k)
-(_ sign_extend k) bvult bvule bvugt bvuge bvslt bvsle bvsgt bvsge
-(! term :attr ...) annotations, and (let ((x t) ...) body).
+echo, reset, exit.  Supported terms: symbols, the literals true, false,
+#b..., #x... and (_ bvN w), (! term :attr ...) annotations,
+(let ((x t) ...) body), and the applications of the heads in HEADS:
+not and or xor => = distinct ite, concat bvnot bvneg bvand bvor bvxor
+bvadd bvsub bvmul bvshl bvlshr bvashr bvult bvule bvugt bvuge bvslt
+bvsle bvsgt bvsge, and the indexed (_ extract hi lo), (_ zero_extend k)
+and (_ sign_extend k).
+
+HEADS states each head once: the sort of its operands, how many operands
+and indices it takes, its width rule and its blaster, the AIG call that
+builds it.  Script.term reads every term in one post-order walk over an
+explicit stack, operands left to right before their application, so AIG
+nodes are made in that order and a deep term needs no Python frames.
+_check is the one place an application meets its entry: a wrong operand
+or index count, an operand of the wrong sort, unequal widths where the
+entry wants equal ones, and an extract outside its operand raise
+SolverInputError naming the head, as the FixedSizeBitVectors theory of
+SMT-LIB 2.6 rules them out.  Literals and sorts go through read_literal
+and read_sort, which reject bad digits and widths below 1; the mapper
+reads solver models with the same reader.
 
 One check-sat per reset (matching what the mapper emits): reset forgets
 every declaration, assertion and answer, so one Script can serve a stream
@@ -99,9 +114,257 @@ def parse_all(text: str) -> list:
     return out
 
 
+# -- literals and sorts ------------------------------------------------------
+
+# prefix -> radix, bits per digit, digits
+_BASES = {"#b": (2, 1, "01"), "#x": (16, 4, "0123456789abcdefABCDEF")}
+
+
+def _brief(t) -> str:
+    """t for an error message: a list only to its first level, so a deep
+    term cannot make the message itself too deep to print."""
+    if isinstance(t, str):
+        return repr(t)
+    return "(" + " ".join(x if isinstance(x, str) else "(...)"
+                          for x in t) + ")"
+
+
+def _numeral(s) -> int:
+    if isinstance(s, str) and s.isascii() and s.isdigit():
+        return int(s)
+    raise SolverInputError(f"expected a numeral, got {_brief(s)}")
+
+
+def _width(s) -> int:
+    w = _numeral(s)
+    if w < 1:
+        raise SolverInputError(f"bit-vector width {w} is below 1")
+    return w
+
+
+def read_literal(t) -> tuple[int | None, int] | None:
+    """(width, value) of the literal t, width None for true and false;
+    None when t is no literal.  A #b or #x without digits or with a digit
+    outside its base, and a (_ bvN w) with a bad numeral or a width below
+    1, raise SolverInputError.  (_ bvN w) wraps N modulo 2**w."""
+    if isinstance(t, str):
+        if t == "true":
+            return None, 1
+        if t == "false":
+            return None, 0
+        base = _BASES.get(t[:2])
+        if base is None:
+            return None
+        radix, bits, alphabet = base
+        digits = t[2:]
+        if not digits or digits.strip(alphabet):
+            raise SolverInputError(f"bad literal {t!r}")
+        return bits * len(digits), int(digits, radix)
+    if (len(t) == 3 and t[0] == "_" and isinstance(t[1], str)
+            and t[1].startswith("bv")):
+        w = _width(t[2])
+        return w, _numeral(t[1][2:]) & ((1 << w) - 1)
+    return None
+
+
+def read_sort(s) -> int | None:
+    """None for Bool, w for (_ BitVec w)."""
+    if s == "Bool":
+        return None
+    if (isinstance(s, list) and len(s) == 3 and s[0] == "_"
+            and s[1] == "BitVec"):
+        return _width(s[2])
+    raise SolverInputError(f"unsupported sort {_brief(s)}")
+
+
+# -- the head table -----------------------------------------------------------
+
+# A value is a Bool, as one AIG literal (an int), or a bit-vector, as a
+# list of literals LSB first, so a value's sort is its type.  A blaster
+# takes the AIG, the operand values and the indices, all already checked
+# against its entry, and makes the AIG calls the head stands for.
+
+BOOL, BITVEC, ALIKE = int, list, None    # operand sorts
+EQUAL, RANGE = "equal", "range"          # width rules
+_SORT_NAME = {BOOL: "Bool", BITVEC: "BitVec"}
+
+
+class Head:
+    """One head's entry.  (A plain class: the solver child imports this
+    module on every start, and a NamedTuple class takes ~20 times as long
+    to create.)"""
+
+    __slots__ = ("sort", "least", "most", "nindex", "width", "blast", "cond")
+
+    def __init__(self, sort, least, most, nindex, width, blast, cond=False):
+        self.sort = sort      # BOOL, BITVEC, or ALIKE: either, one for all
+        self.least = least    # fewest operands
+        self.most = most      # most operands, None for no limit
+        self.nindex = nindex  # indices of (_ name i ...)
+        self.width = width    # EQUAL: one width; RANGE: extract's; None
+        self.blast = blast    # (AIG, operand values, indices) -> value
+        self.cond = cond      # a Bool condition comes first, outside sort
+
+
+def _left(step):
+    """(f a b c) as (f (f a b) c), step(g, x, y) making each (f x y)."""
+    def blast(g, xs, ix):
+        out = xs[0]
+        for x in xs[1:]:
+            out = step(g, out, x)
+        return out
+    return blast
+
+
+def _bitwise(gate):
+    """The step gate(g, a, b) on each pair of bits."""
+    return lambda g, x, y: [gate(g, a, b) for a, b in zip(x, y)]
+
+
+def _compare(less, swap=False, negate=0):
+    """less(g, a, b), the operands swapped first and the answer negated
+    after if asked."""
+    def blast(g, xs, ix):
+        a, b = xs
+        return (less(g, b, a) if swap else less(g, a, b)) ^ negate
+    return blast
+
+
+def _shift(kind):
+    return lambda g, xs, ix: g.shift_bits(xs[0], xs[1], kind)
+
+
+def _implies(g, xs, ix):
+    # right-associative: (=> a b c) is (=> a (=> b c))
+    out = xs[-1]
+    for lit in reversed(xs[:-1]):
+        out = g.or_(lit ^ 1, out)
+    return out
+
+
+def _eq(g, xs, ix):
+    a, b = xs
+    if type(a) is int:
+        return g.xor_(a, b) ^ 1
+    return g.eq_bits(a, b)
+
+
+def _ite(g, xs, ix):
+    c, a, b = xs
+    if type(a) is int:
+        return g.mux_(c, a, b)
+    return g.mux_bits(c, a, b)
+
+
+def _binary(sort, blast):
+    return Head(sort, 2, 2, 0, EQUAL, blast)
+
+
+def _nary(step):
+    return Head(BITVEC, 1, None, 0, EQUAL, _left(step))
+
+
+HEADS: dict[str, Head] = {
+    "not": Head(BOOL, 1, 1, 0, None, lambda g, xs, ix: xs[0] ^ 1),
+    "and": Head(BOOL, 0, None, 0, None, lambda g, xs, ix: g.and_many(xs)),
+    "or": Head(BOOL, 0, None, 0, None, lambda g, xs, ix: g.or_many(xs)),
+    "xor": Head(BOOL, 1, None, 0, None, _left(AIG.xor_)),
+    "=>": Head(BOOL, 1, None, 0, None, _implies),
+    "=": _binary(ALIKE, _eq),
+    "distinct": _binary(ALIKE, lambda g, xs, ix: _eq(g, xs, ix) ^ 1),
+    "ite": Head(ALIKE, 3, 3, 0, EQUAL, _ite, cond=True),
+    # the first operand is the high part
+    "concat": Head(BITVEC, 1, None, 0, None,
+                   lambda g, xs, ix: [b for x in reversed(xs) for b in x]),
+    "bvnot": Head(BITVEC, 1, 1, 0, None,
+                  lambda g, xs, ix: [b ^ 1 for b in xs[0]]),
+    "bvneg": Head(BITVEC, 1, 1, 0, None, lambda g, xs, ix: g.neg_bits(xs[0])),
+    "bvand": _nary(_bitwise(AIG.and_)),
+    "bvor": _nary(_bitwise(AIG.or_)),
+    "bvxor": _nary(_bitwise(AIG.xor_)),
+    "bvadd": _nary(lambda g, x, y: g.add_bits(x, y)[0]),
+    "bvsub": _nary(AIG.sub_bits),
+    "bvmul": _nary(AIG.mul_bits),
+    "bvshl": _binary(BITVEC, _shift("shl")),
+    "bvlshr": _binary(BITVEC, _shift("lshr")),
+    "bvashr": _binary(BITVEC, _shift("ashr")),
+    "bvult": _binary(BITVEC, _compare(AIG.ult_bits)),
+    "bvule": _binary(BITVEC, _compare(AIG.ult_bits, swap=True, negate=1)),
+    "bvugt": _binary(BITVEC, _compare(AIG.ult_bits, swap=True)),
+    "bvuge": _binary(BITVEC, _compare(AIG.ult_bits, negate=1)),
+    "bvslt": _binary(BITVEC, _compare(AIG.slt_bits)),
+    "bvsle": _binary(BITVEC, _compare(AIG.slt_bits, swap=True, negate=1)),
+    "bvsgt": _binary(BITVEC, _compare(AIG.slt_bits, swap=True)),
+    "bvsge": _binary(BITVEC, _compare(AIG.slt_bits, negate=1)),
+    "extract": Head(BITVEC, 1, 1, 2, RANGE,
+                    lambda g, xs, ix: xs[0][ix[1]:ix[0] + 1]),
+    "zero_extend": Head(BITVEC, 1, 1, 1, None,
+                        lambda g, xs, ix: xs[0] + [FALSE] * ix[0]),
+    "sign_extend": Head(BITVEC, 1, 1, 1, None,
+                        lambda g, xs, ix: xs[0] + [xs[0][-1]] * ix[0]),
+}
+
+
+def _check(name: str, head: Head, xs: list, ix) -> tuple:
+    """The application of name to operand values xs and index tokens ix,
+    against head: its indices as ints, or SolverInputError naming the
+    head and the fault."""
+    n = len(xs)
+    if n < head.least or (head.most is not None and n > head.most):
+        want = (f"{head.least}" if head.most == head.least else
+                f"at least {head.least}" if head.most is None else
+                f"{head.least} to {head.most}")
+        raise SolverInputError(
+            f"wrong operand count for {name}: got {n}, takes {want}")
+    if len(ix) != head.nindex:
+        raise SolverInputError(f"wrong index count for {name}: got "
+                               f"{len(ix)}, takes {head.nindex}")
+    if ix:
+        ix = tuple(map(_numeral, ix))
+    first = 0
+    if head.cond:
+        if type(xs[0]) is not BOOL:
+            raise SolverInputError(f"{name} operand 1 is a BitVec, "
+                                   "expected Bool")
+        first = 1
+    sort = head.sort or type(xs[first])
+    equal = head.width is EQUAL and sort is BITVEC
+    w = len(xs[first]) if sort is BITVEC else 0
+    for k in range(first, n):
+        x = xs[k]
+        if type(x) is not sort:
+            raise SolverInputError(
+                f"{name} operand {k + 1} is a {_SORT_NAME[type(x)]}, "
+                f"expected {_SORT_NAME[sort]}")
+        if equal and len(x) != w:
+            widths = ", ".join(str(len(x)) for x in xs[first:])
+            raise SolverInputError(
+                f"{name} needs equal operand widths, got {widths}")
+    if head.width is RANGE:
+        hi, lo = ix
+        if not 0 <= lo <= hi < w:
+            raise SolverInputError(
+                f"{name} {hi} {lo} is out of range for width {w}")
+    return ix
+
+
 # -- evaluation ---------------------------------------------------------------
 
-# Values are ("bool", lit) or ("bv", [lits lsb-first]).
+
+class _Bind:
+    """Bind names to the last len(names) values, then evaluate body."""
+
+    __slots__ = ("names", "body")
+
+    def __init__(self, names: list[str], body):
+        self.names = names
+        self.body = body
+
+
+# operand counts of the commands that take a fixed number of them
+_OPERANDS = {"echo": 1, "declare-const": 2, "declare-fun": 3,
+             "define-fun": 4, "assert": 1, "check-sat": 0, "get-value": 1,
+             "reset": 0, "exit": 0}
 
 
 class Script:
@@ -112,201 +375,126 @@ class Script:
     def reset(self) -> None:
         """Forget every declaration, assertion and answer; keep output."""
         self.aig = AIG()
-        self.env: dict[str, tuple] = {}
-        self.symbols: list[tuple[str, tuple]] = []  # declaration order
+        self.env: dict[str, object] = {}   # symbol -> value
         self.assertions: list[int] = []
         self.status: str | None = None
         self.model: dict[int, bool] = {}   # input node -> value
         self.values = bytearray()            # node -> value under model
 
-    # -- term evaluation --
-
-    def eval(self, t, scope: dict[str, tuple]) -> tuple:
-        if isinstance(t, str):
-            return self._atom(t, scope)
-        if not t:
-            raise SolverInputError("empty term")
-        head = t[0]
-        if head == "_":
-            return self._indexed_const(t)
-        if head == "!":
-            return self.eval(t[1], scope)
-        if head == "let":
-            inner = dict(scope)
-            for pair in t[1]:
-                inner[pair[0]] = self.eval(pair[1], scope)
-            return self.eval(t[2], inner)
-        if isinstance(head, list):
-            op = head  # ((_ extract i j) x) style
-            args = [self.eval(x, scope) for x in t[1:]]
-            return self._indexed_apply(op, args)
-        args = [self.eval(x, scope) for x in t[1:]]
-        return self._apply(head, args)
-
-    def _atom(self, t: str, scope: dict[str, tuple]) -> tuple:
-        if t == "true":
-            return ("bool", TRUE)
-        if t == "false":
-            return ("bool", FALSE)
-        if t.startswith("#b"):
-            bits = t[2:]
-            return ("bv", [TRUE if c == "1" else FALSE for c in reversed(bits)])
-        if t.startswith("#x"):
-            w = 4 * len(t[2:])
-            v = int(t[2:], 16)
-            return ("bv", self.aig.const_bits(v, w))
-        if t in scope:
-            return scope[t]
-        raise SolverInputError(f"unknown symbol {t!r}")
-
-    def _indexed_const(self, t) -> tuple:
-        if len(t) == 3 and t[1].startswith("bv"):
-            return ("bv", self.aig.const_bits(int(t[1][2:]), int(t[2])))
-        raise SolverInputError(f"unsupported indexed constant {t}")
-
-    def _bv(self, v: tuple) -> list[int]:
-        if v[0] != "bv":
-            raise SolverInputError("expected a bit-vector argument")
-        return v[1]
-
-    def _bool(self, v: tuple) -> int:
-        if v[0] != "bool":
-            raise SolverInputError("expected a boolean argument")
-        return v[1]
-
-    def _indexed_apply(self, op, args) -> tuple:
-        if op[0] != "_":
-            raise SolverInputError(f"bad operator {op}")
-        name = op[1]
-        if name == "extract":
-            hi, lo = int(op[2]), int(op[3])
-            bits = self._bv(args[0])
-            return ("bv", bits[lo:hi + 1])
-        if name == "zero_extend":
-            k = int(op[2])
-            return ("bv", self._bv(args[0]) + [FALSE] * k)
-        if name == "sign_extend":
-            k = int(op[2])
-            bits = self._bv(args[0])
-            return ("bv", bits + [bits[-1]] * k)
-        raise SolverInputError(f"unsupported indexed operator {name}")
-
-    def _apply(self, name: str, args: list[tuple]) -> tuple:
-        g = self.aig
-        if name == "=":
-            a, b = args
-            if a[0] != b[0]:
-                raise SolverInputError("= on mixed sorts")
-            if a[0] == "bool":
-                return ("bool", g.xor_(a[1], b[1]) ^ 1)
-            if len(a[1]) != len(b[1]):
-                raise SolverInputError("= on different widths")
-            return ("bool", g.eq_bits(a[1], b[1]))
-        if name == "distinct":
-            eq = self._apply("=", args)
-            return ("bool", eq[1] ^ 1)
-        if name == "ite":
-            c = self._bool(args[0])
-            a, b = args[1], args[2]
-            if a[0] == "bool":
-                return ("bool", g.mux_(c, self._bool(a), self._bool(b)))
-            return ("bv", g.mux_bits(c, self._bv(a), self._bv(b)))
-        if name in ("and", "or", "xor", "=>", "not"):
-            lits = [self._bool(a) for a in args]
-            if name == "and":
-                return ("bool", g.and_many(lits))
-            if name == "or":
-                return ("bool", g.or_many(lits))
-            if name == "not":
-                return ("bool", lits[0] ^ 1)
-            if name == "=>":
-                out = lits[-1]
-                for lit in reversed(lits[:-1]):
-                    out = g.or_(lit ^ 1, out)
-                return ("bool", out)
-            out = lits[0]
-            for lit in lits[1:]:
-                out = g.xor_(out, lit)
-            return ("bool", out)
-        bvs = [self._bv(a) for a in args]
-        if name == "concat":
-            # SMT-LIB concat: first argument is the high part
-            out = bvs[-1]
-            for b in reversed(bvs[:-1]):
-                out = out + b
-            return ("bv", out)
-        if name == "bvnot":
-            return ("bv", [b ^ 1 for b in bvs[0]])
-        if name == "bvneg":
-            return ("bv", g.neg_bits(bvs[0]))
-        if name in ("bvand", "bvor", "bvxor", "bvadd", "bvsub", "bvmul"):
-            out = bvs[0]
-            for b in bvs[1:]:
-                if len(out) != len(b):
-                    raise SolverInputError(f"{name} width mismatch")
-                if name == "bvand":
-                    out = [g.and_(x, y) for x, y in zip(out, b)]
-                elif name == "bvor":
-                    out = [g.or_(x, y) for x, y in zip(out, b)]
-                elif name == "bvxor":
-                    out = [g.xor_(x, y) for x, y in zip(out, b)]
-                elif name == "bvadd":
-                    out = g.add_bits(out, b)[0]
-                elif name == "bvsub":
-                    out = g.sub_bits(out, b)
+    def term(self, t):
+        """The value of term t over the declared and defined symbols.  let
+        binds in parallel, every binding read in the outer scope;
+        ! annotations are read through."""
+        # Each entry is (term, scope) or a pending step, the next one
+        # last: ((name, entry, operand count, index tokens), None) applies
+        # a head to the last values, (_Bind, scope) binds them.  Atoms
+        # make no AIG nodes, so an application of atoms alone is applied
+        # at once.
+        todo = [(t, self.env)]
+        vals = []   # the values of the terms done so far
+        while todo:
+            t, scope = todo.pop()
+            kind = type(t)
+            if kind is str:
+                vals.append(self._leaf(t, scope))
+            elif kind is tuple:
+                name, entry, n, ix = t
+                cut = len(vals) - n
+                xs = vals[cut:]
+                del vals[cut:]
+                vals.append(self._blast(name, entry, xs, ix))
+            elif kind is _Bind:
+                cut = len(vals) - len(t.names)
+                inner = dict(scope)
+                inner.update(zip(t.names, vals[cut:]))
+                del vals[cut:]
+                todo.append((t.body, inner))
+            elif not t:
+                raise SolverInputError("empty term")
+            else:
+                head = t[0]
+                if head == "!":
+                    if len(t) < 2:
+                        raise SolverInputError("! without a term")
+                    todo.append((t[1], scope))
+                    continue
+                if head == "let":
+                    pairs = t[1] if len(t) == 3 else None
+                    if not isinstance(pairs, list) or not all(
+                            isinstance(p, list) and len(p) == 2
+                            and isinstance(p[0], str) for p in pairs):
+                        raise SolverInputError(f"bad let {_brief(t)}")
+                    # in parallel: every binding in the outer scope
+                    todo.append((_Bind([p[0] for p in pairs], t[2]), scope))
+                    todo += [(p[1], scope) for p in reversed(pairs)]
+                    continue
+                if head == "_":
+                    vals.append(self._constant(t))
+                    continue
+                if isinstance(head, str):
+                    name, ix = head, ()
+                elif (len(head) >= 3 and head[0] == "_"
+                        and isinstance(head[1], str)):
+                    name, ix = head[1], head[2:]
                 else:
-                    out = g.mul_bits(out, b)
-            return ("bv", out)
-        if name in ("bvshl", "bvlshr", "bvashr"):
-            kind = {"bvshl": "shl", "bvlshr": "lshr", "bvashr": "ashr"}[name]
-            return ("bv", g.shift_bits(bvs[0], bvs[1], kind))
-        if name == "bvult":
-            return ("bool", g.ult_bits(bvs[0], bvs[1]))
-        if name == "bvule":
-            return ("bool", g.ult_bits(bvs[1], bvs[0]) ^ 1)
-        if name == "bvugt":
-            return ("bool", g.ult_bits(bvs[1], bvs[0]))
-        if name == "bvuge":
-            return ("bool", g.ult_bits(bvs[0], bvs[1]) ^ 1)
-        if name == "bvslt":
-            return ("bool", g.slt_bits(bvs[0], bvs[1]))
-        if name == "bvsle":
-            return ("bool", g.slt_bits(bvs[1], bvs[0]) ^ 1)
-        if name == "bvsgt":
-            return ("bool", g.slt_bits(bvs[1], bvs[0]))
-        if name == "bvsge":
-            return ("bool", g.slt_bits(bvs[0], bvs[1]) ^ 1)
-        raise SolverInputError(f"unsupported operator {name!r}")
+                    raise SolverInputError(f"bad head {_brief(head)}")
+                entry = HEADS.get(name)
+                if entry is None:
+                    raise SolverInputError(f"unsupported operator {name!r}")
+                ops = t[1:]
+                for x in ops:
+                    if type(x) is not str:
+                        todo.append(((name, entry, len(ops), ix), None))
+                        todo += [(x, scope) for x in reversed(ops)]
+                        break
+                else:   # only atoms: apply at once
+                    xs = [self._leaf(x, scope) for x in ops]
+                    vals.append(self._blast(name, entry, xs, ix))
+        return vals[0]
+
+    def _blast(self, name: str, entry: Head, xs: list, ix):
+        return entry.blast(self.aig, xs, _check(name, entry, xs, ix))
+
+    def _leaf(self, t: str, scope: dict[str, object]):
+        if t.startswith("#") or t == "true" or t == "false":
+            return self._constant(t)
+        v = scope.get(t)
+        if v is None:
+            raise SolverInputError(f"unknown symbol {t!r}")
+        return v
+
+    def _constant(self, t):
+        lit = read_literal(t)
+        if lit is None:
+            raise SolverInputError(f"not a term: {_brief(t)}")
+        w, v = lit
+        if w is None:
+            return TRUE if v else FALSE
+        return self.aig.const_bits(v, w)
 
     # -- commands --
 
-    def _sort_width(self, sort) -> int | None:
-        """None for Bool, width for (_ BitVec w)."""
-        if sort == "Bool":
-            return None
-        if isinstance(sort, list) and len(sort) == 3 and sort[0] == "_" \
-                and sort[1] == "BitVec":
-            return int(sort[2])
-        raise SolverInputError(f"unsupported sort {sort}")
-
-    def _declare(self, name: str, sort) -> None:
+    def _declare(self, name, sort) -> None:
+        if not isinstance(name, str):
+            raise SolverInputError(f"bad symbol {_brief(name)}")
         if name in self.env:
             raise SolverInputError(f"symbol {name!r} declared twice")
-        w = self._sort_width(sort)
-        if w is None:
-            val = ("bool", self.aig.var())
-        else:
-            val = ("bv", self.aig.var_bits(w))
-        self.env[name] = val
-        self.symbols.append((name, val))
+        w = read_sort(sort)
+        self.env[name] = self.aig.var() if w is None else self.aig.var_bits(w)
 
     def run_command(self, cmd) -> None:
         if not isinstance(cmd, list) or not cmd:
-            raise SolverInputError(f"bad command {cmd!r}")
+            raise SolverInputError(f"bad command {_brief(cmd)}")
         head = cmd[0]
         if head in ("set-logic", "set-option", "set-info"):
             return
+        if head in _OPERANDS and len(cmd) - 1 != _OPERANDS[head]:
+            raise SolverInputError(
+                f"wrong operand count for {head}: got {len(cmd) - 1}, "
+                f"takes {_OPERANDS[head]}")
         if head == "echo":
+            if not isinstance(cmd[1], str):
+                raise SolverInputError("echo takes a string")
             self.output.append(cmd[1].strip('"'))
             return
         if head == "exit":
@@ -326,18 +514,23 @@ class Script:
             if cmd[2] != []:
                 raise SolverInputError("only 0-ary define-fun supported")
             name, sort, body = cmd[1], cmd[3], cmd[4]
-            val = self.eval(body, self.env)
-            w = self._sort_width(sort)
-            if (w is None) != (val[0] == "bool"):
+            if not isinstance(name, str):
+                raise SolverInputError(f"bad symbol {_brief(name)}")
+            val = self.term(body)
+            w = read_sort(sort)
+            if (w is None) != (type(val) is int):
                 raise SolverInputError(f"define-fun {name!r} sort mismatch")
-            if w is not None and len(val[1]) != w:
+            if w is not None and len(val) != w:
                 raise SolverInputError(f"define-fun {name!r} width mismatch")
             if name in self.env:
                 raise SolverInputError(f"symbol {name!r} defined twice")
             self.env[name] = val
             return
         if head == "assert":
-            self.assertions.append(self._bool(self.eval(cmd[1], self.env)))
+            val = self.term(cmd[1])
+            if type(val) is not int:
+                raise SolverInputError("assert of a BitVec term")
+            self.assertions.append(val)
             return
         if head == "check-sat":
             self._check_sat()
@@ -345,7 +538,7 @@ class Script:
         if head == "get-value":
             self._get_value(cmd[1])
             return
-        raise SolverInputError(f"unsupported command {head!r}")
+        raise SolverInputError(f"unsupported command {_brief(head)}")
 
     def _check_sat(self) -> None:
         root = self.aig.and_many(self.assertions)
@@ -390,10 +583,10 @@ class Script:
             self.values = self.aig.evaluate(self.model)
         return bool(self.values[lit >> 1] ^ (lit & 1))
 
-    def _value_bits(self, val: tuple) -> str:
-        if val[0] == "bool":
-            return "true" if self._value(val[1]) else "false"
-        bits = [self._value(b) for b in val[1]]
+    def _value_bits(self, val) -> str:
+        if type(val) is int:
+            return "true" if self._value(val) else "false"
+        bits = [self._value(b) for b in val]
         return "#b" + "".join("1" if b else "0" for b in reversed(bits))
 
     def _get_value(self, names) -> None:
@@ -405,7 +598,8 @@ class Script:
         parts = []
         for name in names:
             if not isinstance(name, str) or name not in self.env:
-                raise SolverInputError(f"get-value of unknown term {name!r}")
+                raise SolverInputError(
+                    f"get-value of unknown term {_brief(name)}")
             parts.append(f"({name} {self._value_bits(self.env[name])})")
         self.output.append("(" + " ".join(parts) + ")")
 

@@ -258,26 +258,33 @@ class TermBuilder:
     def substitute(self, t: Term, mapping: dict[Term, Term],
                    memo: Optional[dict] = None) -> Term:
         """Replace leaf terms (inputs/holes) per mapping, rebuilding (and
-        thus refolding) everything above."""
+        thus refolding) everything above, each term after its operands,
+        left to right.  The walk keeps its own stack, so a deep term costs
+        no Python frames."""
         if memo is None:
             memo = {}
-        out = memo.get(id(t))
-        if out is not None:
-            return out
-        if t in mapping:
-            r = mapping[t]
-            if r.width != t.width:
-                raise WidthError("substitution changes a width")
-        elif t.kind in ("const", "input", "hole"):
-            r = t
-        elif t.kind == "ite":
-            c, a, b = (self.substitute(x, mapping, memo) for x in t.args)
-            r = self.ite(c, a, b)
-        else:
-            r = self.app(t.op, [self.substitute(x, mapping, memo)
-                                for x in t.args])
-        memo[id(t)] = r
-        return r
+        stack = [(t, False)]   # (term, operands rebuilt)
+        while stack:
+            x, ready = stack.pop()
+            if ready:
+                args = [memo[id(a)] for a in x.args]
+                r = (self.ite(*args) if x.kind == "ite"
+                     else self.app(x.op, args))
+            elif id(x) in memo:
+                continue
+            elif x in mapping:
+                r = mapping[x]
+                if r.width != x.width:
+                    raise WidthError("substitution changes a width")
+            elif x.kind in ("const", "input", "hole"):
+                r = x
+            else:
+                stack.append((x, True))
+                stack += [(a, False) for a in reversed(x.args)
+                          if id(a) not in memo]
+                continue
+            memo[id(x)] = r
+        return memo[id(t)]
 
 
 def term_leaves(t: Term) -> tuple[set[Term], set[Term]]:

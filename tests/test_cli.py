@@ -67,6 +67,18 @@ class TestMap:
         assert code == 3
         assert "timeout" in capsys.readouterr().err
 
+    def test_deep_query_times_out_cleanly(self, tmp_path, capsys):
+        # a 64-bit comparison on a carry chain makes terms hundreds of
+        # levels deep; emission and substitution must not hit Python's
+        # recursion limit, so the run ends in a timeout
+        spec = _write(tmp_path, "(spec (inputs (a 64) (b 64)) (ult a b))")
+        code = main(["map", spec, "--template", "comparison",
+                     "--arch-desc", "generic-lut-carry.yml",
+                     "--timeout", "5"])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "timeout after" in err
+
     @pytest.mark.parametrize("argv_patch", [
         {"spec": "/nonexistent/x.spec"},
         {"arch": "nonexistent.yml"},

@@ -68,6 +68,27 @@ class TestEmission:
         text, _ = emit_smtlib([e1, e2], [], [])
         assert text.count("bvmul") == 1
 
+    def test_deep_chain(self):
+        # 5000 nested adds: each is defined after its operand, in order
+        tb = TermBuilder()
+        a = tb.input("a", 0, 8)
+        b = tb.input("b", 0, 8)
+        t = a
+        for _ in range(5000):
+            t = tb.app(Operator("add"), [t, b])
+        eq = tb.app(Operator("eq"), [t, tb.const_of(0, 8)])
+        text, _ = emit_smtlib([eq], [], [])
+        lines = text.splitlines()
+        defs = [ln for ln in lines if ln.startswith("(define-fun")]
+        assert defs[0] == ("(define-fun t0 () (_ BitVec 8) "
+                           "(bvadd in_a_t0 in_b_t0))")
+        assert defs[1:5000] == [
+            f"(define-fun t{k} () (_ BitVec 8) (bvadd t{k - 1} in_b_t0))"
+            for k in range(1, 5000)]
+        assert defs[5000:] == ["(define-fun t5000 () (_ BitVec 1) "
+                               "(ite (= t4999 #b00000000) #b1 #b0))"]
+        assert "(assert (! (= t5000 #b1) :named a0))" in lines
+
 
 class TestOutputParsing:
     def test_sat_with_model(self):
@@ -87,6 +108,17 @@ class TestOutputParsing:
     def test_garbage_raises(self):
         with pytest.raises(SketchmapError):
             parse_solver_output("sat\n((x #b01")
+
+    @pytest.mark.parametrize("value", ["#b", "#b12", "#xZZ", "(_ bvx 4)",
+                                       "(_ bv1 0)"])
+    def test_bad_model_values_raise(self, value):
+        # read by the solver's own literal reader, which rejects them
+        with pytest.raises(SketchmapError, match="unparseable"):
+            parse_solver_output(f"sat\n((x {value}))\n")
+
+    def test_bool_values(self):
+        status, model = parse_solver_output("sat\n((p true) (q false))\n")
+        assert model == {"p": BitVec(1, 1), "q": BitVec(1, 0)}
 
     def test_roundtrip_through_builtin_solver(self):
         from sketchmap.solver.qfbv import run_script

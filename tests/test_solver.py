@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from sketchmap.solver.aig import AIG, FALSE, TRUE
-from sketchmap.solver.qfbv import (Reader, SolverInputError, parse_all,
-                                   run_script)
+from sketchmap.solver.qfbv import (HEADS, Reader, SolverInputError,
+                                   parse_all, run_script)
 from sketchmap.solver.sat import SatSolver
 
 
@@ -550,13 +550,95 @@ def _py_cmp(name, a, b, w):
     sa = a - (1 << w) if a >> (w - 1) else a
     sb = b - (1 << w) if b >> (w - 1) else b
     return {
-        "bvult": a < b, "bvule": a <= b,
-        "bvslt": sa < sb, "bvsle": sa <= sb,
+        "bvult": a < b, "bvule": a <= b, "bvugt": a > b, "bvuge": a >= b,
+        "bvslt": sa < sb, "bvsle": sa <= sb, "bvsgt": sa > sb,
+        "bvsge": sa >= sb,
     }[name]
 
 
 _BINOPS = ["bvadd", "bvsub", "bvmul", "bvand", "bvor", "bvxor",
            "bvshl", "bvlshr", "bvashr"]
+_COMPARES = ["bvult", "bvule", "bvugt", "bvuge",
+             "bvslt", "bvsle", "bvsgt", "bvsge"]
+_UNARY = {
+    "bvnot": lambda a, w: a ^ _mask(w),
+    "bvneg": lambda a, w: -a & _mask(w),
+}
+
+
+def _implies(xs):
+    # right-associative: (=> a b c) is (=> a (=> b c))
+    out = xs[-1]
+    for x in reversed(xs[:-1]):
+        out = not x or out
+    return out
+
+
+# Bool connectives: head -> (fewest, most operands drawn, reference)
+_CONNECTIVES = {
+    "not": (1, 1, lambda xs: not xs[0]),
+    "and": (2, 4, all),
+    "or": (2, 4, any),
+    "xor": (2, 4, lambda xs: sum(xs) % 2 == 1),
+    "=>": (2, 4, _implies),
+    "=": (2, 2, lambda xs: xs[0] == xs[1]),
+    "distinct": (2, 2, lambda xs: xs[0] != xs[1]),
+}
+
+
+def _bv(v, w):
+    return f"(_ bv{v} {w})"
+
+
+def _bool(b):
+    return "true" if b else "false"
+
+
+def _ite_case(rng):
+    w, c = rng.randint(1, 6), rng.random() < 0.5
+    a, b = rng.getrandbits(w), rng.getrandbits(w)
+    return f"(ite {_bool(c)} {_bv(a, w)} {_bv(b, w)})", _bv(a if c else b, w)
+
+
+def _concat_case(rng):
+    ws = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+    vs = [rng.getrandbits(w) for w in ws]
+    want = 0
+    for v, w in zip(vs, ws):   # the first operand is the high part
+        want = (want << w) | v
+    ops = " ".join(_bv(v, w) for v, w in zip(vs, ws))
+    return f"(concat {ops})", _bv(want, sum(ws))
+
+
+def _extract_case(rng):
+    w = rng.randint(1, 8)
+    a, lo = rng.getrandbits(w), rng.randrange(w)
+    hi = rng.randrange(lo, w)
+    return (f"((_ extract {hi} {lo}) {_bv(a, w)})",
+            _bv((a >> lo) & _mask(hi - lo + 1), hi - lo + 1))
+
+
+def _zero_extend_case(rng):
+    w, k = rng.randint(1, 6), rng.randint(0, 3)
+    a = rng.getrandbits(w)
+    return f"((_ zero_extend {k}) {_bv(a, w)})", _bv(a, w + k)
+
+
+def _sign_extend_case(rng):
+    w, k = rng.randint(1, 6), rng.randint(0, 3)
+    a = rng.getrandbits(w)
+    sa = a - (1 << w) if a >> (w - 1) else a
+    return f"((_ sign_extend {k}) {_bv(a, w)})", _bv(sa & _mask(w + k), w + k)
+
+
+# wiring and mux heads: head -> draw(rng) giving (application, its value)
+_WIRING = {
+    "ite": _ite_case,
+    "concat": _concat_case,
+    "extract": _extract_case,
+    "zero_extend": _zero_extend_case,
+    "sign_extend": _sign_extend_case,
+}
 
 
 def _random_binop(rng):
@@ -619,14 +701,135 @@ def test_models_are_pinned():
 
 def test_compare_blasting_matches_integer_semantics():
     rng = random.Random(19)
-    for _ in range(40):
+    for _ in range(80):
         w = rng.choice([1, 2, 5, 8])
-        name = rng.choice(["bvult", "bvule", "bvslt", "bvsle"])
+        name = rng.choice(_COMPARES)
         a, b = rng.getrandbits(w), rng.getrandbits(w)
         lit = f"({name} (_ bv{a} {w}) (_ bv{b} {w}))"
         want = _py_cmp(name, a, b, w)
         q = f"(assert {lit})(check-sat)"
         assert _eval_script(q) == ["sat" if want else "unsat"], (name, a, b, w)
+
+
+def _holds_exactly(app, want):
+    """(= app want) is sat and (distinct app want) unsat."""
+    return (_eval_script(f"(assert (= {app} {want}))(check-sat)")
+            == ["sat"]
+            and _eval_script(f"(assert (distinct {app} {want}))(check-sat)")
+            == ["unsat"])
+
+
+def test_unary_blasting_matches_integer_semantics():
+    rng = random.Random(27)
+    for _ in range(30):
+        w = rng.choice([1, 3, 4, 7])
+        name = rng.choice(sorted(_UNARY))
+        a = rng.getrandbits(w)
+        want = _UNARY[name](a, w)
+        assert _holds_exactly(f"({name} {_bv(a, w)})", _bv(want, w)), \
+            (name, a, w)
+
+
+def test_connectives_match_truth_tables():
+    rng = random.Random(28)
+    for name, (least, most, ref) in sorted(_CONNECTIVES.items()):
+        for _ in range(12):
+            xs = [rng.random() < 0.5
+                  for _ in range(rng.randint(least, most))]
+            app = f"({name} {' '.join(_bool(x) for x in xs)})"
+            assert _holds_exactly(app, _bool(ref(xs))), app
+
+
+def test_wiring_heads_match_integer_semantics():
+    rng = random.Random(29)
+    for name, draw in sorted(_WIRING.items()):
+        for _ in range(12):
+            app, want = draw(rng)
+            assert _holds_exactly(app, want), (app, want)
+
+
+def test_every_head_has_an_integer_reference():
+    # a head added to the table without a reference here fails
+    covered = (set(_BINOPS) | set(_COMPARES) | set(_UNARY)
+               | set(_CONNECTIVES) | set(_WIRING))
+    assert covered == set(HEADS)
+
+
+# Each was answered, or crashed the solver, before the head table's one
+# check site: a (declared 4-bit), b (8-bit), p and q (Bool).
+ODD_INPUTS = [
+    ("(assert (bvult b a))", "bvult needs equal operand widths"),
+    ("(assert (= (bvshl a b) b))", "bvshl needs equal operand widths"),
+    ("(assert (not p q))", "wrong operand count for not"),
+    ("(assert (= a a a))", "wrong operand count for ="),
+    ("(assert (= a #b))", "bad literal '#b'"),
+    ("(assert (= a #b12))", "bad literal '#b12'"),
+    ("(assert (= (ite p a b) b))", "ite needs equal operand widths"),
+    ("(assert (= ((_ extract 4 1) a) a))", "extract 4 1 is out of range"),
+    ("(declare-const z (_ BitVec 0))", "width 0 is below 1"),
+    ("(assert (= b #xZZ))", "bad literal '#xZZ'"),
+    ("(assert (= a (_ bvx 4)))", "expected a numeral, got 'x'"),
+    ("(assert (and p a))", "and operand 2 is a BitVec, expected Bool"),
+    ("(assert (ite a p q))", "ite operand 1 is a BitVec, expected Bool"),
+    ("(assert (= p a))", "= operand 2 is a BitVec, expected Bool"),
+    ("(assert ((_ zero_extend) a))", "bad head"),
+    ("(assert (= ((_ zero_extend 1 2) a) b))",
+     "wrong index count for zero_extend"),
+    ("(assert)", "wrong operand count for assert"),
+]
+_ODD_DECLS = ("(declare-const a (_ BitVec 4))(declare-const b (_ BitVec 8))"
+              "(declare-const p Bool)(declare-const q Bool)")
+
+
+@pytest.mark.parametrize("command, message", ODD_INPUTS)
+def test_odd_input_is_rejected(command, message):
+    with pytest.raises(SolverInputError) as e:
+        run_script(_ODD_DECLS + command + "(check-sat)")
+    assert message in str(e.value)
+
+
+def _solver_child(text):
+    return subprocess.run(
+        [sys.executable, "-m", "sketchmap.solver"], input=text.encode(),
+        capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("command, message", ODD_INPUTS)
+def test_odd_input_stops_the_child_with_an_error(command, message):
+    r = _solver_child(_ODD_DECLS + command + "(check-sat)")
+    assert r.returncode == 1
+    assert r.stderr.decode().startswith("(error")
+    assert message in r.stderr.decode()
+    assert b"Traceback" not in r.stderr
+
+
+def _deep_script(depth):
+    """A (bvnot ... (bvnot a)) nest depth deep, which is a itself for an
+    even depth."""
+    nest = "(bvnot " * depth + "a" + ")" * depth
+    return ("(declare-const a (_ BitVec 4))"
+            f"(assert (= {nest} #x5))(check-sat)(get-value (a))")
+
+
+def test_deep_term_in_process():
+    assert _eval_script(_deep_script(100_000)) == ["sat", "((a #b0101))"]
+
+
+def test_deep_term_in_the_child():
+    r = _solver_child(_deep_script(100_000))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.decode().splitlines() == ["sat", "((a #b0101))"]
+
+
+def test_let_binds_in_parallel():
+    # the inner x is bound in the outer scope, where x is the declared one
+    out = _eval_script("""
+        (declare-const x (_ BitVec 4))
+        (assert (= x #x3))
+        (assert (let ((x #x1) (y x)) (= (bvadd x y) #x4)))
+        (check-sat)
+    """)
+    assert out == ["sat"]
 
 
 def test_subprocess_entry_point():

@@ -103,6 +103,18 @@ class TestTermBuilder:
         s = tb.substitute(t, {a: tb.const_of(3, 4), b: tb.const_of(5, 4)})
         assert s.value == _bv((3 * 5 + 3) & 15, 4)
 
+    def test_substitute_deep_chain(self):
+        # 5000 nested adds: far deeper than Python's recursion limit
+        tb = TermBuilder()
+        a = tb.input("a", 0, 8)
+        b = tb.input("b", 0, 8)
+        t = a
+        for _ in range(5000):
+            t = tb.app(Operator("add"), [t, b])
+        assert tb.substitute(t, {b: tb.const_of(0, 8)}) is a
+        s = tb.substitute(t, {a: tb.const_of(3, 8), b: tb.const_of(7, 8)})
+        assert s.value == _bv(3 + 5000 * 7, 8)
+
     def test_width_conflicts_rejected(self):
         tb = TermBuilder()
         tb.input("a", 0, 4)
