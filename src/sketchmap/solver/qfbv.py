@@ -13,15 +13,20 @@ and (_ sign_extend k).
 HEADS states each head once: the sort of its operands, how many operands
 and indices it takes, its width rule and its blaster, the AIG call that
 builds it.  Script.term reads every term in one post-order walk over an
-explicit stack, operands left to right before their application, so AIG
-nodes are made in that order and a deep term needs no Python frames.
-_check is the one place an application meets its entry: a wrong operand
-or index count, an operand of the wrong sort, unequal widths where the
-entry wants equal ones, and an extract outside its operand raise
-SolverInputError naming the head, as the FixedSizeBitVectors theory of
-SMT-LIB 2.6 rules them out.  Literals and sorts go through read_literal
-and read_sort, which reject bad digits and widths below 1; the mapper
-reads solver models with the same reader.
+explicit stack of frames, operands left to right before their
+application, so AIG nodes are made in that order and a deep term needs
+no Python frames.  _check is the one place an application meets its
+entry: a wrong operand or index count, an operand of the wrong sort,
+unequal widths where the entry wants equal ones, and an extract outside
+its operand raise SolverInputError naming the head.  The sort and width
+rules are those of SMT-LIB 2.6's FixedSizeBitVectors theory; the operand
+counts are this solver's own.  It takes = and distinct on two operands
+only, where SMT-LIB also allows more (the mapper never emits them), and
+it answers some forms SMT-LIB leaves undefined, such as (and), (xor p),
+(bvadd a), and concat and bvsub on more than two operands.
+Literals and sorts go through read_literal and read_sort, which reject
+bad digits and widths below 1; the mapper reads solver models with the
+same reader.
 
 One check-sat per reset (matching what the mapper emits): reset forgets
 every declaration, assertion and answer, so one Script can serve a stream
@@ -130,7 +135,7 @@ def _brief(t) -> str:
 
 
 def _numeral(s) -> int:
-    if isinstance(s, str) and s.isascii() and s.isdigit():
+    if type(s) is str and s.isdigit() and s.isascii():
         return int(s)
     raise SolverInputError(f"expected a numeral, got {_brief(s)}")
 
@@ -319,8 +324,6 @@ def _check(name: str, head: Head, xs: list, ix) -> tuple:
     if len(ix) != head.nindex:
         raise SolverInputError(f"wrong index count for {name}: got "
                                f"{len(ix)}, takes {head.nindex}")
-    if ix:
-        ix = tuple(map(_numeral, ix))
     first = 0
     if head.cond:
         if type(xs[0]) is not BOOL:
@@ -328,23 +331,27 @@ def _check(name: str, head: Head, xs: list, ix) -> tuple:
                                    "expected Bool")
         first = 1
     sort = head.sort or type(xs[first])
-    equal = head.width is EQUAL and sort is BITVEC
-    w = len(xs[first]) if sort is BITVEC else 0
     for k in range(first, n):
-        x = xs[k]
-        if type(x) is not sort:
+        if type(xs[k]) is not sort:
             raise SolverInputError(
-                f"{name} operand {k + 1} is a {_SORT_NAME[type(x)]}, "
+                f"{name} operand {k + 1} is a {_SORT_NAME[type(xs[k])]}, "
                 f"expected {_SORT_NAME[sort]}")
-        if equal and len(x) != w:
-            widths = ", ".join(str(len(x)) for x in xs[first:])
-            raise SolverInputError(
-                f"{name} needs equal operand widths, got {widths}")
-    if head.width is RANGE:
-        hi, lo = ix
-        if not 0 <= lo <= hi < w:
-            raise SolverInputError(
-                f"{name} {hi} {lo} is out of range for width {w}")
+    # every operand has the sort now, so a BitVec one has a width
+    if head.width is EQUAL and sort is BITVEC:
+        w = len(xs[first])
+        for k in range(first + 1, n):
+            if len(xs[k]) != w:
+                widths = ", ".join(str(len(x)) for x in xs[first:])
+                raise SolverInputError(
+                    f"{name} needs equal operand widths, got {widths}")
+    if ix:
+        ix = tuple(map(_numeral, ix))
+        if head.width is RANGE:
+            hi, lo = ix
+            w = len(xs[0])
+            if not 0 <= lo <= hi < w:
+                raise SolverInputError(
+                    f"{name} {hi} {lo} is out of range for width {w}")
     return ix
 
 
@@ -352,7 +359,7 @@ def _check(name: str, head: Head, xs: list, ix) -> tuple:
 
 
 class _Bind:
-    """Bind names to the last len(names) values, then evaluate body."""
+    """Bind names to a let's values, then read body."""
 
     __slots__ = ("names", "body")
 
@@ -385,83 +392,77 @@ class Script:
         """The value of term t over the declared and defined symbols.  let
         binds in parallel, every binding read in the outer scope;
         ! annotations are read through."""
-        # Each entry is (term, scope) or a pending step, the next one
-        # last: ((name, entry, operand count, index tokens), None) applies
-        # a head to the last values, (_Bind, scope) binds them.  Atoms
-        # make no AIG nodes, so an application of atoms alone is applied
-        # at once.
-        todo = [(t, self.env)]
-        vals = []   # the values of the terms done so far
-        while todo:
-            t, scope = todo.pop()
-            kind = type(t)
-            if kind is str:
-                vals.append(self._leaf(t, scope))
-            elif kind is tuple:
-                name, entry, n, ix = t
-                cut = len(vals) - n
-                xs = vals[cut:]
-                del vals[cut:]
-                vals.append(self._blast(name, entry, xs, ix))
-            elif kind is _Bind:
-                cut = len(vals) - len(t.names)
-                inner = dict(scope)
-                inner.update(zip(t.names, vals[cut:]))
-                del vals[cut:]
-                todo.append((t.body, inner))
-            elif not t:
-                raise SolverInputError("empty term")
-            else:
+        # A frame is a list of operands being read left to right: ops[i:]
+        # are still to read, xs holds the values read so far, and at the
+        # end step turns xs into the frame's value, which is appended to
+        # the xs of the frame below.  step is (name, entry, index tokens)
+        # for an application, a _Bind for the bindings of a let, or None
+        # for one operand read through (t itself, a ! term, a let body).
+        ops, i, xs, scope, step = (t,), 0, [], self.env, None
+        frames = []   # the frames below, innermost last
+        while True:
+            if i < len(ops):
+                t = ops[i]
+                i += 1
+                if type(t) is str:
+                    if t.startswith("#") or t == "true" or t == "false":
+                        xs.append(self._constant(t))
+                        continue
+                    v = scope.get(t)
+                    if v is None:
+                        raise SolverInputError(f"unknown symbol {t!r}")
+                    xs.append(v)
+                    continue
+                if not t:
+                    raise SolverInputError("empty term")
                 head = t[0]
+                if head == "_":
+                    xs.append(self._constant(t))
+                    continue
+                frames.append((ops, i, xs, scope, step))
+                i, xs = 0, []
                 if head == "!":
                     if len(t) < 2:
                         raise SolverInputError("! without a term")
-                    todo.append((t[1], scope))
-                    continue
-                if head == "let":
+                    ops, step = (t[1],), None
+                elif head == "let":
                     pairs = t[1] if len(t) == 3 else None
                     if not isinstance(pairs, list) or not all(
                             isinstance(p, list) and len(p) == 2
                             and isinstance(p[0], str) for p in pairs):
                         raise SolverInputError(f"bad let {_brief(t)}")
-                    # in parallel: every binding in the outer scope
-                    todo.append((_Bind([p[0] for p in pairs], t[2]), scope))
-                    todo += [(p[1], scope) for p in reversed(pairs)]
-                    continue
-                if head == "_":
-                    vals.append(self._constant(t))
-                    continue
-                if isinstance(head, str):
-                    name, ix = head, ()
-                elif (len(head) >= 3 and head[0] == "_"
-                        and isinstance(head[1], str)):
-                    name, ix = head[1], head[2:]
+                    ops = [p[1] for p in pairs]
+                    step = _Bind([p[0] for p in pairs], t[2])
                 else:
-                    raise SolverInputError(f"bad head {_brief(head)}")
-                entry = HEADS.get(name)
-                if entry is None:
-                    raise SolverInputError(f"unsupported operator {name!r}")
-                ops = t[1:]
-                for x in ops:
-                    if type(x) is not str:
-                        todo.append(((name, entry, len(ops), ix), None))
-                        todo += [(x, scope) for x in reversed(ops)]
-                        break
-                else:   # only atoms: apply at once
-                    xs = [self._leaf(x, scope) for x in ops]
-                    vals.append(self._blast(name, entry, xs, ix))
-        return vals[0]
-
-    def _blast(self, name: str, entry: Head, xs: list, ix):
-        return entry.blast(self.aig, xs, _check(name, entry, xs, ix))
-
-    def _leaf(self, t: str, scope: dict[str, object]):
-        if t.startswith("#") or t == "true" or t == "false":
-            return self._constant(t)
-        v = scope.get(t)
-        if v is None:
-            raise SolverInputError(f"unknown symbol {t!r}")
-        return v
+                    if isinstance(head, str):
+                        name, ix = head, ()
+                    elif (len(head) >= 3 and head[0] == "_"
+                            and isinstance(head[1], str)):
+                        name, ix = head[1], head[2:]
+                    else:
+                        raise SolverInputError(f"bad head {_brief(head)}")
+                    entry = HEADS.get(name)
+                    if entry is None:
+                        raise SolverInputError(
+                            f"unsupported operator {name!r}")
+                    ops, i, step = t, 1, (name, entry, ix)
+                continue
+            # every operand read
+            if step is None:
+                v = xs[0]
+            elif type(step) is _Bind:
+                # in parallel: the bindings were read in the outer scope
+                scope = dict(scope)
+                scope.update(zip(step.names, xs))
+                ops, i, xs, step = (step.body,), 0, [], None
+                continue
+            else:
+                name, entry, ix = step
+                v = entry.blast(self.aig, xs, _check(name, entry, xs, ix))
+            if not frames:
+                return v
+            ops, i, xs, scope, step = frames.pop()
+            xs.append(v)
 
     def _constant(self, t):
         lit = read_literal(t)
@@ -488,10 +489,11 @@ class Script:
         head = cmd[0]
         if head in ("set-logic", "set-option", "set-info"):
             return
-        if head in _OPERANDS and len(cmd) - 1 != _OPERANDS[head]:
+        n = _OPERANDS.get(head)
+        if n is not None and len(cmd) - 1 != n:
             raise SolverInputError(
                 f"wrong operand count for {head}: got {len(cmd) - 1}, "
-                f"takes {_OPERANDS[head]}")
+                f"takes {n}")
         if head == "echo":
             if not isinstance(cmd[1], str):
                 raise SolverInputError("echo takes a string")

@@ -772,6 +772,12 @@ ODD_INPUTS = [
     ("(assert (and p a))", "and operand 2 is a BitVec, expected Bool"),
     ("(assert (ite a p q))", "ite operand 1 is a BitVec, expected Bool"),
     ("(assert (= p a))", "= operand 2 is a BitVec, expected Bool"),
+    ("(assert (= (bvnot p) a))", "bvnot operand 1 is a Bool"),
+    ("(assert (= (bvadd p a) a))", "bvadd operand 1 is a Bool"),
+    ("(assert (bvult p q))", "bvult operand 1 is a Bool"),
+    ("(assert (= (concat p a) b))", "concat operand 1 is a Bool"),
+    ("(assert (= ((_ extract 0 0) p) a))",
+     "extract operand 1 is a Bool, expected BitVec"),
     ("(assert ((_ zero_extend) a))", "bad head"),
     ("(assert (= ((_ zero_extend 1 2) a) b))",
      "wrong index count for zero_extend"),
