@@ -427,7 +427,8 @@ def packaged_arch_path(name: str) -> str:
 
 def _load_model(impl: InterfaceImpl, arch: ArchDescription
                 ) -> tuple[Prog, dict[str, int], tuple[tuple[str, int], ...]]:
-    """(semantics, free-var widths, packed outputs MSB-first).
+    """(semantics, free-var widths, packed outputs MSB-first), each
+    packed output as wide as the interface declares it.
 
     Built once per implementation and architecture, on first use, and
     shared after that: callers copy the semantics onto fresh ids and
@@ -436,6 +437,12 @@ def _load_model(impl: InterfaceImpl, arch: ArchDescription
     if hit is not None and hit[0] is impl:
         return hit[1]
     model = _read_model(impl, arch)
+    declared = dict(impl.interface.outputs)
+    for name, w in model[2]:
+        if declared.get(name) != w:
+            raise WidthMismatch(
+                f"{impl.module_name}: model output {name!r} is {w} bits "
+                f"but {impl.interface.name} declares {declared.get(name)}")
     arch._models[id(impl)] = (impl, model)  # holding impl pins its id
     return model
 

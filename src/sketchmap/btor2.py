@@ -12,8 +12,8 @@ has fully defined register semantics.
 from dataclasses import dataclass
 
 from .ir import (
-    BV, BitVec, Op, Operator, Prog, Reg, SketchmapError, Var,
-    check_well_formed,
+    BV, OPS, BitVec, Op, Operator, Prog, Reg, SketchmapError, Var,
+    WidthError, check_well_formed, op_result_width,
 )
 
 __all__ = [
@@ -44,13 +44,15 @@ class MultipleOutputs(SketchmapError):
     """More than one output; import once per output instead."""
 
 
-_UNARY = {"not": "not", "neg": "neg", "redor": "reduce_or",
-          "redand": "reduce_and"}
-_BINARY = {"and": "and", "or": "or", "xor": "xor", "add": "add",
-           "sub": "sub", "mul": "mul", "eq": "eq", "neq": None,
-           "ult": "ult", "ulte": "ule", "slt": "slt", "slte": "sle",
-           "sll": "shl", "srl": "lshr", "sra": "ashr",
-           "concat": "concat"}
+# btor2 operator kind -> IR operator, whose arity and index count ir.OPS
+# gives; neq is eq under not.
+_OPS = {"not": "not", "neg": "neg", "redor": "reduce_or",
+        "redand": "reduce_and", "and": "and", "or": "or", "xor": "xor",
+        "add": "add", "sub": "sub", "mul": "mul", "eq": "eq", "neq": "eq",
+        "ult": "ult", "ulte": "ule", "slt": "slt", "slte": "sle",
+        "sll": "shl", "srl": "lshr", "sra": "ashr", "concat": "concat",
+        "ite": "mux", "slice": "extract", "uext": "zero_extend",
+        "sext": "sign_extend"}
 _UNSUPPORTED = {"read", "write", "bad", "justice", "fair", "constraint",
                 "udiv", "urem", "sdiv", "srem", "smod", "iff", "implies",
                 "sgt", "sgte", "ugt", "ugte", "rol", "ror", "nand",
@@ -85,9 +87,12 @@ def _int(tok: str, lineno: int, what: str) -> int:
 
 
 def parse_btor2(text: str) -> list[Btor2Line]:
-    """Tokenize and structurally validate a btor2 document."""
+    """Tokenize and structurally validate a btor2 document, checking the
+    widths of each operator, init and next line against its declared
+    sort."""
     lines: list[Btor2Line] = []
     seen: dict[int, Btor2Line] = {}
+    width: dict[int, int] = {}      # node id -> bit width
 
     def ref(tok: str, lineno: int, signed: bool = False) -> int:
         v = _int(tok, lineno, "node reference")
@@ -150,38 +155,38 @@ def parse_btor2(text: str) -> list[Btor2Line]:
             need(1)
             args = (ref(rest[0], lineno, True),)
             symbol = rest[1] if len(rest) > 1 else None
-        elif kind in _UNARY:
-            need(2)
+        elif kind in _OPS:
+            spec = OPS[_OPS[kind]]
+            need(1 + spec.arity + spec.nparams)
             sort = ref(rest[0], lineno)
-            args = (ref(rest[1], lineno, True),)
-        elif kind in _BINARY:
-            need(3)
-            sort = ref(rest[0], lineno)
-            args = (ref(rest[1], lineno, True),
-                    ref(rest[2], lineno, True))
-        elif kind == "ite":
-            need(4)
-            sort = ref(rest[0], lineno)
-            args = tuple(ref(t, lineno, True) for t in rest[1:4])
-        elif kind == "slice":
-            need(4)
-            sort = ref(rest[0], lineno)
-            args = (ref(rest[1], lineno, True),)
-            params = (_int(rest[2], lineno, "upper bound"),
-                      _int(rest[3], lineno, "lower bound"))
-        elif kind in ("uext", "sext"):
-            need(3)
-            sort = ref(rest[0], lineno)
-            args = (ref(rest[1], lineno, True),)
-            params = (_int(rest[2], lineno, "extension"),)
+            args = tuple(ref(t, lineno, True)
+                         for t in rest[1:1 + spec.arity])
+            params = tuple(_int(t, lineno, "index")
+                           for t in rest[1 + spec.arity:][:spec.nparams])
         else:
             raise Unsupported(lineno, kind)
 
         if sort is not None and seen[sort].kind != "sort":
             raise ParseError(lineno, f"id {sort} is not a sort")
         for a in args:
-            if seen[abs(a)].kind == "sort":
-                raise ParseError(lineno, f"id {a} is a sort, not a node")
+            if abs(a) not in width:
+                raise ParseError(lineno, f"id {a} is not a node")
+        got = []        # widths that must equal the declared sort's
+        if kind in ("init", "next"):
+            got = [width[abs(a)] for a in args]
+        elif kind in _OPS:
+            try:
+                got = [op_result_width(Operator(_OPS[kind], params),
+                                       [width[abs(a)] for a in args])]
+            except WidthError as e:
+                raise ParseError(lineno, f"id {nid}: {e}") from None
+        for w in got:
+            if w != seen[sort].value:
+                raise ParseError(
+                    lineno, f"id {nid}: {kind} has {w} bits but its "
+                    f"sort {sort} has {seen[sort].value}")
+        if sort is not None and kind not in ("init", "next"):
+            width[nid] = seen[sort].value
         line = Btor2Line(nid, kind, sort, args, params, value, symbol)
         lines.append(line)
         seen[nid] = line
@@ -240,34 +245,12 @@ def to_prog(lines: list[Btor2Line], name: str = "imported"
         elif ln.kind == "state":
             states.append(ln)
             node_ids[ln.id] = alloc(None)   # patched after next-resolution
-        elif ln.kind in _UNARY:
-            node_ids[ln.id] = alloc(
-                Op(Operator(_UNARY[ln.kind]), (operand(ln.args[0]),)))
-        elif ln.kind == "neq":
-            eq = alloc(Op(Operator("eq"), (operand(ln.args[0]),
-                                           operand(ln.args[1]))))
-            node_ids[ln.id] = alloc(Op(Operator("not"), (eq,)))
-        elif ln.kind in _BINARY:
-            node_ids[ln.id] = alloc(
-                Op(Operator(_BINARY[ln.kind]),
-                   (operand(ln.args[0]), operand(ln.args[1]))))
-        elif ln.kind == "ite":
-            node_ids[ln.id] = alloc(
-                Op(Operator("mux"), tuple(operand(a) for a in ln.args)))
-        elif ln.kind == "slice":
-            hi, lo = ln.params
-            node_ids[ln.id] = alloc(
-                Op(Operator("extract", (hi, lo)), (operand(ln.args[0]),)))
-        elif ln.kind == "uext":
-            node_ids[ln.id] = alloc(
-                Op(Operator("zero_extend", (ln.params[0],)),
-                   (operand(ln.args[0]),)))
-        elif ln.kind == "sext":
-            node_ids[ln.id] = alloc(
-                Op(Operator("sign_extend", (ln.params[0],)),
-                   (operand(ln.args[0]),)))
-        else:  # pragma: no cover - parse_btor2 already filtered
-            raise Unsupported(ln.id, ln.kind)
+        else:
+            node = alloc(Op(Operator(_OPS[ln.kind], ln.params),
+                            tuple(operand(a) for a in ln.args)))
+            if ln.kind == "neq":
+                node = alloc(Op(Operator("not"), (node,)))
+            node_ids[ln.id] = node
 
     for st in states:
         sym = st.symbol or f"state{st.id}"

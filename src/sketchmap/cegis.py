@@ -16,9 +16,9 @@ means no hole assignment can work: the sketch cannot express the spec.
 The counterexample set is seeded with a few deterministic pseudo-random
 environments before the first SYNTH call.  Any environment is a sound
 member (the final program must agree on all of them); seeding just saves
-solver round-trips.  Progress is asserted every iteration: a VERIFY
-counterexample that was already in the set would mean the loop cannot
-terminate, so it raises instead.
+solver round-trips.  Each environment is substituted once, as it joins.
+Progress is asserted every iteration: a VERIFY counterexample already in
+the set would mean the loop cannot terminate, so it raises instead.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Optional, Union
 
 from .interp import Stream, simulate
@@ -85,12 +84,15 @@ def _random_envs(query: EquivalenceQuery, count: int, seed: int
     return out
 
 
-def _subst_inputs(query: EquivalenceQuery, term: Term, env: CexEnv) -> Term:
+def _subst_inputs(query: EquivalenceQuery, env: CexEnv) -> list[Term]:
+    """The equalities with env's values (0 where env has none) in place of
+    the input symbols, substituted through one memo."""
     tb = query.builder
     mapping = {s: tb.const(env.get((s.name, s.time),
                                    BitVec.of(0, s.width)))
                for s in query.input_symbols}
-    return tb.substitute(term, mapping)
+    memo: dict = {}
+    return [tb.substitute(eq, mapping, memo) for eq in query.equal_terms]
 
 
 def _decode_assignment(query: EquivalenceQuery,
@@ -163,28 +165,27 @@ def cegis(query: EquivalenceQuery,
                                session=session)
 
     tb = query.builder
-    one = tb.const_of(1, 1)
-    cexs: list[CexEnv] = _random_envs(query, initial_samples, seed)
-    iterations = 0
-    last_winner = "none"
+    zero, one = tb.const_of(0, 1), tb.const_of(1, 1)
+    # SYNTH asserts the side constraints and each environment's equalities;
+    # a constant 1 holds for every hole value, a constant 0 is infeasible
+    synth_asserts = [g for g in query.side_constraints if g is not one]
+    cexs: list[CexEnv] = []
 
+    def learn(env: CexEnv) -> None:
+        cexs.append(env)
+        synth_asserts.extend(g for g in _subst_inputs(query, env)
+                             if g is not one)
+
+    for env in _random_envs(query, initial_samples, seed):
+        learn(env)
+    iterations, last_winner = 0, "none"
     try:
         while True:
             iterations += 1
             if remaining() <= 0:
                 return Timeout(time.monotonic() - start, iterations)
-
-            # SYNTH over the accumulated environments: a constant 0 is
-            # infeasible, a constant 1 holds for every hole value
-            synth_asserts = []
-            for g in chain(query.side_constraints,
-                           (_subst_inputs(query, eq, env) for env in cexs
-                            for eq in query.equal_terms)):
-                if g.kind == "const":
-                    if g.value.value == 0:
-                        return Unsat(time.monotonic() - start, iterations)
-                    continue
-                synth_asserts.append(g)
+            if zero in synth_asserts:
+                return Unsat(time.monotonic() - start, iterations)
 
             if synth_asserts or query.hole_symbols:
                 r = solve(synth_asserts, query.hole_symbols,
@@ -201,16 +202,15 @@ def cegis(query: EquivalenceQuery,
             # VERIFY the candidate over all inputs
             hole_map = {s: tb.const(by_label[s.label])
                         for s in query.hole_symbols}
-            subbed = [tb.substitute(eq, hole_map)
-                      for eq in query.equal_terms]
+            memo: dict = {}
             for sc in query.side_constraints:
-                g = tb.substitute(sc, hole_map)
-                if not (g.kind == "const" and g.value.value == 1):
+                if tb.substitute(sc, hole_map, memo) is not one:
                     raise SolverError(
                         "SYNTH model violates a side constraint")
             conj = one
-            for g in subbed:
-                conj = tb.app(Operator("and"), [conj, g])
+            for eq in query.equal_terms:
+                conj = tb.app(Operator("and"),
+                              [conj, tb.substitute(eq, hole_map, memo)])
             refute = tb.app(Operator("not"), [conj])
             if refute.kind == "const":
                 if refute.value.value == 1:
@@ -234,7 +234,7 @@ def cegis(query: EquivalenceQuery,
                         raise SolverError(
                             "CEGIS made no progress: VERIFY returned an "
                             "environment already in the set")
-                    cexs.append(env)
+                    learn(env)
 
             if verified:
                 program = substitute_holes(query.sketch, node_assignment)

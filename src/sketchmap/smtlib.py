@@ -1,10 +1,12 @@
 """Deterministic SMT-LIB2 (QF_BV) emission and model parsing.
 
-Terms are emitted as a flat chain of 0-ary define-funs in first-visit
-topological order, so shared subterms are written once and the script
-never nests deeply.  Width-1 terms standing for booleans are asserted as
-(= term #b1); the eq/compare family is emitted through (ite ... #b1 #b0)
-so every term stays bit-vector sorted.
+Terms are emitted as a flat chain of 0-ary define-funs in post-order
+(terms.postorder), so shared subterms are written once and the script
+never nests deeply.  The same walk names each input and hole symbol it
+meets, and those, with the symbols the caller asks to declare or read
+back, are the script's declare-consts.  Width-1 terms standing for
+booleans are asserted as (= term #b1); the eq/compare family is emitted
+through (ite ... #b1 #b0) so every term stays bit-vector sorted.
 
 Byte-for-byte determinism is a contract: the same query object emits the
 same script, which keeps solver behavior and test logs reproducible.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import re
 
 from .ir import OPS, BitVec, SketchmapError
-from .terms import Term
+from .terms import Term, postorder
 
 
 def _sanitize(name: str) -> str:
@@ -38,33 +40,31 @@ class _Emitter:
     def __init__(self):
         self.lines: list[str] = []
         self.names: dict[int, str] = {}  # id(term) -> emitted name/literal
+        self.symbols: dict[str, Term] = {}  # declared name -> symbol term
         self.counter = 0
+
+    def symbol(self, s: Term) -> str:
+        """s's name, recorded for declaration; two symbols may not share
+        one name."""
+        n = symbol_name(s)
+        if self.symbols.setdefault(n, s) is not s:
+            raise SketchmapError(f"symbol name collision on {n!r}")
+        return n
 
     def ref(self, t: Term) -> str:
         """t's name or literal, first emitting the definitions of t and of
-        every term below it not yet named, each after its operands, left
-        to right.  The walk keeps its own stack, so a deep term costs no
-        Python frames."""
+        every term below it not yet named."""
         names = self.names
-        stack = [(t, False)]   # (term, operands named)
-        while stack:
-            x, ready = stack.pop()
-            if ready:
+        for x in postorder(t, names):
+            if x.kind == "const":
+                s = _bits(x.value)
+            elif x.kind in ("input", "hole"):
+                s = self.symbol(x)
+            else:
                 s = f"t{self.counter}"
                 self.counter += 1
                 self.lines.append(f"(define-fun {s} () (_ BitVec {x.width}) "
                                   f"{self._expr(x)})")
-            elif id(x) in names:
-                continue
-            elif x.kind == "const":
-                s = _bits(x.value)
-            elif x.kind in ("input", "hole"):
-                s = symbol_name(x)
-            else:
-                stack.append((x, True))
-                stack += [(a, False) for a in reversed(x.args)
-                          if id(a) not in names]
-                continue
             names[id(x)] = s
         return names[id(t)]
 
@@ -83,37 +83,21 @@ def emit_smtlib(asserts: list[Term], declare: list[Term],
     """Render a full script.
 
     asserts: width-1 terms, each asserted equal to #b1 as a named
-    assertion.  declare: symbol terms to declare-const (leaves of the
-    asserts are added automatically).  get_values: symbols to query after
+    assertion.  declare: symbol terms to declare-const (the symbols the
+    asserts reach are declared too).  get_values: symbols to query after
     a sat answer.  Returns (script text, emitted-name -> symbol term).
     """
-    from .terms import term_leaves
-
-    syms: dict[int, Term] = {id(s): s for s in declare}
-    for a in asserts:
-        ins, holes = term_leaves(a)
-        for s in ins | holes:
-            syms[id(s)] = s
-    for s in get_values:
-        syms[id(s)] = s
-
-    by_name: dict[str, Term] = {}
-    for s in syms.values():
-        n = symbol_name(s)
-        if n in by_name and by_name[n] is not s:
-            raise SketchmapError(f"symbol name collision on {n!r}")
-        by_name[n] = s
-
     em = _Emitter()
-    out = ["(set-option :produce-models true)", "(set-logic QF_BV)"]
-    for n in sorted(by_name):
-        out.append(f"(declare-const {n} (_ BitVec {by_name[n].width}))")
+    for s in (*declare, *get_values):
+        em.symbol(s)
     body: list[str] = []
     for k, a in enumerate(asserts):
         if a.width != 1:
             raise SketchmapError("asserted terms must have width 1")
-        r = em.ref(a)
-        body.append(f"(assert (! (= {r} #b1) :named a{k}))")
+        body.append(f"(assert (! (= {em.ref(a)} #b1) :named a{k}))")
+    out = ["(set-option :produce-models true)", "(set-logic QF_BV)"]
+    for n in sorted(em.symbols):
+        out.append(f"(declare-const {n} (_ BitVec {em.symbols[n].width}))")
     out.extend(em.lines)
     out.extend(body)
     out.append("(check-sat)")
@@ -121,7 +105,7 @@ def emit_smtlib(asserts: list[Term], declare: list[Term],
         names = " ".join(symbol_name(s) for s in get_values)
         out.append(f"(get-value ({names}))")
     out.append("(exit)")
-    return "\n".join(out) + "\n", by_name
+    return "\n".join(out) + "\n", em.symbols
 
 
 def parse_solver_output(text: str) -> tuple[str, dict[str, BitVec]]:

@@ -6,10 +6,10 @@ piped in whole and a long-lived session that sends query after query,
 each opened by (reset) and closed by an (echo ...) the parent waits for.
 
 Input the solver cannot take (a malformed s-expression, an unsupported
-command or head, an ill-sorted term, a bad literal) stops it with
-(error "...") on stderr and exit code 1; terms are read without
-recursion, so their depth is bounded by memory alone.  At the end of the
-input the exit code is 0.
+command or head, an ill-sorted term, a bad literal, a width or index too
+large to represent or to allocate) stops it with (error "...") on stderr
+and exit code 1; terms are read without recursion, so their depth is
+bounded by memory alone.  At the end of the input the exit code is 0.
 """
 
 import sys
@@ -31,6 +31,12 @@ def main() -> int:
         reader.finish()
     except SolverInputError as e:
         print(f"(error \"{e}\")", file=sys.stderr)
+        return 1
+    except OverflowError as e:
+        print(f"(error \"too large: {e}\")", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("(error \"out of memory\")", file=sys.stderr)
         return 1
     return 0
 

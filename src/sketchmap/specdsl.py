@@ -101,44 +101,55 @@ def lower(expr, b: ProgBuilder, leaf: Callable[[str], tuple[Id, int]],
     constant -- or an ir.OPS operator, whose params come first and whose
     arity and width rule the table gives.  ``concat`` takes two or more
     operands, the first most significant, folding to the right.  Nodes are
-    allocated in post-order.  Raises ParseError for a malformed expression
-    and WidthError when a width rule fails.
+    allocated in post-order; the walk keeps its own stack, so a deep
+    expression costs no Python frames.  Raises ParseError for a malformed
+    expression and WidthError when a width rule fails.
     """
-    if isinstance(expr, str):
-        try:
-            return leaf(expr)
-        except KeyError:
-            raise ParseError(f"unknown name {expr!r}") from None
-    if not expr:
-        raise ParseError("empty expression ()")
-    head, args = expr[0], expr[1:]
-    if not isinstance(head, str) or head not in heads:
-        raise ParseError(f"unknown operator {head!r}")
-    if head == "bv":
-        if len(args) != 2:
-            raise ParseError(f"bv takes 2 operands, got {len(args)}")
-        value, width = (_int(a, "bv operand") for a in args)
-        if width <= 0:
-            raise WidthError(f"bv width must be positive, got {width}")
-        return b.bv(value, width), width
-    name = _IR_NAME.get(head, head)
-    spec = OPS[name]
-    want = spec.nparams + spec.arity
-    nary = name == "concat"
-    if len(args) < want if nary else len(args) != want:
-        raise ParseError(f"{head} takes {want}{'+' if nary else ''} "
-                         f"operands, got {len(args)}")
-    op = Operator(name, tuple(_int(a, f"{head} parameter")
-                              for a in args[:spec.nparams]))
-    parts = [lower(a, b, leaf, heads) for a in args[spec.nparams:]]
-    if nary:
-        out, w = parts[-1]
-        for x, wx in reversed(parts[:-1]):
-            w = op_result_width(op, [wx, w])
-            out = b.add(Op(op, (x, out)))
-        return out, w
-    w = op_result_width(op, [wx for _, wx in parts])
-    return b.add(Op(op, tuple(x for x, _ in parts))), w
+    # todo holds the expressions still to lower, the next one last; an
+    # Operator there builds itself over the last values in done
+    done: list[tuple[Id, int]] = []     # (id, width) of lowered values
+    todo: list = [expr]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Operator):
+            n = OPS[e.name].arity
+            parts = done[-n:]
+            del done[-n:]
+            w = op_result_width(e, [wx for _, wx in parts])
+            done.append((b.add(Op(e, tuple(x for x, _ in parts))), w))
+            continue
+        if isinstance(e, str):
+            try:
+                done.append(leaf(e))
+            except KeyError:
+                raise ParseError(f"unknown name {e!r}") from None
+            continue
+        if not e:
+            raise ParseError("empty expression ()")
+        head, args = e[0], e[1:]
+        if not isinstance(head, str) or head not in heads:
+            raise ParseError(f"unknown operator {head!r}")
+        if head == "bv":
+            if len(args) != 2:
+                raise ParseError(f"bv takes 2 operands, got {len(args)}")
+            value, width = (_int(a, "bv operand") for a in args)
+            if width <= 0:
+                raise WidthError(f"bv width must be positive, got {width}")
+            done.append((b.bv(value, width), width))
+            continue
+        name = _IR_NAME.get(head, head)
+        spec = OPS[name]
+        want = spec.nparams + spec.arity
+        nary = name == "concat"
+        if len(args) < want if nary else len(args) != want:
+            raise ParseError(f"{head} takes {want}{'+' if nary else ''} "
+                             f"operands, got {len(args)}")
+        todo.append(Operator(name, tuple(_int(a, f"{head} parameter")
+                                         for a in args[:spec.nparams])))
+        if len(args) > want:    # (concat x y z) is (concat x (concat y z))
+            args = [args[0], [head, *args[1:]]]
+        todo += reversed(args[spec.nparams:])
+    return done[0]
 
 
 def _read(text: str):

@@ -109,8 +109,6 @@ class EquivalenceQuery:
     only.  input_symbols covers every (name, cycle) either side reads.
     """
 
-    spec_terms: list[Term]
-    sketch_terms: list[Term]
     equal_terms: list[Term]
     side_constraints: list[Term]
     input_symbols: list[Term]
@@ -171,12 +169,8 @@ def build_query(spec: Prog, sketch: Sketch, t: int, c: int
             raise WidthError("side constraints must have width 1")
         side.append(ct)
 
-    ins: set[Term] = set()
-    hols: set[Term] = set()
-    for x in equal_terms + side + spec_all[t:] + sketch_all[t:]:
-        i2, h2 = term_leaves(x)
-        ins |= i2
-        hols |= h2
+    ins, hols = term_leaves(*equal_terms, *side, *spec_all[t:],
+                            *sketch_all[t:])
     # every hole the sketch declares gets a symbol even if folding dropped
     # it from the equalities: the model must still assign it
     for label, spec_h in sketch.holes.items():
@@ -188,8 +182,6 @@ def build_query(spec: Prog, sketch: Sketch, t: int, c: int
                 hols.add(tb.hole(label, w))
 
     return EquivalenceQuery(
-        spec_terms=spec_all[t:],
-        sketch_terms=sketch_all[t:],
         equal_terms=equal_terms,
         side_constraints=side,
         input_symbols=sorted(ins, key=lambda s: (s.name, s.time)),

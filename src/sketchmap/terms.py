@@ -19,16 +19,22 @@ concrete semantics of the operator table (ir.OPS) bit for bit:
 
 The agreement of all this with the concrete interpreter is pinned by a
 randomized test over full programs.
+
+postorder is the one walk over terms: substitution, evaluation, leaf
+collection and SMT-LIB emission are loops over it.  It keeps its own
+stack and skips every term the caller has already handled, so a deep
+term costs no Python frames and a shared subterm is visited once.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Container, Iterator, Optional
 
 from .interp import eval_op
-from .ir import ArityError, BitVec, Operator, WidthError, op_result_width
+from .ir import BitVec, Operator, WidthError, op_result_width
 
 _DIST_LIMIT = 64  # max ite-tree size eligible for distribution
+_MUX = Operator("mux")
 
 
 class Term:
@@ -57,15 +63,33 @@ class Term:
             self.ite_size = None
 
     def __repr__(self):
+        """One level: operands show only their kind and width."""
         if self.kind == "const":
             return f"<{self.value}>"
         if self.kind == "input":
             return f"<{self.name}@{self.time}:{self.width}>"
         if self.kind == "hole":
             return f"<?{self.label}:{self.width}>"
-        if self.kind == "ite":
-            return f"<ite {self.args!r}>"
-        return f"<{self.op} {self.args!r}>"
+        return f"<{self.op or 'ite'} " + " ".join(
+            f"{a.kind}:{a.width}" for a in self.args) + ">"
+
+
+def postorder(t: Term, done: Container[int]) -> Iterator[Term]:
+    """Yield t and every term below it whose id is not in done, each
+    after its operands, left to right.  The caller must put each yielded
+    term's id into done before taking the next one; the walk keeps its
+    own stack, so a deep term costs no Python frames."""
+    stack = [(t, False)]   # (term, operands yielded)
+    while stack:
+        x, ready = stack.pop()
+        if id(x) in done:
+            continue
+        if ready or not x.args:
+            yield x
+        else:
+            stack.append((x, True))
+            stack += [(a, False) for a in reversed(x.args)
+                      if id(a) not in done]
 
 
 class TermBuilder:
@@ -258,79 +282,61 @@ class TermBuilder:
     def substitute(self, t: Term, mapping: dict[Term, Term],
                    memo: Optional[dict] = None) -> Term:
         """Replace leaf terms (inputs/holes) per mapping, rebuilding (and
-        thus refolding) everything above, each term after its operands,
-        left to right.  The walk keeps its own stack, so a deep term costs
-        no Python frames."""
+        thus refolding) everything above.  memo (id -> result) may be
+        shared by calls with the same mapping, so terms they share are
+        rebuilt once."""
         if memo is None:
             memo = {}
-        stack = [(t, False)]   # (term, operands rebuilt)
-        while stack:
-            x, ready = stack.pop()
-            if ready:
+        for x in postorder(t, memo):
+            r = mapping.get(x)
+            if r is not None:
+                if r.width != x.width:
+                    raise WidthError("substitution changes a width")
+            elif not x.args:
+                r = x
+            else:
                 args = [memo[id(a)] for a in x.args]
                 r = (self.ite(*args) if x.kind == "ite"
                      else self.app(x.op, args))
-            elif id(x) in memo:
-                continue
-            elif x in mapping:
-                r = mapping[x]
-                if r.width != x.width:
-                    raise WidthError("substitution changes a width")
-            elif x.kind in ("const", "input", "hole"):
-                r = x
-            else:
-                stack.append((x, True))
-                stack += [(a, False) for a in reversed(x.args)
-                          if id(a) not in memo]
-                continue
             memo[id(x)] = r
         return memo[id(t)]
 
 
-def term_leaves(t: Term) -> tuple[set[Term], set[Term]]:
-    """(input symbols, hole symbols) reachable from t."""
+def term_leaves(*roots: Term) -> tuple[set[Term], set[Term]]:
+    """(input symbols, hole symbols) reachable from any of roots."""
     ins: set[Term] = set()
     holes: set[Term] = set()
     seen: set[int] = set()
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
-        if x.kind == "input":
-            ins.add(x)
-        elif x.kind == "hole":
-            holes.add(x)
-        else:
-            stack.extend(x.args)
+    for t in roots:
+        for x in postorder(t, seen):
+            seen.add(id(x))
+            if x.kind == "input":
+                ins.add(x)
+            elif x.kind == "hole":
+                holes.add(x)
     return ins, holes
 
 
 def eval_term(t: Term, inputs: dict[tuple[str, int], BitVec],
               holes: dict[str, BitVec],
               memo: Optional[dict] = None) -> BitVec:
-    """Concrete evaluation; the reference the solver path is tested against."""
+    """Concrete evaluation; the reference the solver path is tested
+    against.  Every term under t is evaluated, both branches of an ite
+    included, so every leaf under t needs a binding."""
     if memo is None:
         memo = {}
-    v = memo.get(id(t))
-    if v is not None:
-        return v
-    if t.kind == "const":
-        v = t.value
-    elif t.kind == "input":
-        v = inputs[(t.name, t.time)]
-        if v.width != t.width:
-            raise WidthError(f"input {t.name!r} width mismatch")
-    elif t.kind == "hole":
-        v = holes[t.label]
-        if v.width != t.width:
-            raise WidthError(f"hole {t.label!r} width mismatch")
-    elif t.kind == "ite":
-        c = eval_term(t.args[0], inputs, holes, memo)
-        v = eval_term(t.args[1] if c.value == 1 else t.args[2],
-                      inputs, holes, memo)
-    else:
-        v = eval_op(t.op, [eval_term(a, inputs, holes, memo) for a in t.args])
-    memo[id(t)] = v
-    return v
+    for x in postorder(t, memo):
+        if x.kind == "const":
+            v = x.value
+        elif x.kind == "input":
+            v = inputs[(x.name, x.time)]
+            if v.width != x.width:
+                raise WidthError(f"input {x.name!r} width mismatch")
+        elif x.kind == "hole":
+            v = holes[x.label]
+            if v.width != x.width:
+                raise WidthError(f"hole {x.label!r} width mismatch")
+        else:   # an ite is the IR's mux
+            v = eval_op(x.op or _MUX, [memo[id(a)] for a in x.args])
+        memo[id(x)] = v
+    return memo[id(t)]

@@ -280,6 +280,21 @@ class TestConstraints:
         assert isinstance(r, Unsat)
 
 
+def test_model_output_width_checked_on_load(tmp_path):
+    """A btor2 model whose root is wider than the interface's output is
+    rejected when it loads, not when synthesis compares the widths."""
+    src = packaged_arch_path("frac_lut4.btor2")
+    with open(src, encoding="utf-8") as f:
+        btor = f.read()
+    assert "9 slice 2 8 0 0\n" in btor
+    (tmp_path / "frac_lut4.btor2").write_text(
+        btor.replace("9 slice 2 8 0 0\n", "9 slice 1 8 3 0\n"))
+    (tmp_path / "sofa.yml").write_text(_sofa_text())
+    arch = load_arch(str(tmp_path / "sofa.yml"))
+    with pytest.raises(WidthMismatch, match="frac_lut4.*4 bits"):
+        generate_sketch("bitwise", arch, {"width": 1, "inputs": ("a", "b")})
+
+
 def test_models_load_once_per_implementation(monkeypatch):
     """instantiate reads each btor2 model once per architecture; sharing
     it leaves the sketch exactly as a build that reads it every time."""

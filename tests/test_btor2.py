@@ -66,6 +66,38 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_btor2("1 sort bitvec 1\n2 and 1 1 1\n")
 
+    def test_operator_result_must_match_its_sort(self):
+        # 8-bit operands, but the add declares the 4-bit sort 2
+        with pytest.raises(ParseError) as e:
+            parse_btor2("1 sort bitvec 8\n2 sort bitvec 4\n3 input 1\n"
+                        "4 input 1\n5 add 2 3 4\n6 output 5\n")
+        assert e.value.lineno == 5
+        assert "id 5" in str(e.value)
+        assert "8 bits" in str(e.value) and "sort 2 has 4" in str(e.value)
+
+    def test_slice_width_must_match_its_sort(self):
+        # bits 3..0 are 4 bits, but the slice declares the 8-bit sort 1
+        with pytest.raises(ParseError) as e:
+            parse_btor2("1 sort bitvec 8\n2 input 1\n3 input 1\n"
+                        "4 slice 1 3 3 0\n5 output 4\n")
+        assert e.value.lineno == 4
+        assert "id 4" in str(e.value)
+        assert "4 bits" in str(e.value) and "sort 1 has 8" in str(e.value)
+
+    def test_init_width_must_match_its_sort(self):
+        # an 8-bit 255 was cut to the 4-bit state's 15 without a word
+        with pytest.raises(ParseError) as e:
+            parse_btor2("1 sort bitvec 4\n2 sort bitvec 8\n3 state 1\n"
+                        "4 constd 2 255\n5 init 1 3 4\n")
+        assert e.value.lineno == 5
+        assert "8 bits" in str(e.value) and "sort 1 has 4" in str(e.value)
+
+    def test_operand_widths_checked(self):
+        with pytest.raises(ParseError) as e:
+            parse_btor2("1 sort bitvec 8\n2 sort bitvec 4\n3 input 1\n"
+                        "4 input 2\n5 add 1 3 4\n")
+        assert e.value.lineno == 5 and "id 5" in str(e.value)
+
 
 class TestTranslate:
     def test_and_semantics_exhaustive(self):

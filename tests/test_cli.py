@@ -79,6 +79,17 @@ class TestMap:
         assert code == 3, err
         assert "timeout after" in err
 
+    def test_deep_spec_expression(self, tmp_path, capsys):
+        # 3000 nested nots: far deeper than Python's recursion limit; an
+        # even count is a itself
+        nest = "(not " * 3000 + "a" + ")" * 3000
+        spec = _write(tmp_path, f"(spec (inputs (a 2) (b 2)) (xor {nest} b))")
+        code = main(["map", spec, "--template", "bitwise",
+                     "--arch-desc", "generic-lut-carry.yml"])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert "success" in err
+
     @pytest.mark.parametrize("argv_patch", [
         {"spec": "/nonexistent/x.spec"},
         {"arch": "nonexistent.yml"},

@@ -89,6 +89,37 @@ class TestEmission:
                                "(ite (= t4999 #b00000000) #b1 #b0))"]
         assert "(assert (! (= t5000 #b1) :named a0))" in lines
 
+    def test_declares_exactly_the_reached_and_requested_symbols(self):
+        tb = TermBuilder()
+        a = tb.input("a", 0, 4)
+        h = tb.hole("h", 4)
+        g = tb.hole("g", 2)
+        c = tb.input("c", 3, 1)
+        unused = tb.input("z", 0, 4)    # exists, but nothing reaches it
+        e1 = tb.app(Operator("eq"), [tb.app(Operator("add"), [a, h]),
+                                      tb.const_of(1, 4)])
+        e2 = tb.app(Operator("ult"), [h, a])
+        text, names = emit_smtlib([e1, e2], [g], [c, a])
+        declared = [ln.split()[1] for ln in text.splitlines()
+                    if ln.startswith("(declare-const")]
+        assert declared == ["hole_g", "hole_h", "in_a_t0", "in_c_t3"]
+        assert names == {"hole_g": g, "hole_h": h, "in_a_t0": a,
+                         "in_c_t3": c}
+        assert symbol_name(unused) not in text
+
+    @pytest.mark.parametrize("where", ["asserts", "declare", "get_values"])
+    def test_symbol_name_collision_rejected(self, where):
+        tb = TermBuilder()
+        x = tb.input("a.b", 0, 4)
+        y = tb.input("a_b", 0, 4)        # both are named in_a_b_t0
+        e = tb.app(Operator("eq"), [x, tb.const_of(0, 4)])
+        other = tb.app(Operator("eq"), [y, tb.const_of(0, 4)])
+        args = {"asserts": ([e, other], [], []),
+                "declare": ([e], [y], []),
+                "get_values": ([e], [], [y])}[where]
+        with pytest.raises(SketchmapError, match="collision"):
+            emit_smtlib(*args)
+
 
 class TestOutputParsing:
     def test_sat_with_model(self):

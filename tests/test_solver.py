@@ -3,6 +3,7 @@
 import hashlib
 import random
 import re
+import resource
 import subprocess
 import sys
 
@@ -806,6 +807,32 @@ def test_odd_input_stops_the_child_with_an_error(command, message):
     assert r.returncode == 1
     assert r.stderr.decode().startswith("(error")
     assert message in r.stderr.decode()
+    assert b"Traceback" not in r.stderr
+
+
+def test_index_too_large_to_represent_stops_the_child():
+    r = _solver_child(
+        "(declare-const a (_ BitVec 4))"
+        "(assert (= ((_ zero_extend 10000000000000000000) a) a))"
+        "(check-sat)")
+    assert r.returncode == 1
+    assert r.stderr.decode().startswith("(error")
+    assert b"Traceback" not in r.stderr
+
+
+def test_index_too_large_to_allocate_stops_the_child():
+    # the child's address space is capped, so the failed allocation
+    # cannot take the machine's memory
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    r = subprocess.run(
+        [sys.executable, "-m", "sketchmap.solver"],
+        input=b"(declare-const a (_ BitVec 4))"
+              b"(assert (= ((_ zero_extend 100000000000) a) a))(check-sat)",
+        capture_output=True, timeout=60, preexec_fn=cap)
+    assert r.returncode == 1
+    assert r.stderr.decode().startswith("(error")
     assert b"Traceback" not in r.stderr
 
 

@@ -115,6 +115,46 @@ class TestTermBuilder:
         s = tb.substitute(t, {a: tb.const_of(3, 8), b: tb.const_of(7, 8)})
         assert s.value == _bv(3 + 5000 * 7, 8)
 
+    def test_eval_and_repr_deep_chain(self):
+        # 100 000 nested adds: evaluation and repr use no Python frames
+        tb = TermBuilder()
+        a = tb.input("a", 0, 8)
+        b = tb.input("b", 0, 8)
+        t = a
+        for _ in range(100_000):
+            t = tb.app(Operator("add"), [t, b])
+        got = eval_term(t, {("a", 0): _bv(3, 8), ("b", 0): _bv(7, 8)}, {})
+        assert got == _bv(3 + 100_000 * 7, 8)
+        assert repr(t) == "<add app:8 input:8>"
+
+    def test_leaves_of_several_roots_are_the_union(self):
+        rng = random.Random(5)
+        tb = TermBuilder()
+        pool = [tb.input(n, k, 4) for n in "ab" for k in range(3)]
+        pool += [tb.hole(f"h{k}", 4) for k in range(3)]
+        for _ in range(60):
+            x, y = rng.sample(pool, 2)
+            pool.append(tb.app(Operator(rng.choice(["add", "xor", "and"])),
+                               [x, y]))
+        roots = rng.sample(pool[9:], 6)
+        ins, holes = set(), set()
+        for r in roots:
+            i, h = term_leaves(r)
+            ins |= i
+            holes |= h
+        assert term_leaves(*roots) == (ins, holes)
+
+    def test_eval_reads_both_branches_of_an_ite(self):
+        tb = TermBuilder()
+        c = tb.input("c", 0, 1)
+        x = tb.input("x", 0, 4)
+        h = tb.hole("h", 4)
+        t = tb.ite(c, x, h)
+        env = {("c", 0): _bv(1, 1), ("x", 0): _bv(6, 4)}
+        assert eval_term(t, env, {"h": _bv(2, 4)}) == _bv(6, 4)
+        with pytest.raises(KeyError):
+            eval_term(t, env, {})   # h is not taken, but must be bound
+
     def test_width_conflicts_rejected(self):
         tb = TermBuilder()
         tb.input("a", 0, 4)
