@@ -691,6 +691,9 @@ _OR2_TABLE = 0b1110    # LUT2: out = I0 or I1
 
 
 def _merge(dst: BuildResult, src: BuildResult) -> None:
+    """Accumulate src's holes and constraints into dst; every primitive
+    instance has labels of its own, so no hole label is added twice."""
+    assert dst.holes.keys().isdisjoint(src.holes)
     dst.holes.update(src.holes)
     dst.constraints.extend(src.constraints)
 

@@ -151,6 +151,9 @@ def parse_btor2(text: str) -> list[Btor2Line]:
             need(3)
             sort = ref(rest[0], lineno)
             args = (ref(rest[1], lineno), ref(rest[2], lineno, True))
+            if seen[args[0]].kind != "state":
+                raise ParseError(lineno, f"id {nid}: {kind} target "
+                                 f"{args[0]} is not a state")
         elif kind == "output":
             need(1)
             args = (ref(rest[0], lineno, True),)

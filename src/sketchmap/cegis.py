@@ -29,16 +29,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .interp import Stream, simulate
-from .ir import (
-    BV, BitVec, ChoiceHole, ConstantHole, Node, Prog, Sketch,
-    substitute_holes,
-)
+from .ir import BV, BitVec, Prog, Sketch, substitute_holes
 from .portfolio import (
     PortfolioResult, PortfolioTimeout, SolverConfig, SolverError,
     SolverSession, portfolio_solve,
 )
 from .smtlib import emit_smtlib, symbol_name
-from .symbolic import EquivalenceQuery, build_query, selector_width
+from .symbolic import EquivalenceQuery, build_query
 from .terms import Operator, Term
 
 CexEnv = dict[tuple[str, int], BitVec]
@@ -48,7 +45,6 @@ CexEnv = dict[tuple[str, int], BitVec]
 class Success:
     program: Prog
     model: dict[str, BitVec]          # hole label -> solved value
-    assignment: dict[str, Node]       # hole label -> substituted node
     solver: str
     wall_time: float
     iterations: int
@@ -95,30 +91,15 @@ def _subst_inputs(query: EquivalenceQuery, env: CexEnv) -> list[Term]:
     return [tb.substitute(eq, mapping, memo) for eq in query.equal_terms]
 
 
-def _decode_assignment(query: EquivalenceQuery,
-                       model: dict[str, BitVec]) -> tuple[
-                           dict[str, BitVec], dict[str, Node]]:
-    """Solver model (emitted names) -> hole label values and nodes."""
+def _decode_model(query: EquivalenceQuery,
+                  model: dict[str, BitVec]) -> dict[str, BitVec]:
+    """Solver model (emitted names) -> hole label -> value, 0 where the
+    model has none.  query.hole_symbols covers every hole of the sketch."""
     by_label: dict[str, BitVec] = {}
     for s in query.hole_symbols:
         v = model.get(symbol_name(s), BitVec.of(0, s.width))
         by_label[s.label] = BitVec.of(v.value, s.width)
-    nodes: dict[str, Node] = {}
-    for label, spec in query.sketch.holes.items():
-        if isinstance(spec, ConstantHole):
-            v = by_label.get(label, BitVec.of(0, spec.width))
-            by_label[label] = v
-            nodes[label] = BV(v)
-        else:
-            k = len(spec.alternatives)
-            w = selector_width(k)
-            idx = by_label.get(label, BitVec.of(0, max(1, w))).value if w else 0
-            if idx >= k:
-                raise SolverError(
-                    f"model picked alternative {idx} of {k} for {label!r} "
-                    f"despite the side constraint")
-            nodes[label] = spec.alternatives[idx]
-    return by_label, nodes
+    return by_label
 
 
 def _revalidate(query: EquivalenceQuery, program: Prog,
@@ -197,7 +178,7 @@ def cegis(query: EquivalenceQuery,
             else:
                 model = {}
 
-            by_label, node_assignment = _decode_assignment(query, model)
+            by_label = _decode_model(query, model)
 
             # VERIFY the candidate over all inputs
             hole_map = {s: tb.const(by_label[s.label])
@@ -237,12 +218,13 @@ def cegis(query: EquivalenceQuery,
                     learn(env)
 
             if verified:
-                program = substitute_holes(query.sketch, node_assignment)
+                program = substitute_holes(
+                    query.sketch,
+                    {label: BV(v) for label, v in by_label.items()})
                 _revalidate(query, program, cexs)
                 return Success(
                     program=program,
                     model=by_label,
-                    assignment=node_assignment,
                     solver=last_winner,
                     wall_time=time.monotonic() - start,
                     iterations=iterations,

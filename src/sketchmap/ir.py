@@ -401,23 +401,12 @@ class ConstantHole:
 
 
 @dataclass(frozen=True)
-class ChoiceHole:
-    """Hole domain: one of finitely many hole-free alternative nodes, all
-    of the same width.  Alternatives may reference ids of the containing
-    program."""
-
-    alternatives: tuple["Node", ...]
-
-
-HoleSpec = Union[ConstantHole, ChoiceHole]
-
-
-@dataclass(frozen=True)
 class Hole:
-    """An unresolved synthesis choice.  Only sketches contain these."""
+    """An unresolved primitive configuration value: synthesis replaces it
+    with a constant of spec.width bits.  Only sketches contain these."""
 
     label: str
-    spec: HoleSpec
+    spec: ConstantHole
 
 
 Node = Union[BV, Var, Op, Reg, Prim, Hole]
@@ -437,9 +426,10 @@ class Prog:
 @dataclass
 class Sketch:
     """A structural program with holes, plus the hole table and any
-    architecture-declared side constraints.
+    architecture-declared side constraints.  Filling every hole with a
+    constant (substitute_holes) yields a structural program.
 
-    holes maps label -> HoleSpec and must list exactly the Hole nodes
+    holes maps label -> ConstantHole and must list exactly the Hole nodes
     reachable in psi.  side_constraints are width-1 programs of their own
     whose leaves are Hole nodes of that table or constants (an
     architecture's ``constraints:``, lowered per instance); each must
@@ -447,7 +437,7 @@ class Sketch:
     """
 
     psi: Prog
-    holes: dict[str, HoleSpec]
+    holes: dict[str, ConstantHole]
     side_constraints: tuple[Prog, ...] = ()
 
 
@@ -532,22 +522,7 @@ def _collect_programs(p: Prog, out: list[tuple[Prog, Optional[tuple[Id, Prim]]]]
             out[start] = (out[start][0], (i, n))
 
 
-def _hole_width(p: Prog, i: Id, spec: HoleSpec,
-                widths: dict[Id, int]) -> int:
-    if isinstance(spec, ConstantHole):
-        return spec.width
-    if not spec.alternatives:
-        raise WellFormednessError("width", f"hole {i} has no alternatives", (i,))
-    ws = []
-    for alt in spec.alternatives:
-        ws.append(_node_width(p, i, alt, widths))
-    if len(set(ws)) != 1:
-        raise WellFormednessError(
-            "width", f"hole {i} alternatives have widths {ws}", (i,))
-    return ws[0]
-
-
-def _node_width(p: Prog, i: Id, n: Node, widths: dict[Id, int]) -> int:
+def _node_width(i: Id, n: Node, widths: dict[Id, int]) -> int:
     """Width of node n at id i given already-known arg widths."""
     if isinstance(n, BV):
         return n.b.width
@@ -558,7 +533,7 @@ def _node_width(p: Prog, i: Id, n: Node, widths: dict[Id, int]) -> int:
     if isinstance(n, Prim):
         return widths[n.body.root]
     if isinstance(n, Hole):
-        return _hole_width(p, i, n.spec, widths)
+        return n.spec.width
     assert isinstance(n, Op)
     try:
         return op_result_width(n.op, [widths[a] for a in n.args])
@@ -608,19 +583,6 @@ def _check(p: Prog) -> tuple[WitnessMap, dict[Id, int],
                 raise WellFormednessError(
                     kind, f"register {i} references missing id {n.data}",
                     (i, n.data))
-            if isinstance(n, Hole) and isinstance(n.spec, ChoiceHole):
-                for alt in n.spec.alternatives:
-                    if isinstance(alt, (Prim, Hole, Reg)):
-                        raise WellFormednessError(
-                            "width",
-                            f"hole {i} alternative must be a plain node",
-                            (i,))
-                    for a in inputs(alt):
-                        if a not in prog.nodes:
-                            raise WellFormednessError(
-                                "W3",
-                                f"hole {i} alternative references missing id {a}",
-                                (i, a))
 
     var_w: dict[int, dict[str, int]] = {}     # id(prog) -> its var widths
     for prog, _ in progs:
@@ -662,14 +624,6 @@ def _check(p: Prog) -> tuple[WitnessMap, dict[Id, int],
                 for bi, bn in n.body.nodes.items():
                     if isinstance(bn, Var):
                         add_edge(bm[bn.name], bi)
-            elif isinstance(n, Hole) and isinstance(n.spec, ChoiceHole):
-                # Alternatives' args must be orderable before the hole so
-                # that substitution can never close a combinational loop.
-                deps: set[Id] = set()
-                for alt in n.spec.alternatives:
-                    deps |= inputs(alt)
-                for a in deps:
-                    add_edge(a, i)
 
     # Longest-path levels via Kahn's algorithm.  Registers are never edge
     # targets, so they automatically get level 0.
@@ -694,7 +648,7 @@ def _check(p: Prog) -> tuple[WitnessMap, dict[Id, int],
     # Width pass, in witness order so every dependency is already sized.
     widths: dict[Id, int] = {}
     for i in sorted(owner, key=lambda j: (witness[j], j)):
-        widths[i] = _node_width(owner[i], i, owner[i].nodes[i], widths)
+        widths[i] = _node_width(i, owner[i].nodes[i], widths)
     for prog, _ in progs:
         for i, n in prog.nodes.items():
             if isinstance(n, Reg) and widths[n.data] != n.init.width:
@@ -782,17 +736,12 @@ def verify_witness(p: Prog, w: WitnessMap) -> bool:
 # -- hole substitution ------------------------------------------------------
 
 
-def _nodes_equal(a: Node, b: Node) -> bool:
-    return a == b
-
-
-def substitute_holes(s: Sketch, assignment: Mapping[str, Node]) -> Prog:
-    """Replace every hole in s.psi by its assigned node.
+def substitute_holes(s: Sketch, assignment: Mapping[str, BV]) -> Prog:
+    """Replace every hole in s.psi by its assigned constant node.
 
     Raises MissingAssignment when a label has no value and DomainError when
-    a value falls outside the hole's domain (wrong-width constant for a
-    ConstantHole, or a node that is not one of a ChoiceHole's
-    alternatives).  The result re-checks well-formed.
+    a value is not a BV of the hole's width.  The result re-checks
+    well-formed.
     """
     for label in s.holes:
         if label not in assignment:
@@ -803,17 +752,10 @@ def substitute_holes(s: Sketch, assignment: Mapping[str, Node]) -> Prog:
             if n.label not in assignment:
                 raise MissingAssignment(f"no assignment for hole {n.label!r}")
             v = assignment[n.label]
-            spec = n.spec
-            if isinstance(spec, ConstantHole):
-                if not isinstance(v, BV) or v.b.width != spec.width:
-                    raise DomainError(
-                        f"hole {n.label!r} needs a width-{spec.width} "
-                        f"constant, got {v}")
-            else:
-                if not any(_nodes_equal(v, alt) for alt in spec.alternatives):
-                    raise DomainError(
-                        f"hole {n.label!r} assignment is not one of its "
-                        f"{len(spec.alternatives)} alternatives")
+            if not isinstance(v, BV) or v.b.width != n.spec.width:
+                raise DomainError(
+                    f"hole {n.label!r} needs a width-{n.spec.width} "
+                    f"constant, got {v}")
             new_nodes[i] = v
         else:
             new_nodes[i] = n
@@ -885,7 +827,7 @@ class ProgBuilder:
     def reg(self, data: Id, init: BitVec) -> Id:
         return self.add(Reg(data, init))
 
-    def hole(self, label: str, spec: HoleSpec) -> Id:
+    def hole(self, label: str, spec: ConstantHole) -> Id:
         return self.add(Hole(label, spec))
 
     def child(self) -> "ProgBuilder":
@@ -911,10 +853,7 @@ def _format_node(n: Node) -> str:
     if isinstance(n, Reg):
         return f"(reg {n.data} (bv {n.init.value} {n.init.width}))"
     if isinstance(n, Hole):
-        if isinstance(n.spec, ConstantHole):
-            return f"(hole {n.label} (constant {n.spec.width}))"
-        alts = " ".join(_format_node(a) for a in n.spec.alternatives)
-        return f"(hole {n.label} (choice {alts}))"
+        return f"(hole {n.label} (constant {n.spec.width}))"
     assert isinstance(n, Prim)
     binds = " ".join(f"({x} {i})" for x, i in sorted(n.binds))
     return (f"(prim {n.meta.module_name} (binds {binds}) "

@@ -50,7 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .arch import ArchDescription, BuildResult, HoleNamer, lower_interface
+from .arch import (ArchDescription, BuildResult, HoleNamer, _merge,
+                   lower_interface)
 from .ir import ArityError, ConstantHole, Id, ProgBuilder, Sketch
 from .primitives import carry_interface, dsp_interface, lut_interface
 
@@ -127,20 +128,6 @@ def _operands(params: Mapping, lo: int, hi: int,
 # -- shared construction helpers ----------------------------------------------
 
 
-class _Parts:
-    """Accumulates holes and side constraints across primitive instances."""
-
-    def __init__(self) -> None:
-        self.holes: dict[str, ConstantHole] = {}
-        self.constraints: list = []
-
-    def add(self, r: BuildResult) -> None:
-        for label, spec in r.holes.items():
-            assert label not in self.holes
-            self.holes[label] = spec
-        self.constraints.extend(r.constraints)
-
-
 def _lut_plan(desc: ArchDescription, k: int):
     """Plan for a k-input LUT, or ArityError if no fabric LUT is wide
     enough to absorb k operands in one level."""
@@ -163,7 +150,7 @@ def _pack(b: ProgBuilder, bits: list[Id]) -> Id:
 
 
 def _hole_lut_pair_chain(b: ProgBuilder, desc: ArchDescription,
-                         namer: HoleNamer, parts: _Parts,
+                         namer: HoleNamer, parts: BuildResult,
                          a: Id, bb: Id, w: int) -> BuildResult:
     """Per-bit hole LUT pairs over (a_i, b_i) feeding a carry chain.
 
@@ -177,8 +164,8 @@ def _hole_lut_pair_chain(b: ProgBuilder, desc: ArchDescription,
         ins = {"I0": _bit(b, a, i), "I1": _bit(b, bb, i)}
         rs = lut2.build(b, dict(ins), namer, desc)
         rd = lut2.build(b, dict(ins), namer, desc)
-        parts.add(rs)
-        parts.add(rd)
+        _merge(parts, rs)
+        _merge(parts, rd)
         s_bits.append(rs.outputs["O"])
         di_bits.append(rd.outputs["O"])
     ci_label = namer.prefix() + "ci"
@@ -186,12 +173,12 @@ def _hole_lut_pair_chain(b: ProgBuilder, desc: ArchDescription,
     ci = b.hole(ci_label, ConstantHole(1))
     r = chain.build(b, {"DI": _pack(b, di_bits), "S": _pack(b, s_bits),
                         "CI": ci}, namer, desc)
-    parts.add(r)
+    _merge(parts, r)
     return r
 
 
 def _fixed_adder(b: ProgBuilder, desc: ArchDescription, namer: HoleNamer,
-                 parts: _Parts, x: Id, y: Id, w: int) -> Id:
+                 parts: BuildResult, x: Id, y: Id, w: int) -> Id:
     """x + y via pinned xor LUTs and a carry chain (no holes)."""
     lut2 = _lut_plan(desc, 2)
     chain = lower_interface(carry_interface(w), desc)
@@ -199,11 +186,11 @@ def _fixed_adder(b: ProgBuilder, desc: ArchDescription, namer: HoleNamer,
     for i in range(w):
         r = lut2.build(b, {"I0": _bit(b, x, i), "I1": _bit(b, y, i)},
                        namer, desc, _XOR2_TABLE)
-        parts.add(r)
+        _merge(parts, r)
         s_bits.append(r.outputs["O"])
     r = chain.build(b, {"DI": x, "S": _pack(b, s_bits), "CI": b.bv(0, 1)},
                     namer, desc)
-    parts.add(r)
+    _merge(parts, r)
     return r.outputs["O"]
 
 
@@ -217,13 +204,13 @@ def _gen_bitwise(desc, params) -> Sketch:
     plan = _lut_plan(desc, len(names))
     b = ProgBuilder()
     namer = HoleNamer()
-    parts = _Parts()
+    parts = BuildResult({})
     ops = [b.var(n, w) for n in names]
     bits = []
     for i in range(w):
         ins = {f"I{j}": _bit(b, op, i) for j, op in enumerate(ops)}
         r = plan.build(b, ins, namer, desc)
-        parts.add(r)
+        _merge(parts, r)
         bits.append(r.outputs["O"])
     return Sketch(b.prog(_pack(b, bits)), parts.holes,
                   tuple(parts.constraints))
@@ -235,7 +222,7 @@ def _gen_bitwise_with_carry(desc, params) -> Sketch:
     names = _operands(params, 2, 2, ("a", "b"))
     b = ProgBuilder()
     namer = HoleNamer()
-    parts = _Parts()
+    parts = BuildResult({})
     a, bb = (b.var(n, w) for n in names)
     r = _hole_lut_pair_chain(b, desc, namer, parts, a, bb, w)
     return Sketch(b.prog(r.outputs["O"]), parts.holes,
@@ -248,12 +235,12 @@ def _gen_comparison(desc, params) -> Sketch:
     names = _operands(params, 2, 2, ("a", "b"))
     b = ProgBuilder()
     namer = HoleNamer()
-    parts = _Parts()
+    parts = BuildResult({})
     a, bb = (b.var(n, w) for n in names)
     r = _hole_lut_pair_chain(b, desc, namer, parts, a, bb, w)
     post = _lut_plan(desc, 1)
     rf = post.build(b, {"I0": r.outputs["CO"]}, namer, desc)
-    parts.add(rf)
+    _merge(parts, rf)
     return Sketch(b.prog(rf.outputs["O"]), parts.holes,
                   tuple(parts.constraints))
 
@@ -264,7 +251,7 @@ def _gen_multiplication(desc, params) -> Sketch:
     names = _operands(params, 2, 2, ("a", "b"))
     b = ProgBuilder()
     namer = HoleNamer()
-    parts = _Parts()
+    parts = BuildResult({})
     a, bb = (b.var(n, w) for n in names)
     lut2 = _lut_plan(desc, 2)
     # partial-product row j holds bits i of a_i & b_j for the surviving
@@ -275,7 +262,7 @@ def _gen_multiplication(desc, params) -> Sketch:
         row = []
         for i in range(w - j):
             r = lut2.build(b, {"I0": _bit(b, a, i), "I1": bj}, namer, desc)
-            parts.add(r)
+            _merge(parts, r)
             row.append(r.outputs["O"])
         rows.append(row)
     acc = _pack(b, rows[0])
@@ -296,7 +283,6 @@ def _gen_dsp(desc, params) -> Sketch:
     plan = lower_interface(dsp_interface(w), desc)
     b = ProgBuilder()
     namer = HoleNamer()
-    parts = _Parts()
     ops = [b.var(n, w) for n in names]
     zero = b.bv(0, w)
     if len(ops) == 4:
@@ -306,9 +292,7 @@ def _gen_dsp(desc, params) -> Sketch:
     else:
         wiring = {"A": ops[0], "B": ops[1], "C": zero, "D": zero}
     r = plan.build(b, wiring, namer, desc)
-    parts.add(r)
-    return Sketch(b.prog(r.outputs["out"]), parts.holes,
-                  tuple(parts.constraints))
+    return Sketch(b.prog(r.outputs["out"]), r.holes, tuple(r.constraints))
 
 
 _GENERATORS = {

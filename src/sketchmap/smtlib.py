@@ -70,8 +70,6 @@ class _Emitter:
 
     def _expr(self, t: Term) -> str:
         args = [self.names[id(x)] for x in t.args]
-        if t.kind == "ite":  # the same choice as the IR's mux
-            return OPS["mux"].smt.format(*args)
         w = t.args[0].width
         return OPS[t.op.name].smt.format(*args, p=t.op.params,
                                          zeros="#b" + "0" * w,

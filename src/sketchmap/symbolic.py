@@ -14,13 +14,12 @@ fold before any solver runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, log2
 from typing import Optional
 
 from .ir import (
-    BV, ChoiceHole, ConstantHole, Hole, Id, Node, Op, Operator, Prim, Prog,
-    Reg, Sketch, SketchmapError, Var, WidthError, is_behavioral, schedule,
-    sketch_holes_consistent, structural_violations, var_widths,
+    BV, Hole, Id, Op, Operator, Prim, Prog, Reg, Sketch, SketchmapError,
+    Var, WidthError, is_behavioral, schedule, sketch_holes_consistent,
+    structural_violations, var_widths,
 )
 from .terms import Term, TermBuilder, term_leaves
 
@@ -29,43 +28,12 @@ class FreeVarMismatch(SketchmapError):
     """Spec and sketch disagree on their input signature."""
 
 
-def selector_width(k: int) -> int:
-    """Bits needed to index k alternatives (k >= 1; 0 bits when k == 1)."""
-    if k < 1:
-        raise ValueError("a choice needs at least one alternative")
-    return max(1, ceil(log2(k))) if k > 1 else 0
-
-
-def _choice_term(tb: TermBuilder, label: str, spec: ChoiceHole,
-                 alt_terms: list[Term]) -> Term:
-    k = len(alt_terms)
-    if k == 1:
-        return alt_terms[0]
-    sel = tb.hole(label, selector_width(k))
-    out = alt_terms[-1]
-    for i in range(k - 2, -1, -1):
-        cond = tb.app(Operator("eq"), [sel, tb.const_of(i, sel.width)])
-        out = tb.ite(cond, alt_terms[i], out)
-    return out
-
-
 def symbolic_run(p: Prog, upto: int, tb: Optional[TermBuilder] = None
                  ) -> list[Term]:
     """Terms for the root at cycles 0..upto (well-formedness checked)."""
     if tb is None:
         tb = TermBuilder()
     sched = schedule(p)
-
-    def eval_plain(n: Node, cur: dict[Id, Term], t: int) -> Term:
-        """A node with no id of its own (a choice alternative)."""
-        if isinstance(n, BV):
-            return tb.const(n.b)
-        if isinstance(n, Var):
-            return tb.input(n.name, t, n.width)
-        if isinstance(n, Op):
-            return tb.app(n.op, [cur[a] for a in n.args])
-        raise SketchmapError(f"bad choice alternative {n}")
-
     roots: list[Term] = []
     prev: dict[Id, Term] = {}
     for t in range(upto + 1):
@@ -89,11 +57,7 @@ def symbolic_run(p: Prog, upto: int, tb: Optional[TermBuilder] = None
                 cur[i] = cur[n.body.root]
             else:
                 assert isinstance(n, Hole)
-                if isinstance(n.spec, ConstantHole):
-                    cur[i] = tb.hole(n.label, n.spec.width)
-                else:
-                    alts = [eval_plain(a, cur, t) for a in n.spec.alternatives]
-                    cur[i] = _choice_term(tb, n.label, n.spec, alts)
+                cur[i] = tb.hole(n.label, n.spec.width)
         roots.append(cur[p.root])
         prev = cur
     return roots
@@ -104,9 +68,10 @@ class EquivalenceQuery:
     """Everything the CEGIS loop needs, term side.
 
     equal_terms[i] states spec == sketch at cycle t + i (width 1); the
-    full claim is their conjunction plus the side constraints (choice
-    selector bounds and architecture constraints), which mention holes
-    only.  input_symbols covers every (name, cycle) either side reads.
+    full claim is their conjunction plus the side constraints, which are
+    the architecture's constraints (Sketch.side_constraints) and mention
+    holes only.  input_symbols covers every (name, cycle) either side
+    reads.
     """
 
     equal_terms: list[Term]
@@ -151,14 +116,6 @@ def build_query(spec: Prog, sketch: Sketch, t: int, c: int
                    for i in range(t, t + c + 1)]
 
     side: list[Term] = []
-    for label, spec_h in sketch.holes.items():
-        if isinstance(spec_h, ChoiceHole):
-            k = len(spec_h.alternatives)
-            w = selector_width(k)
-            if w and k < (1 << w):
-                sel = tb.hole(label, w)
-                side.append(tb.app(Operator("ult"),
-                                   [sel, tb.const_of(k, w)]))
     for constraint in sketch.side_constraints:
         for n in constraint.nodes.values():
             if isinstance(n, Hole) and sketch.holes.get(n.label) != n.spec:
@@ -174,12 +131,7 @@ def build_query(spec: Prog, sketch: Sketch, t: int, c: int
     # every hole the sketch declares gets a symbol even if folding dropped
     # it from the equalities: the model must still assign it
     for label, spec_h in sketch.holes.items():
-        if isinstance(spec_h, ConstantHole):
-            hols.add(tb.hole(label, spec_h.width))
-        else:
-            w = selector_width(len(spec_h.alternatives))
-            if w:
-                hols.add(tb.hole(label, w))
+        hols.add(tb.hole(label, spec_h.width))
 
     return EquivalenceQuery(
         equal_terms=equal_terms,

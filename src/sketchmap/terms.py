@@ -1,9 +1,10 @@
 """Hash-consed symbolic terms over bit vectors.
 
-A Term is a const, an input symbol (name, cycle), a hole symbol, an
-operator application, or an if-then-else.  Terms are interned per
-TermBuilder: structurally equal terms are the same object, so equality
-checks are pointer checks and structurally aligned circuits collapse.
+A Term is a const, an input symbol (name, cycle), a hole symbol, or an
+operator application; an if-then-else is an application of the IR's mux.
+Terms are interned per TermBuilder: structurally equal terms are the same
+object, so equality checks are pointer checks and structurally aligned
+circuits collapse.
 
 Construction folds aggressively but only with rules that preserve the
 concrete semantics of the operator table (ir.OPS) bit for bit:
@@ -11,11 +12,11 @@ concrete semantics of the operator table (ir.OPS) bit for bit:
   * all-constant applications evaluate away,
   * algebraic identities (x&0, x^0, x*1, eq(x,x), ...),
   * wiring normalization (extract of extract / concat / extends),
-  * ite with a constant condition or equal branches,
-  * distribution of an operation over a small ite tree when every other
+  * mux with a constant selector or equal branches,
+  * distribution of an operation over a small mux tree when every other
     argument is constant.  This is what keeps synthesis queries small:
-    with concrete inputs substituted, a configurable datapath folds to an
-    ite tree over its configuration bits, not a symbolic multiplier.
+    with concrete inputs substituted, a configurable datapath folds to a
+    mux tree over its configuration bits, not a symbolic multiplier.
 
 The agreement of all this with the concrete interpreter is pinned by a
 randomized test over full programs.
@@ -33,13 +34,13 @@ from typing import Container, Iterator, Optional
 from .interp import eval_op
 from .ir import BitVec, Operator, WidthError, op_result_width
 
-_DIST_LIMIT = 64  # max ite-tree size eligible for distribution
+_DIST_LIMIT = 64  # max mux-tree size eligible for distribution
 _MUX = Operator("mux")
 
 
 class Term:
     __slots__ = ("kind", "width", "args", "op", "name", "time", "label",
-                 "value", "ite_size")
+                 "value", "mux_size")
 
     def __init__(self, kind: str, width: int, *, args: tuple = (),
                  op: Optional[Operator] = None, name: str = "",
@@ -53,14 +54,14 @@ class Term:
         self.time = time
         self.label = label
         self.value = value
-        # size of the pure ite-over-const tree rooted here, None otherwise
+        # size of the pure mux-over-const tree rooted here, None otherwise
         if kind == "const":
-            self.ite_size: Optional[int] = 1
-        elif kind == "ite":
-            sizes = [a.ite_size for a in args[1:]]
-            self.ite_size = (1 + sum(sizes)) if all(s is not None for s in sizes) else None
+            self.mux_size: Optional[int] = 1
+        elif op is not None and op.name == "mux":
+            sizes = [a.mux_size for a in args[1:]]
+            self.mux_size = (1 + sum(sizes)) if all(s is not None for s in sizes) else None
         else:
-            self.ite_size = None
+            self.mux_size = None
 
     def __repr__(self):
         """One level: operands show only their kind and width."""
@@ -70,7 +71,7 @@ class Term:
             return f"<{self.name}@{self.time}:{self.width}>"
         if self.kind == "hole":
             return f"<?{self.label}:{self.width}>"
-        return f"<{self.op or 'ite'} " + " ".join(
+        return f"<{self.op} " + " ".join(
             f"{a.kind}:{a.width}" for a in self.args) + ">"
 
 
@@ -138,26 +139,6 @@ class TermBuilder:
                 f"hole {label!r} used at widths {t.width} and {width}")
         return t
 
-    # -- ite ------------------------------------------------------------
-
-    def ite(self, cond: Term, a: Term, b: Term) -> Term:
-        if cond.width != 1:
-            raise WidthError("ite condition must have width 1")
-        if a.width != b.width:
-            raise WidthError("ite branches must share a width")
-        if cond.kind == "const":
-            return a if cond.value.value == 1 else b
-        if a is b:
-            return a
-        if a.width == 1 and a.kind == "const" and b.kind == "const":
-            # ite(c,1,0) = c ; ite(c,0,1) = not c
-            if a.value.value == 1 and b.value.value == 0:
-                return cond
-            return self.app(Operator("not"), [cond])
-        key = ("t", id(cond), id(a), id(b))
-        return self._intern(key, lambda: Term("ite", a.width,
-                                              args=(cond, a, b)))
-
     # -- operator application -------------------------------------------
 
     def app(self, op: Operator, args: list[Term]) -> Term:
@@ -165,11 +146,13 @@ class TermBuilder:
         if all(a.kind == "const" for a in args):
             return self.const(eval_op(op, [a.value for a in args]))
         folded = self._fold(op, args, rw)
+        if folded is None and op.name != "mux":
+            # a mux that does not fold is interned as built: its 1-bit
+            # selector is never a mux tree (a 1-bit mux of constants
+            # folds), so there is nothing to distribute
+            folded = self._distribute(op, args, rw)
         if folded is not None:
             return folded
-        dist = self._distribute(op, args, rw)
-        if dist is not None:
-            return dist
         key = ("a", op, tuple(id(a) for a in args))
         return self._intern(key, lambda: Term("app", rw, op=op,
                                               args=tuple(args)))
@@ -177,7 +160,17 @@ class TermBuilder:
     def _fold(self, op: Operator, args: list[Term], rw: int) -> Optional[Term]:
         name = op.name
         if name == "mux":
-            return self.ite(args[0], args[1], args[2])
+            cond, a, b = args
+            if cond.kind == "const":
+                return a if cond.value.value == 1 else b
+            if a is b:
+                return a
+            if a.width == 1 and a.kind == "const" and b.kind == "const":
+                # mux(c,1,0) = c ; mux(c,0,1) = not c
+                if a.value.value == 1 and b.value.value == 0:
+                    return cond
+                return self.app(Operator("not"), [cond])
+            return None
         if name == "eq" and args[0] is args[1]:
             return self.const_of(1, 1)
         if name in ("ule", "sle") and args[0] is args[1]:
@@ -256,26 +249,26 @@ class TermBuilder:
 
     def _distribute(self, op: Operator, args: list[Term],
                     rw: int) -> Optional[Term]:
-        """op(... ite-tree ..., consts) -> push op into the tree."""
-        ite_at = -1
+        """op(... mux-tree ..., consts) -> push op into the tree."""
+        mux_at = -1
         for i, a in enumerate(args):
-            if a.kind == "ite" and a.ite_size is not None:
-                if ite_at >= 0:
-                    return None  # two ite args: leave alone
-                ite_at = i
+            if a.kind == "app" and a.mux_size is not None:
+                if mux_at >= 0:
+                    return None  # two mux args: leave alone
+                mux_at = i
             elif a.kind != "const":
                 return None
-        if ite_at < 0:
+        if mux_at < 0:
             return None
-        t = args[ite_at]
-        if t.ite_size > _DIST_LIMIT:
+        t = args[mux_at]
+        if t.mux_size > _DIST_LIMIT:
             return None
         cond, x, y = t.args
         ax = list(args)
-        ax[ite_at] = x
+        ax[mux_at] = x
         ay = list(args)
-        ay[ite_at] = y
-        return self.ite(cond, self.app(op, ax), self.app(op, ay))
+        ay[mux_at] = y
+        return self.app(_MUX, [cond, self.app(op, ax), self.app(op, ay)])
 
     # -- substitution ----------------------------------------------------
 
@@ -295,9 +288,7 @@ class TermBuilder:
             elif not x.args:
                 r = x
             else:
-                args = [memo[id(a)] for a in x.args]
-                r = (self.ite(*args) if x.kind == "ite"
-                     else self.app(x.op, args))
+                r = self.app(x.op, [memo[id(a)] for a in x.args])
             memo[id(x)] = r
         return memo[id(t)]
 
@@ -321,7 +312,7 @@ def eval_term(t: Term, inputs: dict[tuple[str, int], BitVec],
               holes: dict[str, BitVec],
               memo: Optional[dict] = None) -> BitVec:
     """Concrete evaluation; the reference the solver path is tested
-    against.  Every term under t is evaluated, both branches of an ite
+    against.  Every term under t is evaluated, both branches of a mux
     included, so every leaf under t needs a binding."""
     if memo is None:
         memo = {}
@@ -336,7 +327,7 @@ def eval_term(t: Term, inputs: dict[tuple[str, int], BitVec],
             v = holes[x.label]
             if v.width != x.width:
                 raise WidthError(f"hole {x.label!r} width mismatch")
-        else:   # an ite is the IR's mux
-            v = eval_op(x.op or _MUX, [memo[id(a)] for a in x.args])
+        else:
+            v = eval_op(x.op, [memo[id(a)] for a in x.args])
         memo[id(x)] = v
     return memo[id(t)]

@@ -92,6 +92,24 @@ class TestParse:
         assert e.value.lineno == 5
         assert "8 bits" in str(e.value) and "sort 1 has 4" in str(e.value)
 
+    def test_next_target_must_be_a_state(self):
+        # a next on an input would import as a model with no register
+        # that reads a as a free input
+        with pytest.raises(ParseError) as e:
+            parse_btor2("1 sort bitvec 4\n2 input 1 a\n3 input 1 b\n"
+                        "4 next 1 2 3\n5 output 2\n")
+        assert e.value.lineno == 4
+        assert "id 4" in str(e.value) and "target 2 is not a state" in \
+            str(e.value)
+
+    def test_init_target_must_be_a_state(self):
+        with pytest.raises(ParseError) as e:
+            parse_btor2("1 sort bitvec 4\n2 input 1 a\n3 zero 1\n"
+                        "4 init 1 2 3\n5 output 2\n")
+        assert e.value.lineno == 4
+        assert "id 4" in str(e.value) and "target 2 is not a state" in \
+            str(e.value)
+
     def test_operand_widths_checked(self):
         with pytest.raises(ParseError) as e:
             parse_btor2("1 sort bitvec 8\n2 sort bitvec 4\n3 input 1\n"

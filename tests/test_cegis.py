@@ -5,17 +5,23 @@ enumeration over all hole values (see the inline oracles), independent of
 the solver path under test.
 """
 
+import hashlib
 import sys
 
 import pytest
 
+from sketchmap import cegis as cegis_module
+from sketchmap.arch import load_arch, packaged_arch_path
+from sketchmap.bench import _document_text, corpus_benchmarks
 from sketchmap.cegis import Success, Timeout, Unsat, cegis, synthesize
 from sketchmap.interp import env_of_ints, interp, simulate
 from sketchmap.ir import (
-    BV, BitVec, ChoiceHole, ConstantHole, EmitMeta, Op, Operator,
-    PortBinding, Prim, ProgBuilder, Sketch, substitute_holes,
+    BV, BitVec, ConstantHole, EmitMeta, Hole, PortBinding, Prim,
+    ProgBuilder, Sketch, substitute_holes,
 )
-from sketchmap.portfolio import SolverConfig
+from sketchmap.portfolio import SolverConfig, SolverSession
+from sketchmap.sketches import document_params, generate_sketch
+from sketchmap.specdsl import parse_document
 from sketchmap.symbolic import build_query
 
 WEDGED = SolverConfig(
@@ -85,10 +91,13 @@ def _lut2_oracle(op):
 class TestLutSynthesis:
     @pytest.mark.parametrize("op", ["xor", "and", "or"])
     def test_two_input_gates(self, op):
-        res = synthesize(_bool_spec(op), _lut2_sketch(), t=0, c=0)
+        sketch = _lut2_sketch()
+        res = synthesize(_bool_spec(op), sketch, t=0, c=0)
         assert isinstance(res, Success)
         assert res.model["m"] == _bv(_lut2_oracle(op), 4)
-        assert isinstance(res.assignment["m"], BV)
+        (hole,) = (i for i, n in sketch.psi.nodes.items()
+                   if isinstance(n, Hole))
+        assert res.program.nodes[hole] == BV(res.model["m"])
         assert res.iterations >= 1
         # frozen oracle values, computed by the enumeration above:
         assert {"xor": 0b0110, "and": 0b1000,
@@ -131,46 +140,6 @@ class TestLutSynthesis:
         sk = _lut2_sketch()
         solved = substitute_holes(sk, {"m": BV(_bv(0b0111, 4))})
         res = synthesize(_bool_spec("xor"), Sketch(solved, {}), t=0, c=0)
-        assert isinstance(res, Unsat)
-
-
-def _choice_sketch():
-    """out = prim(alu) where the operation is one of add/sub/xor."""
-    b = ProgBuilder()
-    a = b.var("a", 8)
-    c = b.var("b", 8)
-    alts = (Op(Operator("add"), (a, c)),
-            Op(Operator("sub"), (a, c)),
-            Op(Operator("xor"), (a, c)))
-    h = b.hole("opsel", ChoiceHole(alts))
-    bb = b.child()
-    x = bb.var("x", 8)
-    body = bb.prog(bb.op("not", bb.op("not", x)))
-    meta = EmitMeta("buf", (("x", PortBinding("D", "in", 8)),), (), "Q")
-    pr = b.add(Prim((("x", h),), body, meta))
-    return Sketch(b.prog(pr), {"opsel": ChoiceHole(alts)})
-
-
-class TestChoiceSynthesis:
-    @pytest.mark.parametrize("op,idx", [("add", 0), ("sub", 1),
-                                        ("xor", 2)])
-    def test_selects_matching_alternative(self, op, idx):
-        b = ProgBuilder()
-        a = b.var("a", 8)
-        c = b.var("b", 8)
-        spec = b.prog(b.op(op, a, c))
-        res = synthesize(spec, _choice_sketch(), t=0, c=0)
-        assert isinstance(res, Success)
-        assert res.model["opsel"].value == idx
-        picked = res.assignment["opsel"]
-        assert isinstance(picked, Op) and picked.op.name == op
-
-    def test_no_alternative_matches(self):
-        b = ProgBuilder()
-        a = b.var("a", 8)
-        c = b.var("b", 8)
-        spec = b.prog(b.op("mul", a, c))
-        res = synthesize(spec, _choice_sketch(), t=0, c=0)
         assert isinstance(res, Unsat)
 
 
@@ -247,3 +216,47 @@ class TestLoopMechanics:
         assert isinstance(res, Success)
         assert res.model["mask"] == _bv(0xFF, 8)
         assert res.model["k"] == _bv(1, 8)
+
+
+# sha256 over every query text synthesize sends, in order.  The texts
+# depend on term folding, emission and (through the counterexamples) on
+# the solver's models, so a change to any of them that alters a query must
+# update these constants on purpose and say why.
+PINNED_QUERIES = {
+    "add_w4": ("generic-lut-carry.yml", "bitwise-with-carry",
+               "(spec (inputs (a 4) (b 4)) (add a b))\n",
+               "aeea2e950396c531f76eec2ca02631aa"
+               "13c5d8e2b922a77ef9053c08b24efb0a"),
+    # a minidsp corpus row: the block's operand and ALU muxes leave a
+    # few hundred mux terms in each query
+    "add_mul_xor_w08_d1": ("minidsp.yml", "dsp", None,
+                           "82c9b7cd2b2265fe67b9645373d50697"
+                           "170e6485173171a9edb37664c173272e"),
+}
+
+
+@pytest.mark.parametrize("design", sorted(PINNED_QUERIES))
+def test_query_texts_are_pinned(design, monkeypatch):
+    arch_file, template, text, want = PINNED_QUERIES[design]
+    if text is None:
+        text = next(_document_text(b) for b in corpus_benchmarks()
+                    if b.name == design)
+    texts = []
+    real = cegis_module.portfolio_solve
+
+    def capture(query, *args, **kwargs):
+        texts.append(query)
+        return real(query, *args, **kwargs)
+
+    monkeypatch.setattr(cegis_module, "portfolio_solve", capture)
+    doc = parse_document(text)
+    (width,) = {w for _, w in doc.inputs}
+    sketch = generate_sketch(template, load_arch(packaged_arch_path(arch_file)),
+                             document_params(template, doc, width))
+    with SolverSession() as session:
+        res = synthesize(doc.prog, sketch, t=doc.pipeline, session=session)
+    assert isinstance(res, Success)
+    h = hashlib.sha256()
+    for q in texts:
+        h.update(q.encode())
+    assert h.hexdigest() == want

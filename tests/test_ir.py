@@ -6,7 +6,7 @@ import pytest
 
 from sketchmap.interp import env_of_ints, simulate
 from sketchmap.ir import (
-    BV, BitVec, ChoiceHole, ConstantHole, DomainError, EmitMeta, Hole,
+    BV, BitVec, ConstantHole, DomainError, EmitMeta, Hole,
     MissingAssignment, Op, Operator, PortBinding, Prim, Prog, ProgBuilder,
     Reg, Sketch, Var, WellFormednessError, WidthError, check_well_formed,
     dump_sexpr, free_vars, inputs, is_behavioral, node_widths,
@@ -240,34 +240,6 @@ def test_substitute_constant_hole():
         substitute_holes(s, {"m": BV(BitVec.of(1, 5))})
     with pytest.raises(DomainError):
         substitute_holes(s, {"m": Var("a", 4)})
-
-
-def test_substitute_choice_hole():
-    b = ProgBuilder()
-    a = b.var("a", 4)
-    c = b.var("c", 4)
-    alts = (Op(Operator("add"), (a, c)), Op(Operator("sub"), (a, c)))
-    h = b.hole("which", ChoiceHole(alts))
-    s = Sketch(b.prog(h), {"which": ChoiceHole(alts)})
-    out = substitute_holes(s, {"which": alts[1]})
-    assert out.nodes[h] == alts[1]
-    check_well_formed(out)
-    with pytest.raises(DomainError):
-        substitute_holes(s, {"which": Op(Operator("mul"), (a, c))})
-
-
-def test_choice_hole_alternatives_add_schedule_edges():
-    # The hole depends on the alternatives' args; picking an alternative
-    # must never create a loop, so a loop through the alternative is W6.
-    b = ProgBuilder()
-    a = b.var("a", 1)
-    h_id = 99
-    loop = Op(Operator("and"), (a, h_id))
-    nodes = dict(b.nodes)
-    nodes[h_id] = Hole("h", ChoiceHole((loop,)))
-    nodes[100] = Op(Operator("not"), (h_id,))
-    with pytest.raises(WellFormednessError):
-        check_well_formed(Prog(100, nodes))
 
 
 def test_substitution_preserves_well_formedness_randomly():

@@ -6,12 +6,10 @@ import pytest
 
 from sketchmap.interp import Stream, simulate
 from sketchmap.ir import (
-    BV, BitVec, ChoiceHole, ConstantHole, Op, Operator, Prog, ProgBuilder,
-    Sketch, Var, WidthError,
+    BV, BitVec, ConstantHole, Operator, Prog, ProgBuilder, Sketch, Var,
+    WidthError,
 )
-from sketchmap.symbolic import (
-    FreeVarMismatch, build_query, selector_width, symbolic_run,
-)
+from sketchmap.symbolic import FreeVarMismatch, build_query, symbolic_run
 from sketchmap.terms import TermBuilder, eval_term, term_leaves
 from util_progs import random_behavioral
 
@@ -68,10 +66,11 @@ class TestTermBuilder:
         c = tb.input("c", 0, 1)
         a = tb.input("a", 0, 4)
         b = tb.input("b", 0, 4)
-        assert tb.ite(tb.const_of(1, 1), a, b) is a
-        assert tb.ite(tb.const_of(0, 1), a, b) is b
-        assert tb.ite(c, a, a) is a
-        assert tb.ite(c, tb.const_of(1, 1), tb.const_of(0, 1)) is c
+        mux = Operator("mux")
+        assert tb.app(mux, [tb.const_of(1, 1), a, b]) is a
+        assert tb.app(mux, [tb.const_of(0, 1), a, b]) is b
+        assert tb.app(mux, [c, a, a]) is a
+        assert tb.app(mux, [c, tb.const_of(1, 1), tb.const_of(0, 1)]) is c
 
     def test_mux_becomes_ite(self):
         tb = TermBuilder()
@@ -79,19 +78,20 @@ class TestTermBuilder:
         a = tb.input("a", 0, 4)
         b = tb.input("b", 0, 4)
         t = tb.app(Operator("mux"), [c, a, b])
-        assert t.kind == "ite"
+        assert t.kind == "app" and t.op == Operator("mux")
 
     def test_distribution_collapses_configurable_datapath(self):
-        # (ite(h, a+d, a-d) * c) with a,c,d constant folds to an ite of
+        # (mux(h, a+d, a-d) * c) with a,c,d constant folds to a mux of
         # constants: no symbolic multiply survives.
         tb = TermBuilder()
         h = tb.hole("sel", 1)
         a, c, d = (tb.const_of(v, 8) for v in (20, 3, 5))
-        pre = tb.ite(tb.app(Operator("eq"), [h, tb.const_of(1, 1)]),
-                     tb.app(Operator("add"), [a, d]),
-                     tb.app(Operator("sub"), [a, d]))
+        pre = tb.app(Operator("mux"),
+                     [tb.app(Operator("eq"), [h, tb.const_of(1, 1)]),
+                      tb.app(Operator("add"), [a, d]),
+                      tb.app(Operator("sub"), [a, d])])
         m = tb.app(Operator("mul"), [pre, c])
-        assert m.kind == "ite"
+        assert m.kind == "app" and m.op == Operator("mux")
         assert m.args[1].value == _bv(75, 8)
         assert m.args[2].value == _bv(45, 8)
 
@@ -149,7 +149,7 @@ class TestTermBuilder:
         c = tb.input("c", 0, 1)
         x = tb.input("x", 0, 4)
         h = tb.hole("h", 4)
-        t = tb.ite(c, x, h)
+        t = tb.app(Operator("mux"), [c, x, h])
         env = {("c", 0): _bv(1, 1), ("x", 0): _bv(6, 4)}
         assert eval_term(t, env, {"h": _bv(2, 4)}) == _bv(6, 4)
         with pytest.raises(KeyError):
@@ -192,20 +192,6 @@ class TestSymbolicRun:
         h = b.hole("m", ConstantHole(4))
         roots = symbolic_run(b.prog(h), 0)
         assert roots[0].kind == "hole" and roots[0].label == "m"
-
-    def test_choice_hole_becomes_selected_ite(self):
-        b = ProgBuilder()
-        a = b.var("a", 4)
-        c = b.var("c", 4)
-        alts = (Op(Operator("add"), (a, c)), Op(Operator("sub"), (a, c)),
-                Op(Operator("xor"), (a, c)))
-        h = b.hole("w", ChoiceHole(alts))
-        roots = symbolic_run(b.prog(h), 0)
-        t = roots[0]
-        assert t.kind == "ite"
-        _, holes = term_leaves(t)
-        assert {x.label for x in holes} == {"w"}
-        assert selector_width(3) == 2
 
     def test_termination_on_random_programs(self):
         rng = random.Random(31)
