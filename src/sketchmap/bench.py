@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cegis import Success, Timeout, Unsat, synthesize
-from .interp import env_of_ints, simulate
-from .ir import Prog, SketchmapError, var_widths
+from .interp import compile_program, simulate
+from .ir import Prog, SketchmapError
 from .portfolio import SolverError, SolverSession
 from .sketches import document_params, generate_sketch
 from .specdsl import SPEC_OPERATORS, parse_document
@@ -170,15 +170,16 @@ def validate_by_simulation(spec: Prog, program: Prog, t: int,
                            cycles: int = 2000, seed: int = 0) -> list[int]:
     """Drive both programs with the same random input streams and return
     the cycles >= t where they disagree (the first t cycles are pipeline
-    fill and carry no guarantee)."""
+    fill and carry no guarantee).  Each program is compiled once and
+    both run on plain ints."""
+    want_c, got_c = compile_program(spec), compile_program(program)
     rng = random.Random(seed)
-    vw = var_widths(spec)
-    env = env_of_ints({
-        name: ([rng.getrandbits(w) for _ in range(cycles)], w)
-        for name, w in vw.items()
-    })
-    want = simulate(spec, env, cycles)
-    got = simulate(program, env, cycles)
+    env = {name: [rng.getrandbits(w) for _ in range(cycles)]
+           for name, w in want_c.inputs}
+    want = simulate(want_c, env, cycles)
+    got = simulate(got_c, env, cycles)
+    if want_c.width != got_c.width:
+        return list(range(t, cycles))
     return [k for k in range(t, cycles) if want[k] != got[k]]
 
 

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .interp import Stream, simulate
+from .interp import compile_program, simulate
 from .ir import BV, BitVec, Prog, Sketch, substitute_holes
 from .portfolio import (
     PortfolioResult, PortfolioTimeout, SolverConfig, SolverError,
@@ -104,24 +104,23 @@ def _decode_model(query: EquivalenceQuery,
 
 def _revalidate(query: EquivalenceQuery, program: Prog,
                 cexs: list[CexEnv]) -> None:
-    """Concrete agreement on every accumulated counterexample."""
-    from .ir import var_widths
-    widths = var_widths(query.spec_prog)
+    """Concrete agreement on every accumulated counterexample.  The spec
+    and the program are each compiled once, for all of them."""
     horizon = query.t + query.c + 1
+    spec, got = compile_program(query.spec_prog), compile_program(program)
     for env in cexs:
-        streams = {}
-        for name, w in widths.items():
-            vals = [env.get((name, tt), BitVec.of(0, w))
-                    for tt in range(horizon)]
-            streams[name] = Stream(tuple(vals))
-        a = simulate(query.spec_prog, streams, horizon)
-        b = simulate(program, streams, horizon)
+        streams = {name: [env[(name, tt)].value if (name, tt) in env else 0
+                          for tt in range(horizon)]
+                   for name, _ in spec.inputs}
+        a = simulate(spec, streams, horizon)
+        b = simulate(got, streams, horizon)
         for tt in range(query.t, horizon):
-            if a[tt] != b[tt]:
+            if a[tt] != b[tt] or spec.width != got.width:
                 raise SolverError(
                     "soundness failure: solver accepted a candidate the "
-                    f"interpreter refutes at cycle {tt} (spec {a[tt]}, "
-                    f"got {b[tt]})")
+                    f"interpreter refutes at cycle {tt} (spec "
+                    f"{BitVec(spec.width, a[tt])}, got "
+                    f"{BitVec(got.width, b[tt])})")
 
 
 def cegis(query: EquivalenceQuery,

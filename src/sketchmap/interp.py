@@ -12,23 +12,28 @@ Semantics, per node at cycle t:
 
 Two implementations with identical observable behavior:
 
-  * interp / simulate: schedules every node (including nodes inside Prim
-    bodies) by the well-formedness witness (ir.schedule) and evaluates
-    cycle by cycle on plain ints.  Linear in nodes x cycles, no recursion,
-    keeps only two cycles of values alive.
+  * compile_program / simulate / interp: compile_program checks and
+    schedules a program once by the well-formedness witness (ir.schedule,
+    which covers the nodes inside Prim bodies) and generates one Python
+    function whose loop computes a cycle in straight-line code on plain
+    ints.  simulate runs it; interp runs it on the program rooted at the
+    node asked for.  Linear in nodes x cycles, no recursion.  A caller
+    that runs one program on many environments compiles it once and
+    passes the compiled form to simulate.
   * interp_naive: the recursive definition above, memo-free, for small
-    programs; exists so tests can check that memoization is unobservable.
+    programs; exists so tests can check the compiled form against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from types import CodeType
 from typing import Callable, Mapping, Sequence, Union
 
 from .ir import (
     BV, OPS, BitVec, Hole, Id, Op, Operator, Prim, Prog, Reg, SketchmapError,
     Var, check_well_formed, op_result_width, schedule, var_widths,
-    _collect_programs,
 )
 
 
@@ -91,135 +96,149 @@ def eval_op(op: Operator, args: list[BitVec]) -> BitVec:
 # -- compiled evaluation ----------------------------------------------------
 
 
-def _require_hole_free(p: Prog) -> None:
-    progs: list = []
-    _collect_programs(p, progs, set())
-    for prog, _ in progs:
-        for i, n in prog.nodes.items():
-            if isinstance(n, Hole):
-                raise SketchmapError(
-                    f"cannot interpret a program with holes (node {i}); "
-                    f"substitute them first")
+@dataclass(frozen=True)
+class Compiled:
+    """A checked, hole-free program compiled to one Python function.
 
-
-class _Compiled:
-    """One program compiled to a per-cycle evaluation plan.
-
-    plan: list of (id, closure) in witness order; each closure computes the
-    node's int value for the current cycle from cur (this cycle's values),
-    prev (last cycle's) and env.  Registers are split out: at cycle 0 they
-    load init, afterwards they read prev[data].
+    inputs lists the program's input streams as (name, width), in the
+    order fn takes them; width is the root's width.  fn(n, *streams)
+    returns the root's int values for cycles 0..n-1 and needs every
+    stream to hold at least n ints; simulate checks that before calling.
     """
 
-    def __init__(self, p: Prog, env: Env):
-        sched = schedule(p)
-        self.root = p.root
-        self.widths = widths = sched.widths
-        for name, w in var_widths(p).items():
-            if name not in env:
-                raise SketchmapError(f"environment is missing input {name!r}")
+    inputs: tuple[tuple[str, int], ...]
+    width: int
+    fn: Callable[..., list[int]] = field(repr=False)
+
+
+def compile_program(p: Prog) -> Compiled:
+    """Check and schedule p once (ir.schedule), then compile it.
+
+    The generated loop body computes one cycle.  Each Op node gets one
+    local assignment, in witness order, calling the operator table's int
+    function (ir.OPS[name].sem) bound for the node's widths and params.
+    Constants are int literals and an Op over literals only is folded to
+    one; a Var or a Prim is an alias of the node it reads; so none of
+    these costs code.  Registers are locals that start at their init and
+    are all updated together at the end of each cycle.  The source holds
+    only integer ids, integer literals and fixed names: no program string
+    enters it.  A Hole is rejected when the walk meets it.
+    """
+    sched = schedule(p)
+    inputs = tuple(var_widths(p).items())
+    stream = {name: f"x{k}" for k, (name, _) in enumerate(inputs)}
+    fns: dict[tuple, int] = {}          # (name, params, *widths) -> index
+    sems: list[Callable[..., int]] = []
+    # id -> the node's value this cycle: an int when it is a constant,
+    # else the name of the local holding it
+    ref: dict[Id, Union[int, str]] = {i: f"r{i}" for i, _ in sched.regs}
+    body: list[str] = []
+    widths, binds = sched.widths, sched.binds
+    for i in sched.order:
+        n = sched.nodes[i]
+        if isinstance(n, Op):
+            name, params = n.op.name, n.op.params
+            aw = [widths[a] for a in n.args]
+            key = (name, params, *aw)
+            k = fns.get(key)
+            if k is None:
+                k = fns[key] = len(sems)
+                sems.append(OPS[name].sem(aw, params))
+            args = [ref[a] for a in n.args]
+            if str in map(type, args):      # an operand varies per cycle
+                ref[i] = f"v{i}"
+                body.append(f"v{i} = f{k}({', '.join(map(str, args))})")
+            else:
+                ref[i] = sems[k](*args)
+        elif isinstance(n, Var):
+            ref[i] = ref[binds[i]] if i in binds else stream[n.name]
+        elif isinstance(n, Prim):
+            ref[i] = ref[n.body.root]
+        elif isinstance(n, BV):
+            ref[i] = n.b.value
+        elif isinstance(n, Hole):
+            raise SketchmapError(
+                f"cannot interpret a program with holes (node {i}); "
+                f"substitute them first")
+        elif not isinstance(n, Reg):
+            raise AssertionError(n)
+    body.append(f"ap({ref[p.root]})")
+    if sched.regs:
+        body.append(", ".join(str(ref[i]) for i, _ in sched.regs) + " = "
+                    + ", ".join(str(ref[r.data]) for _, r in sched.regs))
+    streams = [f"s{k}" for k in range(len(inputs))]
+    loop = (f"for _t, {', '.join(stream.values())} in "
+            f"zip(range(n), {', '.join(streams)}):" if inputs
+            else "for _t in range(n):")
+    # the operator functions are default arguments: fast locals in the loop
+    params = ["n"] + streams + [f"f{k}=f{k}" for k in range(len(sems))]
+    src = "\n".join(
+        [f"def _sim({', '.join(params)}):"]
+        + [f"    r{i} = {r.init.value}" for i, r in sched.regs]
+        + ["    out = []", "    ap = out.append", f"    {loop}"]
+        + [f"        {line}" for line in body]
+        + ["    return out"])
+    namespace = {f"f{k}": f for k, f in enumerate(sems)}
+    exec(_code(src), namespace)
+    return Compiled(inputs, widths[p.root], namespace["_sim"])
+
+
+@functools.lru_cache(maxsize=16)
+def _code(src: str) -> CodeType:
+    """compile() of a generated source, kept for the last few: a caller
+    that runs one program on many environments through simulate or
+    interp, or compiles one design's programs for revalidation and then
+    for the 2000-cycle check, pays compile() once.  The code depends on
+    nothing but its source."""
+    return compile(src, "<compiled program>", "exec")
+
+
+def _run(c: Compiled, env: Mapping[str, Sequence[int]],
+         horizon: int) -> list[int]:
+    streams = []
+    for name, w in c.inputs:
+        if name not in env:
+            raise SketchmapError(f"environment is missing input {name!r}")
+        s = env[name]
+        if s and (min(s) < 0 or max(s) >> w):
+            raise SketchmapError(
+                f"input {name!r} has a value outside {w} bits")
+        streams.append(s)
+    if streams and horizon > min(map(len, streams)):
+        raise HorizonExceeded(
+            f"cycle {horizon - 1} requested but inputs end at "
+            f"{min(map(len, streams)) - 1}")
+    return c.fn(horizon, *streams)
+
+
+def simulate(p: Union[Prog, Compiled], env: Mapping, horizon: int) -> list:
+    """Root values for cycles 0..horizon-1.
+
+    A Prog is compiled for this one call; env maps each input name to a
+    Stream and the values come back as BitVecs.  A Compiled program
+    (compile_program) runs as it is; env maps each input name to a
+    sequence of ints, each below 2**width, and the values come back as
+    ints.  Compile once to run one program on many environments.
+    """
+    if isinstance(p, Compiled):
+        return _run(p, env, horizon)
+    c = compile_program(p)
+    values = {}
+    for name, w in c.inputs:
+        if name in env:
             if env[name].width != w:
                 raise SketchmapError(
                     f"input {name!r} has width {env[name].width}, "
                     f"program expects {w}")
-        self.env = env
-        self.horizon = min(len(s) for s in env.values()) if env else None
-
-        # (id, data id, init value)
-        self.regs = [(i, n.data, n.init.value) for i, n in sched.regs]
-        plan: list[tuple[Id, Callable]] = []
-        for i in sched.order:
-            n = sched.nodes[i]
-            if isinstance(n, BV):
-                c = n.b.value
-                plan.append((i, (lambda cur, prev, t, c=c: c)))
-            elif isinstance(n, Var):
-                if i in sched.binds:
-                    a = sched.binds[i]
-                    plan.append((i, (lambda cur, prev, t, a=a: cur[a])))
-                else:
-                    stream = env[n.name]
-                    plan.append((i, (lambda cur, prev, t, s=stream: s.at(t).value)))
-            elif isinstance(n, Prim):
-                r = n.body.root
-                plan.append((i, (lambda cur, prev, t, a=r: cur[a])))
-            elif isinstance(n, Op):
-                plan.append((i, _op_closure(n.op, n.args,
-                                            [widths[a] for a in n.args])))
-            elif not isinstance(n, Reg):
-                raise AssertionError(n)
-        self.plan = plan
-
-    def run(self, upto: int) -> "_Run":
-        return _Run(self, upto)
-
-
-def _op_closure(op: Operator, args: tuple[Id, ...], aw: list[int]) -> Callable:
-    """The node's closure: the table's int function over its operands."""
-    f = OPS[op.name].sem(aw, op.params)
-    if len(args) == 1:
-        (a,) = args
-        return lambda cur, prev, t, f=f, a=a: f(cur[a])
-    if len(args) == 2:
-        a, b = args
-        return lambda cur, prev, t, f=f, a=a, b=b: f(cur[a], cur[b])
-    a, b, c = args
-    return lambda cur, prev, t, f=f, a=a, b=b, c=c: f(cur[a], cur[b], cur[c])
-
-
-class _Run:
-    """Streams cycles 0..upto, keeping a two-cycle window of values."""
-
-    def __init__(self, c: _Compiled, upto: int):
-        if c.horizon is not None and upto >= c.horizon:
-            raise HorizonExceeded(
-                f"cycle {upto} requested but inputs end at {c.horizon - 1}")
-        self.c = c
-        self.t = -1
-        self.cur: dict[Id, int] = {}
-        self.prev: dict[Id, int] = {}
-        self.upto = upto
-
-    def step(self) -> dict[Id, int]:
-        self.t += 1
-        self.prev, self.cur = self.cur, {}
-        cur, prev, t = self.cur, self.prev, self.t
-        if t == 0:
-            for i, _, init in self.c.regs:
-                cur[i] = init
-        else:
-            for i, data, _ in self.c.regs:
-                cur[i] = prev[data]
-        for i, f in self.c.plan:
-            cur[i] = f(cur, prev, t)
-        return cur
-
-
-def simulate(p: Prog, env: Env, horizon: int) -> list[BitVec]:
-    """Root values for cycles 0..horizon-1."""
-    _require_hole_free(p)
-    if horizon < 1:
-        return []
-    c = _Compiled(p, env)
-    run = c.run(horizon - 1)
-    w = c.widths[p.root]
-    out = []
-    for _ in range(horizon):
-        vals = run.step()
-        out.append(BitVec(w, vals[p.root]))
-    return out
+            values[name] = [b.value for b in env[name].values]
+    return [BitVec(c.width, v) for v in _run(c, values, horizon)]
 
 
 def interp(p: Prog, env: Env, t: int, n: Id) -> BitVec:
     """Value of node n at cycle t (n must be a top-level node of p)."""
-    _require_hole_free(p)
     if n not in p.nodes:
         raise SketchmapError(f"id {n} is not a node of the program")
-    c = _Compiled(p, env)
-    run = c.run(t)
-    for _ in range(t + 1):
-        vals = run.step()
-    return BitVec(c.widths[n], vals[n])
+    return simulate(Prog(n, p.nodes), env, t + 1)[t]
 
 
 # -- reference implementation ----------------------------------------------
@@ -229,7 +248,6 @@ def interp_naive(p: Prog, env: Union[Env, Callable[[str, int], BitVec]],
                  t: int, n: Id) -> BitVec:
     """Direct recursive semantics, no memo.  Exponential on deep programs;
     only for cross-checking the compiled path on small inputs."""
-    _require_hole_free(p) if isinstance(env, Mapping) else None
     if isinstance(env, Mapping):
         check_well_formed(p)
         lookup = lambda x, tt: env[x].at(tt)

@@ -9,6 +9,7 @@ from sketchmap.bench import (SoundnessFailure, corpus_benchmarks,
                              _expressible)
 from sketchmap.ir import BitVec, ProgBuilder
 from sketchmap.specdsl import parse_document
+from util_progs import record_calls
 
 
 def _mdsp():
@@ -91,6 +92,23 @@ class TestValidation:
         five, seven = delayed(5), delayed(7)
         assert validate_by_simulation(five, seven, 0, cycles=30) == [0]
         assert validate_by_simulation(five, seven, 1, cycles=30) == []
+
+    def test_one_simulate_call_and_one_schedule_per_program(
+            self, monkeypatch):
+        # the benchmark's tracer wraps bench.simulate and reads the cycle
+        # count from its third positional argument
+        from sketchmap import bench, interp
+        calls = record_calls(monkeypatch, bench, "simulate")
+        scheduled = record_calls(monkeypatch, interp, "schedule")
+        b = ProgBuilder()
+        x, y = b.var("x", 4), b.var("y", 4)
+        spec = b.prog(b.op("add", x, y))
+        b2 = ProgBuilder()
+        x2, y2 = b2.var("x", 4), b2.var("y", 4)
+        same = b2.prog(b2.op("add", y2, x2))
+        assert validate_by_simulation(spec, same, 0, cycles=2000) == []
+        assert [a[2] for a in calls] == [2000, 2000]
+        assert [a[0] for a in scheduled] == [spec, same]
 
 
 class TestRunCorpus:

@@ -23,6 +23,7 @@ from sketchmap.portfolio import SolverConfig, SolverSession
 from sketchmap.sketches import document_params, generate_sketch
 from sketchmap.specdsl import parse_document
 from sketchmap.symbolic import build_query
+from util_progs import record_calls
 
 WEDGED = SolverConfig(
     "wedged", (sys.executable, "-c", "import time; time.sleep(600)"),
@@ -172,6 +173,26 @@ class TestEquivalenceWindow:
             synthesize(_reg_spec(7), _reg_sketch(5), t=1, c=1), Success)
         assert isinstance(
             synthesize(_reg_spec(5), _reg_sketch(5), t=1, c=1), Success)
+
+
+def test_revalidate_compiles_once_and_simulates_every_counterexample(
+        monkeypatch):
+    # the benchmark's tracer wraps cegis.simulate and reads the cycle
+    # count from its third positional argument
+    from sketchmap import interp
+    from sketchmap.portfolio import SolverError
+    calls = record_calls(monkeypatch, cegis_module, "simulate")
+    scheduled = record_calls(monkeypatch, interp, "schedule")
+    q = build_query(_reg_spec(5), _reg_sketch(5), 0, 1)
+    good = _reg_sketch(5).psi
+    cexs = [{("a", 0): _bv(v, 4), ("a", 1): _bv(v + 1, 4)}
+            for v in (0, 3, 9)] + [{}]
+    cegis_module._revalidate(q, good, cexs)
+    assert [a[2] for a in calls] == [2] * 8
+    assert [a[0] for a in scheduled] == [q.spec_prog, good]
+    with pytest.raises(SolverError, match=r"at cycle 0 \(spec 4'h5, "
+                                          r"got 4'h7\)"):
+        cegis_module._revalidate(q, _reg_sketch(7).psi, cexs)
 
 
 class TestLoopMechanics:

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from sketchmap.interp import (
-    HorizonExceeded, env_of_ints, eval_op, interp, interp_naive, simulate,
-    stream_of_ints, trace_lines,
+    HorizonExceeded, compile_program, env_of_ints, eval_op, interp,
+    interp_naive, simulate, stream_of_ints, trace_lines,
 )
 from sketchmap.ir import (
     BV, BitVec, EmitMeta, Op, Operator, PortBinding, Prim, Prog, ProgBuilder,
-    Reg, Var, free_vars,
+    Reg, SketchmapError, Var, free_vars,
 )
 from util_progs import random_behavioral
 
@@ -166,6 +166,8 @@ def test_horizon_errors():
     with pytest.raises(HorizonExceeded):
         simulate(p, env, 3)
     assert len(simulate(p, env, 2)) == 2
+    with pytest.raises(HorizonExceeded):
+        simulate(compile_program(p), {"a": [1, 2]}, 3)
 
 
 def test_missing_or_narrow_input_rejected():
@@ -176,6 +178,13 @@ def test_missing_or_narrow_input_rejected():
         interp(p, {}, 0, a)
     with pytest.raises(Exception):
         interp(p, env_of_ints({"a": ([1], 3)}), 0, a)
+    c = compile_program(p)
+    with pytest.raises(SketchmapError, match="missing input 'a'"):
+        simulate(c, {}, 1)
+    with pytest.raises(SketchmapError, match="outside 4 bits"):
+        simulate(c, {"a": [16]}, 1)
+    with pytest.raises(SketchmapError, match="outside 4 bits"):
+        simulate(c, {"a": [-1]}, 1)
 
 
 def test_holes_are_rejected():
@@ -187,23 +196,110 @@ def test_holes_are_rejected():
 
 
 def test_memoization_transparent_on_random_programs():
+    # the compiled form, run once over every cycle, against the recursive
+    # definition at each cycle
     rng = random.Random(23)
-    for _ in range(60):
+    horizon = 5
+    with_regs = 0
+    for _ in range(3000):
         p = random_behavioral(rng, max_nodes=12, max_width=6)
-        widths = {}
-        for n in p.nodes.values():
-            if isinstance(n, Var):
-                widths[n.name] = n.width
-        horizon = 5
-        env = {
-            name: stream_of_ints(
-                [rng.getrandbits(w) for _ in range(horizon)], w)
-            for name, w in widths.items()
-        }
-        for t in (0, 2, 4):
-            fast = interp(p, env, t, p.root)
+        with_regs += any(isinstance(n, Reg) for n in p.nodes.values())
+        c = compile_program(p)
+        ints = {name: [rng.getrandbits(w) for _ in range(horizon)]
+                for name, w in c.inputs}
+        env = {name: stream_of_ints(vs, w)
+               for (name, w), vs in zip(c.inputs, ints.values())}
+        fast = simulate(c, ints, horizon)
+        assert simulate(p, env, horizon) == [BitVec(c.width, v)
+                                             for v in fast]
+        for t in range(horizon):
             slow = interp_naive(p, env, t, p.root)
-            assert fast == slow, f"divergence at t={t}\n{p}"
+            assert BitVec(c.width, fast[t]) == slow, \
+                f"divergence at t={t}\n{p}"
+    assert with_regs >= 1000
+
+
+def _swap_regs():
+    """Two registers that read each other, no inputs: 1, 2, 1, 2, ..."""
+    b = ProgBuilder()
+    r1, r2 = b.fresh(), b.fresh()
+    b.nodes[r1] = Reg(r2, _bv(1, 4))
+    b.nodes[r2] = Reg(r1, _bv(2, 4))
+    return b.prog(r1), {}
+
+
+def _self_reg():
+    """A register that reads itself holds its init forever."""
+    b = ProgBuilder()
+    r = b.fresh()
+    b.nodes[r] = Reg(r, _bv(5, 4))
+    out = b.op("xor", r, b.var("a", 4))
+    return b.prog(out), env_of_ints({"a": ([0, 1, 2, 3], 4)})
+
+
+def _constant_root():
+    b = ProgBuilder()
+    b.var("a", 4)
+    return b.prog(b.op("add", b.bv(6, 4), b.bv(3, 4))), \
+        env_of_ints({"a": ([1, 2, 3, 4], 4)})
+
+
+def _prim_with_reg():
+    """A Prim whose body holds a register fed by the bound input."""
+    b = ProgBuilder()
+    a = b.var("a", 4)
+    bb = b.child()
+    x = bb.var("x", 4)
+    y = bb.op("add", bb.reg(x, _bv(1, 4)), x)
+    meta = EmitMeta("acc", (("x", PortBinding("i", "in", 4)),), (), "o")
+    pr = b.add(Prim((("x", a),), bb.prog(y), meta))
+    return b.prog(pr), env_of_ints({"a": ([2, 3, 4, 5], 4)})
+
+
+@pytest.mark.parametrize("case, want", [
+    (_swap_regs, [1, 2, 1, 2]),
+    (_self_reg, [5, 4, 7, 6]),
+    (_constant_root, [9, 9, 9, 9]),
+    (_prim_with_reg, [3, 5, 7, 9]),
+])
+def test_compiled_hand_cases(case, want):
+    p, env = case()
+    assert [v.value for v in simulate(p, env, 4)] == want
+    for t in range(4):
+        assert interp_naive(p, env, t, p.root).value == want[t]
+
+
+def test_interp_on_a_node_that_is_not_the_root():
+    b = ProgBuilder()
+    a = b.var("a", 4)
+    s = b.op("add", a, b.bv(1, 4))
+    r = b.reg(s, _bv(0, 4))
+    p = b.prog(b.op("xor", r, a))
+    env = env_of_ints({"a": ([3, 7, 9], 4)})
+    assert [interp(p, env, t, s).value for t in range(3)] == [4, 8, 10]
+    assert [interp(p, env, t, r).value for t in range(3)] == [0, 4, 8]
+    assert [interp(p, env, t, a).value for t in range(3)] == [3, 7, 9]
+
+
+def test_input_names_never_enter_generated_code():
+    # names that would clash with, or break out of, generated source
+    names = ["t", "out", "horizon", 'a"); (b', "n", "ap", "x0", "s0", "f0"]
+    b = ProgBuilder()
+    acc = b.var(names[0], 8)
+    for name in names[1:]:
+        acc = b.op("add", b.op("mul", acc, b.bv(3, 8)), b.var(name, 8))
+    p = b.prog(acc)
+    rng = random.Random(5)
+    rows = {name: [rng.getrandbits(8) for _ in range(6)] for name in names}
+    env = {name: stream_of_ints(vs, 8) for name, vs in rows.items()}
+    want = []
+    for t in range(6):
+        v = 0
+        for name in names:
+            v = (v * 3 + rows[name][t]) & 0xff
+        want.append(v)
+    assert [v.value for v in simulate(p, env, 6)] == want
+    assert simulate(compile_program(p), rows, 6) == want
 
 
 def test_naive_matches_fast_through_prims():

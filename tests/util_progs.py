@@ -155,3 +155,17 @@ def witness_exists_bruteforce(p: Prog) -> bool:
         return False
 
     return go(0)
+
+
+def record_calls(monkeypatch, module, name: str) -> list[tuple]:
+    """Wrap module.name for the test; returns the list that receives the
+    positional arguments of each call, in order."""
+    calls: list[tuple] = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
