@@ -5,7 +5,7 @@ Semantics, per node at cycle t:
   * BV b           -> b
   * Var x          -> env[x][t]
   * Op o args      -> o applied to args at t, by o's semantics in the
-                      operator table (ir.OPS)
+                      operator table (ir.OPS, read through ir.fold)
   * Reg data init  -> init at t = 0, value of data at t-1 otherwise
   * Prim binds body-> body root at t under a fresh environment where each
                       body variable x reads the bound node binds[x]
@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .ir import (
     BV, OPS, BitVec, Hole, Id, Op, Operator, Prim, Prog, Reg, SketchmapError,
-    Var, check_well_formed, op_result_width, schedule, var_widths,
+    Var, check_well_formed, fold, op_result_width, schedule, var_widths,
 )
 
 
@@ -88,9 +88,8 @@ def eval_op(op: Operator, args: list[BitVec]) -> BitVec:
     """Evaluate one operator application on constants, by the semantics
     in the operator table (ir.OPS)."""
     widths = [a.width for a in args]
-    rw = op_result_width(op, widths)
-    f = OPS[op.name].sem(widths, op.params)
-    return BitVec(rw, f(*[a.value for a in args]))
+    return BitVec(op_result_width(op, widths),
+                  fold(op, widths, [a.value for a in args]))
 
 
 # -- compiled evaluation ----------------------------------------------------
@@ -114,20 +113,20 @@ class Compiled:
 def compile_program(p: Prog) -> Compiled:
     """Check and schedule p once (ir.schedule), then compile it.
 
-    The generated loop body computes one cycle.  Each Op node gets one
-    local assignment, in witness order, calling the operator table's int
-    function (ir.OPS[name].sem) bound for the node's widths and params.
-    Constants are int literals and an Op over literals only is folded to
-    one; a Var or a Prim is an alias of the node it reads; so none of
-    these costs code.  Registers are locals that start at their init and
-    are all updated together at the end of each cycle.  The source holds
-    only integer ids, integer literals and fixed names: no program string
-    enters it.  A Hole is rejected when the walk meets it.
+    The generated loop body computes one cycle.  Constants are int
+    literals, a Var or a Prim is an alias of the node it reads, and an Op
+    that ir.fold resolves from its literals (a mux with a literal
+    selector, say) is a literal or an alias.  Every other Op gets one
+    local assignment, in witness order, calling ir.OPS[name].sem bound
+    for its widths and params.  Registers are locals that start at their
+    init and are all updated together at the end of each cycle.  The
+    source holds only integer ids, integer literals and fixed names: no
+    program string enters it.  A Hole is rejected when the walk meets it.
     """
     sched = schedule(p)
     inputs = tuple(var_widths(p).items())
     stream = {name: f"x{k}" for k, (name, _) in enumerate(inputs)}
-    fns: dict[tuple, int] = {}          # (name, params, *widths) -> index
+    fns: dict[tuple, int] = {}          # (operator, *widths) -> index
     sems: list[Callable[..., int]] = []
     # id -> the node's value this cycle: an int when it is a constant,
     # else the name of the local holding it
@@ -137,19 +136,18 @@ def compile_program(p: Prog) -> Compiled:
     for i in sched.order:
         n = sched.nodes[i]
         if isinstance(n, Op):
-            name, params = n.op.name, n.op.params
             aw = [widths[a] for a in n.args]
-            key = (name, params, *aw)
-            k = fns.get(key)
-            if k is None:
-                k = fns[key] = len(sems)
-                sems.append(OPS[name].sem(aw, params))
             args = [ref[a] for a in n.args]
-            if str in map(type, args):      # an operand varies per cycle
-                ref[i] = f"v{i}"
-                body.append(f"v{i} = f{k}({', '.join(map(str, args))})")
-            else:
-                ref[i] = sems[k](*args)
+            r = fold(n.op, aw, args)
+            if r is None:
+                key = (n.op, *aw)
+                k = fns.get(key)
+                if k is None:
+                    k = fns[key] = len(sems)
+                    sems.append(OPS[n.op.name].sem(aw, n.op.params))
+                r = f"v{i}"
+                body.append(f"{r} = f{k}({', '.join(map(str, args))})")
+            ref[i] = r
         elif isinstance(n, Var):
             ref[i] = ref[binds[i]] if i in binds else stream[n.name]
         elif isinstance(n, Prim):

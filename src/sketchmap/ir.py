@@ -141,7 +141,10 @@ class OpSpec:
     (results already truncated to the result width).  smt is the SMT-LIB
     form, filled by str.format with the operand terms as {0}..{2}, the
     params as {p}, and the all-zero / all-one literals of the first
-    operand's width as {zeros} / {ones}.
+    operand's width as {zeros} / {ones}.  fold(widths, params, xs) is the
+    folding rule that fold reads when some operands are unknown: its
+    answer (one of xs, an int, or None) must hold for every value they
+    may take.  The default folds nothing.
     """
 
     arity: int
@@ -149,6 +152,7 @@ class OpSpec:
     width: Callable[[Operator, list[int]], int]
     sem: Callable[[list[int], tuple[int, ...]], Callable[..., int]]
     smt: str
+    fold: Callable[..., object] = lambda w, p, xs: None
 
 
 def _same_width(op: Operator, w: list[int]) -> int:
@@ -188,29 +192,58 @@ def _mask(w: int) -> int:
     return (1 << w) - 1
 
 
+def _fold2(unit=None, zero=None, same=None, idem=False, commutes=True):
+    """The fold rule of a two-operand operator, its constants taken at the
+    operand width (-1 is all ones): x op unit = x and x op zero = zero
+    with the constant on the right, or on either side when op commutes;
+    x op x = same, or x itself when op is idempotent."""
+    def rule(w, p, xs):
+        x, y = xs
+        if x == y:
+            return x if idem else same
+        m = _mask(w[0])
+        for k, other in ((y, x), (x, y))[:1 + commutes]:
+            if unit is not None and k == unit & m:
+                return other
+            if zero is not None and k == zero & m:
+                return k
+        return None
+    return rule
+
+
+def _fold_mux(w, p, xs):
+    s, x, y = xs
+    if type(s) is int:
+        return x if s else y
+    if x == y:
+        return x
+    return s if w[1] == 1 and x == 1 and y == 0 else None
+
+
 # Semantics factories bind their width-derived constants as default
 # arguments, so the returned function reads them as fast locals.  With h
 # the sign bit of a width, (x ^ h) - h is x's signed reading, and x ^ h
 # orders signed values as unsigned ones.  Shifts take the full unsigned
 # amount: amounts >= width give 0 (ashr: the sign bits), as in SMT-LIB.
 # mux picks its second operand when the selector is 1; concat puts its
-# first operand high.
+# first operand high.  A fold rule states only what holds for every value
+# of the unknown operands; tests/test_ops.py checks each against sem.
 OPS: dict[str, OpSpec] = {
     "add": OpSpec(2, 0, _same_width,
                   lambda w, p: lambda x, y, m=_mask(w[0]): (x + y) & m,
-                  "(bvadd {0} {1})"),
+                  "(bvadd {0} {1})", _fold2(unit=0)),
     "sub": OpSpec(2, 0, _same_width,
                   lambda w, p: lambda x, y, m=_mask(w[0]): (x - y) & m,
-                  "(bvsub {0} {1})"),
+                  "(bvsub {0} {1})", _fold2(unit=0, same=0, commutes=False)),
     "mul": OpSpec(2, 0, _same_width,
                   lambda w, p: lambda x, y, m=_mask(w[0]): (x * y) & m,
-                  "(bvmul {0} {1})"),
+                  "(bvmul {0} {1})", _fold2(unit=1, zero=0)),
     "and": OpSpec(2, 0, _same_width, lambda w, p: operator.and_,
-                  "(bvand {0} {1})"),
+                  "(bvand {0} {1})", _fold2(unit=-1, zero=0, idem=True)),
     "or": OpSpec(2, 0, _same_width, lambda w, p: operator.or_,
-                 "(bvor {0} {1})"),
+                 "(bvor {0} {1})", _fold2(unit=0, zero=-1, idem=True)),
     "xor": OpSpec(2, 0, _same_width, lambda w, p: operator.xor,
-                  "(bvxor {0} {1})"),
+                  "(bvxor {0} {1})", _fold2(unit=0, same=0)),
     "not": OpSpec(1, 0, lambda op, w: w[0],
                   lambda w, p: lambda x, m=_mask(w[0]): x ^ m,
                   "(bvnot {0})"),
@@ -220,33 +253,33 @@ OPS: dict[str, OpSpec] = {
     "shl": OpSpec(2, 0, _same_width,
                   lambda w, p: lambda x, s, n=w[0], m=_mask(w[0]):
                       (x << s) & m if s < n else 0,
-                  "(bvshl {0} {1})"),
+                  "(bvshl {0} {1})", _fold2(unit=0, commutes=False)),
     "lshr": OpSpec(2, 0, _same_width, lambda w, p: operator.rshift,
-                   "(bvlshr {0} {1})"),
+                   "(bvlshr {0} {1})", _fold2(unit=0, commutes=False)),
     "ashr": OpSpec(2, 0, _same_width,
                    lambda w, p: lambda x, s, h=1 << (w[0] - 1), m=_mask(w[0]):
                        (((x ^ h) - h) >> s) & m,
-                   "(bvashr {0} {1})"),
+                   "(bvashr {0} {1})", _fold2(unit=0, commutes=False)),
     "eq": OpSpec(2, 0, _compare,
                  lambda w, p: lambda x, y: 1 if x == y else 0,
-                 "(ite (= {0} {1}) #b1 #b0)"),
+                 "(ite (= {0} {1}) #b1 #b0)", _fold2(same=1)),
     "ult": OpSpec(2, 0, _compare,
                   lambda w, p: lambda x, y: 1 if x < y else 0,
-                  "(ite (bvult {0} {1}) #b1 #b0)"),
+                  "(ite (bvult {0} {1}) #b1 #b0)", _fold2(same=0)),
     "ule": OpSpec(2, 0, _compare,
                   lambda w, p: lambda x, y: 1 if x <= y else 0,
-                  "(ite (bvule {0} {1}) #b1 #b0)"),
+                  "(ite (bvule {0} {1}) #b1 #b0)", _fold2(same=1)),
     "slt": OpSpec(2, 0, _compare,
                   lambda w, p: lambda x, y, h=1 << (w[0] - 1):
                       1 if x ^ h < y ^ h else 0,
-                  "(ite (bvslt {0} {1}) #b1 #b0)"),
+                  "(ite (bvslt {0} {1}) #b1 #b0)", _fold2(same=0)),
     "sle": OpSpec(2, 0, _compare,
                   lambda w, p: lambda x, y, h=1 << (w[0] - 1):
                       1 if x ^ h <= y ^ h else 0,
-                  "(ite (bvsle {0} {1}) #b1 #b0)"),
+                  "(ite (bvsle {0} {1}) #b1 #b0)", _fold2(same=1)),
     "mux": OpSpec(3, 0, _mux_width,
                   lambda w, p: lambda s, x, y: x if s else y,
-                  "(ite (= {0} #b1) {1} {2})"),
+                  "(ite (= {0} #b1) {1} {2})", _fold_mux),
     "reduce_or": OpSpec(1, 0, lambda op, w: 1,
                         lambda w, p: lambda x: 1 if x else 0,
                         "(ite (distinct {0} {zeros}) #b1 #b0)"),
@@ -260,14 +293,17 @@ OPS: dict[str, OpSpec] = {
     "extract": OpSpec(1, 2, _extract_width,
                       lambda w, p: lambda x, lo=p[1], m=_mask(p[0] - p[1] + 1):
                           (x >> lo) & m,
-                      "((_ extract {p[0]} {p[1]}) {0})"),
+                      "((_ extract {p[0]} {p[1]}) {0})",
+                      lambda w, p, xs: xs[0] if p == (w[0] - 1, 0) else None),
     "zero_extend": OpSpec(1, 1, _extend_width, lambda w, p: lambda x: x,
-                          "((_ zero_extend {p[0]}) {0})"),
+                          "((_ zero_extend {p[0]}) {0})",
+                          lambda w, p, xs: xs[0] if p == (0,) else None),
     "sign_extend": OpSpec(1, 1, _extend_width,
                           lambda w, p: lambda x, h=1 << (w[0] - 1),
                                               m=_mask(w[0] + p[0]):
                               ((x ^ h) - h) & m,
-                          "((_ sign_extend {p[0]}) {0})"),
+                          "((_ sign_extend {p[0]}) {0})",
+                          lambda w, p, xs: xs[0] if p == (0,) else None),
 }
 
 
@@ -299,6 +335,17 @@ def op_result_width(op: Operator, arg_widths: list[int]) -> int:
         raise ArityError(
             f"{op} expects {spec.arity} args, got {len(arg_widths)}")
     return spec.width(op, arg_widths)
+
+
+def fold(op: Operator, widths: list[int], xs: list) -> object:
+    """op on xs, each an int when it is a known constant and an opaque
+    value compared only with == otherwise: sem's value when all are
+    known, else the fold rule's answer, which is one of xs, the result's
+    value as an int, or None when nothing folds."""
+    spec = OPS[op.name]
+    if all(type(x) is int for x in xs):
+        return spec.sem(widths, op.params)(*xs)
+    return spec.fold(widths, op.params, xs)
 
 
 # -- node variants ----------------------------------------------------------

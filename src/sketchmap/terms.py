@@ -7,12 +7,16 @@ object, so equality checks are pointer checks and structurally aligned
 circuits collapse.
 
 Construction folds aggressively but only with rules that preserve the
-concrete semantics of the operator table (ir.OPS) bit for bit:
+concrete semantics of the operator table (ir.OPS) bit for bit.  Each
+application first goes to ir.fold, which the compiled simulator reads
+too: all-constant evaluation, identity and absorbing constants (x&0,
+x^0, x*1, ...), equal operands (eq(x,x), x-x, ...), shifts and extends
+by 0, a full-range extract, and a mux with a constant selector, equal
+branches or branches 1, 0.  Those rules see an operand only as a value,
+so the rewrites that look inside one or build a new term stay here:
 
-  * all-constant applications evaluate away,
-  * algebraic identities (x&0, x^0, x*1, eq(x,x), ...),
-  * wiring normalization (extract of extract / concat / extends),
-  * mux with a constant selector or equal branches,
+  * not(not x) = x and mux(c, 0, 1) = not c,
+  * extract of an extract, a zero_extend or a concat,
   * distribution of an operation over a small mux tree when every other
     argument is constant.  This is what keeps synthesis queries small:
     with concrete inputs substituted, a configurable datapath folds to a
@@ -31,8 +35,7 @@ from __future__ import annotations
 
 from typing import Container, Iterator, Optional
 
-from .interp import eval_op
-from .ir import BitVec, Operator, WidthError, op_result_width
+from .ir import BitVec, Operator, WidthError, fold, op_result_width
 
 _DIST_LIMIT = 64  # max mux-tree size eligible for distribution
 _MUX = Operator("mux")
@@ -142,10 +145,14 @@ class TermBuilder:
     # -- operator application -------------------------------------------
 
     def app(self, op: Operator, args: list[Term]) -> Term:
-        rw = op_result_width(op, [a.width for a in args])
-        if all(a.kind == "const" for a in args):
-            return self.const(eval_op(op, [a.value for a in args]))
-        folded = self._fold(op, args, rw)
+        widths = [a.width for a in args]
+        rw = op_result_width(op, widths)
+        folded = fold(op, widths, [a.value.value if a.kind == "const" else a
+                                   for a in args])
+        if isinstance(folded, int):
+            return self.const_of(folded, rw)
+        if folded is None:
+            folded = self._rewrite(op, args, rw)
         if folded is None and op.name != "mux":
             # a mux that does not fold is interned as built: its 1-bit
             # selector is never a mux tree (a 1-bit mux of constants
@@ -157,94 +164,38 @@ class TermBuilder:
         return self._intern(key, lambda: Term("app", rw, op=op,
                                               args=tuple(args)))
 
-    def _fold(self, op: Operator, args: list[Term], rw: int) -> Optional[Term]:
-        name = op.name
-        if name == "mux":
-            cond, a, b = args
-            if cond.kind == "const":
-                return a if cond.value.value == 1 else b
-            if a is b:
-                return a
-            if a.width == 1 and a.kind == "const" and b.kind == "const":
-                # mux(c,1,0) = c ; mux(c,0,1) = not c
-                if a.value.value == 1 and b.value.value == 0:
-                    return cond
-                return self.app(Operator("not"), [cond])
+    def _rewrite(self, op: Operator, args: list[Term],
+                 rw: int) -> Optional[Term]:
+        """The folds that look inside an operand or build a new term."""
+        name, x = op.name, args[0]
+        if name == "not" and x.kind == "app" and x.op.name == "not":
+            return x.args[0]
+        if name == "mux":   # the one 1-bit mux of constants ir.fold leaves
+            if rw == 1 and args[1].kind == args[2].kind == "const":
+                return self.app(Operator("not"), [x])   # mux(c, 0, 1)
             return None
-        if name == "eq" and args[0] is args[1]:
-            return self.const_of(1, 1)
-        if name in ("ule", "sle") and args[0] is args[1]:
-            return self.const_of(1, 1)
-        if name in ("ult", "slt") and args[0] is args[1]:
-            return self.const_of(0, 1)
-        if name in ("xor", "sub") and args[0] is args[1]:
-            return self.const_of(0, args[0].width)
-        if name in ("and", "or") and args[0] is args[1]:
-            return args[0]
-        if name == "not" and args[0].kind == "app" and args[0].op.name == "not":
-            return args[0].args[0]
-        w = args[0].width
-        full = (1 << w) - 1
-        for i in (0, 1):
-            if len(args) == 2 and args[i].kind == "const":
-                k = args[i].value.value
-                other = args[1 - i]
-                if name == "and":
-                    if k == 0:
-                        return self.const_of(0, w)
-                    if k == full:
-                        return other
-                elif name == "or":
-                    if k == 0:
-                        return other
-                    if k == full:
-                        return self.const_of(full, w)
-                elif name == "xor":
-                    if k == 0:
-                        return other
-                elif name == "add":
-                    if k == 0:
-                        return other
-                elif name == "mul":
-                    if k == 0:
-                        return self.const_of(0, w)
-                    if k == 1:
-                        return other
-        if name == "sub" and args[1].kind == "const" and args[1].value.value == 0:
-            return args[0]
-        if name in ("shl", "lshr", "ashr") and args[1].kind == "const" \
-                and args[1].value.value == 0:
-            return args[0]
-        if name in ("zero_extend", "sign_extend") and op.params[0] == 0:
-            return args[0]
-        if name == "extract":
-            hi, lo = op.params
-            x = args[0]
-            if lo == 0 and hi == x.width - 1:
-                return x
-            if x.kind == "app":
-                xi = x.op.name
-                if xi == "extract":
-                    h2, l2 = x.op.params
-                    return self.app(Operator("extract", (l2 + hi, l2 + lo)),
-                                    [x.args[0]])
-                if xi == "zero_extend":
-                    iw = x.args[0].width
-                    if hi < iw:
-                        return self.app(Operator("extract", (hi, lo)),
-                                        [x.args[0]])
-                    if lo >= iw:
-                        return self.const_of(0, rw)
-                if xi == "concat":
-                    hi_part, lo_part = x.args
-                    if hi < lo_part.width:
-                        return self.app(Operator("extract", (hi, lo)),
-                                        [lo_part])
-                    if lo >= lo_part.width:
-                        return self.app(
-                            Operator("extract",
-                                     (hi - lo_part.width, lo - lo_part.width)),
-                            [hi_part])
+        if name != "extract" or x.kind != "app":
+            return None
+        hi, lo = op.params
+        inner = x.op.name
+        if inner == "extract":
+            return self.app(Operator("extract", (x.op.params[1] + hi,
+                                                 x.op.params[1] + lo)),
+                            [x.args[0]])
+        if inner == "zero_extend":
+            iw = x.args[0].width
+            if hi < iw:
+                return self.app(op, [x.args[0]])
+            if lo >= iw:
+                return self.const_of(0, rw)
+        if inner == "concat":
+            hi_part, lo_part = x.args
+            lw = lo_part.width
+            if hi < lw:
+                return self.app(op, [lo_part])
+            if lo >= lw:
+                return self.app(Operator("extract", (hi - lw, lo - lw)),
+                                [hi_part])
         return None
 
     def _distribute(self, op: Operator, args: list[Term],
@@ -328,6 +279,8 @@ def eval_term(t: Term, inputs: dict[tuple[str, int], BitVec],
             if v.width != x.width:
                 raise WidthError(f"hole {x.label!r} width mismatch")
         else:
-            v = eval_op(x.op, [memo[id(a)] for a in x.args])
+            args = [memo[id(a)] for a in x.args]
+            v = BitVec(x.width, fold(x.op, [a.width for a in args],
+                                     [a.value for a in args]))
         memo[id(x)] = v
     return memo[id(t)]

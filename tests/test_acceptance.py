@@ -15,7 +15,8 @@ from sketchmap.arch import load_arch, packaged_arch_path, parse_arch
 from sketchmap.bench import run_corpus, write_corpus
 from sketchmap.btor2 import MissingInit, load_btor2, parse_btor2, to_prog
 from sketchmap.cegis import Success, Unsat, synthesize
-from sketchmap.interp import Stream, env_of_ints, interp, simulate
+from sketchmap.interp import (Stream, compile_program, env_of_ints,
+                              interp, simulate)
 from sketchmap.ir import (BV, BitVec, Prim, ProgBuilder, Sketch,
                           WellFormednessError, check_well_formed, free_vars,
                           substitute_holes, var_widths, verify_witness)
@@ -114,29 +115,34 @@ def test_criterion_02_bitwise_with_carry_arithmetic():
     glc = _arch("generic-lut-carry.yml")
     rng = random.Random(2024)
     checked = []
-    for w in range(2, 9):
-        for opname in ("add", "sub"):
-            b = ProgBuilder()
-            x, y = b.var("a", w), b.var("b", w)
-            spec = b.prog(b.op(opname, x, y))
-            sketch = generate_sketch("bitwise-with-carry", glc,
-                                     {"width": w})
-            r = synthesize(spec, sketch, t=0, c=0, timeout=120.0)
-            assert isinstance(r, Success), f"{opname} width {w}"
-            if w <= 5:
-                pairs = itertools.product(range(2 ** w), repeat=2)
-            else:
-                n = 10000 if w == 8 else 3000
-                pairs = ((rng.getrandbits(w), rng.getrandbits(w))
-                         for _ in range(n))
-            count = 0
-            for a, bb in pairs:
-                env = env_of_ints({"a": ([a], w), "b": ([bb], w)})
-                got = interp(r.program, env, 0, r.program.root).value
-                want = (a + bb if opname == "add" else a - bb) % 2 ** w
-                assert got == want, f"{opname} w={w}: {a},{bb}"
-                count += 1
-            checked.append((opname, w, count))
+    # one session serves all 14 designs, and each result is compiled once
+    # and then run on every vector
+    with SolverSession() as session:
+        for w in range(2, 9):
+            for opname in ("add", "sub"):
+                b = ProgBuilder()
+                x, y = b.var("a", w), b.var("b", w)
+                spec = b.prog(b.op(opname, x, y))
+                sketch = generate_sketch("bitwise-with-carry", glc,
+                                         {"width": w})
+                r = synthesize(spec, sketch, t=0, c=0, timeout=120.0,
+                               session=session)
+                assert isinstance(r, Success), f"{opname} width {w}"
+                compiled = compile_program(r.program)
+                assert dict(compiled.inputs) == {"a": w, "b": w}
+                if w <= 5:
+                    pairs = itertools.product(range(2 ** w), repeat=2)
+                else:
+                    n = 10000 if w == 8 else 3000
+                    pairs = ((rng.getrandbits(w), rng.getrandbits(w))
+                             for _ in range(n))
+                count = 0
+                for a, bb in pairs:
+                    (got,) = simulate(compiled, {"a": [a], "b": [bb]}, 1)
+                    want = (a + bb if opname == "add" else a - bb) % 2 ** w
+                    assert got == want, f"{opname} w={w}: {a},{bb}"
+                    count += 1
+                checked.append((opname, w, count))
     elapsed = time.monotonic() - started
     assert len(checked) == 14
     assert all(c == 4 ** w for op, w, c in checked if w <= 5)

@@ -253,6 +253,16 @@ PINNED_QUERIES = {
     "add_mul_xor_w08_d1": ("minidsp.yml", "dsp", None,
                            "82c9b7cd2b2265fe67b9645373d50697"
                            "170e6485173171a9edb37664c173272e"),
+    # a three-input truth table as the lut64 benchmark writes it: its
+    # queries are 1-bit trees of not, and and or over the LUT's shifted
+    # configuration word
+    "tt_4b": ("sofa.yml", "bitwise",
+              "(spec (inputs (a 1) (b 1) (c 1)) (or (or (or "
+              "(and (and (not a) (not b)) (not c)) "
+              "(and (and a (not b)) (not c))) (and (and a b) (not c))) "
+              "(and (and (not a) b) c)))\n",
+              "c3f10176a54c5939b571add859ee9589"
+              "c588f8aefb44950c36b882c57fe71318"),
 }
 
 

@@ -225,7 +225,7 @@ def _swap_regs():
     r1, r2 = b.fresh(), b.fresh()
     b.nodes[r1] = Reg(r2, _bv(1, 4))
     b.nodes[r2] = Reg(r1, _bv(2, 4))
-    return b.prog(r1), {}
+    return b.prog(r1), {}, 0
 
 
 def _self_reg():
@@ -234,14 +234,14 @@ def _self_reg():
     r = b.fresh()
     b.nodes[r] = Reg(r, _bv(5, 4))
     out = b.op("xor", r, b.var("a", 4))
-    return b.prog(out), env_of_ints({"a": ([0, 1, 2, 3], 4)})
+    return b.prog(out), env_of_ints({"a": ([0, 1, 2, 3], 4)}), 1
 
 
 def _constant_root():
     b = ProgBuilder()
     b.var("a", 4)
     return b.prog(b.op("add", b.bv(6, 4), b.bv(3, 4))), \
-        env_of_ints({"a": ([1, 2, 3, 4], 4)})
+        env_of_ints({"a": ([1, 2, 3, 4], 4)}), 0
 
 
 def _prim_with_reg():
@@ -253,20 +253,36 @@ def _prim_with_reg():
     y = bb.op("add", bb.reg(x, _bv(1, 4)), x)
     meta = EmitMeta("acc", (("x", PortBinding("i", "in", 4)),), (), "o")
     pr = b.add(Prim((("x", a),), bb.prog(y), meta))
-    return b.prog(pr), env_of_ints({"a": ([2, 3, 4, 5], 4)})
+    return b.prog(pr), env_of_ints({"a": ([2, 3, 4, 5], 4)}), 1
 
 
+def _folds_to_wires():
+    """mux(1, a, b), and(a, 0), a full-range extract and a zero_extend by 0
+    fold for any a and b, leaving sub(a, add(b, 0)) = sub(a, b)."""
+    b = ProgBuilder()
+    a, c = b.var("a", 4), b.var("b", 4)
+    m = b.zext(0, b.extract(3, 0, b.op("mux", b.bv(1, 1), a, c)))
+    z = b.op("add", c, b.op("and", a, b.bv(0, 4)))
+    return b.prog(b.op("sub", m, z)), \
+        env_of_ints({"a": ([9, 2, 0, 15], 4), "b": ([3, 5, 0, 1], 4)}), 1
+
+
+# each case gives a program, its inputs and how many operator functions
+# its compiled form binds: an Op over literals, or one that folds for
+# every operand value, binds none
 @pytest.mark.parametrize("case, want", [
     (_swap_regs, [1, 2, 1, 2]),
     (_self_reg, [5, 4, 7, 6]),
     (_constant_root, [9, 9, 9, 9]),
     (_prim_with_reg, [3, 5, 7, 9]),
+    (_folds_to_wires, [6, 13, 0, 14]),
 ])
 def test_compiled_hand_cases(case, want):
-    p, env = case()
+    p, env, calls = case()
     assert [v.value for v in simulate(p, env, 4)] == want
     for t in range(4):
         assert interp_naive(p, env, t, p.root).value == want[t]
+    assert len(compile_program(p).fn.__defaults__ or ()) == calls
 
 
 def test_interp_on_a_node_that_is_not_the_root():

@@ -1,7 +1,9 @@
 """Conformance of the operator table: for every entry, the concrete
 semantics (eval_op) and the SMT-LIB form agree, as judged by the bundled
-solver on pinned operand values."""
+solver on pinned operand values, and the fold rule agrees with the
+concrete semantics on every operand pattern at small widths."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from sketchmap.interp import eval_op
 from sketchmap.ir import (
     OPS, ArityError, BitVec, Operator, WidthError, op_result_width,
 )
+from sketchmap.ir import fold as ir_fold
 from sketchmap.smtlib import emit_smtlib, parse_solver_output
 from sketchmap.solver.qfbv import run_script
 from sketchmap.terms import TermBuilder
@@ -52,3 +55,43 @@ def test_semantics_agree_with_smtlib(name):
         case = f"{op} on {[str(v) for v in vals]} -> {want}"
         assert _status(pins + [same]) == "sat", case
         assert _status(pins + [tb.app(neg, [same])]) == "unsat", case
+
+
+@pytest.mark.parametrize("name", sorted(OPS))
+def test_fold_rules_agree_with_semantics(name):
+    # every operand pattern at widths 1..3 and params 0..3: each operand a
+    # constant or one of two opaque names (a name used twice stands for one
+    # value), so equal-operand rules are reached; a fold must agree with
+    # sem for every value of the names it leaves open
+    spec = OPS[name]
+    patterns = 0
+    for params in itertools.product(range(4), repeat=spec.nparams):
+        op = Operator(name, params)
+        for widths in itertools.product(range(1, 4), repeat=spec.arity):
+            widths = list(widths)
+            try:
+                rw = op_result_width(op, widths)
+            except WidthError:
+                continue
+            sem = spec.sem(widths, params)
+            for xs in itertools.product(*([*range(1 << w), "a", "b"]
+                                          for w in widths)):
+                named = {}
+                if any(named.setdefault(x, w) != w
+                       for x, w in zip(xs, widths) if isinstance(x, str)):
+                    continue        # one name at two widths
+                patterns += 1
+                r = spec.fold(widths, params, xs)
+                if named:
+                    assert ir_fold(op, widths, xs) == r
+                if r is None:
+                    continue
+                # an int of the result's width, or a name of that width
+                assert (0 <= r < 1 << rw if isinstance(r, int)
+                        else named.get(r) == rw), (op, xs, r)
+                for vals in itertools.product(*(range(1 << w)
+                                                for w in named.values())):
+                    env = dict(zip(named, vals))
+                    want = sem(*[env.get(x, x) for x in xs])
+                    assert env.get(r, r) == want, (op, widths, xs, env)
+    assert patterns

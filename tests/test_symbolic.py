@@ -71,6 +71,11 @@ class TestTermBuilder:
         assert tb.app(mux, [tb.const_of(0, 1), a, b]) is b
         assert tb.app(mux, [c, a, a]) is a
         assert tb.app(mux, [c, tb.const_of(1, 1), tb.const_of(0, 1)]) is c
+        assert tb.app(mux, [c, tb.const_of(0, 1), tb.const_of(1, 1)]) \
+            is tb.app(Operator("not"), [c])
+        # one constant branch is not enough to fold
+        d = tb.input("d", 0, 1)
+        assert tb.app(mux, [c, tb.const_of(0, 1), d]).op == mux
 
     def test_mux_becomes_ite(self):
         tb = TermBuilder()
