@@ -7,18 +7,28 @@ The loop alternates two existential queries:
   VERIFY: find an input environment where the candidate's sketch differs
           from the spec over the checked cycle window.
 
-VERIFY unsat means the candidate works everywhere: the holes are
-substituted and the finished program is re-checked by the concrete
-interpreter on all accumulated counterexamples, so a solver or encoding
-bug surfaces as a hard error instead of a wrong netlist.  SYNTH unsat
-means no hole assignment can work: the sketch cannot express the spec.
+VERIFY unsat means the candidate works everywhere: the finished program
+is re-checked by the concrete interpreter on all accumulated
+counterexamples, so a solver or encoding bug surfaces as a hard error
+instead of a wrong netlist.  SYNTH unsat means no hole assignment can
+work: the sketch cannot express the spec.
 
-The counterexample set is seeded with a few deterministic pseudo-random
-environments before the first SYNTH call.  Any environment is a sound
-member (the final program must agree on all of them); seeding just saves
-solver round-trips.  Each environment is substituted once, as it joins.
-Progress is asserted every iteration: a VERIFY counterexample already in
-the set would mean the loop cannot terminate, so it raises instead.
+The counterexample set is seeded with one deterministic pseudo-random
+environment before the first SYNTH call (SEED_SAMPLES).  Any environment
+is a sound member (the final program must agree on all of them), so
+between SYNTH and VERIFY each candidate is probed: its holes are
+substituted, the program is compiled (interp.compile_program) and
+simulated against the spec, compiled once per call, on PROBES fixed
+pseudo-random environments over cycles 0..t+c, drawn from their own
+seed.  The first environment on which they differ at a cycle t..t+c
+joins the set and the loop returns to SYNTH without a VERIFY call; only
+a candidate that passes every probe goes to VERIFY, and its compiled
+form is the one revalidated.  A probe is a simulation where VERIFY is a
+solver call, and one seed keeps SYNTH small, since it holds one copy of
+the sketch per environment in the set.  Each environment is substituted
+once, as it joins.  Progress is asserted every iteration: a refuting
+environment already in the set would mean the loop cannot terminate, so
+it raises instead.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .interp import compile_program, simulate
+from .interp import Compiled, compile_program, simulate
 from .ir import BV, BitVec, Prog, Sketch, substitute_holes
 from .portfolio import (
     PortfolioResult, PortfolioTimeout, SolverConfig, SolverError,
@@ -39,6 +49,9 @@ from .symbolic import EquivalenceQuery, build_query
 from .terms import Operator, Term
 
 CexEnv = dict[tuple[str, int], BitVec]
+
+SEED_SAMPLES = 1    # environments in the set before the first SYNTH call
+PROBES = 16         # environments each candidate is simulated on
 
 
 @dataclass
@@ -102,13 +115,14 @@ def _decode_model(query: EquivalenceQuery,
     return by_label
 
 
-def _revalidate(query: EquivalenceQuery, program: Prog,
-                cexs: list[CexEnv]) -> None:
-    """Concrete agreement on every accumulated counterexample.  The spec
-    and the program are each compiled once, for all of them."""
+def _first_disagreement(query: EquivalenceQuery, spec: Compiled,
+                        got: Compiled, envs: list[CexEnv]
+                        ) -> Optional[tuple[CexEnv, int, int, int]]:
+    """The first of envs (0 for any input it has no value for) on which
+    the compiled spec and candidate differ at a cycle t..t+c, with that
+    cycle and the two values there; None when they agree on all."""
     horizon = query.t + query.c + 1
-    spec, got = compile_program(query.spec_prog), compile_program(program)
-    for env in cexs:
+    for env in envs:
         streams = {name: [env[(name, tt)].value if (name, tt) in env else 0
                           for tt in range(horizon)]
                    for name, _ in spec.inputs}
@@ -116,17 +130,27 @@ def _revalidate(query: EquivalenceQuery, program: Prog,
         b = simulate(got, streams, horizon)
         for tt in range(query.t, horizon):
             if a[tt] != b[tt] or spec.width != got.width:
-                raise SolverError(
-                    "soundness failure: solver accepted a candidate the "
-                    f"interpreter refutes at cycle {tt} (spec "
-                    f"{BitVec(spec.width, a[tt])}, got "
-                    f"{BitVec(got.width, b[tt])})")
+                return env, tt, a[tt], b[tt]
+    return None
+
+
+def _revalidate(query: EquivalenceQuery, spec: Compiled, got: Compiled,
+                cexs: list[CexEnv]) -> None:
+    """Concrete agreement of the compiled candidate with the compiled
+    spec on every accumulated counterexample."""
+    bad = _first_disagreement(query, spec, got, cexs)
+    if bad is not None:
+        _, tt, a, b = bad
+        raise SolverError(
+            "soundness failure: solver accepted a candidate the "
+            f"interpreter refutes at cycle {tt} (spec "
+            f"{BitVec(spec.width, a)}, got {BitVec(got.width, b)})")
 
 
 def cegis(query: EquivalenceQuery,
           solvers: Optional[list[SolverConfig]] = None,
           timeout: float = 120.0,
-          initial_samples: int = 4,
+          initial_samples: int = SEED_SAMPLES,
           seed: int = 2024,
           session: Optional[SolverSession] = None) -> SynthesisResult:
     """Run the loop on query.  Every solver call goes to session's
@@ -152,12 +176,20 @@ def cegis(query: EquivalenceQuery,
     cexs: list[CexEnv] = []
 
     def learn(env: CexEnv) -> None:
+        if env in cexs:
+            raise SolverError(
+                "CEGIS made no progress: a candidate was refuted on an "
+                "environment already in the set")
         cexs.append(env)
         synth_asserts.extend(g for g in _subst_inputs(query, env)
                              if g is not one)
 
     for env in _random_envs(query, initial_samples, seed):
         learn(env)
+    # drawn from a seed of their own; one already in the set is dropped
+    probes = [env for env in _random_envs(query, PROBES, seed + 1)
+              if env not in cexs]
+    spec = compile_program(query.spec_prog)
     iterations, last_winner = 0, "none"
     try:
         while True:
@@ -178,6 +210,17 @@ def cegis(query: EquivalenceQuery,
                 model = {}
 
             by_label = _decode_model(query, model)
+            program = substitute_holes(
+                query.sketch,
+                {label: BV(v) for label, v in by_label.items()})
+            got = compile_program(program)
+
+            # probe the candidate by simulation; VERIFY only if it passes
+            bad = _first_disagreement(query, spec, got, probes)
+            if bad is not None:
+                probes.remove(bad[0])
+                learn(bad[0])
+                continue
 
             # VERIFY the candidate over all inputs
             hole_map = {s: tb.const(by_label[s.label])
@@ -194,41 +237,31 @@ def cegis(query: EquivalenceQuery,
             refute = tb.app(Operator("not"), [conj])
             if refute.kind == "const":
                 if refute.value.value == 1:
-                    # differs on every input: only possible without inputs
-                    return Unsat(time.monotonic() - start, iterations)
-                verified = True
+                    # differs on every input, so on the all-zero one too
+                    learn({})
+                    continue
             else:
                 r = solve([refute], query.input_symbols,
                           query.input_symbols)
-                if r.status == "unsat":
-                    verified = True
-                else:
+                if r.status != "unsat":
                     last_winner = r.winner
-                    verified = False
                     env: CexEnv = {}
                     for s in query.input_symbols:
                         v = r.model.get(symbol_name(s),
                                         BitVec.of(0, s.width))
                         env[(s.name, s.time)] = BitVec.of(v.value, s.width)
-                    if env in cexs:
-                        raise SolverError(
-                            "CEGIS made no progress: VERIFY returned an "
-                            "environment already in the set")
                     learn(env)
+                    continue
 
-            if verified:
-                program = substitute_holes(
-                    query.sketch,
-                    {label: BV(v) for label, v in by_label.items()})
-                _revalidate(query, program, cexs)
-                return Success(
-                    program=program,
-                    model=by_label,
-                    solver=last_winner,
-                    wall_time=time.monotonic() - start,
-                    iterations=iterations,
-                    counterexamples=cexs,
-                )
+            _revalidate(query, spec, got, cexs)
+            return Success(
+                program=program,
+                model=by_label,
+                solver=last_winner,
+                wall_time=time.monotonic() - start,
+                iterations=iterations,
+                counterexamples=cexs,
+            )
     except PortfolioTimeout:
         return Timeout(time.monotonic() - start, iterations)
 
@@ -236,7 +269,7 @@ def cegis(query: EquivalenceQuery,
 def synthesize(spec: Prog, sketch: Sketch, t: int = 0, c: int = 2,
                solvers: Optional[list[SolverConfig]] = None,
                timeout: float = 120.0,
-               initial_samples: int = 4,
+               initial_samples: int = SEED_SAMPLES,
                seed: int = 2024,
                session: Optional[SolverSession] = None) -> SynthesisResult:
     """End-to-end: build the equivalence query for cycles t..t+c and run

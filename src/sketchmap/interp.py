@@ -16,10 +16,11 @@ Two implementations with identical observable behavior:
     schedules a program once by the well-formedness witness (ir.schedule,
     which covers the nodes inside Prim bodies) and generates one Python
     function whose loop computes a cycle in straight-line code on plain
-    ints.  simulate runs it; interp runs it on the program rooted at the
-    node asked for.  Linear in nodes x cycles, no recursion.  A caller
-    that runs one program on many environments compiles it once and
-    passes the compiled form to simulate.
+    ints, skipping what the root does not need.  simulate runs it;
+    interp runs it on the program rooted at the node asked for.  Linear
+    in nodes x cycles, no recursion.  A caller that runs one program on
+    many environments compiles it once and passes the compiled form to
+    simulate.
   * interp_naive: the recursive definition above, memo-free, for small
     programs; exists so tests can check the compiled form against it.
 """
@@ -119,19 +120,25 @@ def compile_program(p: Prog) -> Compiled:
     selector, say) is a literal or an alias.  Every other Op gets one
     local assignment, in witness order, calling ir.OPS[name].sem bound
     for its widths and params.  Registers are locals that start at their
-    init and are all updated together at the end of each cycle.  The
-    source holds only integer ids, integer literals and fixed names: no
-    program string enters it.  A Hole is rejected when the walk meets it.
+    init and are all updated together at the end of each cycle.  Only
+    what the root needs is computed: a walk back from the root's value,
+    through each assignment's operands and each register's data (its
+    value in the cycle before), marks the locals that are live, and an
+    Op, register or input stream that no live local reads gets no code.
+    The source holds only integer ids, integer literals and fixed names:
+    no program string enters it.  A Hole is rejected when the walk meets
+    it.
     """
     sched = schedule(p)
     inputs = tuple(var_widths(p).items())
     stream = {name: f"x{k}" for k, (name, _) in enumerate(inputs)}
-    fns: dict[tuple, int] = {}          # (operator, *widths) -> index
-    sems: list[Callable[..., int]] = []
     # id -> the node's value this cycle: an int when it is a constant,
     # else the name of the local holding it
     ref: dict[Id, Union[int, str]] = {i: f"r{i}" for i, _ in sched.regs}
-    body: list[str] = []
+    # the Ops left after folding, as (local, operator, widths, operands),
+    # and for each local the operands its assignment reads
+    ops: list[tuple[str, Operator, list[int], list]] = []
+    reads: dict[str, list] = {}
     widths, binds = sched.widths, sched.binds
     for i in sched.order:
         n = sched.nodes[i]
@@ -140,13 +147,9 @@ def compile_program(p: Prog) -> Compiled:
             args = [ref[a] for a in n.args]
             r = fold(n.op, aw, args)
             if r is None:
-                key = (n.op, *aw)
-                k = fns.get(key)
-                if k is None:
-                    k = fns[key] = len(sems)
-                    sems.append(OPS[n.op.name].sem(aw, n.op.params))
                 r = f"v{i}"
-                body.append(f"{r} = f{k}({', '.join(map(str, args))})")
+                ops.append((r, n.op, aw, args))
+                reads[r] = args
             ref[i] = r
         elif isinstance(n, Var):
             ref[i] = ref[binds[i]] if i in binds else stream[n.name]
@@ -160,19 +163,41 @@ def compile_program(p: Prog) -> Compiled:
                 f"substitute them first")
         elif not isinstance(n, Reg):
             raise AssertionError(n)
+    for i, r in sched.regs:
+        reads[f"r{i}"] = [ref[r.data]]
+    live: set[str] = set()
+    todo = [ref[p.root]]
+    while todo:
+        x = todo.pop()
+        if type(x) is str and x not in live:
+            live.add(x)
+            todo.extend(reads.get(x, ()))
+    fns: dict[tuple, int] = {}          # (operator, *widths) -> index
+    sems: list[Callable[..., int]] = []
+    body: list[str] = []
+    for r, op, aw, args in ops:
+        if r in live:
+            key = (op, *aw)
+            k = fns.get(key)
+            if k is None:
+                k = fns[key] = len(sems)
+                sems.append(OPS[op.name].sem(aw, op.params))
+            body.append(f"{r} = f{k}({', '.join(map(str, args))})")
     body.append(f"ap({ref[p.root]})")
-    if sched.regs:
-        body.append(", ".join(str(ref[i]) for i, _ in sched.regs) + " = "
-                    + ", ".join(str(ref[r.data]) for _, r in sched.regs))
+    regs = [(i, r) for i, r in sched.regs if f"r{i}" in live]
+    if regs:
+        body.append(", ".join(f"r{i}" for i, _ in regs) + " = "
+                    + ", ".join(str(ref[r.data]) for _, r in regs))
     streams = [f"s{k}" for k in range(len(inputs))]
-    loop = (f"for _t, {', '.join(stream.values())} in "
-            f"zip(range(n), {', '.join(streams)}):" if inputs
+    used = [(x, s) for x, s in zip(stream.values(), streams) if x in live]
+    loop = (f"for _t, {', '.join(x for x, _ in used)} in "
+            f"zip(range(n), {', '.join(s for _, s in used)}):" if used
             else "for _t in range(n):")
     # the operator functions are default arguments: fast locals in the loop
     params = ["n"] + streams + [f"f{k}=f{k}" for k in range(len(sems))]
     src = "\n".join(
         [f"def _sim({', '.join(params)}):"]
-        + [f"    r{i} = {r.init.value}" for i, r in sched.regs]
+        + [f"    r{i} = {r.init.value}" for i, r in regs]
         + ["    out = []", "    ap = out.append", f"    {loop}"]
         + [f"        {line}" for line in body]
         + ["    return out"])

@@ -6,10 +6,11 @@ piped in whole and a long-lived session that sends query after query,
 each opened by (reset) and closed by an (echo ...) the parent waits for.
 
 Input the solver cannot take (a malformed s-expression, an unsupported
-command or head, an ill-sorted term, a bad literal, a width or index too
-large to represent or to allocate) stops it with (error "...") on stderr
-and exit code 1; terms are read without recursion, so their depth is
-bounded by memory alone.  At the end of the input the exit code is 0.
+command or head, an ill-sorted term, a bad literal, a width above
+qfbv.MAX_WIDTH, a term too large to allocate) stops it with (error "...")
+on stderr and exit code 1; terms are read without recursion, so their
+depth is bounded by memory alone.  At the end of the input the exit code
+is 0.
 """
 
 import sys

@@ -17,8 +17,9 @@ explicit stack of frames, operands left to right before their
 application, so AIG nodes are made in that order and a deep term needs
 no Python frames.  _check is the one place an application meets its
 entry: a wrong operand or index count, an operand of the wrong sort,
-unequal widths where the entry wants equal ones, and an extract outside
-its operand raise SolverInputError naming the head.  The sort and width
+unequal widths where the entry wants equal ones, an extract outside
+its operand, and a concat or extend result past MAX_WIDTH raise
+SolverInputError naming the head.  The sort and width
 rules are those of SMT-LIB 2.6's FixedSizeBitVectors theory; the operand
 counts are this solver's own.  It takes = and distinct on two operands
 only, where SMT-LIB also allows more (the mapper never emits them), and
@@ -27,6 +28,13 @@ it answers some forms SMT-LIB leaves undefined, such as (and), (xor p),
 Literals and sorts go through read_literal and read_sort, which reject
 bad digits and widths below 1; the mapper reads solver models with the
 same reader.
+
+No bit-vector may be wider than MAX_WIDTH, 65536 bits (a 36 Kbit block
+RAM's contents fit): a sort, a literal, or the result of concat,
+zero_extend or sign_extend past it raises SolverInputError, so a single
+numeral cannot make the solver allocate without bound.  The limit bounds
+widths, not work: a term's AIG still grows with its size, and bvmul's
+with the square of its width.
 
 One check-sat per reset (matching what the mapper emits): reset forgets
 every declaration, assertion and answer, so one Script can serve a stream
@@ -49,6 +57,9 @@ from .aig import AIG, FALSE, TRUE
 
 class SolverInputError(Exception):
     pass
+
+
+MAX_WIDTH = 1 << 16
 
 
 # -- s-expression reader -----------------------------------------------------
@@ -144,14 +155,21 @@ def _width(s) -> int:
     w = _numeral(s)
     if w < 1:
         raise SolverInputError(f"bit-vector width {w} is below 1")
+    return _bounded(w)
+
+
+def _bounded(w: int, what: str = "bit-vector width") -> int:
+    if w > MAX_WIDTH:
+        raise SolverInputError(f"{what} {w} is above the limit {MAX_WIDTH}")
     return w
 
 
 def read_literal(t) -> tuple[int | None, int] | None:
     """(width, value) of the literal t, width None for true and false;
     None when t is no literal.  A #b or #x without digits or with a digit
-    outside its base, and a (_ bvN w) with a bad numeral or a width below
-    1, raise SolverInputError.  (_ bvN w) wraps N modulo 2**w."""
+    outside its base, and a (_ bvN w) with a bad numeral, a literal with
+    a width below 1 or above MAX_WIDTH, raise SolverInputError.
+    (_ bvN w) wraps N modulo 2**w."""
     if isinstance(t, str):
         if t == "true":
             return None, 1
@@ -164,7 +182,7 @@ def read_literal(t) -> tuple[int | None, int] | None:
         digits = t[2:]
         if not digits or digits.strip(alphabet):
             raise SolverInputError(f"bad literal {t!r}")
-        return bits * len(digits), int(digits, radix)
+        return _bounded(bits * len(digits)), int(digits, radix)
     if (len(t) == 3 and t[0] == "_" and isinstance(t[1], str)
             and t[1].startswith("bv")):
         w = _width(t[2])
@@ -190,7 +208,10 @@ def read_sort(s) -> int | None:
 # against its entry, and makes the AIG calls the head stands for.
 
 BOOL, BITVEC, ALIKE = int, list, None    # operand sorts
-EQUAL, RANGE = "equal", "range"          # width rules
+# width rules: operands of one width; extract's range; a result that is
+# the operand widths' sum (concat) or the operand's plus the index (the
+# extends), which must stay within MAX_WIDTH
+EQUAL, RANGE, SUM, EXTEND = "equal", "range", "sum", "extend"
 _SORT_NAME = {BOOL: "Bool", BITVEC: "BitVec"}
 
 
@@ -206,7 +227,7 @@ class Head:
         self.least = least    # fewest operands
         self.most = most      # most operands, None for no limit
         self.nindex = nindex  # indices of (_ name i ...)
-        self.width = width    # EQUAL: one width; RANGE: extract's; None
+        self.width = width    # EQUAL, RANGE, SUM, EXTEND or None
         self.blast = blast    # (AIG, operand values, indices) -> value
         self.cond = cond      # a Bool condition comes first, outside sort
 
@@ -279,7 +300,7 @@ HEADS: dict[str, Head] = {
     "distinct": _binary(ALIKE, lambda g, xs, ix: _eq(g, xs, ix) ^ 1),
     "ite": Head(ALIKE, 3, 3, 0, EQUAL, _ite, cond=True),
     # the first operand is the high part
-    "concat": Head(BITVEC, 1, None, 0, None,
+    "concat": Head(BITVEC, 1, None, 0, SUM,
                    lambda g, xs, ix: [b for x in reversed(xs) for b in x]),
     "bvnot": Head(BITVEC, 1, 1, 0, None,
                   lambda g, xs, ix: [b ^ 1 for b in xs[0]]),
@@ -303,9 +324,9 @@ HEADS: dict[str, Head] = {
     "bvsge": _binary(BITVEC, _compare(AIG.slt_bits, negate=1)),
     "extract": Head(BITVEC, 1, 1, 2, RANGE,
                     lambda g, xs, ix: xs[0][ix[1]:ix[0] + 1]),
-    "zero_extend": Head(BITVEC, 1, 1, 1, None,
+    "zero_extend": Head(BITVEC, 1, 1, 1, EXTEND,
                         lambda g, xs, ix: xs[0] + [FALSE] * ix[0]),
-    "sign_extend": Head(BITVEC, 1, 1, 1, None,
+    "sign_extend": Head(BITVEC, 1, 1, 1, EXTEND,
                         lambda g, xs, ix: xs[0] + [xs[0][-1]] * ix[0]),
 }
 
@@ -344,6 +365,8 @@ def _check(name: str, head: Head, xs: list, ix) -> tuple:
                 widths = ", ".join(str(len(x)) for x in xs[first:])
                 raise SolverInputError(
                     f"{name} needs equal operand widths, got {widths}")
+    if head.width is SUM:
+        _bounded(sum(map(len, xs)), f"{name} result width")
     if ix:
         ix = tuple(map(_numeral, ix))
         if head.width is RANGE:
@@ -352,6 +375,8 @@ def _check(name: str, head: Head, xs: list, ix) -> tuple:
             if not 0 <= lo <= hi < w:
                 raise SolverInputError(
                     f"{name} {hi} {lo} is out of range for width {w}")
+        elif head.width is EXTEND:
+            _bounded(len(xs[0]) + ix[0], f"{name} result width")
     return ix
 
 

@@ -14,7 +14,7 @@ from sketchmap import cegis as cegis_module
 from sketchmap.arch import load_arch, packaged_arch_path
 from sketchmap.bench import _document_text, corpus_benchmarks
 from sketchmap.cegis import Success, Timeout, Unsat, cegis, synthesize
-from sketchmap.interp import env_of_ints, interp, simulate
+from sketchmap.interp import compile_program, env_of_ints, interp, simulate
 from sketchmap.ir import (
     BV, BitVec, ConstantHole, EmitMeta, Hole, PortBinding, Prim,
     ProgBuilder, Sketch, substitute_holes,
@@ -114,20 +114,7 @@ class TestLutSynthesis:
 
     def test_unsat_when_sketch_cannot_see_an_input(self):
         # single-input lookup vs a two-input spec: no memory works
-        b = ProgBuilder()
-        a = b.var("a", 1)
-        b.var("b", 1)  # declared but unused by the sketch datapath
-        h = b.hole("m", ConstantHole(2))
-        bb = b.child()
-        tbl = bb.var("tbl", 2)
-        sel = bb.var("sel", 1)
-        body = bb.prog(bb.extract(0, 0, bb.op("lshr", tbl,
-                                              bb.zext(1, sel))))
-        meta = EmitMeta("lut1", (("sel", PortBinding("I", "in", 1)),),
-                        (("INIT", "tbl"),), "O")
-        pr = b.add(Prim((("tbl", h), ("sel", a)), body, meta))
-        sk = Sketch(b.prog(pr), {"m": ConstantHole(2)})
-        res = synthesize(_bool_spec("xor"), sk, t=0, c=0)
+        res = synthesize(_bool_spec("xor"), _lut1_on_a_sketch(), t=0, c=0)
         assert isinstance(res, Unsat)
 
     def test_no_hole_sketch_verifies_directly(self):
@@ -142,6 +129,44 @@ class TestLutSynthesis:
         solved = substitute_holes(sk, {"m": BV(_bv(0b0111, 4))})
         res = synthesize(_bool_spec("xor"), Sketch(solved, {}), t=0, c=0)
         assert isinstance(res, Unsat)
+
+
+def _lut1_on_a_sketch():
+    """A one-input lookup on a; b is declared but unused."""
+    b = ProgBuilder()
+    a = b.var("a", 1)
+    b.var("b", 1)
+    h = b.hole("m", ConstantHole(2))
+    bb = b.child()
+    tbl = bb.var("tbl", 2)
+    sel = bb.var("sel", 1)
+    body = bb.prog(bb.extract(0, 0, bb.op("lshr", tbl, bb.zext(1, sel))))
+    meta = EmitMeta("lut1", (("sel", PortBinding("I", "in", 1)),),
+                    (("INIT", "tbl"),), "O")
+    pr = b.add(Prim((("tbl", h), ("sel", a)), body, meta))
+    return Sketch(b.prog(pr), {"m": ConstantHole(2)})
+
+
+def _negate_task():
+    """8-bit two's-complement negate and an xor-add sketch for it:
+    out = (a ^ mask) + k, expecting mask=0xff, k=1."""
+    b = ProgBuilder()
+    a = b.var("a", 8)
+    spec = b.prog(b.op("neg", a))
+    s = ProgBuilder()
+    a2 = s.var("a", 8)
+    mask = s.hole("mask", ConstantHole(8))
+    k = s.hole("k", ConstantHole(8))
+    bb = s.child()
+    x = bb.var("x", 8)
+    m2 = bb.var("m", 8)
+    k2 = bb.var("kk", 8)
+    body = bb.prog(bb.op("add", bb.op("xor", x, m2), k2))
+    meta = EmitMeta("xoradd", (("x", PortBinding("A", "in", 8)),),
+                    (("M", "m"), ("K", "kk")), "O")
+    pr = s.add(Prim((("x", a2), ("m", mask), ("kk", k)), body, meta))
+    return spec, Sketch(s.prog(pr), {"mask": ConstantHole(8),
+                                     "k": ConstantHole(8)})
 
 
 def _reg_spec(init):
@@ -183,16 +208,106 @@ def test_revalidate_compiles_once_and_simulates_every_counterexample(
     from sketchmap.portfolio import SolverError
     calls = record_calls(monkeypatch, cegis_module, "simulate")
     scheduled = record_calls(monkeypatch, interp, "schedule")
+    checked = record_calls(monkeypatch, cegis_module, "_first_disagreement")
     q = build_query(_reg_spec(5), _reg_sketch(5), 0, 1)
     good = _reg_sketch(5).psi
     cexs = [{("a", 0): _bv(v, 4), ("a", 1): _bv(v + 1, 4)}
             for v in (0, 3, 9)] + [{}]
-    cegis_module._revalidate(q, good, cexs)
+    spec = compile_program(q.spec_prog)
+    cegis_module._revalidate(q, spec, compile_program(good), cexs)
     assert [a[2] for a in calls] == [2] * 8
     assert [a[0] for a in scheduled] == [q.spec_prog, good]
+    assert [a[3] for a in checked] == [cexs]
     with pytest.raises(SolverError, match=r"at cycle 0 \(spec 4'h5, "
                                           r"got 4'h7\)"):
-        cegis_module._revalidate(q, _reg_sketch(7).psi, cexs)
+        cegis_module._revalidate(q, spec,
+                                 compile_program(_reg_sketch(7).psi), cexs)
+
+    # in the loop: the spec is compiled once per call and each candidate
+    # once, and the accepted one's compiled form revalidates every
+    # counterexample
+    scheduled.clear()
+    checked.clear()
+    q = build_query(_bool_spec("xor"), _lut2_sketch(), 0, 0)
+    res = cegis(q)
+    assert isinstance(res, Success)
+    assert scheduled[0][0] is q.spec_prog
+    assert len(scheduled) == 1 + res.iterations
+    assert checked[-1][3] is res.counterexamples
+
+
+def _record_stages(monkeypatch) -> list:
+    """Each solver call as "synth" or "verify" (SYNTH declares the holes,
+    VERIFY the inputs) and each _first_disagreement call as (envs, its
+    answer), in the order the loop makes them."""
+    events = []
+    real_solve = cegis_module.portfolio_solve
+    real_probe = cegis_module._first_disagreement
+
+    def solve(text, *args, **kwargs):
+        events.append("synth" if "(declare-const hole_" in text
+                      else "verify")
+        return real_solve(text, *args, **kwargs)
+
+    def probe(query, spec, got, envs):
+        out = real_probe(query, spec, got, envs)
+        events.append((envs, out))
+        return out
+
+    monkeypatch.setattr(cegis_module, "portfolio_solve", solve)
+    monkeypatch.setattr(cegis_module, "_first_disagreement", probe)
+    return events
+
+
+class TestProbes:
+    def test_refuted_candidate_is_never_sent_to_verify(self, monkeypatch):
+        events = _record_stages(monkeypatch)
+        res = synthesize(_bool_spec("xor"), _lut2_sketch(), t=0, c=0)
+        assert isinstance(res, Success)
+        # the last check is the revalidation on the whole set
+        assert events[-1] == (res.counterexamples, None)
+        stages = events[:-1]
+        refuted = [e[1][0] for e in stages
+                   if type(e) is tuple and e[1] is not None]
+        assert refuted
+        last_probe = None
+        for e in stages:
+            if type(e) is tuple:
+                last_probe = e[1]
+            elif e == "verify":
+                assert last_probe is None
+        # every refuting environment joined the set, which the final
+        # program agrees on
+        for env in refuted:
+            assert env in res.counterexamples
+
+    def test_probes_save_verify_calls(self, monkeypatch):
+        # the 8-bit negate needs several counterexamples; with probes the
+        # only VERIFY call is the one that proves the final candidate
+        events = _record_stages(monkeypatch)
+        res = synthesize(*_negate_task(), t=0, c=0)
+        assert isinstance(res, Success)
+        assert events.count("verify") == 1
+        assert events.count("synth") == res.iterations > 1
+        assert len(res.counterexamples) == res.iterations
+
+    def test_two_runs_give_identical_programs(self):
+        first = synthesize(*_negate_task(), t=0, c=0)
+        second = synthesize(*_negate_task(), t=0, c=0)
+        assert isinstance(first, Success) and isinstance(second, Success)
+        assert repr(first.program) == repr(second.program)
+        assert first.model == second.model
+        assert first.counterexamples == second.counterexamples
+
+    def test_inexpressible_spec_is_still_unsat(self, monkeypatch):
+        # a lookup on a alone against a xor b: every candidate fails a
+        # probe, and SYNTH, not a probe, says no memory works
+        events = _record_stages(monkeypatch)
+        res = synthesize(_bool_spec("xor"), _lut1_on_a_sketch(), t=0, c=0)
+        assert isinstance(res, Unsat)
+        assert any(type(e) is tuple and e[1] is not None for e in events)
+        assert "verify" not in events
+        assert events[-1] == "synth"
 
 
 class TestLoopMechanics:
@@ -213,27 +328,28 @@ class TestLoopMechanics:
             for (name, t), v in env.items():
                 assert name in ("a", "b") and t == 0 and v.width == 1
 
-    def test_wider_datapath(self):
-        # 8-bit two's-complement negate from an xor-add sketch:
-        # out = (a ^ mask) + k, expecting mask=0xff, k=1
+    def test_sketch_that_reads_no_input_is_solved(self):
+        # neither side reads its input, so no environment is drawn and
+        # VERIFY's query folds to a constant: a candidate that differs
+        # everywhere must teach SYNTH the equality, not end the loop
         b = ProgBuilder()
-        a = b.var("a", 8)
-        spec = b.prog(b.op("neg", a))
+        b.var("a", 1)
+        spec = b.prog(b.bv(1, 1))
         s = ProgBuilder()
-        a2 = s.var("a", 8)
-        mask = s.hole("mask", ConstantHole(8))
-        k = s.hole("k", ConstantHole(8))
+        s.var("a", 1)
+        h = s.hole("m", ConstantHole(2))
         bb = s.child()
-        x = bb.var("x", 8)
-        m2 = bb.var("m", 8)
-        k2 = bb.var("kk", 8)
-        body = bb.prog(bb.op("add", bb.op("xor", x, m2), k2))
-        meta = EmitMeta("xoradd", (("x", PortBinding("A", "in", 8)),),
-                        (("M", "m"), ("K", "kk")), "O")
-        pr = s.add(Prim((("x", a2), ("m", mask), ("kk", k)), body, meta))
-        sk = Sketch(s.prog(pr), {"mask": ConstantHole(8),
-                                 "k": ConstantHole(8)})
-        res = synthesize(spec, sk, t=0, c=0)
+        body = bb.prog(bb.extract(0, 0, bb.var("tbl", 2)))
+        meta = EmitMeta("cst", (), (("INIT", "tbl"),), "O")
+        pr = s.add(Prim((("tbl", h),), body, meta))
+        res = synthesize(spec, Sketch(s.prog(pr), {"m": ConstantHole(2)}),
+                         t=0, c=0)
+        assert isinstance(res, Success)
+        assert res.model["m"].value & 1 == 1
+        assert res.counterexamples == [{}]
+
+    def test_wider_datapath(self):
+        res = synthesize(*_negate_task(), t=0, c=0)
         assert isinstance(res, Success)
         assert res.model["mask"] == _bv(0xFF, 8)
         assert res.model["k"] == _bv(1, 8)
@@ -246,13 +362,13 @@ class TestLoopMechanics:
 PINNED_QUERIES = {
     "add_w4": ("generic-lut-carry.yml", "bitwise-with-carry",
                "(spec (inputs (a 4) (b 4)) (add a b))\n",
-               "aeea2e950396c531f76eec2ca02631aa"
-               "13c5d8e2b922a77ef9053c08b24efb0a"),
+               "c8e2396b8ab94d2e5a49e93e86f338c7"
+               "8c1aeb72d9bc5f1eab4733220a04f703"),
     # a minidsp corpus row: the block's operand and ALU muxes leave a
     # few hundred mux terms in each query
     "add_mul_xor_w08_d1": ("minidsp.yml", "dsp", None,
-                           "82c9b7cd2b2265fe67b9645373d50697"
-                           "170e6485173171a9edb37664c173272e"),
+                           "72b462b8d8e8dedd8327f3d4d479cf58"
+                           "e30d916ab438a4878f1b90211877e7a3"),
     # a three-input truth table as the lut64 benchmark writes it: its
     # queries are 1-bit trees of not, and and or over the LUT's shifted
     # configuration word
@@ -261,8 +377,8 @@ PINNED_QUERIES = {
               "(and (and (not a) (not b)) (not c)) "
               "(and (and a (not b)) (not c))) (and (and a b) (not c))) "
               "(and (and (not a) b) c)))\n",
-              "c3f10176a54c5939b571add859ee9589"
-              "c588f8aefb44950c36b882c57fe71318"),
+              "4d7a50df559c80ca730b9dff496cb898"
+              "e5f0ac0821a05d8d47669d867291dc72"),
 }
 
 

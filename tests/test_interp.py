@@ -1,9 +1,15 @@
 """Concrete interpreter: operator semantics, registers, prims, memo."""
 
+import ast
 import random
+import re
 
 import pytest
 
+from sketchmap import interp as interp_module
+from sketchmap.arch import load_arch, packaged_arch_path
+from sketchmap.bench import _document_text, corpus_benchmarks
+from sketchmap.cegis import Success, synthesize
 from sketchmap.interp import (
     HorizonExceeded, compile_program, env_of_ints, eval_op, interp,
     interp_naive, simulate, stream_of_ints, trace_lines,
@@ -12,7 +18,10 @@ from sketchmap.ir import (
     BV, BitVec, EmitMeta, Op, Operator, PortBinding, Prim, Prog, ProgBuilder,
     Reg, SketchmapError, Var, free_vars,
 )
-from util_progs import random_behavioral
+from sketchmap.portfolio import SolverSession
+from sketchmap.sketches import document_params, generate_sketch
+from sketchmap.specdsl import parse_document
+from util_progs import random_behavioral, record_calls
 
 
 def _bv(v, w):
@@ -267,15 +276,27 @@ def _folds_to_wires():
         env_of_ints({"a": ([9, 2, 0, 15], 4), "b": ([3, 5, 0, 1], 4)}), 1
 
 
+def _dead_after_folding():
+    """mux(0, reg(sub(a, b)), add(a, b)) folds to the add: the sub and the
+    register that holds it are read by nothing and get no code."""
+    b = ProgBuilder()
+    a, c = b.var("a", 4), b.var("b", 4)
+    r = b.reg(b.op("sub", a, c), _bv(3, 4))
+    m = b.op("mux", b.bv(0, 1), r, b.op("add", a, c))
+    return b.prog(m), \
+        env_of_ints({"a": ([9, 2, 0, 15], 4), "b": ([3, 5, 0, 1], 4)}), 1
+
+
 # each case gives a program, its inputs and how many operator functions
-# its compiled form binds: an Op over literals, or one that folds for
-# every operand value, binds none
+# its compiled form binds: an Op over literals, one that folds for every
+# operand value, or one nothing live reads, binds none
 @pytest.mark.parametrize("case, want", [
     (_swap_regs, [1, 2, 1, 2]),
     (_self_reg, [5, 4, 7, 6]),
     (_constant_root, [9, 9, 9, 9]),
     (_prim_with_reg, [3, 5, 7, 9]),
     (_folds_to_wires, [6, 13, 0, 14]),
+    (_dead_after_folding, [12, 7, 0, 0]),
 ])
 def test_compiled_hand_cases(case, want):
     p, env, calls = case()
@@ -283,6 +304,46 @@ def test_compiled_hand_cases(case, want):
     for t in range(4):
         assert interp_naive(p, env, t, p.root).value == want[t]
     assert len(compile_program(p).fn.__defaults__ or ()) == calls
+
+
+def _unread_locals(src: str) -> set[str]:
+    """Names the generated function assigns or binds as an operator
+    function and never reads (the loop counter aside)."""
+    (fn,) = ast.parse(src).body
+    names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+    written = {n.id for n in names if isinstance(n.ctx, ast.Store)}
+    written |= {a.arg for a in fn.args.args if a.arg.startswith("f")}
+    read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+    return written - read - {"_t"}
+
+
+def test_mapped_dsp_row_compiles_without_unread_locals(monkeypatch):
+    # the mapped mul_w08_d0: the ALU's sub feeds a mux that folds away,
+    # and the block's pipeline registers are bypassed at depth 0
+    text = next(_document_text(b) for b in corpus_benchmarks()
+                if b.name == "mul_w08_d0")
+    doc = parse_document(text)
+    (width,) = {w for _, w in doc.inputs}
+    sketch = generate_sketch(
+        "dsp", load_arch(packaged_arch_path("minidsp.yml")),
+        document_params("dsp", doc, width))
+    with SolverSession() as session:
+        res = synthesize(doc.prog, sketch, t=doc.pipeline, session=session)
+    assert isinstance(res, Success)
+    sources = record_calls(monkeypatch, interp_module, "_code")
+    compiled = compile_program(res.program)
+    (src,) = (a[0] for a in sources)
+    assert _unread_locals(src) == set()
+    assert not re.search(r"\br\d", src)      # no register survives
+    rng = random.Random(3)
+    rows = {name: [rng.getrandbits(w) for _ in range(4)]
+            for name, w in compiled.inputs}
+    env = {name: stream_of_ints(vs, w)
+           for (name, w), vs in zip(compiled.inputs, rows.values())}
+    got = simulate(compiled, rows, 4)
+    for t in range(4):
+        assert interp_naive(res.program, env, t, res.program.root) \
+            == BitVec(compiled.width, got[t])
 
 
 def test_interp_on_a_node_that_is_not_the_root():

@@ -10,8 +10,8 @@ import sys
 import pytest
 
 from sketchmap.solver.aig import AIG, FALSE, TRUE
-from sketchmap.solver.qfbv import (HEADS, Reader, SolverInputError,
-                                   parse_all, run_script)
+from sketchmap.solver.qfbv import (HEADS, MAX_WIDTH, Reader,
+                                   SolverInputError, parse_all, run_script)
 from sketchmap.solver.sat import SatSolver
 
 
@@ -808,6 +808,42 @@ def test_odd_input_stops_the_child_with_an_error(command, message):
     assert r.stderr.decode().startswith("(error")
     assert message in r.stderr.decode()
     assert b"Traceback" not in r.stderr
+
+
+WIDE_INPUTS = [
+    ("(declare-const w (_ BitVec 65537))",
+     "bit-vector width 65537 is above the limit 65536"),
+    ("(assert (= a (_ bv0 65537)))", "bit-vector width 65537 is above"),
+    ("(assert (= a #x" + "0" * 16385 + "))",
+     "bit-vector width 65540 is above"),
+    ("(assert (= ((_ zero_extend 65533) a) a))",
+     "zero_extend result width 65537 is above"),
+    ("(assert (= ((_ sign_extend 65533) a) a))",
+     "sign_extend result width 65537 is above"),
+    ("(assert (= (concat ((_ zero_extend 65532) a) b) b))",
+     "concat result width 65544 is above"),
+]
+
+
+@pytest.mark.parametrize("command, message", WIDE_INPUTS,
+                         ids=lambda x: x[:40])
+def test_width_past_the_limit_stops_the_child(command, message):
+    assert MAX_WIDTH == 65536
+    r = _solver_child(_ODD_DECLS + command + "(check-sat)")
+    assert r.returncode == 1
+    assert r.stderr.decode().startswith("(error")
+    assert message in r.stderr.decode()
+    assert b"Traceback" not in r.stderr
+
+
+def test_width_at_the_limit_is_accepted():
+    r = _solver_child(
+        _ODD_DECLS + "(declare-const w (_ BitVec 65536))"
+        "(assert (= ((_ zero_extend 65532) a) ((_ sign_extend 65532) a)))"
+        "(assert (= (concat ((_ extract 65535 1) w) ((_ extract 0 0) w))"
+        " w))(check-sat)")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == [b"sat"]
 
 
 def test_index_too_large_to_represent_stops_the_child():
