@@ -425,30 +425,39 @@ def packaged_arch_path(name: str) -> str:
 
 # -- model loading ------------------------------------------------------------
 
-def _load_model(impl: InterfaceImpl, arch: ArchDescription
-                ) -> tuple[Prog, dict[str, int], tuple[tuple[str, int], ...]]:
-    """(semantics, free-var widths, packed outputs MSB-first), each
-    packed output as wide as the interface declares it.
+Model = tuple[Prog, dict[str, int], tuple[tuple[str, int], ...], EmitMeta]
+
+
+def _load_model(impl: InterfaceImpl, arch: ArchDescription) -> Model:
+    """(semantics, free-var widths, packed outputs MSB-first, emission
+    metadata), each packed output as wide as the interface declares it.
 
     Built once per implementation and architecture, on first use, and
-    shared after that: callers copy the semantics onto fresh ids and
-    change none of the three."""
+    shared after that: callers copy the semantics onto fresh ids, every
+    instance's Prim holds the same EmitMeta, and no caller changes any
+    of the four."""
     hit = arch._models.get(id(impl))
     if hit is not None and hit[0] is impl:
         return hit[1]
     model = _read_model(impl, arch)
-    declared = dict(impl.interface.outputs)
-    for name, w in model[2]:
-        if declared.get(name) != w:
-            raise WidthMismatch(
-                f"{impl.module_name}: model output {name!r} is {w} bits "
-                f"but {impl.interface.name} declares {declared.get(name)}")
     arch._models[id(impl)] = (impl, model)  # holding impl pins its id
     return model
 
 
-def _read_model(impl: InterfaceImpl, arch: ArchDescription
-                ) -> tuple[Prog, dict[str, int], tuple[tuple[str, int], ...]]:
+def _read_model(impl: InterfaceImpl, arch: ArchDescription) -> Model:
+    semantics, fvw, packed = _read_semantics(impl, arch)
+    declared = dict(impl.interface.outputs)
+    for name, w in packed:
+        if declared.get(name) != w:
+            raise WidthMismatch(
+                f"{impl.module_name}: model output {name!r} is {w} bits "
+                f"but {impl.interface.name} declares {declared.get(name)}")
+    return semantics, fvw, packed, _emit_meta(impl, fvw, packed)
+
+
+def _read_semantics(impl: InterfaceImpl, arch: ArchDescription
+                    ) -> tuple[Prog, dict[str, int],
+                               tuple[tuple[str, int], ...]]:
     kind, val = impl.source
     if kind == "builtin":
         try:
@@ -474,6 +483,45 @@ def _read_model(impl: InterfaceImpl, arch: ArchDescription
             "exactly one output")
     return imported.semantics, dict(imported.inputs), \
         ((impl.outputs[0][0], root_w),)
+
+
+def _emit_meta(impl: InterfaceImpl, fvw: dict[str, int],
+               packed: tuple[tuple[str, int], ...]) -> EmitMeta:
+    """How every instance of impl prints, after checking that its input
+    ports and internal data wire each model input at the model's width."""
+    port_bindings: list[tuple[str, PortBinding]] = []
+    for p in impl.ports:
+        if p.direction != "in":
+            continue
+        if p.name == "clk":
+            port_bindings.append(("clk", PortBinding("clk", "in", 1)))
+            continue
+        if p.name not in fvw:
+            raise ModelLoadError(
+                f"{impl.module_name}: port {p.name!r} is not an input of "
+                "the model")
+        if fvw[p.name] != p.width:
+            raise WidthMismatch(
+                f"{impl.module_name}: port {p.name!r} declared {p.width} "
+                f"bits but the model reads {fvw[p.name]}")
+        port_bindings.append((p.name, PortBinding(p.name, "in", p.width)))
+
+    unwired = (set(fvw) - {k for k, _ in port_bindings if k != "clk"}
+               - {nm for nm, _ in impl.internal_data})
+    if unwired:
+        raise ModelLoadError(
+            f"{impl.module_name}: model inputs never wired: "
+            f"{sorted(unwired)}")
+
+    out_map = dict(impl.outputs)
+    ranges = packed_ranges(packed)
+    return EmitMeta(
+        module_name=impl.module_name,
+        port_bindings=tuple(port_bindings),
+        parameter_bindings=impl.parameters,
+        output_port=out_map[packed[-1][0]],
+        output_slices=tuple((out_map[o], *ranges[o]) for o, _ in packed)
+        if len(packed) > 1 else ())
 
 
 def _prog_root_width(p: Prog) -> int:
@@ -541,7 +589,8 @@ def instantiate(impl: InterfaceImpl, b: ProgBuilder,
     each constraint as a program over this instance's holes and pinned
     constants.
     """
-    semantics, fvw, packed = _load_model(impl, arch)
+    model = _load_model(impl, arch)
+    fvw = model[1]
     pinned = pinned or {}
     iface_in = {n for n, _ in impl.interface.inputs}
     extra = set(inputs) - iface_in
@@ -583,16 +632,15 @@ def instantiate(impl: InterfaceImpl, b: ProgBuilder,
             port_values[p.name] = lower(p.value, b, env.__getitem__,
                                         _VALUE_HEADS)[0]
 
-    prim, outputs = _assemble_prim(impl, b, semantics, fvw, packed,
-                                   port_values,
+    prim, outputs = _assemble_prim(impl, b, model, port_values,
                                    {nm: env[nm][0] for nm, _ in
                                     impl.internal_data})
     constraints = [_lower_alone(c, leaves)[0] for c in impl.constraints]
     return BuildResult(outputs, holes, constraints)
 
 
-def _assemble_prim(impl: InterfaceImpl, b: ProgBuilder, semantics, fvw,
-                   packed, port_values: dict[str, Id],
+def _assemble_prim(impl: InterfaceImpl, b: ProgBuilder, model: Model,
+                   port_values: dict[str, Id],
                    internal_ids: dict[str, Id]) -> tuple[Id, dict[str, Id]]:
     """Create the Prim node: binds, emission metadata, output extracts.
 
@@ -600,50 +648,15 @@ def _assemble_prim(impl: InterfaceImpl, b: ProgBuilder, semantics, fvw,
     internal_ids maps internal_data names to ids (holes or constants).
     Returns the prim id and the interface-output map.
     """
-    binds: list[tuple[str, Id]] = []
-    port_bindings: list[tuple[str, PortBinding]] = []
-    for p in impl.ports:
-        if p.direction != "in":
-            continue
-        if p.name == "clk":
-            port_bindings.append(("clk", PortBinding("clk", "in", 1)))
-            continue
-        if p.name not in fvw:
-            raise ModelLoadError(
-                f"{impl.module_name}: port {p.name!r} is not an input of "
-                "the model")
-        if fvw[p.name] != p.width:
-            raise WidthMismatch(
-                f"{impl.module_name}: port {p.name!r} declared {p.width} "
-                f"bits but the model reads {fvw[p.name]}")
-        binds.append((p.name, port_values[p.name]))
-        port_bindings.append((p.name, PortBinding(p.name, "in", p.width)))
-
-    for nm, _ in impl.internal_data:
-        binds.append((nm, internal_ids[nm]))
-
-    unwired = set(fvw) - {k for k, _ in binds}
-    if unwired:
-        raise ModelLoadError(
-            f"{impl.module_name}: model inputs never wired: "
-            f"{sorted(unwired)}")
-
-    out_map = dict(impl.outputs)
-    ranges = packed_ranges(packed)
-    meta = EmitMeta(
-        module_name=impl.module_name,
-        port_bindings=tuple(port_bindings),
-        parameter_bindings=impl.parameters,
-        output_port=out_map[packed[-1][0]],
-        output_slices=tuple((out_map[o], *ranges[o]) for o, _ in packed)
-        if len(packed) > 1 else ())
-
-    body = _relabel(semantics, b)
-    prim = b.add(Prim(tuple(binds), body, meta))
+    semantics, _, packed, meta = model
+    binds = [(k, port_values[k]) for k, _ in meta.port_bindings
+             if k != "clk"]
+    binds += [(nm, internal_ids[nm]) for nm, _ in impl.internal_data]
+    prim = b.add(Prim(tuple(binds), _relabel(semantics, b), meta))
     if len(packed) == 1:
         return prim, {packed[0][0]: prim}
     return prim, {o: b.extract(hi, lo, prim)
-                  for o, (hi, lo) in ranges.items()}
+                  for o, (hi, lo) in packed_ranges(packed).items()}
 
 
 def instantiate_from_ports(impl: InterfaceImpl, b: ProgBuilder,
@@ -659,7 +672,7 @@ def instantiate_from_ports(impl: InterfaceImpl, b: ProgBuilder,
     layout) where the layout lists (interface output, width) in packing
     order, MSB first.
     """
-    semantics, fvw, packed = _load_model(impl, arch)
+    model = _load_model(impl, arch)
     internal_ids: dict[str, Id] = {}
     for nm, w in impl.internal_data:
         if nm not in internals:
@@ -676,9 +689,9 @@ def instantiate_from_ports(impl: InterfaceImpl, b: ProgBuilder,
         raise SketchmapError(
             f"{impl.module_name}: ports {sorted(port_values)} do not "
             f"match the module inputs {sorted(expected)}")
-    prim, outputs = _assemble_prim(impl, b, semantics, fvw, packed,
-                                   port_values, internal_ids)
-    return prim, outputs, packed
+    prim, outputs = _assemble_prim(impl, b, model, port_values,
+                                   internal_ids)
+    return prim, outputs, model[2]
 
 
 # -- lowering plans -----------------------------------------------------------

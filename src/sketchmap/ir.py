@@ -72,7 +72,7 @@ class MissingAssignment(SketchmapError):
     """substitute_holes was not given a value for every hole label."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitVec:
     """A constant bit vector.  value is the unsigned reading, LSB first.
 
@@ -108,7 +108,7 @@ class BitVec:
         return f"{self.width}'h{self.value:x}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operator:
     """An operator name plus its static parameters.
 
@@ -130,7 +130,7 @@ class Operator:
 WIRING_OPS = frozenset(["concat", "extract", "zero_extend", "sign_extend"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpSpec:
     """Everything the mapper knows about one operator, stated once.
 
@@ -350,15 +350,18 @@ def fold(op: Operator, widths: list[int], xs: list) -> object:
 
 # -- node variants ----------------------------------------------------------
 
+# Nodes, their parts and Prog have slots: a program runs to thousands of
+# nodes, and a caller may keep many programs.
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class BV:
     """A constant node."""
 
     b: BitVec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     """A free variable: reads the input stream of that name."""
 
@@ -366,7 +369,7 @@ class Var:
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Op:
     """An operator applied to argument ids (same program)."""
 
@@ -374,7 +377,7 @@ class Op:
     args: tuple[Id, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reg:
     """A register: value at cycle 0 is init, at cycle t+1 the data node's
     value at cycle t.  The clock is implicit."""
@@ -383,7 +386,7 @@ class Reg:
     init: BitVec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortBinding:
     """How one bound body variable reaches the emitted module instance."""
 
@@ -392,7 +395,7 @@ class PortBinding:
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmitMeta:
     """Everything the emitter needs to print a Prim as a module instance.
 
@@ -423,7 +426,7 @@ class EmitMeta:
         return dict(self.parameter_bindings)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prim:
     """A primitive instance: a behavioral body evaluated under a fresh
     environment built from binds (body free-variable name -> outer id).
@@ -440,14 +443,14 @@ class Prim:
         return dict(self.binds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstantHole:
     """Hole domain: any constant of the given width."""
 
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hole:
     """An unresolved primitive configuration value: synthesis replaces it
     with a constant of spec.width bits.  Only sketches contain these."""
@@ -459,7 +462,7 @@ class Hole:
 Node = Union[BV, Var, Op, Reg, Prim, Hole]
 
 
-@dataclass
+@dataclass(slots=True)
 class Prog:
     """root id plus insertion-ordered id -> Node map."""
 

@@ -19,14 +19,18 @@ report which backend produced each answer.
 
 A configured solver must therefore support reset and echo and run each
 command as it reads it, the way `z3 -in` does, rather than wait for the
-end of its input.  close()
-ends each child by closing its stdin and waits for it, killing it only
-after a short grace; the owner of a session closes it before it returns,
-so the children's CPU time and memory count in the owner's resource
-usage.  portfolio_solve without a session opens one for its query alone.
+end of its input.  close() kills each child and waits for it, as a
+retired child is, rather than wait for its interpreter to shut down: a
+session holds no query in flight between calls, so there is nothing left
+to lose.  The owner of a session closes it before it returns, so the
+children's CPU time and memory count in the owner's resource usage.
+portfolio_solve without a session opens one for its query alone.
 
 The default portfolio is the bundled solver (sketchmap.solver, the same
-code as python -m sketchmap.solver).
+code as python -m sketchmap.solver), run under python -S: it needs only
+the standard library, and skipping the site module (with whatever .pth
+files and sitecustomize the installation carries) can be most of the
+cost of starting a bare interpreter.
 A JSON config file swaps in real solvers:
 
     [{"name": "z3", "command": ["z3", "-in", "-smt2"],
@@ -78,11 +82,17 @@ class PortfolioResult:
 def default_portfolio() -> list[SolverConfig]:
     """The bundled solver, run from the copy of sketchmap this process
     imported: its directory goes first on the child's path, so the child
-    needs neither PYTHONPATH nor an installed package."""
+    needs neither PYTHONPATH nor an installed package.
+
+    The child runs with -S, so it never imports site: it uses only the
+    standard library, and site (with the installation's .pth files and
+    any sitecustomize) can be most of a bare interpreter's start.  Not -E or
+    -I, which would also drop the PYTHON* variables the caller set, such
+    as PYTHONDONTWRITEBYTECODE."""
     home = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = (f"import sys; sys.path.insert(0, {home!r}); "
             "from sketchmap.solver.__main__ import main; sys.exit(main())")
-    return [SolverConfig("builtin", (sys.executable, "-c", code))]
+    return [SolverConfig("builtin", (sys.executable, "-S", "-c", code))]
 
 
 def load_solver_config(path: str) -> list[SolverConfig]:
@@ -105,7 +115,6 @@ def load_solver_config(path: str) -> list[SolverConfig]:
 
 _MARKER = "sketchmap-end-of-query"
 _END = re.compile(rb'^"?' + _MARKER.encode() + rb'"?\r?\n', re.MULTILINE)
-_GRACE = 2.0   # seconds close() gives children to exit on end of input
 
 
 class _Pending:
@@ -181,28 +190,12 @@ class SolverSession:
         self.close()
 
     def close(self) -> None:
-        """End every child: close its stdin, wait, kill after the grace."""
-        children = list(self._children.values())
-        self._children.clear()
-        grace_end = time.monotonic() + _GRACE
-        # A child's stdout ends as it exits; waiting for that first spares
-        # Popen.wait's timed polling, which sleeps in growing steps.
-        with selectors.DefaultSelector() as sel:
-            for proc in children:
-                proc.stdin.close()
-                sel.register(proc.stdout, selectors.EVENT_READ)
-            while sel.get_map() and time.monotonic() < grace_end:
-                for key, _ in sel.select(grace_end - time.monotonic()):
-                    if not os.read(key.fd, 1 << 16):
-                        sel.unregister(key.fileobj)
-        for proc in children:
-            try:
-                proc.wait(timeout=max(0.0, grace_end - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-            proc.stdout.close()
-            proc.stderr.close()
+        """Kill and wait for every child, as _retire does.  Between
+        queries a child holds nothing worth a clean exit, and waiting for
+        one to end on its stdin would cost its interpreter's shutdown.
+        Each child is waited for, so it counts in RUSAGE_CHILDREN."""
+        for name in list(self._children):
+            self._retire(name)
 
     def _child(self, cfg: SolverConfig) -> subprocess.Popen:
         proc = self._children.get(cfg.name)

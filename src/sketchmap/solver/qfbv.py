@@ -36,6 +36,12 @@ numeral cannot make the solver allocate without bound.  The limit bounds
 widths, not work: a term's AIG still grows with its size, and bvmul's
 with the square of its width.
 
+The s-expression reader (Reader, parse_all) tokenizes with str methods,
+not a regular expression: the solver child reads every query with it,
+and importing re would add ~12 ms to each child's start.  The mapper
+reads its own s-expressions (architecture values, specs, solver output)
+with the same reader.
+
 One check-sat per reset (matching what the mapper emits): reset forgets
 every declaration, assertion and answer, so one Script can serve a stream
 of queries.  push and pop are rejected, not ignored, since ignoring them
@@ -50,8 +56,6 @@ reads its answers from the same sweep.
 
 from __future__ import annotations
 
-import re
-
 from .aig import AIG, FALSE, TRUE
 
 
@@ -64,20 +68,38 @@ MAX_WIDTH = 1 << 16
 
 # -- s-expression reader -----------------------------------------------------
 
-# One match per token: the blanks and comments before it, then the token.
-# A comment must run to a line end, so a failed token match cannot back up
-# into it.  A lone | or " is an opening bar or quote with no closing one;
-# the empty match at the end of the text is dropped.
-_TOKEN = re.compile(r"""
-    (?: [ \t\r\n]+ | ;[^\n]*(?![^\n]) )*
-    ( [()] | \|[^|]*\| | "[^"]*" | [^ \t\r\n();|"][^ \t\r\n();]* | [|"] | \Z )
-""", re.VERBOSE)
+# Blanks are space, tab, CR and LF only; \x0b and \x0c are atom
+# characters, so no bare split() may be used.  A | or " that follows an
+# atom character belongs to that atom.
+_BLANKS = str.maketrans("\t\r\n", "   ")
+_OPENS = ' \t\r\n()'     # after one of these, | or " starts a token
+
+
+def _next_mark(text: str, i: int) -> int:
+    """Where the first |, " or ; at or after i starts a token; len(text)
+    when none does.  Nothing between i and that point is quoted."""
+    j = len(text)
+    k = text.find(";", i, j)
+    if k >= 0:
+        j = k
+    for c in '|"':
+        k = text.find(c, i, j)
+        while k > i and text[k - 1] not in _OPENS:
+            k = text.find(c, k + 1, j)
+        if k >= 0:
+            j = k
+    return j
 
 
 class Reader:
     """Top-level s-expressions (atoms as strings) of text that arrives in
     pieces.  Each piece must end at a line end or at the end of the input,
-    so only a |symbol| or a string can run on into the next one."""
+    so only a |symbol| or a string can run on into the next one.
+
+    feed splits the text at each |symbol|, string and comment (found with
+    str.find) and tokenizes the stretches between them by padding the
+    parentheses with blanks and splitting on spaces: str methods only,
+    since importing re would slow every solver child's start."""
 
     def __init__(self):
         self._stack: list[list] = []   # the open lists, outermost first
@@ -87,29 +109,36 @@ class Reader:
         """The expressions that text completes, in order."""
         if self._held:
             text, self._held = self._held + text, ""
-        toks = _TOKEN.findall(text)
-        while toks and not toks[-1]:
-            toks.pop()
-        quoted = "|" in text or '"' in text
         stack = self._stack
         out = []
-        for tok in toks:
-            if tok == "(":
-                stack.append([])
-            elif tok == ")":
-                if not stack:
-                    raise SolverInputError("unbalanced )")
-                done = stack.pop()
-                (stack[-1] if stack else out).append(done)
-            else:
-                if quoted and tok[0] in "|\"":
-                    if len(tok) == 1:
-                        # no closing bar or quote after it in text
-                        self._held = text[text.rindex(tok):]
-                        break
-                    if tok[0] == "|":
-                        tok = tok[1:-1]
-                (stack[-1] if stack else out).append(tok)
+        i, n = 0, len(text)
+        while i < n:
+            j = _next_mark(text, i)
+            for tok in text[i:j].replace("(", " ( ").replace(
+                    ")", " ) ").translate(_BLANKS).split(" "):
+                if tok == "(":
+                    stack.append([])
+                elif tok == ")":
+                    if not stack:
+                        raise SolverInputError("unbalanced )")
+                    done = stack.pop()
+                    (stack[-1] if stack else out).append(done)
+                elif tok:
+                    (stack[-1] if stack else out).append(tok)
+            if j == n:
+                break
+            mark = text[j]
+            if mark == ";":            # a comment runs to the line end
+                k = text.find("\n", j)
+                i = n if k < 0 else k + 1
+                continue
+            k = text.find(mark, j + 1)
+            if k < 0:                  # closed by a later piece, if any
+                self._held = text[j:]
+                break
+            (stack[-1] if stack else out).append(
+                text[j + 1:k] if mark == "|" else text[j:k + 1])
+            i = k + 1
         return out
 
     def finish(self) -> None:

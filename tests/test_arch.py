@@ -325,6 +325,14 @@ def test_models_load_once_per_implementation(monkeypatch):
             [dump_sexpr(c) for c in plain.side_constraints]
 
 
+def test_instances_of_one_implementation_share_their_emit_meta():
+    sketch = generate_sketch("bitwise", _sofa(),
+                             {"width": 2, "inputs": ("a", "b")})
+    first, second = [n for _, n in sketch.psi if isinstance(n, Prim)]
+    assert first.meta.module_name == second.meta.module_name == "frac_lut4"
+    assert first.meta is second.meta
+
+
 def _tree(nodes, i):
     """The expression under node i, for comparing node structure."""
     n = nodes[i]

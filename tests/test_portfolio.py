@@ -100,6 +100,15 @@ def test_builtin_runs_from_the_imported_package(tmp_path):
     assert r.stdout.split() == ["sat"]
 
 
+def test_builtin_skips_site(tmp_path, monkeypatch):
+    # the child runs under -S, so no sitecustomize (nor .pth file) runs
+    (tmp_path / "sitecustomize.py").write_text(
+        "raise SystemExit('sitecustomize ran')\n")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        p for p in (str(tmp_path), os.environ.get("PYTHONPATH")) if p))
+    assert portfolio_solve(SAT_QUERY).status == "sat"
+
+
 def test_wedged_loser_is_cancelled():
     start = time.monotonic()
     r = portfolio_solve(SAT_QUERY,
@@ -203,6 +212,16 @@ def test_close_waits_for_every_child(monkeypatch):
                             session=session)
     assert len(spawned) >= 4       # wedged twice, twin and builtin
     assert all(p.returncode is not None for p in spawned)
+
+
+def test_close_kills_a_wedged_child_at_once():
+    session = SolverSession()
+    child = session._child(WEDGED)
+    start = time.monotonic()
+    session.close()
+    assert time.monotonic() - start < 1.0
+    assert child.returncode is not None, "killed and waited for"
+    assert not session._children
 
 
 def test_run_corpus_jobs_agree_and_leave_no_child(tmp_path, monkeypatch):

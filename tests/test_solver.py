@@ -1,6 +1,7 @@
 """Bundled QF_BV solver: SAT core, bit-blasting semantics, script driver."""
 
 import hashlib
+import os
 import random
 import re
 import resource
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+import sketchmap
 from sketchmap.solver.aig import AIG, FALSE, TRUE
 from sketchmap.solver.qfbv import (HEADS, MAX_WIDTH, Reader,
                                    SolverInputError, parse_all, run_script)
@@ -496,6 +498,8 @@ READER_CASES = [
     '"s" |x', '(echo "done")\n', "(a ; comment (\n b)", "x;y\nz",
     "a\x0bb\x0cc", "(_ bv5 8)", '" ; not a comment"', "|;|", "(a |b",
     "\r\n(a\rb)\r\n", "(|)| |(|)",
+    # where a | or " opens a token and where it only continues an atom
+    '|a|"b"', "a|b|c d", 'x"y" "z"', "(a)|b|", "(a ; note\n|s|)",
 ]
 
 
@@ -917,3 +921,14 @@ def test_subprocess_reports_errors():
         capture_output=True, timeout=60)
     assert r.returncode == 1
     assert b"error" in r.stderr
+
+
+def test_child_imports_no_re():
+    # the portfolio starts the solver under -S; re would cost each start
+    src = os.path.dirname(os.path.dirname(sketchmap.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import sketchmap.solver.__main__; print('re' in sys.modules)")
+    r = subprocess.run([sys.executable, "-S", "-c", code],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False"]
