@@ -26,7 +26,6 @@ processes, before it returns.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import queue
 import random
@@ -284,6 +283,8 @@ def run_corpus(corpus_dir, arch, template: str = "dsp",
                                     solvers, session)
                 finally:
                     idle.put(session)
+
+            import concurrent.futures   # here, so only a pool run pays for it
 
             pool = concurrent.futures.ThreadPoolExecutor(jobs)
             try:

@@ -27,10 +27,15 @@ children's CPU time and memory count in the owner's resource usage.
 portfolio_solve without a session opens one for its query alone.
 
 The default portfolio is the bundled solver (sketchmap.solver, the same
-code as python -m sketchmap.solver), run under python -S: it needs only
-the standard library, and skipping the site module (with whatever .pth
-files and sitecustomize the installation carries) can be most of the
-cost of starting a bare interpreter.
+code as python -m sketchmap.solver), run under python -S as a child that
+never imports the solver from disk: the parent compiles the solver's
+modules once per process, from the copy of sketchmap it imported, and
+each new child reads their code from its first line of stdin before its
+first query.  The child needs only the standard library; skipping the
+site module (with whatever .pth files and sitecustomize the installation
+carries) can be most of the cost of starting a bare interpreter, and
+compiling the solver from source, as a child that imports it must when
+bytecode is not written, is most of what is left.
 A JSON config file swaps in real solvers:
 
     [{"name": "z3", "command": ["z3", "-in", "-smt2"],
@@ -39,7 +44,10 @@ A JSON config file swaps in real solvers:
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import json
+import marshal
 import os
 import re
 import selectors
@@ -79,20 +87,58 @@ class PortfolioResult:
     wall_time: float
 
 
+# The bundled child's program.  Its first stdin line is the solver's
+# modules as marshal data in hex, so a newline ends it however the data
+# was cut; it builds them as modules of a package with no path, so
+# nothing is imported from disk but the standard library, and runs main.
+_BOOT = """\
+import marshal, sys
+try:
+    codes = marshal.loads(bytes.fromhex(sys.stdin.buffer.readline().decode()))
+    for name in ("sketchmap", "sketchmap.solver"):
+        sys.modules[name] = type(sys)(name)
+        sys.modules[name].__path__ = []
+    for name, code in codes:
+        module = sys.modules[name] = type(sys)(name)
+        module.__package__ = "sketchmap.solver"
+        exec(code, vars(module))
+    main = sys.modules["sketchmap.solver.__main__"].main
+except Exception as e:
+    print(f'(error "cannot load the bundled solver: {e!r}")', file=sys.stderr)
+    sys.exit(1)
+sys.exit(main())
+"""
+_BUNDLED = (sys.executable, "-S", "-c", _BOOT)
+_SOLVER_MODULES = ("sat", "aig", "qfbv", "__main__")   # each after its imports
+
+
+@functools.cache
+def _bundled_code() -> bytes:
+    """The first stdin line of a bundled child: the code of the solver's
+    modules, as the import system's loaders give it for the copy of
+    sketchmap this process imported, marshalled for this interpreter
+    (the child is the same one) and written to no file."""
+    codes = []
+    for short in _SOLVER_MODULES:
+        name = f"{__package__}.solver.{short}"
+        code = importlib.util.find_spec(name).loader.get_code(name)
+        codes.append((f"sketchmap.solver.{short}", code))
+    return marshal.dumps(tuple(codes)).hex().encode() + b"\n"
+
+
 def default_portfolio() -> list[SolverConfig]:
-    """The bundled solver, run from the copy of sketchmap this process
-    imported: its directory goes first on the child's path, so the child
-    needs neither PYTHONPATH nor an installed package.
+    """The bundled solver, as the code this process imported: a new child
+    reads the solver's compiled modules (_bundled_code) from its stdin
+    before its first query, so it needs neither PYTHONPATH nor an
+    installed package, and never reads or compiles the solver's source.
 
     The child runs with -S, so it never imports site: it uses only the
     standard library, and site (with the installation's .pth files and
     any sitecustomize) can be most of a bare interpreter's start.  Not -E or
     -I, which would also drop the PYTHON* variables the caller set, such
-    as PYTHONDONTWRITEBYTECODE."""
-    home = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    code = (f"import sys; sys.path.insert(0, {home!r}); "
-            "from sketchmap.solver.__main__ import main; sys.exit(main())")
-    return [SolverConfig("builtin", (sys.executable, "-S", "-c", code))]
+    as PYTHONDONTWRITEBYTECODE.  Any config whose command is this one
+    gets the code too, whatever its name."""
+    return [SolverConfig("builtin", _BUNDLED)]
 
 
 def load_solver_config(path: str) -> list[SolverConfig]:
@@ -241,7 +287,11 @@ class SolverSession:
         sel = selectors.DefaultSelector()
         try:
             for cfg in solvers:
+                # a bundled child started here reads the code first
+                old = self._children.get(cfg.name)
                 try:
+                    code = (_bundled_code() if cfg.command == _BUNDLED
+                            else b"")
                     proc = self._child(cfg)
                 except OSError as e:
                     failures.append(f"{cfg.name}: {e}")
@@ -249,7 +299,9 @@ class SolverSession:
                 deadline = start + cfg.timeout
                 if timeout is not None:
                     deadline = min(deadline, start + timeout)
-                p = running[cfg.name] = _Pending(cfg, proc, data, deadline)
+                p = running[cfg.name] = _Pending(
+                    cfg, proc, data if proc is old else code + data,
+                    deadline)
                 sel.register(proc.stdin, selectors.EVENT_WRITE, p)
                 sel.register(proc.stdout, selectors.EVENT_READ, p)
                 sel.register(proc.stderr, selectors.EVENT_READ, p)

@@ -11,6 +11,13 @@ qfbv.MAX_WIDTH, a term too large to allocate) stops it with (error "...")
 on stderr and exit code 1; terms are read without recursion, so their
 depth is bounded by memory alone.  At the end of the input the exit code
 is 0.
+
+The portfolio's bundled child runs this same main() without importing
+it: the parent sends the compiled code of this module, qfbv, aig and sat
+over the child's stdin (portfolio._bundled_code), and the child builds
+them as modules of an empty sketchmap.solver package.  So these modules
+import nothing of sketchmap outside sketchmap.solver, and only through
+relative imports.
 """
 
 import sys

@@ -1,7 +1,12 @@
 """Tests for benchmark corpus generation and batch runs."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import sketchmap
 from sketchmap.arch import load_arch, packaged_arch_path
 from sketchmap.bench import (SoundnessFailure, corpus_benchmarks,
                              read_manifest, run_corpus,
@@ -157,3 +162,15 @@ class TestRunCorpus:
                        report_path=report, sim_cycles=100)
         assert "mul_w08_d0" in str(e.value)
         assert "SOUNDNESS-FAILURE" in report.read_text()
+
+
+def test_import_leaves_out_the_thread_pool():
+    # only run_corpus with jobs > 1 needs concurrent.futures
+    src = os.path.dirname(os.path.dirname(sketchmap.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import sketchmap.bench; "
+            "print('concurrent.futures' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False"]

@@ -2,7 +2,9 @@
 session's children serve query after query."""
 
 import json
+import marshal
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -10,6 +12,7 @@ import time
 import pytest
 
 import sketchmap
+from sketchmap import portfolio
 from sketchmap.arch import load_arch, packaged_arch_path
 from sketchmap.bench import run_corpus, write_corpus
 from sketchmap.portfolio import (
@@ -239,3 +242,79 @@ def test_run_corpus_jobs_agree_and_leave_no_child(tmp_path, monkeypatch):
         assert all(p.returncode is not None for p in spawned)
     assert [name for name, _, _ in rows[1]] == sorted(only)
     assert rows[1] == rows[3]
+
+
+def test_children_read_no_source_and_write_no_file(tmp_path):
+    # A mapper importing a copy of sketchmap, with bytecode writing off:
+    # once the first child has started, the solver's sources can go, and
+    # later children still answer, since each runs the code the parent
+    # compiled once.  Neither side writes bytecode or a temp file.
+    src = tmp_path / "src"
+    shutil.copytree(os.path.dirname(sketchmap.__file__), src / "sketchmap",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    code = (f"import glob, os, sys; sys.path.insert(0, {str(src)!r}); "
+            "from sketchmap.portfolio import portfolio_solve; "
+            f"print(portfolio_solve({SAT_QUERY!r}, timeout=60).status); "
+            "[os.remove(f) for f in glob.glob("
+            f"{str(src / 'sketchmap' / 'solver' / '*.py')!r})]; "
+            "print([portfolio_solve(q, timeout=60).status for q in "
+            f"({SAT_QUERY!r}, {UNSAT_QUERY!r}, {SAT_QUERY!r})])")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(PYTHONDONTWRITEBYTECODE="1", TMPDIR=str(tmp))
+    r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["sat", "['sat', 'unsat', 'sat']"]
+    assert not list((src / "sketchmap" / "solver").glob("*.py"))
+    assert not list(src.rglob("__pycache__"))
+    assert not list(tmp.iterdir())
+
+
+def _hex_line(obj) -> bytes:
+    return marshal.dumps(obj).hex().encode() + b"\n"
+
+
+# each turns the good first line of a bundled child into a bad one
+CORRUPTIONS = {
+    "empty": lambda good: b"\n",
+    "odd": lambda good: good[:1001] + b"\n",
+    "short": lambda good: good[:1000] + b"\n",
+    "unended": lambda good: good[:-1],      # the query's text runs on
+    "garbage": lambda good: b"00" * 64 + b"\n",
+    "not-modules": lambda good: _hex_line(42),
+    "raises": lambda good: _hex_line((("sketchmap.solver.__main__", compile(
+        "raise ImportError('no')", "m", "exec")),)),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(),
+                         ids=list(CORRUPTIONS))
+def test_corrupt_solver_code_fails_the_query(corrupt, monkeypatch):
+    # the child says why and exits 1; the query fails at once and the
+    # session's next child, sent good code, answers
+    good = portfolio._bundled_code()
+    monkeypatch.setattr(portfolio, "_bundled_code", lambda: corrupt(good))
+    start = time.monotonic()
+    with SolverSession() as session:
+        with pytest.raises(AllSolversFailed,
+                           match="builtin: \\(error \"cannot load the "
+                                 "bundled solver"):
+            portfolio_solve(SAT_QUERY, session=session, timeout=60)
+        assert time.monotonic() - start < 30
+        assert not session._children, "the failed child was retired"
+        monkeypatch.setattr(portfolio, "_bundled_code", lambda: good)
+        r = portfolio_solve(SAT_QUERY, session=session, timeout=60)
+        assert r.status == "sat" and r.model["x"].value == 3
+
+
+def test_external_solvers_get_the_query_alone():
+    # only a child started with the bundled command gets the solver's code
+    echo = SolverConfig("echo", (sys.executable, "-c", (
+        "import sys\n"
+        "data = sys.stdin.buffer.readline()\n"
+        "print('unsat' if data == b'(reset)\\n' else 'sat', flush=True)\n"
+        "print('sketchmap-end-of-query', flush=True)\n")))
+    r = portfolio_solve(UNSAT_QUERY, [echo], timeout=60)
+    assert (r.status, r.winner) == ("unsat", "echo")

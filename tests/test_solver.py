@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import sketchmap
+from sketchmap import portfolio
 from sketchmap.solver.aig import AIG, FALSE, TRUE
 from sketchmap.solver.qfbv import (HEADS, MAX_WIDTH, Reader,
                                    SolverInputError, parse_all, run_script)
@@ -932,3 +933,39 @@ def test_child_imports_no_re():
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["False"]
+
+
+# The portfolio's bundled child runs the solver's code shipped over its
+# stdin; it must answer every script exactly as python -m sketchmap.solver.
+SHIPPED_SCRIPTS = [
+    "(set-logic QF_BV)(declare-const x (_ BitVec 4))"
+    "(assert (= (bvadd x #x3) #x9))(check-sat)(get-value (x))",
+    "(declare-const x (_ BitVec 4))(assert (= (bvadd x #x3) #x9))"
+    "(check-sat)(define-fun y () (_ BitVec 4) (bvmul x x))"
+    "(define-fun p () Bool (bvult y x))(get-value (x y p))",
+    "(declare-const p Bool)(declare-const q Bool)"
+    "(assert (and (or p q) (not p)))(check-sat)(get-value (p q))",
+    "(declare-const a (_ BitVec 5))(declare-const b (_ BitVec 5))"
+    "(assert (distinct (bvmul a b) (bvmul b a)))(check-sat)",
+    "(declare-const x (_ BitVec 2))(assert (= x #b01))(check-sat)(reset)"
+    "(declare-const x (_ BitVec 2))(assert (distinct x x))(check-sat)"
+    "(get-value (x))",
+    "(declare-const x (_ BitVec 4))(get-value (x))(check-sat)",
+    "(declare-const x (_ BitVec 1))(push 1)(check-sat)",
+    "(bogus)",
+    "(declare-const a (_ BitVec 4))"
+    "(assert (= ((_ zero_extend 10000000000000000000) a) a))(check-sat)",
+    _deep_script(2000),
+] + [_ODD_DECLS + command + "(check-sat)"
+     for command, _ in ODD_INPUTS + WIDE_INPUTS]
+
+
+@pytest.mark.parametrize("text", SHIPPED_SCRIPTS, ids=lambda x: x[:40])
+def test_shipped_child_answers_as_the_module_does(text):
+    shipped = subprocess.run(
+        list(portfolio.default_portfolio()[0].command),
+        input=portfolio._bundled_code() + text.encode(),
+        capture_output=True, timeout=60)
+    module = _solver_child(text)
+    assert (shipped.returncode, shipped.stdout, shipped.stderr) == \
+        (module.returncode, module.stdout, module.stderr)
