@@ -14,6 +14,7 @@ from sketchmap import cegis as cegis_module
 from sketchmap.arch import load_arch, packaged_arch_path
 from sketchmap.bench import _document_text, corpus_benchmarks
 from sketchmap.cegis import Success, Timeout, Unsat, cegis, synthesize
+from sketchmap.emit import to_json_netlist, to_structural_verilog
 from sketchmap.interp import compile_program, env_of_ints, interp, simulate
 from sketchmap.ir import (
     BV, BitVec, ConstantHole, EmitMeta, Hole, PortBinding, Prim,
@@ -382,6 +383,19 @@ PINNED_QUERIES = {
 }
 
 
+# sha256 over the Verilog and then the JSON netlist of each design's
+# result, both emitted under the design's name.  Like PINNED_QUERIES, a
+# change that alters either text must update these on purpose and say why.
+PINNED_NETLISTS = {
+    "add_w4": "4218ca8dc3be1ede273fee399b2ecae4"
+              "e8f006590762714cc63b285f1ed6d171",
+    "add_mul_xor_w08_d1": "13d383565ac688082b49b05fb3d80e9b"
+                          "cc6bbad2238c394f2841e1f144d4b2c4",
+    "tt_4b": "b38116845db8c19a5cbd2802c64c365e"
+             "37b56d24d45def043f7f30db363a171c",
+}
+
+
 @pytest.mark.parametrize("design", sorted(PINNED_QUERIES))
 def test_query_texts_are_pinned(design, monkeypatch):
     arch_file, template, text, want = PINNED_QUERIES[design]
@@ -407,3 +421,7 @@ def test_query_texts_are_pinned(design, monkeypatch):
     for q in texts:
         h.update(q.encode())
     assert h.hexdigest() == want
+    n = hashlib.sha256()
+    n.update(to_structural_verilog(res.program, design).encode())
+    n.update(to_json_netlist(res.program, design).encode())
+    assert n.hexdigest() == PINNED_NETLISTS[design]
