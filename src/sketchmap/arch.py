@@ -46,15 +46,19 @@ the constants a lowering rule pins them to, and synthesis only accepts
 hole values under which it is 1.  A port named ``clk`` takes no value:
 it is wired to the global clock at emission.  Unknown keys anywhere are
 errors — the schema is strict.
+
+Each internal_data entry an instance leaves free becomes a fresh Hole
+node, labelled with the instance's prefix and carrying the entry's
+width.  A lowering returns only outputs and constraints: the sketch
+reads its hole table off those nodes.
 """
 
 import os
 from dataclasses import dataclass, field
 
 from .ir import (
-    BV, BitVec, ConstantHole, EmitMeta, Hole, Id, Node, Op, PortBinding,
-    Prim, Prog, ProgBuilder, Reg, SketchmapError, Var, WidthError,
-    free_vars,
+    BV, BitVec, EmitMeta, Hole, Id, Node, Op, Prim, Prog, ProgBuilder, Reg,
+    SketchmapError, Var, WidthError, free_vars,
 )
 from .primitives import (
     PrimitiveInterface, builtin_model, carry_interface, dsp_interface,
@@ -489,12 +493,12 @@ def _emit_meta(impl: InterfaceImpl, fvw: dict[str, int],
                packed: tuple[tuple[str, int], ...]) -> EmitMeta:
     """How every instance of impl prints, after checking that its input
     ports and internal data wire each model input at the model's width."""
-    port_bindings: list[tuple[str, PortBinding]] = []
+    port_bindings: list[tuple[str, str]] = []
     for p in impl.ports:
         if p.direction != "in":
             continue
         if p.name == "clk":
-            port_bindings.append(("clk", PortBinding("clk", "in", 1)))
+            port_bindings.append(("clk", "clk"))
             continue
         if p.name not in fvw:
             raise ModelLoadError(
@@ -504,7 +508,7 @@ def _emit_meta(impl: InterfaceImpl, fvw: dict[str, int],
             raise WidthMismatch(
                 f"{impl.module_name}: port {p.name!r} declared {p.width} "
                 f"bits but the model reads {fvw[p.name]}")
-        port_bindings.append((p.name, PortBinding(p.name, "in", p.width)))
+        port_bindings.append((p.name, p.name))
 
     unwired = (set(fvw) - {k for k, _ in port_bindings if k != "clk"}
                - {nm for nm, _ in impl.internal_data})
@@ -571,8 +575,8 @@ class HoleNamer:
 
 @dataclass
 class BuildResult:
+    """What one lowering built; its holes are the Hole nodes it added."""
     outputs: dict[str, Id]                 # interface output -> node id
-    holes: dict[str, ConstantHole] = field(default_factory=dict)
     constraints: list[Prog] = field(default_factory=list)
 
 
@@ -583,10 +587,11 @@ def instantiate(impl: InterfaceImpl, b: ProgBuilder,
     """Wire one concrete primitive instance into the program under b.
 
     inputs maps interface input names to existing node ids.  Each
-    internal_data entry becomes a fresh ConstantHole unless `pinned`
-    supplies a constant for it.  Returns the interface outputs (extract
-    nodes over the packed primitive value when there are several) and
-    each constraint as a program over this instance's holes and pinned
+    internal_data entry becomes a fresh hole of its declared width,
+    labelled with the instance's prefix, unless `pinned` supplies a
+    constant for it.  Returns the interface outputs (extract nodes over
+    the packed primitive value when there are several) and each
+    constraint as a program over this instance's holes and pinned
     constants.
     """
     model = _load_model(impl, arch)
@@ -602,7 +607,6 @@ def instantiate(impl: InterfaceImpl, b: ProgBuilder,
             f"interface inputs not supplied: {sorted(absent)}")
 
     prefix = namer.prefix()
-    holes: dict[str, ConstantHole] = {}
     iface_w = dict(impl.interface.inputs)
     env = {n: (i, iface_w[n]) for n, i in inputs.items()}
     leaves: dict[str, tuple[Node, int]] = {}
@@ -622,8 +626,7 @@ def instantiate(impl: InterfaceImpl, b: ProgBuilder,
                     f"{pinned[nm].width}, expected {w}")
             leaves[nm] = (BV(pinned[nm]), w)
         else:
-            holes[prefix + nm] = ConstantHole(w)
-            leaves[nm] = (Hole(prefix + nm, holes[prefix + nm]), w)
+            leaves[nm] = (Hole(prefix + nm, w), w)
         env[nm] = (b.add(leaves[nm][0]), w)
 
     port_values: dict[str, Id] = {}
@@ -636,7 +639,7 @@ def instantiate(impl: InterfaceImpl, b: ProgBuilder,
                                    {nm: env[nm][0] for nm, _ in
                                     impl.internal_data})
     constraints = [_lower_alone(c, leaves)[0] for c in impl.constraints]
-    return BuildResult(outputs, holes, constraints)
+    return BuildResult(outputs, constraints)
 
 
 def _assemble_prim(impl: InterfaceImpl, b: ProgBuilder, model: Model,
@@ -703,14 +706,6 @@ _MUXHI_TABLE = 0b1000  # LUT2(I0=b, I1=s): out = b and s
 _OR2_TABLE = 0b1110    # LUT2: out = I0 or I1
 
 
-def _merge(dst: BuildResult, src: BuildResult) -> None:
-    """Accumulate src's holes and constraints into dst; every primitive
-    instance has labels of its own, so no hole label is added twice."""
-    assert dst.holes.keys().isdisjoint(src.holes)
-    dst.holes.update(src.holes)
-    dst.constraints.extend(src.constraints)
-
-
 @dataclass(frozen=True)
 class Direct:
     impl: InterfaceImpl
@@ -760,9 +755,8 @@ class LutFromSmaller:
         rm = self.mux.build(
             b, {"I0": r0.outputs["O"], "I1": r1.outputs["O"],
                 "S0": inputs[f"I{n-1}"]}, namer, arch, None)
-        for r in (r0, r1):
-            _merge(rm, r)
-        return BuildResult(rm.outputs, rm.holes, rm.constraints)
+        rm.constraints += r0.constraints + r1.constraints
+        return rm
 
 
 @dataclass(frozen=True)
@@ -797,9 +791,8 @@ class MuxFromLutPair:
         r = self.lut2.build(b, {"I0": lo.outputs["O"],
                                 "I1": hi.outputs["O"]}, namer, arch,
                             _OR2_TABLE)
-        for part in (lo, hi):
-            _merge(r, part)
-        return BuildResult(r.outputs, r.holes, r.constraints)
+        r.constraints += lo.constraints + hi.constraints
+        return r
 
 
 @dataclass(frozen=True)
@@ -820,7 +813,7 @@ class MuxTree:
                 r = self.mux2.build(
                     b, {"I0": layer[2 * i], "I1": layer[2 * i + 1],
                         "S0": inputs[f"S{j}"]}, namer, arch, None)
-                _merge(out, r)
+                out.constraints += r.constraints
                 nxt.append(r.outputs["O"])
             layer = nxt
         out.outputs = {"O": layer[0]}
@@ -846,12 +839,12 @@ class CarryFromLuts:
             di = b.extract(i, i, inputs["DI"])
             rs = self.lut2.build(b, {"I0": si, "I1": c}, namer, arch,
                                  _XOR2_TABLE)
-            _merge(out, rs)
+            out.constraints += rs.constraints
             bits.append(rs.outputs["O"])
             # c' = si ? c : di  ==  mux(a=di, b=c, s=si)
             rc = self.lut3.build(b, {"I0": di, "I1": c, "I2": si},
                                  namer, arch, _MUX_TABLE)
-            _merge(out, rc)
+            out.constraints += rc.constraints
             c = rc.outputs["O"]
         out.outputs = {"O": b.concat_all(list(reversed(bits))), "CO": c}
         return out

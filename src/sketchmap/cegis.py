@@ -150,7 +150,6 @@ def _revalidate(query: EquivalenceQuery, spec: Compiled, got: Compiled,
 def cegis(query: EquivalenceQuery,
           solvers: Optional[list[SolverConfig]] = None,
           timeout: float = 120.0,
-          initial_samples: int = SEED_SAMPLES,
           seed: int = 2024,
           session: Optional[SolverSession] = None) -> SynthesisResult:
     """Run the loop on query.  Every solver call goes to session's
@@ -184,7 +183,7 @@ def cegis(query: EquivalenceQuery,
         synth_asserts.extend(g for g in _subst_inputs(query, env)
                              if g is not one)
 
-    for env in _random_envs(query, initial_samples, seed):
+    for env in _random_envs(query, SEED_SAMPLES, seed):
         learn(env)
     # drawn from a seed of their own; one already in the set is dropped
     probes = [env for env in _random_envs(query, PROBES, seed + 1)
@@ -269,12 +268,11 @@ def cegis(query: EquivalenceQuery,
 def synthesize(spec: Prog, sketch: Sketch, t: int = 0, c: int = 2,
                solvers: Optional[list[SolverConfig]] = None,
                timeout: float = 120.0,
-               initial_samples: int = SEED_SAMPLES,
                seed: int = 2024,
                session: Optional[SolverSession] = None) -> SynthesisResult:
     """End-to-end: build the equivalence query for cycles t..t+c and run
     the loop.  c = 0 checks a single cycle; pipelined mappings use t equal
     to the pipeline depth so the fill cycles are excluded."""
     q = build_query(spec, sketch, t, c)
-    return cegis(q, solvers=solvers, timeout=timeout,
-                 initial_samples=initial_samples, seed=seed, session=session)
+    return cegis(q, solvers=solvers, timeout=timeout, seed=seed,
+                 session=session)

@@ -55,8 +55,9 @@ _RESERVED = {"out", "clk"}
 _Atom = Union[str, tuple]
 
 
-def _check_structural(p: Prog) -> None:
-    check_well_formed(p)
+def _check_structural(p: Prog) -> dict[Id, int]:
+    """p's node widths, once p is checked well-formed and structural."""
+    widths = node_widths(p)
     for i in sorted(p.nodes):
         n = p.nodes[i]
         if isinstance(n, Reg):
@@ -67,6 +68,7 @@ def _check_structural(p: Prog) -> None:
             raise NotStructural(
                 i, f"operator {n.op.name!r} (only wiring survives to "
                 "netlists)")
+    return widths
 
 
 def _check_port_names(p: Prog) -> None:
@@ -101,8 +103,8 @@ def _needs_clk(p: Prog, reach: set[Id]) -> bool:
         n = p.nodes[i]
         if isinstance(n, Prim):
             bound = {k for k, _ in n.binds}
-            if any(pb.port == "clk" and k not in bound
-                   for k, pb in n.meta.port_bindings):
+            if any(port == "clk" and k not in bound
+                   for k, port in n.meta.port_bindings):
                 return True
     return False
 
@@ -135,11 +137,10 @@ def to_structural_verilog(p: Prog, module_name: str) -> str:
     some instance has a clock port.  Wires are named n<id> after their
     node; emission is deterministic byte-for-byte.
     """
-    _check_structural(p)
+    widths = _check_structural(p)
     _check_port_names(p)
     if not _NAME_RE.match(module_name):
         raise ValueError(f"bad module name {module_name!r}")
-    widths = node_widths(p)
     reach = _reachable(p)
     vw = var_widths(p)
     needs_clk = _needs_clk(p, reach)
@@ -208,11 +209,11 @@ def _verilog_instance(p: Prog, i: Id, n: Prim, inst_name: str, ref,
     for pname, spec in meta.parameter_bindings:
         params.append(f"    .{pname}({_hex_literal(_param_value(p, n, i, spec))})")
     conns = []
-    for bound, pb in meta.port_bindings:
-        if pb.port == "clk" and bound not in binds:
+    for bound, port in meta.port_bindings:
+        if port == "clk" and bound not in binds:
             conns.append("    .clk(clk)")
         else:
-            conns.append(f"    .{pb.port}({ref(binds[bound])})")
+            conns.append(f"    .{port}({ref(binds[bound])})")
     if meta.output_slices:
         for port, hi, lo in meta.output_slices:
             part = f"n{i}[{hi}:{lo}]" if hi != lo else f"n{i}[{hi}]"
@@ -262,9 +263,8 @@ def _atoms_of(p: Prog, widths: dict[Id, int]) -> dict[Id, list[_Atom]]:
 
 def to_json_netlist(p: Prog, module_name: str = "top") -> str:
     """Print a structural program as a Yosys-style JSON netlist."""
-    _check_structural(p)
+    widths = _check_structural(p)
     _check_port_names(p)
-    widths = node_widths(p)
     reach = _reachable(p)
     vw = var_widths(p)
     needs_clk = _needs_clk(p, reach)
@@ -327,13 +327,12 @@ def to_json_netlist(p: Prog, module_name: str = "top") -> str:
             parameters[pname] = f"{v.value:0{v.width}b}"
         directions = {}
         connections = {}
-        for bound, pb in meta.port_bindings:
-            directions[pb.port] = "input"
-            if pb.port == "clk" and bound not in binds:
+        for bound, port in meta.port_bindings:
+            directions[port] = "input"
+            if port == "clk" and bound not in binds:
                 connections["clk"] = [clk_net]
             else:
-                connections[pb.port] = [net_of(a) for a in
-                                        atoms[binds[bound]]]
+                connections[port] = [net_of(a) for a in atoms[binds[bound]]]
         if meta.output_slices:
             for port, hi, lo in meta.output_slices:
                 directions[port] = "output"

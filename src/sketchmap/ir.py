@@ -10,24 +10,29 @@ The same representation covers three fragments:
     pure wiring operators (concat / extract / zero_extend / sign_extend);
     this is what the emitter accepts,
   * sketches -- structural programs that still contain Hole nodes standing
-    for unresolved primitive configuration bits.
+    for unresolved primitive configuration bits.  Each Hole node carries
+    its label and width, and a sketch's hole table is read off them.
 
 Sharing one node type keeps substitution trivial: synthesis turns a sketch
-into a structural program by replacing each Hole with a constant, nothing
-else moves.
+into a structural program by replacing each Hole with a constant of its
+width, nothing else moves.
 
-Well-formedness is checked once, globally, and produces a witness map
-assigning every node (including nodes inside Prim bodies) a level such
-that every combinational dependency strictly decreases.  The witness
-doubles as the evaluation schedule for both the concrete and the symbolic
-interpreters.
+Well-formedness is checked over the whole tree at once, and produces a
+witness map assigning every node (including nodes inside Prim bodies) a
+level such that every combinational dependency strictly decreases.  The
+witness doubles as the evaluation schedule for both the concrete and the
+symbolic interpreters.  Each stage that makes or reads a program checks
+it once: the spec, BTOR2 and JSON readers, the primitive models, both
+interpreters and the emitters.  Hole substitution keeps a well-formed
+program well-formed, so it checks nothing.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 Id = int
@@ -387,40 +392,28 @@ class Reg:
 
 
 @dataclass(frozen=True, slots=True)
-class PortBinding:
-    """How one bound body variable reaches the emitted module instance."""
-
-    port: str
-    direction: str  # "in" or "out"
-    width: int
-
-
-@dataclass(frozen=True, slots=True)
 class EmitMeta:
     """Everything the emitter needs to print a Prim as a module instance.
 
-    port_bindings maps a bound body-variable name to its module port.  It
-    may also carry the reserved key "clk" with no matching bind; the
-    emitter connects that port to the global clock.  parameter_bindings
-    maps a Verilog parameter name to either the bound body-variable whose
-    (post-substitution constant) value becomes the parameter, or a fixed
-    BitVec literal.  output_port names the single output port; primitives
-    with several output ports pack them into one root value and list the
-    packing in output_slices as (port, hi, lo) ranges, in which case
-    output_port is the name of the low slice.
+    port_bindings maps a bound body-variable name to the name of its
+    module input port.  It may also carry the reserved key "clk" with no
+    matching bind; the emitter connects that port to the global clock.
+    parameter_bindings maps a Verilog parameter name to either the bound
+    body-variable whose (post-substitution constant) value becomes the
+    parameter, or a fixed BitVec literal.  output_port names the single
+    output port; primitives with several output ports pack them into one
+    root value and list the packing in output_slices as (port, hi, lo)
+    ranges, in which case output_port is the name of the low slice.
 
     Invariant: every bound variable of the owning Prim appears in exactly
     one port binding or parameter binding.
     """
 
     module_name: str
-    port_bindings: tuple[tuple[str, PortBinding], ...]
+    port_bindings: tuple[tuple[str, str], ...]
     parameter_bindings: tuple[tuple[str, Union[str, BitVec]], ...]
     output_port: str
     output_slices: tuple[tuple[str, int, int], ...] = ()
-
-    def port_map(self) -> dict[str, PortBinding]:
-        return dict(self.port_bindings)
 
     def param_map(self) -> dict[str, Union[str, BitVec]]:
         return dict(self.parameter_bindings)
@@ -444,19 +437,12 @@ class Prim:
 
 
 @dataclass(frozen=True, slots=True)
-class ConstantHole:
-    """Hole domain: any constant of the given width."""
-
-    width: int
-
-
-@dataclass(frozen=True, slots=True)
 class Hole:
     """An unresolved primitive configuration value: synthesis replaces it
-    with a constant of spec.width bits.  Only sketches contain these."""
+    with a constant of width bits.  Only sketches contain these."""
 
     label: str
-    spec: ConstantHole
+    width: int
 
 
 Node = Union[BV, Var, Op, Reg, Prim, Hole]
@@ -473,22 +459,29 @@ class Prog:
         return iter(self.nodes.items())
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sketch:
-    """A structural program with holes, plus the hole table and any
-    architecture-declared side constraints.  Filling every hole with a
-    constant (substitute_holes) yields a structural program.
+    """A structural program with holes, plus any architecture-declared
+    side constraints.  Filling every hole with a constant
+    (substitute_holes) yields a structural program.  Frozen, so the hole
+    table read off psi stays true.
 
-    holes maps label -> ConstantHole and must list exactly the Hole nodes
-    reachable in psi.  side_constraints are width-1 programs of their own
-    whose leaves are Hole nodes of that table or constants (an
-    architecture's ``constraints:``, lowered per instance); each must
-    evaluate to 1 under any accepted hole assignment.
+    side_constraints are width-1 programs of their own whose leaves are
+    Hole nodes of psi or constants (an architecture's ``constraints:``,
+    lowered per instance); each must evaluate to 1 under any accepted
+    hole assignment.
     """
 
     psi: Prog
-    holes: dict[str, ConstantHole]
     side_constraints: tuple[Prog, ...] = ()
+
+    @cached_property
+    def holes(self) -> dict[str, int]:
+        """label -> width for psi's Hole nodes, read off psi once; raises
+        WidthError if a label appears at two widths."""
+        return _widths_by_name("hole", ((n.label, n.width)
+                                        for n in self.psi.nodes.values()
+                                        if isinstance(n, Hole)))
 
 
 WitnessMap = dict[Id, int]
@@ -515,19 +508,24 @@ def free_vars(p: Prog) -> set[str]:
     return {n.name for n in p.nodes.values() if isinstance(n, Var)}
 
 
+def _widths_by_name(what: str, pairs: Iterable[tuple[str, int]]
+                    ) -> dict[str, int]:
+    """name -> width over (name, width) pairs; raises WidthError if a name
+    comes with two different widths."""
+    out: dict[str, int] = {}
+    for name, w in pairs:
+        if out.setdefault(name, w) != w:
+            raise WidthError(
+                f"{what} {name!r} declared at widths {out[name]} and {w}")
+    return out
+
+
 def var_widths(p: Prog) -> dict[str, int]:
     """name -> width for p's own Var nodes; raises WidthError if a name is
     declared twice at different widths."""
-    out: dict[str, int] = {}
-    for n in p.nodes.values():
-        if isinstance(n, Var):
-            if n.name in out and out[n.name] != n.width:
-                raise WidthError(
-                    f"variable {n.name!r} declared at widths "
-                    f"{out[n.name]} and {n.width}"
-                )
-            out[n.name] = n.width
-    return out
+    return _widths_by_name("variable", ((n.name, n.width)
+                                        for n in p.nodes.values()
+                                        if isinstance(n, Var)))
 
 
 def is_behavioral(p: Prog) -> bool:
@@ -576,14 +574,12 @@ def _node_width(i: Id, n: Node, widths: dict[Id, int]) -> int:
     """Width of node n at id i given already-known arg widths."""
     if isinstance(n, BV):
         return n.b.width
-    if isinstance(n, Var):
+    if isinstance(n, (Var, Hole)):
         return n.width
     if isinstance(n, Reg):
         return n.init.width
     if isinstance(n, Prim):
         return widths[n.body.root]
-    if isinstance(n, Hole):
-        return n.spec.width
     assert isinstance(n, Op)
     try:
         return op_result_width(n.op, [widths[a] for a in n.args])
@@ -790,35 +786,25 @@ def substitute_holes(s: Sketch, assignment: Mapping[str, BV]) -> Prog:
     """Replace every hole in s.psi by its assigned constant node.
 
     Raises MissingAssignment when a label has no value and DomainError when
-    a value is not a BV of the hole's width.  The result re-checks
-    well-formed.
+    a value is not a BV of the hole's width.  Nothing else is checked: a
+    constant has no inputs and the width of the hole it replaces, so a
+    well-formed sketch yields a well-formed program, and every consumer
+    (the simulator, the emitters) checks the program it is given.
     """
-    for label in s.holes:
-        if label not in assignment:
-            raise MissingAssignment(f"no assignment for hole {label!r}")
     new_nodes: dict[Id, Node] = {}
     for i, n in s.psi.nodes.items():
         if isinstance(n, Hole):
             if n.label not in assignment:
                 raise MissingAssignment(f"no assignment for hole {n.label!r}")
             v = assignment[n.label]
-            if not isinstance(v, BV) or v.b.width != n.spec.width:
+            if not isinstance(v, BV) or v.b.width != n.width:
                 raise DomainError(
-                    f"hole {n.label!r} needs a width-{n.spec.width} "
+                    f"hole {n.label!r} needs a width-{n.width} "
                     f"constant, got {v}")
             new_nodes[i] = v
         else:
             new_nodes[i] = n
-    out = Prog(s.psi.root, new_nodes)
-    check_well_formed(out)
-    return out
-
-
-def sketch_holes_consistent(s: Sketch) -> bool:
-    """True when s.holes matches exactly the Hole nodes in s.psi."""
-    found = {n.label: n.spec for n in s.psi.nodes.values()
-             if isinstance(n, Hole)}
-    return found == s.holes
+    return Prog(s.psi.root, new_nodes)
 
 
 # -- construction helper ----------------------------------------------------
@@ -877,8 +863,8 @@ class ProgBuilder:
     def reg(self, data: Id, init: BitVec) -> Id:
         return self.add(Reg(data, init))
 
-    def hole(self, label: str, spec: ConstantHole) -> Id:
-        return self.add(Hole(label, spec))
+    def hole(self, label: str, width: int) -> Id:
+        return self.add(Hole(label, width))
 
     def child(self) -> "ProgBuilder":
         return ProgBuilder(_counter=self._counter)
@@ -903,7 +889,7 @@ def _format_node(n: Node) -> str:
     if isinstance(n, Reg):
         return f"(reg {n.data} (bv {n.init.value} {n.init.width}))"
     if isinstance(n, Hole):
-        return f"(hole {n.label} (constant {n.spec.width}))"
+        return f"(hole {n.label} (constant {n.width}))"
     assert isinstance(n, Prim)
     binds = " ".join(f"({x} {i})" for x, i in sorted(n.binds))
     return (f"(prim {n.meta.module_name} (binds {binds}) "

@@ -50,9 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .arch import (ArchDescription, BuildResult, HoleNamer, _merge,
-                   lower_interface)
-from .ir import ArityError, ConstantHole, Id, ProgBuilder, Sketch
+from .arch import ArchDescription, BuildResult, HoleNamer, lower_interface
+from .ir import ArityError, Id, Prog, ProgBuilder, Sketch
 from .primitives import carry_interface, dsp_interface, lut_interface
 
 __all__ = [
@@ -150,12 +149,12 @@ def _pack(b: ProgBuilder, bits: list[Id]) -> Id:
 
 
 def _hole_lut_pair_chain(b: ProgBuilder, desc: ArchDescription,
-                         namer: HoleNamer, parts: BuildResult,
+                         namer: HoleNamer, constraints: list[Prog],
                          a: Id, bb: Id, w: int) -> BuildResult:
     """Per-bit hole LUT pairs over (a_i, b_i) feeding a carry chain.
 
     Returns the chain's BuildResult (outputs O and CO); the chain's CI
-    is a fresh 1-bit hole.
+    is a fresh 1-bit hole.  Every part's constraints join constraints.
     """
     lut2 = _lut_plan(desc, 2)
     chain = lower_interface(carry_interface(w), desc)
@@ -164,21 +163,18 @@ def _hole_lut_pair_chain(b: ProgBuilder, desc: ArchDescription,
         ins = {"I0": _bit(b, a, i), "I1": _bit(b, bb, i)}
         rs = lut2.build(b, dict(ins), namer, desc)
         rd = lut2.build(b, dict(ins), namer, desc)
-        _merge(parts, rs)
-        _merge(parts, rd)
+        constraints += rs.constraints + rd.constraints
         s_bits.append(rs.outputs["O"])
         di_bits.append(rd.outputs["O"])
-    ci_label = namer.prefix() + "ci"
-    parts.holes[ci_label] = ConstantHole(1)
-    ci = b.hole(ci_label, ConstantHole(1))
+    ci = b.hole(namer.prefix() + "ci", 1)
     r = chain.build(b, {"DI": _pack(b, di_bits), "S": _pack(b, s_bits),
                         "CI": ci}, namer, desc)
-    _merge(parts, r)
+    constraints += r.constraints
     return r
 
 
 def _fixed_adder(b: ProgBuilder, desc: ArchDescription, namer: HoleNamer,
-                 parts: BuildResult, x: Id, y: Id, w: int) -> Id:
+                 constraints: list[Prog], x: Id, y: Id, w: int) -> Id:
     """x + y via pinned xor LUTs and a carry chain (no holes)."""
     lut2 = _lut_plan(desc, 2)
     chain = lower_interface(carry_interface(w), desc)
@@ -186,11 +182,11 @@ def _fixed_adder(b: ProgBuilder, desc: ArchDescription, namer: HoleNamer,
     for i in range(w):
         r = lut2.build(b, {"I0": _bit(b, x, i), "I1": _bit(b, y, i)},
                        namer, desc, _XOR2_TABLE)
-        _merge(parts, r)
+        constraints += r.constraints
         s_bits.append(r.outputs["O"])
     r = chain.build(b, {"DI": x, "S": _pack(b, s_bits), "CI": b.bv(0, 1)},
                     namer, desc)
-    _merge(parts, r)
+    constraints += r.constraints
     return r.outputs["O"]
 
 
@@ -204,16 +200,15 @@ def _gen_bitwise(desc, params) -> Sketch:
     plan = _lut_plan(desc, len(names))
     b = ProgBuilder()
     namer = HoleNamer()
-    parts = BuildResult({})
+    constraints: list[Prog] = []
     ops = [b.var(n, w) for n in names]
     bits = []
     for i in range(w):
         ins = {f"I{j}": _bit(b, op, i) for j, op in enumerate(ops)}
         r = plan.build(b, ins, namer, desc)
-        _merge(parts, r)
+        constraints += r.constraints
         bits.append(r.outputs["O"])
-    return Sketch(b.prog(_pack(b, bits)), parts.holes,
-                  tuple(parts.constraints))
+    return Sketch(b.prog(_pack(b, bits)), tuple(constraints))
 
 
 def _gen_bitwise_with_carry(desc, params) -> Sketch:
@@ -222,11 +217,10 @@ def _gen_bitwise_with_carry(desc, params) -> Sketch:
     names = _operands(params, 2, 2, ("a", "b"))
     b = ProgBuilder()
     namer = HoleNamer()
-    parts = BuildResult({})
+    constraints: list[Prog] = []
     a, bb = (b.var(n, w) for n in names)
-    r = _hole_lut_pair_chain(b, desc, namer, parts, a, bb, w)
-    return Sketch(b.prog(r.outputs["O"]), parts.holes,
-                  tuple(parts.constraints))
+    r = _hole_lut_pair_chain(b, desc, namer, constraints, a, bb, w)
+    return Sketch(b.prog(r.outputs["O"]), tuple(constraints))
 
 
 def _gen_comparison(desc, params) -> Sketch:
@@ -235,14 +229,13 @@ def _gen_comparison(desc, params) -> Sketch:
     names = _operands(params, 2, 2, ("a", "b"))
     b = ProgBuilder()
     namer = HoleNamer()
-    parts = BuildResult({})
+    constraints: list[Prog] = []
     a, bb = (b.var(n, w) for n in names)
-    r = _hole_lut_pair_chain(b, desc, namer, parts, a, bb, w)
+    r = _hole_lut_pair_chain(b, desc, namer, constraints, a, bb, w)
     post = _lut_plan(desc, 1)
     rf = post.build(b, {"I0": r.outputs["CO"]}, namer, desc)
-    _merge(parts, rf)
-    return Sketch(b.prog(rf.outputs["O"]), parts.holes,
-                  tuple(parts.constraints))
+    constraints += rf.constraints
+    return Sketch(b.prog(rf.outputs["O"]), tuple(constraints))
 
 
 def _gen_multiplication(desc, params) -> Sketch:
@@ -251,7 +244,7 @@ def _gen_multiplication(desc, params) -> Sketch:
     names = _operands(params, 2, 2, ("a", "b"))
     b = ProgBuilder()
     namer = HoleNamer()
-    parts = BuildResult({})
+    constraints: list[Prog] = []
     a, bb = (b.var(n, w) for n in names)
     lut2 = _lut_plan(desc, 2)
     # partial-product row j holds bits i of a_i & b_j for the surviving
@@ -262,14 +255,14 @@ def _gen_multiplication(desc, params) -> Sketch:
         row = []
         for i in range(w - j):
             r = lut2.build(b, {"I0": _bit(b, a, i), "I1": bj}, namer, desc)
-            _merge(parts, r)
+            constraints += r.constraints
             row.append(r.outputs["O"])
         rows.append(row)
     acc = _pack(b, rows[0])
     for j in range(1, w):
         shifted = _pack(b, [b.bv(0, 1)] * j + rows[j])
-        acc = _fixed_adder(b, desc, namer, parts, acc, shifted, w)
-    return Sketch(b.prog(acc), parts.holes, tuple(parts.constraints))
+        acc = _fixed_adder(b, desc, namer, constraints, acc, shifted, w)
+    return Sketch(b.prog(acc), tuple(constraints))
 
 
 def _gen_dsp(desc, params) -> Sketch:
@@ -292,7 +285,7 @@ def _gen_dsp(desc, params) -> Sketch:
     else:
         wiring = {"A": ops[0], "B": ops[1], "C": zero, "D": zero}
     r = plan.build(b, wiring, namer, desc)
-    return Sketch(b.prog(r.outputs["out"]), r.holes, tuple(r.constraints))
+    return Sketch(b.prog(r.outputs["out"]), tuple(r.constraints))
 
 
 _GENERATORS = {

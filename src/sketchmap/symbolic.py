@@ -18,8 +18,8 @@ from typing import Optional
 
 from .ir import (
     BV, Hole, Id, Op, Operator, Prim, Prog, Reg, Sketch, SketchmapError,
-    Var, WidthError, is_behavioral, schedule, sketch_holes_consistent,
-    structural_violations, var_widths,
+    Var, WidthError, is_behavioral, schedule, structural_violations,
+    var_widths,
 )
 from .terms import Term, TermBuilder, term_leaves
 
@@ -57,7 +57,7 @@ def symbolic_run(p: Prog, upto: int, tb: Optional[TermBuilder] = None
                 cur[i] = cur[n.body.root]
             else:
                 assert isinstance(n, Hole)
-                cur[i] = tb.hole(n.label, n.spec.width)
+                cur[i] = tb.hole(n.label, n.width)
         roots.append(cur[p.root])
         prev = cur
     return roots
@@ -95,8 +95,7 @@ def build_query(spec: Prog, sketch: Sketch, t: int, c: int
     bad = structural_violations(sketch.psi)
     if bad:
         raise SketchmapError("sketch is not structural: " + "; ".join(bad))
-    if not sketch_holes_consistent(sketch):
-        raise SketchmapError("sketch hole table does not match its program")
+    holes = sketch.holes
     sw = var_widths(spec)
     kw = var_widths(sketch.psi)
     if sw != kw:
@@ -118,7 +117,7 @@ def build_query(spec: Prog, sketch: Sketch, t: int, c: int
     side: list[Term] = []
     for constraint in sketch.side_constraints:
         for n in constraint.nodes.values():
-            if isinstance(n, Hole) and sketch.holes.get(n.label) != n.spec:
+            if isinstance(n, Hole) and holes.get(n.label) != n.width:
                 raise SketchmapError(
                     f"constraint references unknown hole {n.label!r}")
         (ct,) = symbolic_run(constraint, 0, tb)
@@ -130,8 +129,8 @@ def build_query(spec: Prog, sketch: Sketch, t: int, c: int
                             *sketch_all[t:])
     # every hole the sketch declares gets a symbol even if folding dropped
     # it from the equalities: the model must still assign it
-    for label, spec_h in sketch.holes.items():
-        hols.add(tb.hole(label, spec_h.width))
+    for label, w in holes.items():
+        hols.add(tb.hole(label, w))
 
     return EquivalenceQuery(
         equal_terms=equal_terms,

@@ -173,7 +173,7 @@ def test_criterion_03_minidsp_microbenchmark_suite(tmp_path):
 
 def _enumerate_assignments(sketch):
     labels = sorted(sketch.holes)
-    widths = [sketch.holes[lbl].width for lbl in labels]
+    widths = [sketch.holes[lbl] for lbl in labels]
     domain = 1
     for w in widths:
         domain *= 2 ** w
@@ -315,14 +315,14 @@ def _delayed_passthrough_prim(init):
     """The same register rendered structurally: wrapped as a primitive
     instance, since sketches may carry registers only inside primitive
     bodies."""
-    from sketchmap.ir import EmitMeta, PortBinding, Prim
+    from sketchmap.ir import EmitMeta, Prim
     b = ProgBuilder()
     x = b.var("x", 4)
     body = b.child()
     bx = body.var("x", 4)
     braw = body.reg(bx, BitVec.of(init, 4))
     meta = EmitMeta(module_name="dff4",
-                    port_bindings=(("x", PortBinding("D", "in", 4)),),
+                    port_bindings=(("x", "D"),),
                     parameter_bindings=(),
                     output_port="Q")
     prim = b.add(Prim(binds=(("x", x),), body=body.prog(braw), meta=meta))
@@ -331,7 +331,7 @@ def _delayed_passthrough_prim(init):
 
 def test_criterion_05_bounded_window_semantics():
     spec5 = _delayed_passthrough(5)
-    sketch7 = Sketch(_delayed_passthrough_prim(7), {})
+    sketch7 = Sketch(_delayed_passthrough_prim(7))
     r = synthesize(spec5, sketch7, t=0, c=0, timeout=60.0)
     assert isinstance(r, Unsat), "init 5 vs 7 must differ at cycle 0"
     r = synthesize(spec5, sketch7, t=1, c=3, timeout=60.0)

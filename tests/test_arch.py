@@ -14,7 +14,7 @@ from sketchmap.arch import (
 from sketchmap.cegis import Success, Unsat, synthesize
 from sketchmap.interp import Stream, interp
 from sketchmap.ir import (
-    BV, BitVec, ConstantHole, Hole, Operator, Prim, ProgBuilder, Sketch, Var,
+    BV, BitVec, Hole, Operator, Prim, ProgBuilder, Sketch, Var,
     WidthError, check_well_formed, dump_sexpr, substitute_holes,
 )
 from sketchmap.primitives import (
@@ -42,7 +42,8 @@ def _mdsp():
 
 def _run_plan(plan, in_widths, assigns, arch, hole_values=None,
               pin_table=None):
-    """Build a one-plan program over Vars and evaluate it at cycle 0."""
+    """Build a one-plan program over Vars and evaluate it at cycle 0 ->
+    (value, the program's hole table)."""
     b = ProgBuilder()
     ids = {n: b.var(n, w) for n, w in in_widths.items()}
     r = plan.build(b, ids, HoleNamer(), arch, pin_table)
@@ -50,16 +51,16 @@ def _run_plan(plan, in_widths, assigns, arch, hole_values=None,
     root = outs["O"] if "O" in outs else next(iter(outs.values()))
     if len(outs) > 1:
         root = b.concat_all([outs[k] for k in sorted(outs)])
-    p = b.prog(root)
-    if r.holes:
+    sketch = Sketch(b.prog(root))
+    p = sketch.psi
+    if sketch.holes:
         p = substitute_holes(
-            Sketch(p, r.holes),
-            {k: BV(_bv(hole_values[k], v.width))
-             for k, v in r.holes.items()})
+            sketch, {k: BV(_bv(hole_values[k], w))
+                     for k, w in sketch.holes.items()})
     else:
         check_well_formed(p)
     env = {n: Stream((_bv(assigns[n], w),)) for n, w in in_widths.items()}
-    return interp(p, env, 0, p.root).value, r
+    return interp(p, env, 0, p.root).value, sketch.holes
 
 
 class TestParsing:
@@ -164,14 +165,13 @@ class TestInstantiate:
         b = ProgBuilder()
         ids = {f"I{i}": b.var(f"I{i}", 1) for i in range(4)}
         r = instantiate(impl, b, ids, HoleNamer(), arch)
-        assert set(r.holes) == {"u0_sram"}
-        assert r.holes["u0_sram"].width == 16
         p = b.prog(r.outputs["O"])
+        assert Sketch(p).holes == {"u0_sram": 16}
         prim = next(n for n in p.nodes.values() if isinstance(n, Prim))
         assert prim.meta.module_name == "frac_lut4"
         assert prim.meta.param_map() == {"sram": "sram"}
         assert dict(prim.binds).keys() == {"in", "mode", "sram"}
-        solved = substitute_holes(Sketch(p, r.holes),
+        solved = substitute_holes(Sketch(p),
                                   {"u0_sram": BV(_bv(0x8000, 16))})
         for pat in range(16):
             env = {f"I{i}": Stream((_bv((pat >> i) & 1, 1),))
@@ -187,9 +187,12 @@ class TestInstantiate:
         ids = {f"I{i}": b.var(f"I{i}", 1) for i in range(4)}
         r1 = instantiate(impl, b, ids, namer, arch)
         r2 = instantiate(impl, b, ids, namer, arch)
-        assert set(r1.holes) == {"u0_sram"}
-        assert set(r2.holes) == {"u1_sram"}
-        check_well_formed(b.prog(r2.outputs["O"]))  # bodies relabeled
+        for r, label in ((r1, "u0_sram"), (r2, "u1_sram")):
+            sram = b.nodes[r.outputs["O"]].bind_map()["sram"]
+            assert b.nodes[sram] == Hole(label, 16)
+        p = b.prog(r2.outputs["O"])
+        assert Sketch(p).holes == {"u0_sram": 16, "u1_sram": 16}
+        check_well_formed(p)  # bodies relabeled
 
     def test_pinned_memory(self):
         arch = _sofa()
@@ -198,8 +201,8 @@ class TestInstantiate:
         ids = {f"I{i}": b.var(f"I{i}", 1) for i in range(4)}
         r = instantiate(impl, b, ids, HoleNamer(), arch,
                         pinned={"sram": _bv(0x6, 16)})
-        assert not r.holes
         p = b.prog(r.outputs["O"])
+        assert not Sketch(p).holes
         check_well_formed(p)
         env = {f"I{i}": Stream((_bv(1 if i == 0 else 0, 1),))
                for i in range(4)}
@@ -217,7 +220,7 @@ class TestInstantiate:
         (c,) = r.constraints
         root = c.nodes[c.root]
         assert root.op == Operator("extract", (0, 0)) and len(c.nodes) == 2
-        assert c.nodes[root.args[0]] == Hole("u0_sram", ConstantHole(16))
+        assert c.nodes[root.args[0]] == Hole("u0_sram", 16)
 
     def test_missing_model_file(self):
         text = _sofa_text().replace("frac_lut4.btor2", "missing.btor2")
@@ -408,10 +411,9 @@ class TestLowering:
                 b = ProgBuilder()
                 ids = {f"I{i}": b.var(f"I{i}", 1) for i in range(2)}
                 r = plan.build(b, ids, HoleNamer(), arch, None)
-                (label,) = r.holes
-                p = substitute_holes(Sketch(b.prog(r.outputs["O"]),
-                                            r.holes),
-                                     {label: BV(_bv(mem, 16))})
+                sketch = Sketch(b.prog(r.outputs["O"]))
+                (label,) = sketch.holes
+                p = substitute_holes(sketch, {label: BV(_bv(mem, 16))})
                 env = {f"I{i}": Stream((_bv((pat >> i) & 1, 1),))
                        for i in range(2)}
                 assert interp(p, env, 0, p.root).value == (mem >> pat) & 1
@@ -448,10 +450,10 @@ class TestLowering:
         for a in range(8):
             for bval in range(8):
                 for ci in (0, 1):
-                    got, r = _run_plan(
+                    got, holes = _run_plan(
                         plan, {"DI": 3, "S": 3, "CI": 1},
                         {"DI": a, "S": a ^ bval, "CI": ci}, arch)
-                    assert not r.holes      # all memories pinned
+                    assert not holes        # all memories pinned
                     total = a + bval + ci
                     # root = concat(CO, O): CO high bit
                     assert got == total, (a, bval, ci)
@@ -464,7 +466,7 @@ class TestLowering:
         tables = [rng.getrandbits(8) for _ in range(40)] + [0, 255, 0x96]
         for table in tables:
             for pat in range(8):
-                got, r = _run_plan(
+                got, _ = _run_plan(
                     plan, {f"I{i}": 1 for i in range(3)},
                     {f"I{i}": (pat >> i) & 1 for i in range(3)}, arch,
                     pin_table=table)
@@ -477,7 +479,8 @@ class TestLowering:
         ids = {f"I{i}": b.var(f"I{i}", 1) for i in range(3)}
         r = plan.build(b, ids, HoleNamer(), arch, None)
         # two free 4-bit half-memories; the combining mux is pinned
-        assert sorted(h.width for h in r.holes.values()) == [4, 4]
+        holes = Sketch(b.prog(r.outputs["O"])).holes
+        assert sorted(holes.values()) == [4, 4]
 
     def test_dsp_from_larger(self):
         arch = _mdsp()
@@ -486,14 +489,14 @@ class TestLowering:
         b = ProgBuilder()
         ids = {n: b.var(n, 8) for n in "ABCD"}
         r = plan.build(b, ids, HoleNamer(), arch, None)
-        assert {lbl.split("_", 1)[1] for lbl in r.holes} == \
+        sketch = Sketch(b.prog(r.outputs["out"]))
+        assert {lbl.split("_", 1)[1] for lbl in sketch.holes} == \
             {"INREG", "MREG", "PREG", "PREADD_EN", "PREADD_SUB", "ALUMODE"}
         cfg = {"INREG": 0, "MREG": 0, "PREG": 0, "PREADD_EN": 1,
                "PREADD_SUB": 1, "ALUMODE": 0}
-        assignment = {lbl: BV(_bv(cfg[lbl.split("_", 1)[1]], spec.width))
-                      for lbl, spec in r.holes.items()}
-        p = substitute_holes(Sketch(b.prog(r.outputs["out"]), r.holes),
-                             assignment)
+        assignment = {lbl: BV(_bv(cfg[lbl.split("_", 1)[1]], w))
+                      for lbl, w in sketch.holes.items()}
+        p = substitute_holes(sketch, assignment)
         rng = random.Random(8)
         for _ in range(100):
             a, bb, c, d = (rng.getrandbits(8) for _ in range(4))

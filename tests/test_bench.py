@@ -174,3 +174,18 @@ def test_import_leaves_out_the_thread_pool():
                        text=True, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["False"]
+
+
+def test_every_traced_name_resolves():
+    # the traced benchmark wraps each (module, attribute) of its TARGETS
+    # with getattr/setattr, so a rename here would break it silently
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, attr, _ in tracing.TARGETS:
+        assert callable(getattr(module, attr, None)), \
+            f"{module.__name__}.{attr}"

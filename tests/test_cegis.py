@@ -17,7 +17,7 @@ from sketchmap.cegis import Success, Timeout, Unsat, cegis, synthesize
 from sketchmap.emit import to_json_netlist, to_structural_verilog
 from sketchmap.interp import compile_program, env_of_ints, interp, simulate
 from sketchmap.ir import (
-    BV, BitVec, ConstantHole, EmitMeta, Hole, PortBinding, Prim,
+    BV, BitVec, EmitMeta, Hole, Prim,
     ProgBuilder, Sketch, substitute_holes,
 )
 from sketchmap.portfolio import SolverConfig, SolverSession
@@ -49,24 +49,24 @@ def _lut2_sketch():
     a = b.var("a", 1)
     c = b.var("b", 1)
     idx = b.concat(c, a)          # a is the low index bit
-    h = b.hole("m", ConstantHole(4))
+    h = b.hole("m", 4)
     bb, body = _lut_body(2)
     del bb
-    meta = EmitMeta("lut2", (("sel", PortBinding("I", "in", 2)),),
+    meta = EmitMeta("lut2", (("sel", "I"),),
                     (("INIT", "tbl"),), "O")
     # bodies get their ids from a child builder so ids stay disjoint
     b2 = ProgBuilder()
     a2 = b2.var("a", 1)
     c2 = b2.var("b", 1)
     idx2 = b2.concat(c2, a2)
-    h2 = b2.hole("m", ConstantHole(4))
+    h2 = b2.hole("m", 4)
     bb2 = b2.child()
     tbl = bb2.var("tbl", 4)
     sel = bb2.var("sel", 2)
     shifted = bb2.op("lshr", tbl, bb2.zext(2, sel))
     body2 = bb2.prog(bb2.extract(0, 0, shifted))
     pr = b2.add(Prim((("tbl", h2), ("sel", idx2)), body2, meta))
-    return Sketch(b2.prog(pr), {"m": ConstantHole(4)})
+    return Sketch(b2.prog(pr))
 
 
 def _bool_spec(op):
@@ -121,14 +121,14 @@ class TestLutSynthesis:
     def test_no_hole_sketch_verifies_directly(self):
         sk = _lut2_sketch()
         solved = substitute_holes(sk, {"m": BV(_bv(0b0110, 4))})
-        res = synthesize(_bool_spec("xor"), Sketch(solved, {}), t=0, c=0)
+        res = synthesize(_bool_spec("xor"), Sketch(solved), t=0, c=0)
         assert isinstance(res, Success)
         assert res.model == {}
 
     def test_no_hole_wrong_constant_is_unsat(self):
         sk = _lut2_sketch()
         solved = substitute_holes(sk, {"m": BV(_bv(0b0111, 4))})
-        res = synthesize(_bool_spec("xor"), Sketch(solved, {}), t=0, c=0)
+        res = synthesize(_bool_spec("xor"), Sketch(solved), t=0, c=0)
         assert isinstance(res, Unsat)
 
 
@@ -137,15 +137,15 @@ def _lut1_on_a_sketch():
     b = ProgBuilder()
     a = b.var("a", 1)
     b.var("b", 1)
-    h = b.hole("m", ConstantHole(2))
+    h = b.hole("m", 2)
     bb = b.child()
     tbl = bb.var("tbl", 2)
     sel = bb.var("sel", 1)
     body = bb.prog(bb.extract(0, 0, bb.op("lshr", tbl, bb.zext(1, sel))))
-    meta = EmitMeta("lut1", (("sel", PortBinding("I", "in", 1)),),
+    meta = EmitMeta("lut1", (("sel", "I"),),
                     (("INIT", "tbl"),), "O")
     pr = b.add(Prim((("tbl", h), ("sel", a)), body, meta))
-    return Sketch(b.prog(pr), {"m": ConstantHole(2)})
+    return Sketch(b.prog(pr))
 
 
 def _negate_task():
@@ -156,18 +156,17 @@ def _negate_task():
     spec = b.prog(b.op("neg", a))
     s = ProgBuilder()
     a2 = s.var("a", 8)
-    mask = s.hole("mask", ConstantHole(8))
-    k = s.hole("k", ConstantHole(8))
+    mask = s.hole("mask", 8)
+    k = s.hole("k", 8)
     bb = s.child()
     x = bb.var("x", 8)
     m2 = bb.var("m", 8)
     k2 = bb.var("kk", 8)
     body = bb.prog(bb.op("add", bb.op("xor", x, m2), k2))
-    meta = EmitMeta("xoradd", (("x", PortBinding("A", "in", 8)),),
+    meta = EmitMeta("xoradd", (("x", "A"),),
                     (("M", "m"), ("K", "kk")), "O")
     pr = s.add(Prim((("x", a2), ("m", mask), ("kk", k)), body, meta))
-    return spec, Sketch(s.prog(pr), {"mask": ConstantHole(8),
-                                     "k": ConstantHole(8)})
+    return spec, Sketch(s.prog(pr))
 
 
 def _reg_spec(init):
@@ -182,9 +181,9 @@ def _reg_sketch(init):
     bb = b.child()
     d = bb.var("d", 4)
     body = bb.prog(bb.reg(d, _bv(init, 4)))
-    meta = EmitMeta("dff", (("d", PortBinding("D", "in", 4)),), (), "Q")
+    meta = EmitMeta("dff", (("d", "D"),), (), "Q")
     pr = b.add(Prim((("d", a),), body, meta))
-    return Sketch(b.prog(pr), {})
+    return Sketch(b.prog(pr))
 
 
 class TestEquivalenceWindow:
@@ -318,9 +317,9 @@ class TestLoopMechanics:
         assert isinstance(res, Timeout)
         assert res.wall_time < 30
 
-    def test_counterexamples_are_recorded(self):
-        res = synthesize(_bool_spec("xor"), _lut2_sketch(), t=0, c=0,
-                         initial_samples=0)
+    def test_counterexamples_are_recorded(self, monkeypatch):
+        monkeypatch.setattr(cegis_module, "SEED_SAMPLES", 0)
+        res = synthesize(_bool_spec("xor"), _lut2_sketch(), t=0, c=0)
         assert isinstance(res, Success)
         # with no seeding, the first candidate is arbitrary and at least
         # one verification counterexample is normally needed
@@ -338,12 +337,12 @@ class TestLoopMechanics:
         spec = b.prog(b.bv(1, 1))
         s = ProgBuilder()
         s.var("a", 1)
-        h = s.hole("m", ConstantHole(2))
+        h = s.hole("m", 2)
         bb = s.child()
         body = bb.prog(bb.extract(0, 0, bb.var("tbl", 2)))
         meta = EmitMeta("cst", (), (("INIT", "tbl"),), "O")
         pr = s.add(Prim((("tbl", h),), body, meta))
-        res = synthesize(spec, Sketch(s.prog(pr), {"m": ConstantHole(2)}),
+        res = synthesize(spec, Sketch(s.prog(pr)),
                          t=0, c=0)
         assert isinstance(res, Success)
         assert res.model["m"].value & 1 == 1

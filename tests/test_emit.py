@@ -99,9 +99,8 @@ class TestVerilog:
             to_structural_verilog(p, "m")
 
     def test_not_structural_hole(self):
-        from sketchmap.ir import ConstantHole
         b = ProgBuilder()
-        p = b.prog(b.hole("h", ConstantHole(4)))
+        p = b.prog(b.hole("h", 4))
         with pytest.raises(NotStructural):
             to_structural_verilog(p, "m")
 

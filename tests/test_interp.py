@@ -15,7 +15,7 @@ from sketchmap.interp import (
     interp_naive, simulate, stream_of_ints, trace_lines,
 )
 from sketchmap.ir import (
-    BV, BitVec, EmitMeta, Op, Operator, PortBinding, Prim, Prog, ProgBuilder,
+    BV, BitVec, EmitMeta, Op, Operator, Prim, Prog, ProgBuilder,
     Reg, SketchmapError, Var, free_vars,
 )
 from sketchmap.portfolio import SolverSession
@@ -121,7 +121,7 @@ def test_prim_body_evaluates_under_binds():
     x = bb.var("x", 4)
     y = bb.op("not", x)
     body = bb.prog(y)
-    meta = EmitMeta("inv4", (("x", PortBinding("i", "in", 4)),), (), "o")
+    meta = EmitMeta("inv4", (("x", "i"),), (), "o")
     pr = b.add(Prim((("x", s),), body, meta))
     p = b.prog(pr)
     env = env_of_ints({"a": ([3], 4), "c": ([4], 4)})
@@ -135,7 +135,7 @@ def test_prim_with_register_inside():
     x = bb.var("x", 4)
     r = bb.reg(x, _bv(3, 4))
     body = bb.prog(r)
-    meta = EmitMeta("dff", (("x", PortBinding("d", "in", 4)),), (), "q")
+    meta = EmitMeta("dff", (("x", "d"),), (), "q")
     pr = b.add(Prim((("x", a),), body, meta))
     p = b.prog(pr)
     env = env_of_ints({"a": ([8, 9, 10], 4)})
@@ -197,9 +197,8 @@ def test_missing_or_narrow_input_rejected():
 
 
 def test_holes_are_rejected():
-    from sketchmap.ir import ConstantHole
     b = ProgBuilder()
-    h = b.hole("m", ConstantHole(4))
+    h = b.hole("m", 4)
     with pytest.raises(Exception):
         interp(b.prog(h), {}, 0, h)
 
@@ -260,7 +259,7 @@ def _prim_with_reg():
     bb = b.child()
     x = bb.var("x", 4)
     y = bb.op("add", bb.reg(x, _bv(1, 4)), x)
-    meta = EmitMeta("acc", (("x", PortBinding("i", "in", 4)),), (), "o")
+    meta = EmitMeta("acc", (("x", "i"),), (), "o")
     pr = b.add(Prim((("x", a),), bb.prog(y), meta))
     return b.prog(pr), env_of_ints({"a": ([2, 3, 4, 5], 4)}), 1
 
@@ -387,7 +386,7 @@ def test_naive_matches_fast_through_prims():
     r = bb.reg(x, _bv(1, 4))
     y = bb.op("add", r, x)
     body = bb.prog(y)
-    meta = EmitMeta("acc", (("x", PortBinding("i", "in", 4)),), (), "o")
+    meta = EmitMeta("acc", (("x", "i"),), (), "o")
     pr = b.add(Prim((("x", a),), body, meta))
     out = b.op("xor", pr, a)
     p = b.prog(out)

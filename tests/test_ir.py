@@ -6,11 +6,11 @@ import pytest
 
 from sketchmap.interp import env_of_ints, simulate
 from sketchmap.ir import (
-    BV, BitVec, ConstantHole, DomainError, EmitMeta, Hole,
-    MissingAssignment, Op, Operator, PortBinding, Prim, Prog, ProgBuilder,
+    BV, BitVec, DomainError, EmitMeta, Hole,
+    MissingAssignment, Op, Operator, Prim, Prog, ProgBuilder,
     Reg, Sketch, Var, WellFormednessError, WidthError, check_well_formed,
     dump_sexpr, free_vars, inputs, is_behavioral, node_widths,
-    op_result_width, sketch_holes_consistent, structural_violations,
+    op_result_width, structural_violations,
     substitute_holes, verify_witness,
 )
 from util_progs import random_behavioral, random_unchecked, witness_exists_bruteforce
@@ -19,7 +19,7 @@ from util_progs import random_behavioral, random_unchecked, witness_exists_brute
 def _lut_meta(name="lut4"):
     return EmitMeta(
         module_name=name,
-        port_bindings=(("in", PortBinding("in", "in", 4)),),
+        port_bindings=(("in", "in"),),
         parameter_bindings=(("sram", BitVec.of(6, 16)),),
         output_port="out",
     )
@@ -58,7 +58,7 @@ def test_inputs_per_variant():
     assert inputs(Var("a", 4)) == frozenset()
     assert inputs(Op(Operator("add"), (1, 2))) == frozenset({1, 2})
     assert inputs(Reg(5, BitVec.of(0, 4))) == frozenset()
-    assert inputs(Hole("h", ConstantHole(4))) == frozenset()
+    assert inputs(Hole("h", 4)) == frozenset()
     body = Prog(10, {10: Var("x", 4)})
     pr = Prim((("x", 3),), body, _lut_meta())
     assert inputs(pr) == frozenset({3})
@@ -71,7 +71,7 @@ def test_free_vars_skips_prim_bodies():
     body_b = b.child()
     x = body_b.var("x", 1)
     body = body_b.prog(x)
-    meta = EmitMeta("buf", (("x", PortBinding("i", "in", 1)),), (), "o")
+    meta = EmitMeta("buf", (("x", "i"),), (), "o")
     p_id = b.add(Prim((("x", a),), body, meta))
     p = b.prog(p_id)
     assert free_vars(p) == {"a"}
@@ -127,7 +127,7 @@ def test_dangling_arg_is_w3():
 
 def test_duplicate_ids_across_body_is_w2():
     body = Prog(1, {1: Var("x", 1)})  # id 1 collides with outer
-    meta = EmitMeta("buf", (("x", PortBinding("i", "in", 1)),), (), "o")
+    meta = EmitMeta("buf", (("x", "i"),), (), "o")
     p = Prog(2, {1: Var("a", 1), 2: Prim((("x", 1),), body, meta)})
     with pytest.raises(WellFormednessError) as e:
         check_well_formed(p)
@@ -140,7 +140,7 @@ def test_bind_mismatch_is_w5():
     bb = b.child()
     x = bb.var("x", 1)
     body = bb.prog(x)
-    meta = EmitMeta("buf", (("x", PortBinding("i", "in", 1)),), (), "o")
+    meta = EmitMeta("buf", (("x", "i"),), (), "o")
     p_id = b.add(Prim((("x", a), ("y", a)), body, meta))
     with pytest.raises(WellFormednessError) as e:
         check_well_formed(b.prog(p_id))
@@ -180,7 +180,7 @@ def test_prim_bind_width_mismatch():
     bb = b.child()
     x = bb.var("x", 1)
     body = bb.prog(x)
-    meta = EmitMeta("buf", (("x", PortBinding("i", "in", 1)),), (), "o")
+    meta = EmitMeta("buf", (("x", "i"),), (), "o")
     p_id = b.add(Prim((("x", a),), body, meta))
     with pytest.raises(WellFormednessError) as e:
         check_well_formed(b.prog(p_id))
@@ -196,7 +196,7 @@ def test_witness_orders_prim_above_body_and_binds_below_vars():
     x = bb.var("x", 1)
     inv = bb.op("not", x)
     body = bb.prog(inv)
-    meta = EmitMeta("inv", (("x", PortBinding("i", "in", 1)),), (), "o")
+    meta = EmitMeta("inv", (("x", "i"),), (), "o")
     p_id = b.add(Prim((("x", x_outer),), body, meta))
     p = b.prog(p_id)
     w = check_well_formed(p)
@@ -211,7 +211,7 @@ def test_node_widths_cover_bodies():
     x = bb.var("x", 3)
     y = bb.op("not", x)
     body = bb.prog(y)
-    meta = EmitMeta("inv", (("x", PortBinding("i", "in", 3)),), (), "o")
+    meta = EmitMeta("inv", (("x", "i"),), (), "o")
     p_id = b.add(Prim((("x", a),), body, meta))
     widths = node_widths(b.prog(p_id))
     assert widths == {a: 3, x: 3, y: 3, p_id: 3}
@@ -229,9 +229,9 @@ def test_behavioral_and_structural_predicates():
 
 def test_substitute_constant_hole():
     b = ProgBuilder()
-    h = b.hole("m", ConstantHole(4))
-    s = Sketch(b.prog(h), {"m": ConstantHole(4)})
-    assert sketch_holes_consistent(s)
+    h = b.hole("m", 4)
+    s = Sketch(b.prog(h))
+    assert s.holes == {"m": 4}
     out = substitute_holes(s, {"m": BV(BitVec.of(9, 4))})
     assert out.nodes[h] == BV(BitVec.of(9, 4))
     with pytest.raises(MissingAssignment):
@@ -242,15 +242,29 @@ def test_substitute_constant_hole():
         substitute_holes(s, {"m": Var("a", 4)})
 
 
+def test_hole_table_is_read_off_the_program():
+    b = ProgBuilder()
+    m = b.hole("m", 4)
+    k = b.hole("k", 1)
+    again = b.hole("m", 4)      # one label may appear twice at one width
+    s = Sketch(b.prog(b.concat(b.concat(m, k), again)))
+    assert s.holes == {"m": 4, "k": 1}
+    b = ProgBuilder()
+    p = b.prog(b.concat(b.hole("m", 4), b.hole("m", 2)))
+    with pytest.raises(WidthError, match="hole 'm' declared at widths 4 "
+                                         "and 2"):
+        Sketch(p).holes
+
+
 def test_substitution_preserves_well_formedness_randomly():
     rng = random.Random(7)
     for _ in range(50):
         b = ProgBuilder()
         a = b.var("a", 3)
         c = b.bv(rng.getrandbits(3), 3)
-        h = b.hole("m", ConstantHole(3))
+        h = b.hole("m", 3)
         r = b.op("xor", b.op("add", a, h), c)
-        s = Sketch(b.prog(r), {"m": ConstantHole(3)})
+        s = Sketch(b.prog(r))
         out = substitute_holes(s, {"m": BV(BitVec.of(rng.getrandbits(3), 3))})
         check_well_formed(out)
 
@@ -301,11 +315,11 @@ def test_dump_sexpr_covers_every_variant():
     a = b.var("a", 2)
     r = b.reg(a, BitVec.of(1, 2))
     e = b.extract(1, 1, r)
-    h = b.hole("m", ConstantHole(2))
+    h = b.hole("m", 2)
     bb = b.child()
     x = bb.var("x", 2)
     body = bb.prog(x)
-    meta = EmitMeta("buf", (("x", PortBinding("i", "in", 2)),), (), "o")
+    meta = EmitMeta("buf", (("x", "i"),), (), "o")
     pr = b.add(Prim((("x", a),), body, meta))
     out = b.op("concat", e, h)
     text = dump_sexpr(Prog(out, b.nodes))

@@ -1,7 +1,9 @@
 """Conformance of the operator table: for every entry, the concrete
 semantics (eval_op) and the SMT-LIB form agree, as judged by the bundled
 solver on pinned operand values, and the fold rule agrees with the
-concrete semantics on every operand pattern at small widths."""
+concrete semantics on every operand pattern at small widths.  The term
+builder's own rewrites, which look inside an operand, agree with the
+table's semantics on every operand value at small widths."""
 
 import itertools
 import random
@@ -15,7 +17,7 @@ from sketchmap.ir import (
 from sketchmap.ir import fold as ir_fold
 from sketchmap.smtlib import emit_smtlib, parse_solver_output
 from sketchmap.solver.qfbv import run_script
-from sketchmap.terms import TermBuilder
+from sketchmap.terms import TermBuilder, eval_term
 
 SAMPLES = 20
 
@@ -95,3 +97,78 @@ def test_fold_rules_agree_with_semantics(name):
                     want = sem(*[env.get(x, x) for x in xs])
                     assert env.get(r, r) == want, (op, widths, xs, env)
     assert patterns
+
+
+
+def _ranges(w):
+    """Every (lo, hi) with 0 <= lo <= hi < w."""
+    return itertools.combinations_with_replacement(range(w), 2)
+
+
+def _looked_inside():
+    """Every application at operand widths 1..3 whose operand
+    terms._rewrite looks inside, as (rewrite, outer op, inner op, inner
+    operand widths): not of not, and extract of an extract, of a
+    zero_extend (amounts 0..3) or of a concat."""
+    for w in range(1, 4):
+        yield "not-not", Operator("not"), Operator("not"), [w]
+        for lo, hi in _ranges(w):
+            for lo2, hi2 in _ranges(hi - lo + 1):
+                yield ("extract-extract", Operator("extract", (hi2, lo2)),
+                       Operator("extract", (hi, lo)), [w])
+        for k in range(4):
+            for lo, hi in _ranges(w + k):
+                yield ("extract-zero_extend", Operator("extract", (hi, lo)),
+                       Operator("zero_extend", (k,)), [w])
+        for w2 in range(1, 4):
+            for lo, hi in _ranges(w + w2):
+                yield ("extract-concat", Operator("extract", (hi, lo)),
+                       Operator("concat"), [w, w2])
+
+
+REWRITES = ["not-not", "mux-const", "extract-extract", "extract-zero_extend",
+            "extract-concat"]
+
+
+@pytest.mark.parametrize("rewrite", REWRITES)
+def test_term_rewrites_agree_with_semantics(rewrite):
+    # each application the term builder may rewrite, built over input
+    # symbols, evaluates on every operand value like the un-rewritten
+    # application under the table's semantics; the rewrite must fire on
+    # some of them, or the case tests nothing
+    fired = 0
+    if rewrite == "mux-const":
+        # a mux of two constant branches: mux(c, 0, 1) = not c is the
+        # rewrite, and every other pair is folded by ir.fold or kept
+        for w in range(1, 4):
+            sem = OPS["mux"].sem([1, w, w], ())
+            for k0, k1 in itertools.product(range(1 << w), repeat=2):
+                tb = TermBuilder()
+                c = tb.input("c", 0, 1)
+                t = tb.app(Operator("mux"),
+                           [c, tb.const_of(k0, w), tb.const_of(k1, w)])
+                fired += t.kind == "app" and t.op == Operator("not")
+                for v in (0, 1):
+                    got = eval_term(t, {("c", 0): BitVec(1, v)}, {})
+                    assert got == BitVec(w, sem(v, k0, k1)), (k0, k1, v)
+        assert fired
+        return
+    for case, outer, inner, widths in _looked_inside():
+        if case != rewrite:
+            continue
+        tb = TermBuilder()
+        xs = [tb.input(f"x{i}", 0, w) for i, w in enumerate(widths)]
+        t_in = tb.app(inner, xs)
+        t = tb.app(outer, [t_in])
+        fired += not (t.kind == "app" and t.op == outer
+                      and t.args == (t_in,))
+        iw = op_result_width(inner, widths)
+        rw = op_result_width(outer, [iw])
+        sem_in = OPS[inner.name].sem(widths, inner.params)
+        sem_out = OPS[outer.name].sem([iw], outer.params)
+        for vals in itertools.product(*(range(1 << w) for w in widths)):
+            env = {(f"x{i}", 0): BitVec(w, v)
+                   for i, (w, v) in enumerate(zip(widths, vals))}
+            want = BitVec(rw, sem_out(sem_in(*vals)))
+            assert eval_term(t, env, {}) == want, (outer, inner, vals)
+    assert fired

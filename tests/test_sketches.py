@@ -8,7 +8,7 @@ from sketchmap.arch import (NoImplementation, load_arch, packaged_arch_path,
                             parse_arch)
 from sketchmap.cegis import Success, synthesize
 from sketchmap.interp import env_of_ints, interp, simulate
-from sketchmap.ir import (BV, ArityError, BitVec, ConstantHole, Prim,
+from sketchmap.ir import (BV, ArityError, BitVec, Prim,
                           ProgBuilder, check_well_formed, free_vars,
                           substitute_holes)
 from sketchmap.sketches import generate_sketch, list_templates
@@ -157,11 +157,10 @@ class TestStructure:
         sk = generate_sketch("bitwise", _sofa(), {"width": 8})
         assert _prim_count(sk.psi) == 8
         assert len(sk.holes) == 8
-        assert all(isinstance(h, ConstantHole) and h.width == 16
-                   for h in sk.holes.values())
+        assert set(sk.holes.values()) == {16}
         assert free_vars(sk.psi) == {"a", "b"}
         # a full assignment must leave a well-formed, hole-free program
-        zeros = {lbl: BV(BitVec.of(0, h.width)) for lbl, h in sk.holes.items()}
+        zeros = {lbl: BV(BitVec.of(0, w)) for lbl, w in sk.holes.items()}
         check_well_formed(substitute_holes(sk, zeros))
 
     def test_bitwise_hole_structure_matches_across_fabrics(self):
@@ -170,7 +169,7 @@ class TestStructure:
         for desc in (_sofa(), _glc(), _lut2_only()):
             sk = generate_sketch("bitwise", desc, params)
             counts.append(len(sk.holes))
-            widths.append(sorted(h.width for h in sk.holes.values()))
+            widths.append(sorted(sk.holes.values()))
         assert counts == [8, 8, 8]
         assert widths[0] == widths[1] == [16] * 8
         assert widths[2] == [4] * 8      # narrower memories, same structure
@@ -179,16 +178,16 @@ class TestStructure:
         w = 4
         sk = generate_sketch("bitwise-with-carry", _glc(), {"width": w})
         # one LUT pair per bit plus the chain's carry-in
-        mems = [h.width for h in sk.holes.values()]
+        mems = list(sk.holes.values())
         assert sorted(mems) == [1] + [16] * (2 * w)
-        ci = [lbl for lbl, h in sk.holes.items() if h.width == 1]
+        ci = [lbl for lbl, w in sk.holes.items() if w == 1]
         assert len(ci) == 1 and ci[0].endswith("_ci")
         assert free_vars(sk.psi) == {"a", "b"}
 
     def test_comparison_structure(self):
         w = 3
         sk = generate_sketch("comparison", _glc(), {"width": w})
-        mems = [h.width for h in sk.holes.values()]
+        mems = list(sk.holes.values())
         # pairs, carry-in, and the final carry-out post-LUT
         assert sorted(mems) == [1] + [16] * (2 * w + 1)
 
@@ -197,12 +196,12 @@ class TestStructure:
         sk = generate_sketch("multiplication", _glc(), {"width": w})
         # surviving partial-product cells: w + (w-1) + ... + 1
         assert len(sk.holes) == w * (w + 1) // 2
-        assert all(h.width == 16 for h in sk.holes.values())
+        assert set(sk.holes.values()) == {16}
 
     def test_dsp_on_minidsp(self):
         sk = generate_sketch("dsp", _mdsp(), {"width": 16})
         assert _prim_count(sk.psi) == 1
-        suffixes = {lbl.split("_", 1)[1]: h.width for lbl, h in
+        suffixes = {lbl.split("_", 1)[1]: w for lbl, w in
                     sk.holes.items()}
         assert suffixes == {"INREG": 1, "MREG": 1, "PREG": 1,
                             "PREADD_EN": 1, "PREADD_SUB": 1, "ALUMODE": 3}
@@ -235,8 +234,8 @@ class TestStructure:
         for name, desc, params in cases:
             sk = generate_sketch(name, desc, params)
             for _ in range(3):
-                asg = {lbl: BV(BitVec.of(rng.getrandbits(h.width), h.width))
-                       for lbl, h in sk.holes.items()}
+                asg = {lbl: BV(BitVec.of(rng.getrandbits(w), w))
+                       for lbl, w in sk.holes.items()}
                 check_well_formed(substitute_holes(sk, asg))
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from sketchmap.interp import Stream, simulate
 from sketchmap.ir import (
-    BV, BitVec, ConstantHole, Operator, Prog, ProgBuilder, Sketch, Var,
+    BV, BitVec, Operator, Prog, ProgBuilder, Sketch, SketchmapError, Var,
     WidthError,
 )
 from sketchmap.symbolic import FreeVarMismatch, build_query, symbolic_run
@@ -194,7 +194,7 @@ class TestSymbolicRun:
 
     def test_constant_hole_becomes_symbol(self):
         b = ProgBuilder()
-        h = b.hole("m", ConstantHole(4))
+        h = b.hole("m", 4)
         roots = symbolic_run(b.prog(h), 0)
         assert roots[0].kind == "hole" and roots[0].label == "m"
 
@@ -226,13 +226,13 @@ class TestSymbolicRun:
 
 def _lut2_sketch(width_out=1):
     """Hand-built sketch: one 4-bit memory hole indexed by concat(b, a)."""
-    from sketchmap.ir import EmitMeta, PortBinding, Prim
+    from sketchmap.ir import EmitMeta, Prim
 
     b = ProgBuilder()
     a_id = b.var("a", 1)
     b_id = b.var("b", 1)
     idx = b.concat(b_id, a_id)
-    h = b.hole("m", ConstantHole(4))
+    h = b.hole("m", 4)
     body_b = b.child()
     tbl = body_b.var("tbl", 4)
     sel = body_b.var("sel", 2)
@@ -241,10 +241,10 @@ def _lut2_sketch(width_out=1):
     body = body_b.prog(out)
     meta = EmitMeta(
         "lut2",
-        (("sel", PortBinding("in", "in", 2)),),
+        (("sel", "in"),),
         (("sram", "tbl"),), "out")
     pr = b.add(Prim((("tbl", h), ("sel", idx)), body, meta))
-    return Sketch(b.prog(pr), {"m": ConstantHole(4)})
+    return Sketch(b.prog(pr))
 
 
 def _xor_spec():
@@ -288,6 +288,29 @@ class TestBuildQuery:
         with pytest.raises(FreeVarMismatch):
             build_query(spec, _lut2_sketch(), 0, 0)
 
+    def test_side_constraint_must_read_holes_of_the_sketch(self):
+        psi = _lut2_sketch().psi
+        b = ProgBuilder()
+        ok = b.prog(b.extract(0, 0, b.hole("m", 4)))
+        q = build_query(_xor_spec(), Sketch(psi, (ok,)), 0, 0)
+        assert len(q.side_constraints) == 1
+        # a label psi lacks, or psi's label at another width
+        for label, w in (("other", 1), ("m", 1)):
+            b = ProgBuilder()
+            bad = b.prog(b.hole(label, w))
+            with pytest.raises(SketchmapError,
+                               match=f"constraint references unknown "
+                                     f"hole '{label}'"):
+                build_query(_xor_spec(), Sketch(psi, (bad,)), 0, 0)
+
+    def test_one_hole_label_at_two_widths_is_width_error(self):
+        b = ProgBuilder()
+        b.var("a", 1)
+        b.var("b", 1)
+        root = b.extract(0, 0, b.concat(b.hole("m", 4), b.hole("m", 2)))
+        with pytest.raises(WidthError, match="hole 'm' declared at widths"):
+            build_query(_xor_spec(), Sketch(b.prog(root)), 0, 0)
+
     def test_spec_must_be_behavioral(self):
         sk = _lut2_sketch()
         with pytest.raises(Exception):
@@ -307,11 +330,11 @@ class TestBuildQuery:
         y = b3.var("y", 4)
         s = b3.op("add", x, y)
         body = b3.prog(s)
-        from sketchmap.ir import EmitMeta, PortBinding, Prim
-        meta = EmitMeta("adder", (("x", PortBinding("a", "in", 4)),
-                                  ("y", PortBinding("b", "in", 4))), (), "o")
+        from sketchmap.ir import EmitMeta, Prim
+        meta = EmitMeta("adder", (("x", "a"),
+                                  ("y", "b")), (), "o")
         pr = b2.add(Prim((("x", a2), ("y", c2)), body, meta))
-        sk = Sketch(b2.prog(pr), {})
+        sk = Sketch(b2.prog(pr))
         q = build_query(spec, sk, 0, 2)
         assert all(t.kind == "const" and t.value.value == 1
                    for t in q.equal_terms)
