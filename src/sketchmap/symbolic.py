@@ -95,7 +95,7 @@ def build_query(spec: Prog, sketch: Sketch, t: int, c: int
     bad = structural_violations(sketch.psi)
     if bad:
         raise SketchmapError("sketch is not structural: " + "; ".join(bad))
-    holes = sketch.holes
+    holes = sketch.holes    # WidthError if a label has two widths
     sw = var_widths(spec)
     kw = var_widths(sketch.psi)
     if sw != kw:
