@@ -7,28 +7,31 @@ The loop alternates two existential queries:
   VERIFY: find an input environment where the candidate's sketch differs
           from the spec over the checked cycle window.
 
-VERIFY unsat means the candidate works everywhere: the finished program
-is re-checked by the concrete interpreter on all accumulated
-counterexamples, so a solver or encoding bug surfaces as a hard error
-instead of a wrong netlist.  SYNTH unsat means no hole assignment can
-work: the sketch cannot express the spec.
+VERIFY unsat means the candidate works everywhere: it is re-checked by
+the concrete interpreter on all accumulated counterexamples, so a
+solver or encoding bug surfaces as a hard error instead of a wrong
+netlist.  SYNTH unsat means no hole assignment can work: the sketch
+cannot express the spec.
 
 The counterexample set is seeded with one deterministic pseudo-random
 environment before the first SYNTH call (SEED_SAMPLES).  Any environment
 is a sound member (the final program must agree on all of them), so
-between SYNTH and VERIFY each candidate is probed: its holes are
-substituted, the program is compiled (interp.compile_program) and
-simulated against the spec, compiled once per call, on PROBES fixed
-pseudo-random environments over cycles 0..t+c, drawn from their own
-seed.  The first environment on which they differ at a cycle t..t+c
-joins the set and the loop returns to SYNTH without a VERIFY call; only
-a candidate that passes every probe goes to VERIFY, and its compiled
-form is the one revalidated.  A probe is a simulation where VERIFY is a
-solver call, and one seed keeps SYNTH small, since it holds one copy of
-the sketch per environment in the set.  Each environment is substituted
-once, as it joins.  Progress is asserted every iteration: a refuting
-environment already in the set would mean the loop cannot terminate, so
-it raises instead.
+between SYNTH and VERIFY each candidate is probed.  The spec and the
+sketch are each compiled once per call (interp.compile_program, the
+sketch's holes left as parameters); a candidate is the compiled sketch
+with the model's values bound to its holes (Compiled.bind), simulated
+against the spec on PROBES fixed pseudo-random environments over cycles
+0..t+c, drawn from their own seed.  The first environment on which they
+differ at a cycle t..t+c joins the set and the loop returns to SYNTH
+without a VERIFY call; only a candidate that passes every probe goes to
+VERIFY, and the same bound form is the one revalidated.  Holes are
+substituted into a program (substitute_holes) only for the accepted
+candidate.  A probe is a simulation where VERIFY is a solver call, and
+one seed keeps SYNTH small, since it holds one copy of the sketch per
+environment in the set.  Each environment is substituted once, as it
+joins.  Progress is asserted every iteration: a refuting environment
+already in the set would mean the loop cannot terminate, so it raises
+instead.
 """
 
 from __future__ import annotations
@@ -189,6 +192,7 @@ def cegis(query: EquivalenceQuery,
     probes = [env for env in _random_envs(query, PROBES, seed + 1)
               if env not in cexs]
     spec = compile_program(query.spec_prog)
+    sketch = compile_program(query.sketch.psi)
     iterations, last_winner = 0, "none"
     try:
         while True:
@@ -209,10 +213,7 @@ def cegis(query: EquivalenceQuery,
                 model = {}
 
             by_label = _decode_model(query, model)
-            program = substitute_holes(
-                query.sketch,
-                {label: BV(v) for label, v in by_label.items()})
-            got = compile_program(program)
+            got = sketch.bind(by_label)
 
             # probe the candidate by simulation; VERIFY only if it passes
             bad = _first_disagreement(query, spec, got, probes)
@@ -254,7 +255,9 @@ def cegis(query: EquivalenceQuery,
 
             _revalidate(query, spec, got, cexs)
             return Success(
-                program=program,
+                program=substitute_holes(
+                    query.sketch,
+                    {label: BV(v) for label, v in by_label.items()}),
                 model=by_label,
                 solver=last_winner,
                 wall_time=time.monotonic() - start,

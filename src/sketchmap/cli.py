@@ -6,8 +6,8 @@ Four subcommands:
         Parse a behavioral specification, build the named sketch template
         for the target architecture, synthesize hole values, and emit the
         resulting structural netlist.  Exit status: 0 success, 2 the
-        sketch provably cannot implement the specification, 3 solver
-        timeout, 1 usage or input errors.
+        sketch provably cannot implement the specification, 3 the CEGIS
+        loop ran past --timeout, 1 usage or input errors.
 
     sketchmap templates
         List the available sketch templates and their parameters.
@@ -40,6 +40,10 @@ EXIT_USAGE = 1
 EXIT_UNSAT = 2
 EXIT_TIMEOUT = 3
 
+_TIMEOUT_HELP = ("budget in seconds for each CEGIS loop, which starts "
+                 "after the sketch is generated and the query is built "
+                 "(default 120)")
+
 
 def _arch_argument(path: str):
     """Load an architecture description from a path, falling back to the
@@ -66,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--arch-desc", required=True,
                    help="architecture description file or packaged name")
     m.add_argument("--timeout", type=float, default=120.0,
-                   help="solver budget in seconds (default 120)")
+                   help=_TIMEOUT_HELP)
     m.add_argument("--pipeline-depth", type=int, default=None,
                    help="override the document's pipeline depth")
     m.add_argument("--clock-cycles", type=int, default=2, metavar="C",
@@ -92,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--corpus", required=True, help="directory from benchgen")
     r.add_argument("--arch-desc", required=True)
     r.add_argument("--template", default="dsp")
-    r.add_argument("--timeout", type=float, default=120.0)
+    r.add_argument("--timeout", type=float, default=120.0,
+                   help=_TIMEOUT_HELP)
     r.add_argument("--clock-cycles", type=int, default=2)
     r.add_argument("--sim-cycles", type=int, default=2000,
                    help="simulation length used to re-validate successes")

@@ -1,4 +1,4 @@
-"""Cycle-accurate concrete interpreter for hole-free programs.
+"""Cycle-accurate concrete interpreter for programs and sketches.
 
 Semantics, per node at cycle t:
 
@@ -9,6 +9,8 @@ Semantics, per node at cycle t:
   * Reg data init  -> init at t = 0, value of data at t-1 otherwise
   * Prim binds body-> body root at t under a fresh environment where each
                       body variable x reads the bound node binds[x]
+  * Hole h         -> the value bound to h (a program with an unbound
+                      hole does not run)
 
 Two implementations with identical observable behavior:
 
@@ -20,9 +22,12 @@ Two implementations with identical observable behavior:
     interp runs it on the program rooted at the node asked for.  Linear
     in nodes x cycles, no recursion.  A caller that runs one program on
     many environments compiles it once and passes the compiled form to
-    simulate.
+    simulate.  A sketch compiles too: each hole label is a parameter of
+    the generated function and Compiled.bind fixes their values, so one
+    compiled sketch runs as every candidate hole assignment.
   * interp_naive: the recursive definition above, memo-free, for small
-    programs; exists so tests can check the compiled form against it.
+    hole-free programs; exists so tests can check the compiled form
+    against it.
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ from types import CodeType
 from typing import Callable, Mapping, Sequence, Union
 
 from .ir import (
-    BV, OPS, BitVec, Hole, Id, Op, Operator, Prim, Prog, Reg, SketchmapError,
-    Var, check_well_formed, fold, op_result_width, schedule, var_widths,
+    BV, OPS, BitVec, DomainError, Hole, Id, MissingAssignment, Op, Operator,
+    Prim, Prog, Reg, SketchmapError, Var, check_well_formed, fold,
+    hole_widths, op_result_width, schedule, var_widths,
 )
 
 
@@ -98,17 +104,38 @@ def eval_op(op: Operator, args: list[BitVec]) -> BitVec:
 
 @dataclass(frozen=True)
 class Compiled:
-    """A checked, hole-free program compiled to one Python function.
+    """A checked program compiled to one Python function.
 
     inputs lists the program's input streams as (name, width), in the
-    order fn takes them; width is the root's width.  fn(n, *streams)
-    returns the root's int values for cycles 0..n-1 and needs every
-    stream to hold at least n ints; simulate checks that before calling.
+    order fn takes them; width is the root's width; holes lists its
+    unbound holes as (label, width), in the order fn takes their values.
+    fn(*hole values, n, *streams) returns the root's int values for
+    cycles 0..n-1 and needs every stream to hold at least n ints.
+    simulate checks that before calling, and runs a Compiled only once
+    bind has fixed its holes.
     """
 
     inputs: tuple[tuple[str, int], ...]
     width: int
     fn: Callable[..., list[int]] = field(repr=False)
+    holes: tuple[tuple[str, int], ...] = ()
+
+    def bind(self, values: Mapping[str, BitVec]) -> Compiled:
+        """The same code with each hole's value fixed to values[label]:
+        a hole-free Compiled.  Raises MissingAssignment when a label has
+        no value and DomainError when a value is not a BitVec of the
+        hole's width, as substitute_holes does."""
+        args = []
+        for label, w in self.holes:
+            if label not in values:
+                raise MissingAssignment(f"no assignment for hole {label!r}")
+            v = values[label]
+            if not isinstance(v, BitVec) or v.width != w:
+                raise DomainError(
+                    f"hole {label!r} needs a width-{w} value, got {v}")
+            args.append(v.value)
+        return Compiled(self.inputs, self.width,
+                        functools.partial(self.fn, *args))
 
 
 def compile_program(p: Prog) -> Compiled:
@@ -125,13 +152,16 @@ def compile_program(p: Prog) -> Compiled:
     through each assignment's operands and each register's data (its
     value in the cycle before), marks the locals that are live, and an
     Op, register or input stream that no live local reads gets no code.
-    The source holds only integer ids, integer literals and fixed names:
-    no program string enters it.  A Hole is rejected when the walk meets
-    it.
+    Each distinct hole label is a parameter h<k>, before n and without a
+    default, and a Hole is an alias of it.  The source holds only
+    integer ids, integer literals and fixed names: no program string
+    enters it.
     """
     sched = schedule(p)
     inputs = tuple(var_widths(p).items())
+    holes = tuple(hole_widths(Prog(p.root, sched.nodes)).items())
     stream = {name: f"x{k}" for k, (name, _) in enumerate(inputs)}
+    hole = {label: f"h{k}" for k, (label, _) in enumerate(holes)}
     # id -> the node's value this cycle: an int when it is a constant,
     # else the name of the local holding it
     ref: dict[Id, Union[int, str]] = {i: f"r{i}" for i, _ in sched.regs}
@@ -158,9 +188,7 @@ def compile_program(p: Prog) -> Compiled:
         elif isinstance(n, BV):
             ref[i] = n.b.value
         elif isinstance(n, Hole):
-            raise SketchmapError(
-                f"cannot interpret a program with holes (node {i}); "
-                f"substitute them first")
+            ref[i] = hole[n.label]
         elif not isinstance(n, Reg):
             raise AssertionError(n)
     for i, r in sched.regs:
@@ -194,7 +222,8 @@ def compile_program(p: Prog) -> Compiled:
             f"zip(range(n), {', '.join(s for _, s in used)}):" if used
             else "for _t in range(n):")
     # the operator functions are default arguments: fast locals in the loop
-    params = ["n"] + streams + [f"f{k}=f{k}" for k in range(len(sems))]
+    params = (list(hole.values()) + ["n"] + streams
+              + [f"f{k}=f{k}" for k in range(len(sems))])
     src = "\n".join(
         [f"def _sim({', '.join(params)}):"]
         + [f"    r{i} = {r.init.value}" for i, r in regs]
@@ -203,21 +232,25 @@ def compile_program(p: Prog) -> Compiled:
         + ["    return out"])
     namespace = {f"f{k}": f for k, f in enumerate(sems)}
     exec(_code(src), namespace)
-    return Compiled(inputs, widths[p.root], namespace["_sim"])
+    return Compiled(inputs, widths[p.root], namespace["_sim"], holes)
 
 
 @functools.lru_cache(maxsize=16)
 def _code(src: str) -> CodeType:
     """compile() of a generated source, kept for the last few: a caller
     that runs one program on many environments through simulate or
-    interp, or compiles one design's programs for revalidation and then
-    for the 2000-cycle check, pays compile() once.  The code depends on
-    nothing but its source."""
+    interp, or compiles a design's spec for CEGIS and again for the
+    2000-cycle check, pays compile() once.  The code depends on nothing
+    but its source."""
     return compile(src, "<compiled program>", "exec")
 
 
 def _run(c: Compiled, env: Mapping[str, Sequence[int]],
          horizon: int) -> list[int]:
+    if c.holes:
+        raise SketchmapError(
+            "cannot run a program with unbound holes "
+            f"{', '.join(label for label, _ in c.holes)}; bind them first")
     streams = []
     for name, w in c.inputs:
         if name not in env:
@@ -241,7 +274,8 @@ def simulate(p: Union[Prog, Compiled], env: Mapping, horizon: int) -> list:
     Stream and the values come back as BitVecs.  A Compiled program
     (compile_program) runs as it is; env maps each input name to a
     sequence of ints, each below 2**width, and the values come back as
-    ints.  Compile once to run one program on many environments.
+    ints.  Compile once to run one program on many environments.  A
+    program with holes runs only once they are bound (Compiled.bind).
     """
     if isinstance(p, Compiled):
         return _run(p, env, horizon)

@@ -30,7 +30,6 @@ program well-formed, so it checks nothing.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
@@ -477,11 +476,8 @@ class Sketch:
 
     @cached_property
     def holes(self) -> dict[str, int]:
-        """label -> width for psi's Hole nodes, read off psi once; raises
-        WidthError if a label appears at two widths."""
-        return _widths_by_name("hole", ((n.label, n.width)
-                                        for n in self.psi.nodes.values()
-                                        if isinstance(n, Hole)))
+        """hole_widths(psi), read once."""
+        return hole_widths(self.psi)
 
 
 WitnessMap = dict[Id, int]
@@ -526,6 +522,14 @@ def var_widths(p: Prog) -> dict[str, int]:
     return _widths_by_name("variable", ((n.name, n.width)
                                         for n in p.nodes.values()
                                         if isinstance(n, Var)))
+
+
+def hole_widths(p: Prog) -> dict[str, int]:
+    """label -> width for p's Hole nodes; raises WidthError if a label
+    appears at two widths."""
+    return _widths_by_name("hole", ((n.label, n.width)
+                                    for n in p.nodes.values()
+                                    if isinstance(n, Hole)))
 
 
 def is_behavioral(p: Prog) -> bool:

@@ -15,7 +15,9 @@ from sketchmap.arch import load_arch, packaged_arch_path
 from sketchmap.bench import _document_text, corpus_benchmarks
 from sketchmap.cegis import Success, Timeout, Unsat, cegis, synthesize
 from sketchmap.emit import to_json_netlist, to_structural_verilog
-from sketchmap.interp import compile_program, env_of_ints, interp, simulate
+from sketchmap.interp import (
+    Compiled, compile_program, env_of_ints, interp, simulate,
+)
 from sketchmap.ir import (
     BV, BitVec, EmitMeta, Hole, Prim,
     ProgBuilder, Sketch, substitute_holes,
@@ -223,17 +225,43 @@ def test_revalidate_compiles_once_and_simulates_every_counterexample(
         cegis_module._revalidate(q, spec,
                                  compile_program(_reg_sketch(7).psi), cexs)
 
-    # in the loop: the spec is compiled once per call and each candidate
-    # once, and the accepted one's compiled form revalidates every
-    # counterexample
+    # in the loop: the spec and the sketch are compiled once per call,
+    # whatever the iteration count, and the accepted candidate's bound
+    # form revalidates every counterexample
     scheduled.clear()
     checked.clear()
     q = build_query(_bool_spec("xor"), _lut2_sketch(), 0, 0)
     res = cegis(q)
-    assert isinstance(res, Success)
-    assert scheduled[0][0] is q.spec_prog
-    assert len(scheduled) == 1 + res.iterations
+    assert isinstance(res, Success) and res.iterations > 1
+    assert [a[0] for a in scheduled] == [q.spec_prog, q.sketch.psi]
     assert checked[-1][3] is res.counterexamples
+
+
+def test_every_candidate_simulation_reaches_cegis_simulate(monkeypatch):
+    # the benchmark's tracer counts interp.sim_cycles from the third
+    # positional argument of cegis.simulate: each environment a probe or
+    # the revalidation checks is two calls, the spec and the bound
+    # candidate, each over the whole window
+    real_probe = cegis_module._first_disagreement
+    checked = []        # per call, the environments it simulated
+
+    def probe(query, spec, got, envs):
+        out = real_probe(query, spec, got, envs)
+        checked.append(envs if out is None
+                       else envs[:envs.index(out[0]) + 1])
+        return out
+
+    monkeypatch.setattr(cegis_module, "_first_disagreement", probe)
+    calls = record_calls(monkeypatch, cegis_module, "simulate")
+    res = synthesize(*_negate_task(), t=1, c=1)
+    assert isinstance(res, Success) and res.iterations > 1
+    assert checked[-1] == res.counterexamples
+    assert len(calls) == 2 * sum(map(len, checked))
+    assert all(a[2] == 3 for a in calls)
+    specs = {id(a[0]) for a in calls[::2]}
+    candidates = [a[0] for a in calls[1::2]]
+    assert len(specs) == 1
+    assert all(isinstance(c, Compiled) and not c.holes for c in candidates)
 
 
 def _record_stages(monkeypatch) -> list:

@@ -15,8 +15,9 @@ from sketchmap.interp import (
     interp_naive, simulate, stream_of_ints, trace_lines,
 )
 from sketchmap.ir import (
-    BV, BitVec, EmitMeta, Op, Operator, Prim, Prog, ProgBuilder,
-    Reg, SketchmapError, Var, free_vars,
+    BV, BitVec, DomainError, EmitMeta, Hole, MissingAssignment, Op, Operator,
+    Prim, Prog, ProgBuilder, Reg, Sketch, SketchmapError, Var, free_vars,
+    substitute_holes,
 )
 from sketchmap.portfolio import SolverSession
 from sketchmap.sketches import document_params, generate_sketch
@@ -199,8 +200,80 @@ def test_missing_or_narrow_input_rejected():
 def test_holes_are_rejected():
     b = ProgBuilder()
     h = b.hole("m", 4)
-    with pytest.raises(Exception):
+    with pytest.raises(SketchmapError, match="unbound holes m"):
         interp(b.prog(h), {}, 0, h)
+
+
+def test_unbound_compiled_does_not_run():
+    b = ProgBuilder()
+    a = b.var("a", 4)
+    c = compile_program(b.prog(b.op("xor", a, b.hole("m", 4))))
+    assert c.holes == (("m", 4),)
+    with pytest.raises(SketchmapError, match="unbound holes m"):
+        simulate(c, {"a": [1]}, 1)
+    bound = c.bind({"m": _bv(6, 4)})
+    assert bound.holes == ()
+    assert simulate(bound, {"a": [1, 2]}, 2) == [7, 4]
+    with pytest.raises(MissingAssignment):
+        c.bind({})
+    with pytest.raises(DomainError):
+        c.bind({"m": _bv(6, 3)})
+
+
+def _with_holes(rng: random.Random, p: Prog) -> Sketch:
+    """p with about half its constant and input leaves turned into holes
+    of the same width; two holes of one width may share a label."""
+    nodes = dict(p.nodes)
+    for i, n in p.nodes.items():
+        if isinstance(n, (BV, Var)) and rng.random() < 0.5:
+            w = n.b.width if isinstance(n, BV) else n.width
+            nodes[i] = Hole(f"h{w}_{rng.randrange(2)}", w)
+    return Sketch(Prog(p.root, nodes))
+
+
+def _assert_bind_matches_substitution(rng: random.Random, sketch: Sketch,
+                                      draws: int, horizon: int) -> None:
+    """compile_program(psi).bind(v) against compile_program of the
+    program substitute_holes makes with v, on every cycle of random
+    input streams, for draws random hole assignments v."""
+    compiled = compile_program(sketch.psi)
+    assert compiled.holes == tuple(sketch.holes.items())
+    for _ in range(draws):
+        values = {label: _bv(rng.getrandbits(w), w)
+                  for label, w in sketch.holes.items()}
+        got = compiled.bind(values)
+        want = compile_program(substitute_holes(
+            sketch, {label: BV(v) for label, v in values.items()}))
+        assert got.inputs == want.inputs and got.width == want.width
+        env = {name: [rng.getrandbits(w) for _ in range(horizon)]
+               for name, w in want.inputs}
+        assert simulate(got, env, horizon) == simulate(want, env, horizon)
+
+
+def test_bound_sketch_matches_substituted_program_randomly():
+    rng = random.Random(16)
+    with_holes = 0
+    for _ in range(600):
+        sketch = _with_holes(rng, random_behavioral(rng, max_nodes=12,
+                                                    max_width=6))
+        with_holes += bool(sketch.holes)
+        _assert_bind_matches_substitution(rng, sketch, draws=3, horizon=5)
+    assert with_holes > 400
+
+
+@pytest.mark.parametrize("template,arch,params", [
+    ("bitwise", "sofa.yml", {"width": 2, "inputs": ("a", "b", "c")}),
+    ("bitwise-with-carry", "generic-lut-carry.yml", {"width": 4}),
+    ("dsp", "minidsp.yml", {"width": 8, "inputs": ("a", "b", "c", "d"),
+                            "pipeline_depth": 2}),
+])
+def test_bound_template_sketch_matches_substituted_program(template, arch,
+                                                           params):
+    sketch = generate_sketch(template, load_arch(packaged_arch_path(arch)),
+                             params)
+    assert sketch.holes
+    _assert_bind_matches_substitution(random.Random(7), sketch, draws=8,
+                                      horizon=6)
 
 
 def test_memoization_transparent_on_random_programs():
