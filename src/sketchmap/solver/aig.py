@@ -9,7 +9,14 @@ what makes equivalence queries between structurally aligned circuits cheap.
 Bit vectors are Python lists of literals, LSB first.  The blasting
 strategies are chosen for sharing, not size: ripple adders and ascending
 shift-add multipliers mean the low k bits of a wide operation are the same
-AIG nodes as the bits of the k-wide operation over the same inputs.
+AIG nodes as the bits of the k-wide operation over the same inputs.  A
+multiplier whose operands depend on at most CASE_INPUTS inputs is built by
+cases instead: each product bit is a reduced decision tree over those
+inputs, ordered by node id, so equal functions over them are equal
+literals.  Its low bits stay shared with a narrower multiplier when both
+are built the same way: always over the cap, and under it whenever the
+narrower one is built by cases (zero padding adds no inputs and widens the
+cone guard).
 
 to_sat Tseitin-encodes the cone of one root into a SatSolver, writing the
 clauses and watch lists directly.  evaluate computes every node's value
@@ -24,6 +31,15 @@ from .sat import SatSolver
 
 FALSE = 0
 TRUE = 1
+
+CASE_INPUTS = 6
+"""mul_bits multiplies by cases when its operands depend on at most this
+many input nodes: 2**k integer products, then each product bit as a
+decision tree over those inputs.  The cap bounds that work at 64 products
+and 63 muxes a bit.  In the mapper's SYNTH queries the operands are
+constants selected by 1 or 3 hole bits, and the trees replace an 18-bit
+shift-add array there; its VERIFY multipliers depend on 16-48 input bits
+and keep the shift-add, whose sharing folds spec against sketch."""
 
 
 class AIG:
@@ -123,14 +139,87 @@ class AIG:
         return self.sub_bits(zero, xs)
 
     def mul_bits(self, xs: list[int], ys: list[int]) -> list[int]:
-        """Shift-add with ascending rows, truncated to len(xs)."""
+        """The product truncated to len(xs): by cases when _truth_tables
+        finds the operands' few inputs, else shift-add with ascending
+        rows."""
         w = len(xs)
+        cases = self._truth_tables(xs, ys)
+        if cases is not None:
+            support, xt, yt = cases
+            mask = (1 << w) - 1
+            out = [0] * w
+            for j in range(1 << len(support)):
+                a = sum(1 << i for i, t in enumerate(xt) if t >> j & 1)
+                b = sum(1 << i for i, t in enumerate(yt) if t >> j & 1)
+                p = a * b & mask
+                for i in range(w):
+                    out[i] |= (p >> i & 1) << j
+            return [self._tree(support, t, len(support)) for t in out]
         acc = [self.and_(x, ys[0]) for x in xs]
         for i in range(1, w):
             row = [self.and_(xs[j], ys[i]) for j in range(w - i)]
             hi, _ = self.add_bits(acc[i:], row)
             acc = acc[:i] + hi
         return acc
+
+    def _truth_tables(self, xs: list[int], ys: list[int]):
+        """(support, xs' truth tables, ys' truth tables) when multiplier
+        operands xs and ys depend on at most CASE_INPUTS input nodes
+        through a cone of at most 8*w*w + 64 nodes; else None.  The walk
+        that finds the cone and the tables over it take a step a node, so
+        the guard keeps them within about twice the gates a shift-add
+        makes, plus 64 cases.  The support lists the inputs' literals by
+        node id, and bit j of a literal's table is its value when
+        support[i] is (j >> i) & 1."""
+        limit = 8 * len(xs) ** 2 + 64
+        nodes = self.nodes
+        seen = {0}
+        stack = [x >> 1 for x in xs + ys]
+        support = []
+        while stack:
+            n = stack.pop()
+            if n in seen:
+                continue
+            seen.add(n)
+            entry = nodes[n]
+            if entry is None:
+                support.append(n)
+            else:
+                stack += (entry[0] >> 1, entry[1] >> 1)
+            if len(support) > CASE_INPUTS or len(seen) > limit:
+                return None
+        support.sort()
+        rows = 1 << len(support)
+        full = (1 << rows) - 1
+        tt = {0: 0}
+        for i, n in enumerate(support):
+            tt[n] = sum(1 << j for j in range(rows) if j >> i & 1)
+        for n in sorted(seen):
+            entry = nodes[n]
+            if entry is not None:
+                a, b = entry
+                tt[n] = ((tt[a >> 1] ^ -(a & 1)) & (tt[b >> 1] ^ -(b & 1))
+                         & full)
+
+        def table(x):
+            return (tt[x >> 1] ^ -(x & 1)) & full
+        return ([2 * n for n in support], [table(x) for x in xs],
+                [table(y) for y in ys])
+
+    def _tree(self, support: list[int], t: int, k: int) -> int:
+        """The function with truth table t over support[:k], as a reduced
+        decision tree splitting on the highest node id first, so equal
+        functions get equal literals."""
+        if t == 0:
+            return FALSE
+        if t == (1 << (1 << k)) - 1:
+            return TRUE
+        half = 1 << (k - 1)
+        lo, hi = t & ((1 << half) - 1), t >> half
+        if lo == hi:
+            return self._tree(support, lo, k - 1)
+        return self.mux_(support[k - 1], self._tree(support, hi, k - 1),
+                         self._tree(support, lo, k - 1))
 
     def eq_bits(self, xs: list[int], ys: list[int]) -> int:
         return self.and_many([self.xor_(a, b) ^ 1 for a, b in zip(xs, ys)])

@@ -34,7 +34,8 @@ RAM's contents fit): a sort, a literal, or the result of concat,
 zero_extend or sign_extend past it raises SolverInputError, so a single
 numeral cannot make the solver allocate without bound.  The limit bounds
 widths, not work: a term's AIG still grows with its size, and bvmul's
-with the square of its width.
+with the square of its width, or, when its operands depend on k <=
+aig.CASE_INPUTS inputs and it is built by cases, with its width times 2**k.
 
 The s-expression reader (Reader, parse_all) tokenizes with str methods,
 not a regular expression: the solver child reads every query with it,

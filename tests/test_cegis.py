@@ -266,8 +266,9 @@ def test_every_candidate_simulation_reaches_cegis_simulate(monkeypatch):
 
 def _record_stages(monkeypatch) -> list:
     """Each solver call as "synth" or "verify" (SYNTH declares the holes,
-    VERIFY the inputs) and each _first_disagreement call as (envs, its
-    answer), in the order the loop makes them."""
+    VERIFY the inputs) and each _first_disagreement call as (its envs,
+    copied at the call since cegis later removes refuted probes from that
+    list, and its answer), in the order the loop makes them."""
     events = []
     real_solve = cegis_module.portfolio_solve
     real_probe = cegis_module._first_disagreement
@@ -279,7 +280,7 @@ def _record_stages(monkeypatch) -> list:
 
     def probe(query, spec, got, envs):
         out = real_probe(query, spec, got, envs)
-        events.append((envs, out))
+        events.append((list(envs), out))
         return out
 
     monkeypatch.setattr(cegis_module, "portfolio_solve", solve)
