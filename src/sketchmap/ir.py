@@ -323,10 +323,6 @@ def _op_spec(op: Operator) -> OpSpec:
     return spec
 
 
-def op_arity(op: Operator) -> int:
-    return _op_spec(op).arity
-
-
 def op_result_width(op: Operator, arg_widths: list[int]) -> int:
     """Width rule for each operator; raises WidthError / ArityError.
 
@@ -756,31 +752,6 @@ def schedule(p: Prog) -> Schedule:
     order = sorted(nodes, key=lambda j: (witness[j], j))
     regs = [(i, n) for i, n in nodes.items() if isinstance(n, Reg)]
     return Schedule(nodes, widths, order, binds, regs)
-
-
-def verify_witness(p: Prog, w: WitnessMap) -> bool:
-    """Check the four witness conditions directly (used by tests)."""
-    progs: list[tuple[Prog, Optional[tuple[Id, Prim]]]] = []
-    _collect_programs(p, progs, set())
-    for prog, _ in progs:
-        for i, n in prog.nodes.items():
-            if i not in w or w[i] < 0:
-                return False
-            if isinstance(n, Reg):
-                if w[i] != 0:
-                    return False
-            elif isinstance(n, Prim):
-                if not w[i] > w[n.body.root]:
-                    return False
-                bm = n.bind_map()
-                for bi, bn in n.body.nodes.items():
-                    if isinstance(bn, Var) and not w[bi] > w[bm[bn.name]]:
-                        return False
-            else:
-                for a in inputs(n):
-                    if not w[i] > w[a]:
-                        return False
-    return True
 
 
 # -- hole substitution ------------------------------------------------------

@@ -18,11 +18,20 @@ are built the same way: always over the cap, and under it whenever the
 narrower one is built by cases (zero padding adds no inputs and widens the
 cone guard).
 
-to_sat Tseitin-encodes the cone of one root into a SatSolver, writing the
-clauses and watch lists directly.  evaluate computes every node's value
-under an input assignment in one ascending sweep, since an AND node is
-always created after its fanins; the driver checks models with it
-independently of the SAT solver.
+truth_tables computes the tables of a cone over its inputs, one int per
+node with a bit per row, in one ascending sweep, since an AND node is
+always created after its fanins.  mul_bits reads its cases from them, and
+least_model decides a root with them when its cone's nodes times its 2**k
+rows come to at most TABLE_BITS: no satisfying row is unsat, otherwise
+the model is the least satisfying row, the lowest-id input most
+significant and 0 before 1.  That is the model CDCL finds when it meets no
+conflict, since it decides free variables lowest index first, False
+first, and an AND node is always implied by its fanins before it is
+decided.  A larger cone goes to to_sat, which Tseitin-encodes the cone of
+one root into a SatSolver, writing the clauses and watch lists directly.
+evaluate computes every node's value under an input assignment in one
+ascending sweep; the driver checks models with it independently of both
+deciders.
 """
 
 from __future__ import annotations
@@ -40,6 +49,14 @@ and 63 muxes a bit.  In the mapper's SYNTH queries the operands are
 constants selected by 1 or 3 hole bits, and the trees replace an 18-bit
 shift-add array there; its VERIFY multipliers depend on 16-48 input bits
 and keep the shift-add, whose sharing folds spec against sketch."""
+
+TABLE_BITS = 1 << 22
+"""least_model decides a root by truth table when its cone's nodes times
+its 2**k rows (k inputs) come to at most this many bits, 512 KB of tables.
+The mapper's SYNTH queries on the minidsp block have 6-8 input bits and
+under 3000 nodes, so they are decided in well under the time that CNF and
+CDCL take on them; its VERIFY queries have tens of input bits and stay with
+CDCL unless strashing folds them."""
 
 
 class AIG:
@@ -139,13 +156,15 @@ class AIG:
         return self.sub_bits(zero, xs)
 
     def mul_bits(self, xs: list[int], ys: list[int]) -> list[int]:
-        """The product truncated to len(xs): by cases when _truth_tables
+        """The product truncated to len(xs): by cases when _mul_cases
         finds the operands' few inputs, else shift-add with ascending
         rows."""
         w = len(xs)
-        cases = self._truth_tables(xs, ys)
+        cases = self._mul_cases(xs, ys)
         if cases is not None:
-            support, xt, yt = cases
+            support, table = cases
+            xt = [table(x) for x in xs]
+            yt = [table(y) for y in ys]
             mask = (1 << w) - 1
             out = [0] * w
             for j in range(1 << len(support)):
@@ -154,7 +173,8 @@ class AIG:
                 p = a * b & mask
                 for i in range(w):
                     out[i] |= (p >> i & 1) << j
-            return [self._tree(support, t, len(support)) for t in out]
+            lits = [2 * n for n in support]
+            return [self._tree(lits, t, len(lits)) for t in out]
         acc = [self.and_(x, ys[0]) for x in xs]
         for i in range(1, w):
             row = [self.and_(xs[j], ys[i]) for j in range(w - i)]
@@ -162,20 +182,33 @@ class AIG:
             acc = acc[:i] + hi
         return acc
 
-    def _truth_tables(self, xs: list[int], ys: list[int]):
-        """(support, xs' truth tables, ys' truth tables) when multiplier
-        operands xs and ys depend on at most CASE_INPUTS input nodes
-        through a cone of at most 8*w*w + 64 nodes; else None.  The walk
-        that finds the cone and the tables over it take a step a node, so
-        the guard keeps them within about twice the gates a shift-add
-        makes, plus 64 cases.  The support lists the inputs' literals by
-        node id, and bit j of a literal's table is its value when
-        support[i] is (j >> i) & 1."""
+    def _mul_cases(self, xs: list[int], ys: list[int]):
+        """truth_tables of multiplier operands xs and ys when they depend
+        on at most CASE_INPUTS input nodes through a cone of at most
+        8*w*w + 64 nodes; else None.  The guard keeps the walk and the
+        tables within about twice the gates a shift-add makes, plus 64
+        cases."""
         limit = 8 * len(xs) ** 2 + 64
+        return self.truth_tables(
+            xs + ys, lambda k: limit if k <= CASE_INPUTS else -1)
+
+    def truth_tables(self, lits: list[int], bound):
+        """(support, table) for the cone of lits, or None when the cone
+        passes bound.  bound(k) is the most nodes the cone may have over
+        k inputs, below 0 when k inputs are too many; the depth-first walk
+        from lits stops as soon as the nodes it has seen, the constant
+        included, pass the bound of the inputs it has found.
+
+        support lists the cone's input nodes by ascending id, and
+        table(x) is the truth table of a literal x of the cone: bit j is
+        x's value when each support[i] is (j >> i) & 1.  One ascending
+        sweep computes every node's table, one int over all 2**k rows, so
+        the sweep holds about nodes * 2**k bits."""
         nodes = self.nodes
         seen = {0}
-        stack = [x >> 1 for x in xs + ys]
+        stack = [x >> 1 for x in lits]
         support = []
+        cap = bound(0)
         while stack:
             n = stack.pop()
             if n in seen:
@@ -184,16 +217,20 @@ class AIG:
             entry = nodes[n]
             if entry is None:
                 support.append(n)
+                cap = bound(len(support))
             else:
                 stack += (entry[0] >> 1, entry[1] >> 1)
-            if len(support) > CASE_INPUTS or len(seen) > limit:
+            if len(seen) > cap:
                 return None
         support.sort()
         rows = 1 << len(support)
         full = (1 << rows) - 1
         tt = {0: 0}
         for i, n in enumerate(support):
-            tt[n] = sum(1 << j for j in range(rows) if j >> i & 1)
+            # rows where bit i of j is set: 2**i zeros, then 2**i ones,
+            # repeated over the rows
+            run = 1 << i
+            tt[n] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
         for n in sorted(seen):
             entry = nodes[n]
             if entry is not None:
@@ -203,8 +240,29 @@ class AIG:
 
         def table(x):
             return (tt[x >> 1] ^ -(x & 1)) & full
-        return ([2 * n for n in support], [table(x) for x in xs],
-                [table(y) for y in ys])
+        return support, table
+
+    def least_model(self, root: int):
+        """Decide root by its cone's truth table when the cone's nodes
+        times its 2**k rows come to at most TABLE_BITS; None over that.
+        Else (False, {}) when no row satisfies root, or (True, model),
+        model mapping each input of the cone to its value in the least
+        satisfying row: each input in ascending id order takes 0 if some
+        satisfying row left agrees, else 1."""
+        cone = self.truth_tables([root], lambda k: TABLE_BITS >> k)
+        if cone is None:
+            return None
+        support, table = cone
+        rows = table(root)   # the satisfying rows
+        if not rows:
+            return False, {}
+        model = {}
+        for n in support:
+            zeros = rows & ~table(2 * n)
+            model[n] = not zeros
+            if zeros:
+                rows = zeros
+        return True, model
 
     def _tree(self, support: list[int], t: int, k: int) -> int:
         """The function with truth table t over support[:k], as a reduced

@@ -46,10 +46,20 @@ with the same reader.
 One check-sat per reset (matching what the mapper emits): reset forgets
 every declaration, assertion and answer, so one Script can serve a stream
 of queries.  push and pop are rejected, not ignored, since ignoring them
-would answer for the wrong set of assertions.  get-value reports bits
-from the SAT model, defaulting unconstrained bits to 0.
+would answer for the wrong set of assertions.
+
+check-sat conjoins the assertions into one AIG root and takes the first
+decider that applies, recording its name in Script.deciders: "fold" when
+strashing made the root constant; "table" when the root's cone has k
+inputs and nodes * 2**k <= aig.TABLE_BITS, where AIG.least_model
+evaluates the cone over all 2**k rows at once, so unsat comes from
+exhaustive evaluation and the model is the least satisfying row (inputs in
+ascending id order, each 0 where a satisfying row allows); "cdcl"
+otherwise, through Tseitin CNF and the SAT solver.  Both non-fold paths
+give the same model whenever CDCL meets no conflict.  get-value reports
+the model's bits, defaulting unconstrained bits to 0.
 After extracting a model the driver re-evaluates the asserted formula
-under it, without the SAT solver, and refuses to answer if the check
+under it, without either decider, and refuses to answer if the check
 fails, so a bug here shows up as an error, never as a wrong model.  The
 check is one ascending sweep over the AIG (AIG.evaluate), and get-value
 reads its answers from the same sweep.
@@ -432,10 +442,14 @@ _OPERANDS = {"echo": 1, "declare-const": 2, "declare-fun": 3,
 class Script:
     def __init__(self):
         self.output: list[str] = []
+        # what decided each check-sat: "fold" (strashing made the root
+        # constant), "table" (AIG.least_model) or "cdcl"
+        self.deciders: list[str] = []
         self.reset()
 
     def reset(self) -> None:
-        """Forget every declaration, assertion and answer; keep output."""
+        """Forget every declaration, assertion and answer; keep output
+        and deciders."""
         self.aig = AIG()
         self.env: dict[str, object] = {}   # symbol -> value
         self.assertions: list[int] = []
@@ -600,37 +614,45 @@ class Script:
     def _check_sat(self) -> None:
         root = self.aig.and_many(self.assertions)
         self.values = bytearray()
-        if root == FALSE:
-            self.status = "unsat"
-        elif root == TRUE:
-            self.status = "sat"
-            self.model = {}
+        self.model = {}
+        if root in (FALSE, TRUE):
+            self.deciders.append("fold")
+            sat = root == TRUE
         else:
-            # The CNF is one small list per clause, none of them in a
-            # cycle; with the cyclic collector running, building it took
-            # twice as long, the collector walking the heap again and again.
-            import gc
-            collecting = gc.isenabled()
-            gc.disable()
-            try:
-                solver, node_var = self.aig.to_sat(root)
-                sat = solver.solve()
-            finally:
-                if collecting:
-                    gc.enable()
-            if sat:
-                self.model = {
-                    n: solver.model_value(v) for n, v in node_var.items()
-                    if self.aig.nodes[n] is None
-                }
-                if not self._value(root):
-                    raise SolverInputError(
-                        "internal error: extracted model does not satisfy "
-                        "the formula")
-                self.status = "sat"
+            decided = self.aig.least_model(root)
+            if decided is not None:
+                self.deciders.append("table")
             else:
-                self.status = "unsat"
+                self.deciders.append("cdcl")
+                decided = self._cdcl(root)
+            sat, self.model = decided
+            if sat and not self._value(root):
+                raise SolverInputError(
+                    "internal error: extracted model does not satisfy "
+                    "the formula")
+        self.status = "sat" if sat else "unsat"
         self.output.append(self.status)
+
+    def _cdcl(self, root: int) -> tuple[bool, dict[int, bool]]:
+        """root decided by CNF and CDCL: whether it is satisfiable, and
+        the model of the cone's inputs when it is."""
+        # The CNF is one small list per clause, none of them in a cycle;
+        # with the cyclic collector running, building it took twice as
+        # long, the collector walking the heap again and again.
+        import gc
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            solver, node_var = self.aig.to_sat(root)
+            sat = solver.solve()
+        finally:
+            if collecting:
+                gc.enable()
+        if not sat:
+            return False, {}
+        nodes = self.aig.nodes
+        return True, {n: solver.model_value(v) for n, v in node_var.items()
+                      if nodes[n] is None}
 
     def _value(self, lit: int) -> bool:
         """lit under the model, from one sweep over the AIG that the

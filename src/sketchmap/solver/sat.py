@@ -5,6 +5,12 @@ branching with exponential decay, Luby restarts, phase saving.  Everything
 is deterministic: ties break on variable index and unassigned variables
 default to False, so models are reproducible run to run.
 
+The script driver sends only large cones here.  A check-sat whose cone's
+nodes times its 2**k input rows come to at most aig.TABLE_BITS is decided
+by truth table instead (aig.AIG.least_model): unsat when no row satisfies
+it, else the least satisfying row, the lowest-id input first and 0 before
+1.  That is the model this solver finds when it meets no conflict.
+
 Literals are encoded as 2*var for the positive polarity and 2*var+1 for
 the negative one (vars count from 0).  assign[v] is 1, 0 or -1 (free), so
 literal l is true when assign[l >> 1] == (l & 1) ^ 1 and false when

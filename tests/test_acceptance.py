@@ -19,7 +19,7 @@ from sketchmap.interp import (Stream, compile_program, env_of_ints,
                               interp, simulate)
 from sketchmap.ir import (BV, BitVec, Prim, ProgBuilder, Sketch,
                           WellFormednessError, check_well_formed, free_vars,
-                          substitute_holes, var_widths, verify_witness)
+                          substitute_holes, var_widths)
 from sketchmap.portfolio import (SolverConfig, SolverSession,
                                  default_portfolio)
 from sketchmap.sketches import generate_sketch
@@ -28,7 +28,7 @@ from sketchmap.symbolic import symbolic_run
 from sketchmap.terms import eval_term
 
 from test_emit import _prim_types, _random_structural
-from util_progs import (random_behavioral, random_unchecked,
+from util_progs import (random_behavioral, random_unchecked, verify_witness,
                         witness_exists_bruteforce)
 
 _ARCH = {}

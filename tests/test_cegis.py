@@ -417,8 +417,8 @@ PINNED_QUERIES = {
 PINNED_NETLISTS = {
     "add_w4": "4218ca8dc3be1ede273fee399b2ecae4"
               "e8f006590762714cc63b285f1ed6d171",
-    "add_mul_xor_w08_d1": "13d383565ac688082b49b05fb3d80e9b"
-                          "cc6bbad2238c394f2841e1f144d4b2c4",
+    "add_mul_xor_w08_d1": "c1479d80921bd0555f30460ed6f0c7f3"
+                          "ab07fa5bf7c247c2767ead4f3d10a9e7",
     "tt_4b": "b38116845db8c19a5cbd2802c64c365e"
              "37b56d24d45def043f7f30db363a171c",
 }

@@ -11,9 +11,10 @@ from sketchmap.ir import (
     Reg, Sketch, Var, WellFormednessError, WidthError, check_well_formed,
     dump_sexpr, free_vars, inputs, is_behavioral, node_widths,
     op_result_width, structural_violations,
-    substitute_holes, verify_witness,
+    substitute_holes,
 )
-from util_progs import random_behavioral, random_unchecked, witness_exists_bruteforce
+from util_progs import (random_behavioral, random_unchecked, verify_witness,
+                        witness_exists_bruteforce)
 
 
 def _lut_meta(name="lut4"):

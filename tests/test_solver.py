@@ -7,11 +7,13 @@ import re
 import resource
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import sketchmap
 from sketchmap import portfolio
+from sketchmap.solver import aig as aig_module
 from sketchmap.solver.aig import AIG, FALSE, TRUE
 from sketchmap.solver.qfbv import (HEADS, MAX_WIDTH, Reader, Script,
                                    SolverInputError, parse_all, run_script)
@@ -252,7 +254,7 @@ class TestAig:
         xs3, ys3 = g.var_bits(3), g.var_bits(3)
         m3 = g.mul_bits(xs3, ys3)
         m7 = g.mul_bits(xs3 + [FALSE] * 4, ys3 + [FALSE] * 4)
-        assert g._truth_tables(xs3, ys3) is not None
+        assert g._mul_cases(xs3, ys3) is not None
         assert m7[:3] == m3
 
     def test_low_bits_of_wider_add_are_shared(self):
@@ -308,7 +310,7 @@ def test_mul_by_cases_agrees_with_shift_add(w, shape):
     for _ in range(4):
         g = AIG()
         xs, ys = _mul_operands(g, rng, shape, w)
-        assert g._truth_tables(xs, ys) is not None
+        assert g._mul_cases(xs, ys) is not None
         got = g.mul_bits(xs, ys)
         ref = _shift_add(g, xs, ys)
         inputs = [n for n, entry in enumerate(g.nodes) if n and entry is None]
@@ -338,7 +340,7 @@ def test_mul_over_the_caps_is_shift_add_node_for_node(operands):
     g, ref = AIG(), AIG()
     xs, ys = operands(g)
     assert operands(ref) == (xs, ys)
-    assert g._truth_tables(xs, ys) is None
+    assert g._mul_cases(xs, ys) is None
     assert g.mul_bits(xs, ys) == _shift_add(ref, xs, ys)
     assert g.nodes == ref.nodes
 
@@ -800,8 +802,8 @@ def test_blasting_matches_integer_semantics():
 
 # sha256 of run_script's answers on _golden_scripts(); see
 # test_models_are_pinned.
-GOLDEN_ANSWERS = ("38d0dfc0507b3564366fc0ea4d464f63"
-                  "77e1888a815a07f25f6ad720f342a6ed")
+GOLDEN_ANSWERS = ("cf9c26c116ecc50a949fa43812241a27"
+                  "8ab36fdef7146fff1f1ad9d648d1e728")
 
 
 def _golden_scripts():
@@ -831,6 +833,232 @@ def test_models_are_pinned():
     for text in _golden_scripts():
         h.update(run_script(text).encode())
     assert h.hexdigest() == GOLDEN_ANSWERS
+
+
+# -- the truth-table decider against brute-force enumeration ----------------
+
+
+def _rand_bv(rng, w, decls, depth):
+    """(text, value function) of a random w-bit term over decls, name ->
+    width (None for Bool); the function maps an environment of values
+    (ints, bools for the Bool symbols) to the term's value."""
+    symbols = [(n, dw) for n, dw in decls.items() if dw]
+    if depth == 0 or rng.random() < 0.2:
+        if not symbols or rng.random() < 0.2:
+            v = rng.getrandbits(w)
+            return _bv(v, w), lambda env: v
+        # a symbol, cut or padded to w bits
+        n, dw = rng.choice(symbols)
+        if dw < w:
+            return (f"((_ zero_extend {w - dw}) {n})",
+                    lambda env: env[n])
+        lo = rng.randint(0, dw - w)
+        return (f"((_ extract {lo + w - 1} {lo}) {n})",
+                lambda env: env[n] >> lo & _mask(w))
+    kind = rng.randrange(7)
+    if kind <= 1:
+        name = rng.choice(_BINOPS)
+        (ta, fa), (tb, fb) = (_rand_bv(rng, w, decls, depth - 1)
+                              for _ in range(2))
+        return (f"({name} {ta} {tb})",
+                lambda env: _py_op(name, fa(env), fb(env), w))
+    if kind == 2:
+        name = rng.choice(sorted(_UNARY))
+        ta, fa = _rand_bv(rng, w, decls, depth - 1)
+        return f"({name} {ta})", lambda env: _UNARY[name](fa(env), w)
+    if kind == 3:
+        tc, fc = _rand_bool(rng, decls, depth - 1)
+        (ta, fa), (tb, fb) = (_rand_bv(rng, w, decls, depth - 1)
+                              for _ in range(2))
+        return (f"(ite {tc} {ta} {tb})",
+                lambda env: fa(env) if fc(env) else fb(env))
+    if kind == 4 and w >= 2:
+        lw = rng.randint(1, w - 1)   # the first operand is the high part
+        (th, fh), (tl, fl) = (_rand_bv(rng, x, decls, depth - 1)
+                              for x in (w - lw, lw))
+        return (f"(concat {th} {tl})",
+                lambda env: fh(env) << lw | fl(env))
+    if kind == 5:
+        wide = rng.randint(w, 4)
+        lo = rng.randint(0, wide - w)
+        ta, fa = _rand_bv(rng, wide, decls, depth - 1)
+        return (f"((_ extract {lo + w - 1} {lo}) {ta})",
+                lambda env: fa(env) >> lo & _mask(w))
+    narrow = rng.randint(1, w)
+    k = w - narrow
+    ta, fa = _rand_bv(rng, narrow, decls, depth - 1)
+    if rng.random() < 0.5:
+        return f"((_ zero_extend {k}) {ta})", fa
+
+    def sign_extend(env):
+        a = fa(env)
+        return (a | _mask(w) ^ _mask(narrow)) if a >> (narrow - 1) else a
+    return f"((_ sign_extend {k}) {ta})", sign_extend
+
+
+def _rand_bool(rng, decls, depth):
+    """(text, value function) of a random Bool term over decls."""
+    names = [n for n, w in decls.items() if w is None]
+    if depth == 0 and names and rng.random() < 0.8:
+        n = rng.choice(names)
+        return n, lambda env: env[n]
+    if depth == 0 and rng.random() < 0.1:
+        b = rng.random() < 0.5
+        return _bool(b), lambda env: b
+    kind = 0 if depth == 0 else rng.randrange(4)
+    if kind <= 1:
+        w = rng.randint(1, 4)
+        name = rng.choice(_COMPARES + ["=", "distinct"])
+        (ta, fa), (tb, fb) = (_rand_bv(rng, w, decls, max(depth - 1, 0))
+                              for _ in range(2))
+        if name in _CONNECTIVES:
+            ref = _CONNECTIVES[name][2]
+            return (f"({name} {ta} {tb})",
+                    lambda env: ref([fa(env), fb(env)]))
+        return (f"({name} {ta} {tb})",
+                lambda env: _py_cmp(name, fa(env), fb(env), w))
+    if kind == 2:
+        name = rng.choice(sorted(_CONNECTIVES))
+        least, most, ref = _CONNECTIVES[name]
+        ops = [_rand_bool(rng, decls, depth - 1)
+               for _ in range(rng.randint(least, most))]
+        return (f"({name} {' '.join(t for t, _ in ops)})",
+                lambda env: ref([f(env) for _, f in ops]))
+    (tc, fc), (ta, fa), (tb, fb) = (_rand_bool(rng, decls, depth - 1)
+                                    for _ in range(3))
+    return (f"(ite {tc} {ta} {tb})",
+            lambda env: fa(env) if fc(env) else fb(env))
+
+
+def _least_row(decls, asserts):
+    """The environment of the least assignment satisfying every function
+    in asserts, by enumeration, or None when none does.  The input bits
+    are the declared symbols' bits, in declaration order and each
+    symbol's LSB first (the order their AIG inputs are made in); the
+    first bit is the most significant, and 0 comes before 1."""
+    bits = [(n, i) for n, w in decls.items() for i in range(w or 1)]
+    for row in range(1 << len(bits)):
+        env = dict.fromkeys(decls, 0)
+        for k, (n, i) in enumerate(bits):
+            env[n] |= (row >> (len(bits) - 1 - k) & 1) << i
+        for n, w in decls.items():
+            if w is None:
+                env[n] = bool(env[n])
+        if all(f(env) for f in asserts):
+            return env
+    return None
+
+
+def _read_model(line):
+    """get-value's answer as an environment like _least_row's."""
+    (pairs,) = parse_all(line)
+    return {n: v == "true" if v in ("true", "false") else int(v[2:], 2)
+            for n, v in pairs}
+
+
+def _random_table_scripts(n):
+    """n seeded random scripts over 1-3 symbols of widths <= 4 (or Bool),
+    at most 10 input bits, each with (text, decls, assertion functions)."""
+    rng = random.Random(29)
+    for _ in range(n):
+        decls = {}
+        while not decls or (len(decls) < 3 and rng.random() < 0.6):
+            w = rng.choice([None, 1, 2, 3, 4])
+            if sum(x or 1 for x in decls.values()) + (w or 1) <= 10:
+                decls[f"v{len(decls)}"] = w
+        asserts = [_rand_bool(rng, decls, 3)
+                   for _ in range(rng.randint(1, 3))]
+        sorts = {n: "Bool" if w is None else f"(_ BitVec {w})"
+                 for n, w in decls.items()}
+        text = "".join(f"(declare-const {n} {sorts[n]})" for n in decls)
+        text += "".join(f"(assert {t})" for t, _ in asserts)
+        text += f"(check-sat)(get-value ({' '.join(decls)}))"
+        yield text, decls, [f for _, f in asserts]
+
+
+def _solve(text):
+    s = Script()
+    for cmd in parse_all(text):
+        s.run_command(cmd)
+    return s
+
+
+def test_table_decides_as_cdcl_does_with_the_least_model(monkeypatch):
+    # Each script is solved with the table decider and with it switched
+    # off (TABLE_BITS 0, so every cone goes to CNF and CDCL): the same
+    # status, models that satisfy the assertions, and the table's model
+    # is the least satisfying row.
+    deciders = Counter()
+    heads = set()
+    for text, decls, asserts in _random_table_scripts(300):
+        heads.update(re.findall(r"\((?:_ )?([^\s()]+)", text))
+        least = _least_row(decls, asserts)
+        on = _solve(text)
+        with monkeypatch.context() as m:
+            m.setattr(aig_module, "TABLE_BITS", 0)
+            off = _solve(text)
+        assert on.status == off.status == ("unsat" if least is None
+                                           else "sat"), text
+        assert {on.deciders[0], off.deciders[0]} in (
+            {"fold"}, {"table", "cdcl"}), text
+        deciders[on.deciders[0], on.status] += 1
+        if least is not None:
+            for s in (on, off):
+                model = _read_model(s.output[1])
+                assert all(f(model) for f in asserts), text
+            assert _read_model(on.output[1]) == least, text
+    assert set(HEADS) <= heads
+    assert min(deciders[d, s] for d in ("fold", "table")
+               for s in ("sat", "unsat")) >= 10, deciders
+
+
+def test_deciders_are_recorded():
+    s = _solve("""
+        (declare-const x (_ BitVec 2))
+        (assert (= x x))
+        (check-sat)
+        (reset)
+        (declare-const x (_ BitVec 2))
+        (assert (= (bvadd x #b01) #b11))
+        (check-sat)
+        (reset)
+        (declare-const x (_ BitVec 16))
+        (declare-const y (_ BitVec 16))
+        (assert (= (bvmul x y) #x0006))
+        (check-sat)
+    """)
+    # 32 input bits: 2**32 rows for any cone, far over TABLE_BITS
+    assert s.output == ["sat", "sat", "sat"]
+    assert s.deciders == ["fold", "table", "cdcl"]
+
+
+def test_table_bound_is_nodes_times_rows(monkeypatch):
+    # x & y: the constant, two inputs and one AND, over 4 rows
+    g = AIG()
+    x, y = g.var(), g.var()
+    root = g.and_(x, y)
+    for bits, want in ((16, (True, {1: True, 2: True})), (15, None)):
+        monkeypatch.setattr(aig_module, "TABLE_BITS", bits)
+        assert g.least_model(root) == want
+    monkeypatch.undo()
+    assert g.least_model(root ^ 1) == (True, {1: False, 2: False})
+    assert g.least_model(g.and_(root, g.and_(x, y ^ 1))) == (False, {})
+
+
+def test_session_answers_a_small_cone_with_the_least_model():
+    # x * y = 6 over 3 bits: the least row sets the bits of x, then of y,
+    # each LSB first, to 0 wherever a solution is left.  CDCL meets a
+    # conflict on the way and answers x = 6, y = 5.
+    decls = {"x": 3, "y": 3}
+    least = _least_row(decls, [lambda env: env["x"] * env["y"] % 8 == 6])
+    query = ("(declare-const x (_ BitVec 3))(declare-const y (_ BitVec 3))"
+             "(assert (= (bvmul x y) #b110))(check-sat)(get-value (x y))\n"
+             "(exit)\n")
+    with portfolio.SolverSession() as session:
+        r = portfolio.portfolio_solve(query, session=session)
+    assert r.status == "sat"
+    assert {n: v.value for n, v in r.model.items()} == least == \
+        {"x": 2, "y": 3}
 
 
 def test_compare_blasting_matches_integer_semantics():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from sketchmap.ir import (
-    BV, BitVec, Id, Node, Op, Operator, Prim, Prog, Reg, Var, inputs,
+    BV, OPS, BitVec, Id, Node, Op, Operator, Prim, Prog, Reg, Var, inputs,
 )
 
 _BIN_OPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr"]
@@ -97,8 +97,7 @@ def random_unchecked(rng: random.Random, max_nodes: int = 6,
             nodes[i] = Reg(ref(), BitVec.of(rng.getrandbits(w), w))
         else:
             name = rng.choice(_BIN_OPS + _CMP_OPS + ["not", "mux", "concat"])
-            from sketchmap.ir import op_arity
-            k = op_arity(Operator(name))
+            k = OPS[name].arity
             nodes[i] = Op(Operator(name), tuple(ref() for _ in range(k)))
     root = rng.choice(ids + [n + 7]) if rng.random() < 0.9 else n + 7
     return Prog(root, nodes)
@@ -155,6 +154,33 @@ def witness_exists_bruteforce(p: Prog) -> bool:
         return False
 
     return go(0)
+
+
+def verify_witness(p: Prog, w: dict[Id, int]) -> bool:
+    """Check the four witness conditions directly on p and every Prim body
+    in it: each id has a level of 0 or more, a Reg's is 0, an Op's is
+    above its args', and a Prim's is above its body root's, each body Var
+    being above the node it binds."""
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        for i, n in q.nodes.items():
+            if i not in w or w[i] < 0:
+                return False
+            if isinstance(n, Reg):
+                if w[i] != 0:
+                    return False
+            elif isinstance(n, Prim):
+                if not w[i] > w[n.body.root]:
+                    return False
+                bm = n.bind_map()
+                for bi, bn in n.body.nodes.items():
+                    if isinstance(bn, Var) and not w[bi] > w[bm[bn.name]]:
+                        return False
+                stack.append(n.body)
+            elif not all(w[i] > w[a] for a in inputs(n)):
+                return False
+    return True
 
 
 def record_calls(monkeypatch, module, name: str) -> list[tuple]:
