@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 from .ir import (
     BV, BitVec, EmitMeta, Hole, Id, Node, Op, Prim, Prog, ProgBuilder, Reg,
-    SketchmapError, Var, WidthError, free_vars,
+    SketchmapError, Var, WidthError, free_vars, node_widths,
 )
 from .primitives import (
     PrimitiveInterface, builtin_model, carry_interface, dsp_interface,
@@ -437,9 +437,9 @@ def _load_model(impl: InterfaceImpl, arch: ArchDescription) -> Model:
     metadata), each packed output as wide as the interface declares it.
 
     Built once per implementation and architecture, on first use, and
-    shared after that: callers copy the semantics onto fresh ids, every
-    instance's Prim holds the same EmitMeta, and no caller changes any
-    of the four."""
+    shared after that: every instance's Prim holds the same semantics,
+    renumbered onto ids 0..n-1, at an offset of its own and the same
+    EmitMeta, and no caller changes any of the four."""
     hit = arch._models.get(id(impl))
     if hit is not None and hit[0] is impl:
         return hit[1]
@@ -456,7 +456,7 @@ def _read_model(impl: InterfaceImpl, arch: ArchDescription) -> Model:
             raise WidthMismatch(
                 f"{impl.module_name}: model output {name!r} is {w} bits "
                 f"but {impl.interface.name} declares {declared.get(name)}")
-    return semantics, fvw, packed, _emit_meta(impl, fvw, packed)
+    return _renumber(semantics), fvw, packed, _emit_meta(impl, fvw, packed)
 
 
 def _read_semantics(impl: InterfaceImpl, arch: ArchDescription
@@ -480,7 +480,7 @@ def _read_semantics(impl: InterfaceImpl, arch: ArchDescription
         raise ModelLoadError(f"{impl.module_name}: cannot read {path}: {e}")
     except SketchmapError as e:
         raise ModelLoadError(f"{impl.module_name}: {path}: {e}")
-    root_w = _prog_root_width(imported.semantics)
+    root_w = node_widths(imported.semantics)[imported.semantics.root]
     if len(impl.outputs) != 1:
         raise ModelLoadError(
             f"{impl.module_name}: btor2-backed implementations support "
@@ -528,34 +528,17 @@ def _emit_meta(impl: InterfaceImpl, fvw: dict[str, int],
         if len(packed) > 1 else ())
 
 
-def _prog_root_width(p: Prog) -> int:
-    from .ir import node_widths
-    return node_widths(p)[p.root]
-
-
-def _relabel(prog: Prog, nb: ProgBuilder) -> Prog:
-    """Copy a program onto fresh node ids from nb's shared counter."""
-    mapping: dict[Id, Id] = {}
-    child = nb.child()
-    for i in prog.nodes:
-        mapping[i] = child.fresh()
-
-    def remap_node(n):
-        if isinstance(n, (BV, Var)):
-            return n
+def _renumber(prog: Prog) -> Prog:
+    """A behavioral program on ids 0..n-1, given in node order."""
+    new = {i: k for k, i in enumerate(prog.nodes)}
+    nodes: dict[Id, Node] = {}
+    for i, n in prog.nodes.items():
         if isinstance(n, Op):
-            return Op(n.op, tuple(mapping[a] for a in n.args))
-        if isinstance(n, Reg):
-            return Reg(mapping[n.data], n.init)
-        if isinstance(n, Prim):
-            return Prim(tuple((k, mapping[v]) for k, v in n.binds),
-                        _relabel(n.body, nb), n.meta)
-        if isinstance(n, Hole):
-            return n
-        raise SketchmapError(f"cannot relabel {type(n).__name__}")
-
-    nodes = {mapping[i]: remap_node(n) for i, n in prog.nodes.items()}
-    return Prog(mapping[prog.root], nodes)
+            n = Op(n.op, tuple(new[a] for a in n.args))
+        elif isinstance(n, Reg):
+            n = Reg(new[n.data], n.init)
+        nodes[new[i]] = n
+    return Prog(new[prog.root], nodes)
 
 
 # -- instantiation ------------------------------------------------------------
@@ -655,7 +638,8 @@ def _assemble_prim(impl: InterfaceImpl, b: ProgBuilder, model: Model,
     binds = [(k, port_values[k]) for k, _ in meta.port_bindings
              if k != "clk"]
     binds += [(nm, internal_ids[nm]) for nm, _ in impl.internal_data]
-    prim = b.add(Prim(tuple(binds), _relabel(semantics, b), meta))
+    base = b.fresh(len(semantics.nodes))
+    prim = b.add(Prim(tuple(binds), semantics, meta, base))
     if len(packed) == 1:
         return prim, {packed[0][0]: prim}
     return prim, {o: b.extract(hi, lo, prim)

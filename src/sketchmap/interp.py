@@ -159,22 +159,22 @@ def compile_program(p: Prog) -> Compiled:
     """
     sched = schedule(p)
     inputs = tuple(var_widths(p).items())
-    holes = tuple(hole_widths(Prog(p.root, sched.nodes)).items())
+    holes = tuple(hole_widths(Prog(p.root, {
+        i: n for i, n, _ in sched.order if isinstance(n, Hole)})).items())
     stream = {name: f"x{k}" for k, (name, _) in enumerate(inputs)}
     hole = {label: f"h{k}" for k, (label, _) in enumerate(holes)}
     # id -> the node's value this cycle: an int when it is a constant,
     # else the name of the local holding it
-    ref: dict[Id, Union[int, str]] = {i: f"r{i}" for i, _ in sched.regs}
+    ref: dict[Id, Union[int, str]] = {i: f"r{i}" for i, _, _ in sched.regs}
     # the Ops left after folding, as (local, operator, widths, operands),
     # and for each local the operands its assignment reads
     ops: list[tuple[str, Operator, list[int], list]] = []
     reads: dict[str, list] = {}
     widths, binds = sched.widths, sched.binds
-    for i in sched.order:
-        n = sched.nodes[i]
+    for i, n, o in sched.order:
         if isinstance(n, Op):
-            aw = [widths[a] for a in n.args]
-            args = [ref[a] for a in n.args]
+            aw = [widths[o + a] for a in n.args]
+            args = [ref[o + a] for a in n.args]
             r = fold(n.op, aw, args)
             if r is None:
                 r = f"v{i}"
@@ -184,15 +184,15 @@ def compile_program(p: Prog) -> Compiled:
         elif isinstance(n, Var):
             ref[i] = ref[binds[i]] if i in binds else stream[n.name]
         elif isinstance(n, Prim):
-            ref[i] = ref[n.body.root]
+            ref[i] = ref[o + n.base + n.body.root]
         elif isinstance(n, BV):
             ref[i] = n.b.value
         elif isinstance(n, Hole):
             ref[i] = hole[n.label]
         elif not isinstance(n, Reg):
             raise AssertionError(n)
-    for i, r in sched.regs:
-        reads[f"r{i}"] = [ref[r.data]]
+    for i, d, _ in sched.regs:
+        reads[f"r{i}"] = [ref[d]]
     live: set[str] = set()
     todo = [ref[p.root]]
     while todo:
@@ -212,10 +212,10 @@ def compile_program(p: Prog) -> Compiled:
                 sems.append(OPS[op.name].sem(aw, op.params))
             body.append(f"{r} = f{k}({', '.join(map(str, args))})")
     body.append(f"ap({ref[p.root]})")
-    regs = [(i, r) for i, r in sched.regs if f"r{i}" in live]
+    regs = [r for r in sched.regs if f"r{r[0]}" in live]
     if regs:
-        body.append(", ".join(f"r{i}" for i, _ in regs) + " = "
-                    + ", ".join(str(ref[r.data]) for _, r in regs))
+        body.append(", ".join(f"r{i}" for i, _, _ in regs) + " = "
+                    + ", ".join(str(ref[d]) for _, d, _ in regs))
     streams = [f"s{k}" for k in range(len(inputs))]
     used = [(x, s) for x, s in zip(stream.values(), streams) if x in live]
     loop = (f"for _t, {', '.join(x for x, _ in used)} in "
@@ -226,7 +226,7 @@ def compile_program(p: Prog) -> Compiled:
               + [f"f{k}=f{k}" for k in range(len(sems))])
     src = "\n".join(
         [f"def _sim({', '.join(params)}):"]
-        + [f"    r{i} = {r.init.value}" for i, r in regs]
+        + [f"    r{i} = {init.value}" for i, _, init in regs]
         + ["    out = []", "    ap = out.append", f"    {loop}"]
         + [f"        {line}" for line in body]
         + ["    return out"])

@@ -17,9 +17,14 @@ Sharing one node type keeps substitution trivial: synthesis turns a sketch
 into a structural program by replacing each Hole with a constant of its
 width, nothing else moves.
 
+Every instance of a primitive holds its model's one body, at an id offset
+of its own (Prim.base): a body node's flat id, its id in the whole tree,
+is the offset plus its id in the body, and readers of the tree read each
+body through its offset instead of copying it.
+
 Well-formedness is checked over the whole tree at once, and produces a
-witness map assigning every node (including nodes inside Prim bodies) a
-level such that every combinational dependency strictly decreases.  The
+witness map assigning every flat id (Prim bodies included) a level such
+that every combinational dependency strictly decreases.  The
 witness doubles as the evaluation schedule for both the concrete and the
 symbolic interpreters.  Each stage that makes or reads a program checks
 it once: the spec, BTOR2 and JSON readers, the primitive models, both
@@ -46,7 +51,7 @@ class WellFormednessError(SketchmapError):
 
     kind is one of:
       W1     root id not present
-      W2     node ids not disjoint across nested programs
+      W2     two nodes of the tree share one flat id
       W3     an operator argument references a missing id
       W4     a Prim body is itself ill-formed (kind of the inner failure)
       W5     Prim bindings do not match the body's free variables
@@ -419,13 +424,16 @@ class Prim:
     """A primitive instance: a behavioral body evaluated under a fresh
     environment built from binds (body free-variable name -> outer id).
 
-    The body is a complete program of its own; its node ids must be
-    disjoint from every other program in the same tree (W2).
+    The body is a complete program of its own, which many Prims may hold.
+    Body node i has flat id o + base + i, where o is the offset of the
+    program holding the Prim (0 at the top), so nested offsets add up.
+    No two nodes of a tree may share a flat id (W2).
     """
 
     binds: tuple[tuple[str, Id], ...]
     body: "Prog"
     meta: EmitMeta
+    base: Id = 0
 
     def bind_map(self) -> dict[str, Id]:
         return dict(self.binds)
@@ -554,24 +562,23 @@ def structural_violations(p: Prog) -> list[str]:
 # -- well-formedness --------------------------------------------------------
 
 
-def _collect_programs(p: Prog, out: list[tuple[Prog, Optional[tuple[Id, Prim]]]],
-                      seen: set[int]) -> None:
-    """Flatten p and every Prim body into out as (prog, enclosing prim)."""
-    if id(p) in seen:  # sharing one Prog object twice would alias ids
-        raise WellFormednessError(
-            "W2", "the same Prog object appears twice in the tree")
-    seen.add(id(p))
-    out.append((p, None))
+_Flat = list[tuple["Prog", Id, Optional[dict[str, Id]]]]
+
+
+def _collect_programs(p: Prog, out: _Flat, off: Id = 0,
+                      env: Optional[dict[str, Id]] = None) -> None:
+    """Flatten p and every Prim body into out: node i of a program at
+    offset off has flat id off + i, and a body's Var x reads flat id
+    env[x]."""
+    out.append((p, off, env))
     for i, n in p.nodes.items():
         if isinstance(n, Prim):
-            start = len(out)
-            _collect_programs(n.body, out, seen)
-            # fix up: the body entry's enclosing prim is (i, n)
-            out[start] = (out[start][0], (i, n))
+            _collect_programs(n.body, out, off + n.base,
+                              {x: off + j for x, j in n.binds})
 
 
-def _node_width(i: Id, n: Node, widths: dict[Id, int]) -> int:
-    """Width of node n at id i given already-known arg widths."""
+def _node_width(i: Id, n: Node, off: Id, widths: dict[Id, int]) -> int:
+    """Width of node n at flat id i, its program at offset off."""
     if isinstance(n, BV):
         return n.b.width
     if isinstance(n, (Var, Hole)):
@@ -579,10 +586,10 @@ def _node_width(i: Id, n: Node, widths: dict[Id, int]) -> int:
     if isinstance(n, Reg):
         return n.init.width
     if isinstance(n, Prim):
-        return widths[n.body.root]
+        return widths[off + n.base + n.body.root]
     assert isinstance(n, Op)
     try:
-        return op_result_width(n.op, [widths[a] for a in n.args])
+        return op_result_width(n.op, [widths[off + a] for a in n.args])
     except (WidthError, ArityError) as e:
         raise WellFormednessError("width", f"node {i}: {e}", (i,)) from e
 
@@ -590,7 +597,7 @@ def _node_width(i: Id, n: Node, widths: dict[Id, int]) -> int:
 def check_well_formed(p: Prog) -> WitnessMap:
     """Check every well-formedness rule and return the witness map.
 
-    The witness assigns each id (across p and all nested Prim bodies) a
+    The witness assigns each flat id (of p and every nested Prim body) a
     level such that every combinational dependency has a strictly smaller
     level; registers always sit at level 0.  Raises WellFormednessError.
     Side effect of success: node widths are consistent everywhere.
@@ -598,60 +605,46 @@ def check_well_formed(p: Prog) -> WitnessMap:
     return _check(p)[0]
 
 
-def _check(p: Prog) -> tuple[WitnessMap, dict[Id, int],
-                             list[tuple[Prog, Optional[tuple[Id, Prim]]]]]:
-    """check_well_formed's work: (witness, id -> width, flattened tree)."""
-    progs: list[tuple[Prog, Optional[tuple[Id, Prim]]]] = []
-    _collect_programs(p, progs, set())
+def _check(p: Prog) -> tuple[WitnessMap, dict[Id, int], _Flat,
+                             list[tuple[Id, Node, Id]]]:
+    """check_well_formed's work: (witness, widths, flattened tree,
+    Schedule.order)."""
+    progs: _Flat = []
+    _collect_programs(p, progs)
 
-    owner: dict[Id, Prog] = {}
-    for prog, _ in progs:
-        for i in prog.nodes:
-            if i in owner:
+    owner: dict[Id, tuple[Id, Node, Id]] = {}  # flat id -> (it, node, offset)
+    for prog, off, _ in progs:
+        for i, n in prog.nodes.items():
+            j = off + i
+            if j in owner:
                 raise WellFormednessError(
-                    "W2", f"id {i} appears in two programs", (i,))
-            owner[i] = prog
+                    "W2", f"flat id {j} appears twice in the tree", (j,))
+            owner[j] = (j, n, off)
 
-    for prog, enclosing in progs:
+    # each distinct program's own rules, once however many Prims hold it
+    var_w: dict[int, dict[str, int]] = {}     # id(prog) -> its var widths
+    for prog, _, env in progs:
+        if id(prog) in var_w:
+            continue
         if prog.root not in prog.nodes:
-            kind = "W1" if enclosing is None else "W4"
             raise WellFormednessError(
-                kind, f"root id {prog.root} not among the program's nodes",
+                "W1" if env is None else "W4",
+                f"root id {prog.root} not among the program's nodes",
                 (prog.root,))
         for i, n in prog.nodes.items():
-            for a in inputs(n):
+            for a in (n.data,) if isinstance(n, Reg) else inputs(n):
                 if a not in prog.nodes:
-                    kind = "W3" if enclosing is None else "W4"
                     raise WellFormednessError(
-                        kind, f"node {i} references missing id {a}", (i, a))
-            if isinstance(n, Reg) and n.data not in prog.nodes:
-                kind = "W3" if enclosing is None else "W4"
-                raise WellFormednessError(
-                    kind, f"register {i} references missing id {n.data}",
-                    (i, n.data))
-
-    var_w: dict[int, dict[str, int]] = {}     # id(prog) -> its var widths
-    for prog, _ in progs:
+                        "W3" if env is None else "W4",
+                        f"node {i} references missing id {a}", (i, a))
         try:
             var_w[id(prog)] = var_widths(prog)
         except WidthError as e:
             raise WellFormednessError("width", str(e)) from e
 
-    for prog, _ in progs:
-        for i, n in prog.nodes.items():
-            if isinstance(n, Prim):
-                bound = {x for x, _ in n.binds}
-                if len(bound) != len(n.binds):
-                    raise WellFormednessError(
-                        "W5", f"prim {i} binds a variable twice", (i,))
-                fv = set(var_w[id(n.body)])
-                if bound != fv:
-                    raise WellFormednessError(
-                        "W5",
-                        f"prim {i} binds {sorted(bound)} but the body's free "
-                        f"variables are {sorted(fv)}", (i,))
-
     # Constraint edges: src must be evaluated before dst in the same cycle.
+    # A Prim comes before its body in progs, so W5 holds before the body's
+    # Vars read env.
     edges: dict[Id, list[Id]] = {i: [] for i in owner}
     indeg: dict[Id, int] = {i: 0 for i in owner}
 
@@ -659,17 +652,21 @@ def _check(p: Prog) -> tuple[WitnessMap, dict[Id, int],
         edges[src].append(dst)
         indeg[dst] += 1
 
-    for prog, _ in progs:
+    for prog, off, env in progs:
         for i, n in prog.nodes.items():
             if isinstance(n, Op):
                 for a in n.args:
-                    add_edge(a, i)
+                    add_edge(off + a, off + i)
             elif isinstance(n, Prim):
-                add_edge(n.body.root, i)
-                bm = n.bind_map()
-                for bi, bn in n.body.nodes.items():
-                    if isinstance(bn, Var):
-                        add_edge(bm[bn.name], bi)
+                bound = sorted(x for x, _ in n.binds)
+                if bound != sorted(var_w[id(n.body)]):
+                    raise WellFormednessError(
+                        "W5", f"prim {off + i} binds {bound} but the body's "
+                        f"free variables are {sorted(var_w[id(n.body)])}",
+                        (off + i,))
+                add_edge(off + n.base + n.body.root, off + i)
+            elif isinstance(n, Var) and env is not None:
+                add_edge(env[n.name], off + i)
 
     # Longest-path levels via Kahn's algorithm.  Registers are never edge
     # targets, so they automatically get level 0.
@@ -692,29 +689,31 @@ def _check(p: Prog) -> tuple[WitnessMap, dict[Id, int],
             "W6", f"combinational cycle through ids {stuck}", stuck)
 
     # Width pass, in witness order so every dependency is already sized.
+    walk = [owner[i] for i in sorted(owner, key=lambda j: (witness[j], j))]
     widths: dict[Id, int] = {}
-    for i in sorted(owner, key=lambda j: (witness[j], j)):
-        widths[i] = _node_width(i, owner[i].nodes[i], widths)
-    for prog, _ in progs:
+    for i, n, off in walk:
+        widths[i] = _node_width(i, n, off, widths)
+    for prog, off, _ in progs:
         for i, n in prog.nodes.items():
-            if isinstance(n, Reg) and widths[n.data] != n.init.width:
+            if isinstance(n, Reg) and widths[off + n.data] != n.init.width:
                 raise WellFormednessError(
                     "width",
-                    f"register {i}: data width {widths[n.data]} != init "
-                    f"width {n.init.width}", (i,))
+                    f"register {off + i}: data width {widths[off + n.data]} "
+                    f"!= init width {n.init.width}", (off + i,))
             if isinstance(n, Prim):
                 bw = var_w[id(n.body)]
                 for x, bi in n.binds:
-                    if widths[bi] != bw[x]:
+                    if widths[off + bi] != bw[x]:
                         raise WellFormednessError(
                             "width",
-                            f"prim {i}: bind {x!r} has width {widths[bi]} "
-                            f"but the body expects {bw[x]}", (i,))
-    return witness, widths, progs
+                            f"prim {off + i}: bind {x!r} has width "
+                            f"{widths[off + bi]} but the body expects "
+                            f"{bw[x]}", (off + i,))
+    return witness, widths, progs, walk
 
 
 def node_widths(p: Prog) -> dict[Id, int]:
-    """id -> width for every node in the tree (checks well-formedness)."""
+    """flat id -> width for every node in the tree (checks it)."""
     return _check(p)[1]
 
 
@@ -723,35 +722,33 @@ class Schedule:
     """The cycle-by-cycle walk of a well-formed program tree, shared by the
     concrete and the symbolic interpreter.
 
-    nodes holds every node of the tree (p and all Prim bodies) by id and
-    widths their widths; order lists them by witness level, then id, so
-    each node comes after everything it reads in the same cycle.  A body Var reads the outer id
-    in binds; any other Var reads the input stream of its name.  regs
-    lists the registers, whose values are set before the walk of a cycle.
+    order lists every node of the tree (p and all Prim bodies) as (flat
+    id, node, its program's offset o) by witness level, then flat id, so
+    each node comes after everything it reads in the same cycle: an Op
+    reads o + arg, a Prim o + base + body root, a body Var the flat id
+    in binds, and any other Var the input stream of its name.  widths is
+    by flat id.  regs lists the registers as (flat id, flat id of their
+    data, init); their values are set before the walk of a cycle.
     """
 
-    nodes: dict[Id, Node]
+    order: list[tuple[Id, Node, Id]]
     widths: dict[Id, int]
-    order: list[Id]
     binds: dict[Id, Id]
-    regs: list[tuple[Id, Reg]]
+    regs: list[tuple[Id, Id, BitVec]]
 
 
 def schedule(p: Prog) -> Schedule:
     """Check p's well-formedness and plan its evaluation."""
-    witness, widths, progs = _check(p)
-    nodes: dict[Id, Node] = {}
+    _, widths, progs, order = _check(p)
     binds: dict[Id, Id] = {}
-    for prog, enclosing in progs:
-        nodes.update(prog.nodes)
-        if enclosing is not None:
-            bm = enclosing[1].bind_map()
-            for i, n in prog.nodes.items():
-                if isinstance(n, Var):
-                    binds[i] = bm[n.name]
-    order = sorted(nodes, key=lambda j: (witness[j], j))
-    regs = [(i, n) for i, n in nodes.items() if isinstance(n, Reg)]
-    return Schedule(nodes, widths, order, binds, regs)
+    regs: list[tuple[Id, Id, BitVec]] = []
+    for prog, off, env in progs:
+        for i, n in prog.nodes.items():
+            if isinstance(n, Var) and env is not None:
+                binds[off + i] = env[n.name]
+            elif isinstance(n, Reg):
+                regs.append((off + i, off + n.data, n.init))
+    return Schedule(order, widths, binds, regs)
 
 
 # -- hole substitution ------------------------------------------------------
@@ -788,17 +785,19 @@ def substitute_holes(s: Sketch, assignment: Mapping[str, BV]) -> Prog:
 class ProgBuilder:
     """Monotone id allocator + node table for building programs by hand.
 
-    Ids are unique per builder; fresh() on a child builder continues the
-    parent's counter so Prim bodies stay disjoint (W2).
+    Ids are unique per builder.  A body built on a child builder continues
+    the parent's counter, so it sits at base 0; a shared body on ids
+    0..n-1 sits at base fresh(n), n ids reserved from the counter (W2).
     """
 
     def __init__(self, start: Id = 1, _counter: Optional[list[Id]] = None):
         self._counter = _counter if _counter is not None else [start]
         self.nodes: dict[Id, Node] = {}
 
-    def fresh(self) -> Id:
+    def fresh(self, n: int = 1) -> Id:
+        """The first of n new consecutive ids."""
         i = self._counter[0]
-        self._counter[0] += 1
+        self._counter[0] += n
         return i
 
     def add(self, node: Node) -> Id:
@@ -851,7 +850,7 @@ class ProgBuilder:
 # -- canonical textual serialization ---------------------------------------
 
 
-def _format_node(n: Node) -> str:
+def _format_node(n: Node, off: Id) -> str:
     if isinstance(n, BV):
         return f"(bv {n.b.value} {n.b.width})"
     if isinstance(n, Var):
@@ -860,22 +859,24 @@ def _format_node(n: Node) -> str:
         head = n.op.name
         if n.op.params:
             head += " " + " ".join(str(x) for x in n.op.params)
-        return f"(op {head} {' '.join(str(a) for a in n.args)})".replace("  ", " ")
+        args = " ".join(str(off + a) for a in n.args)
+        return f"(op {head} {args})".replace("  ", " ")
     if isinstance(n, Reg):
-        return f"(reg {n.data} (bv {n.init.value} {n.init.width}))"
+        return f"(reg {off + n.data} (bv {n.init.value} {n.init.width}))"
     if isinstance(n, Hole):
         return f"(hole {n.label} (constant {n.width}))"
     assert isinstance(n, Prim)
-    binds = " ".join(f"({x} {i})" for x, i in sorted(n.binds))
+    binds = " ".join(f"({x} {off + i})" for x, i in sorted(n.binds))
     return (f"(prim {n.meta.module_name} (binds {binds}) "
-            f"(body {dump_sexpr(n.body, indent=None)}))")
+            f"(body {dump_sexpr(n.body, None, off + n.base)}))")
 
 
-def dump_sexpr(p: Prog, indent: Optional[str] = "  ") -> str:
-    """Canonical serialization: ids ascending, byte-stable across runs."""
-    parts = [f"(root {p.root})"]
+def dump_sexpr(p: Prog, indent: Optional[str] = "  ", off: Id = 0) -> str:
+    """Canonical serialization: ids ascending, byte-stable across runs.
+    Each id prints as off + id: a Prim body at its flat ids."""
+    parts = [f"(root {off + p.root})"]
     for i in sorted(p.nodes):
-        parts.append(f"(node {i} {_format_node(p.nodes[i])})")
+        parts.append(f"(node {off + i} {_format_node(p.nodes[i], off)})")
     if indent is None:
         return "(prog " + " ".join(parts) + ")"
     sep = "\n" + indent

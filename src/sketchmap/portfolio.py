@@ -109,21 +109,19 @@ except Exception as e:
 sys.exit(main())
 """
 _BUNDLED = (sys.executable, "-S", "-c", _BOOT)
-_SOLVER_MODULES = ("sat", "aig", "qfbv", "__main__")   # each after its imports
 
 
 @functools.cache
 def _bundled_code() -> bytes:
-    """The first stdin line of a bundled child: the code of the solver's
-    modules, as the import system's loaders give it for the copy of
-    sketchmap this process imported, marshalled for this interpreter
-    (the child is the same one) and written to no file."""
-    codes = []
-    for short in _SOLVER_MODULES:
-        name = f"{__package__}.solver.{short}"
-        code = importlib.util.find_spec(name).loader.get_code(name)
-        codes.append((f"sketchmap.solver.{short}", code))
-    return marshal.dumps(tuple(codes)).hex().encode() + b"\n"
+    """The first stdin line of a bundled child: the code of sat, aig and
+    qfbv this process runs (solver.CODE), then __main__'s from its loader,
+    marshalled for this interpreter (the child is the same one)."""
+    from . import solver
+    main = f"{__package__}.solver.__main__"
+    codes = {**solver.CODE,
+             "__main__": importlib.util.find_spec(main).loader.get_code(main)}
+    return marshal.dumps(tuple((f"sketchmap.solver.{k}", c) for k, c in
+                               codes.items())).hex().encode() + b"\n"
 
 
 def default_portfolio() -> list[SolverConfig]:

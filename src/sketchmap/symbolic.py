@@ -38,10 +38,9 @@ def symbolic_run(p: Prog, upto: int, tb: Optional[TermBuilder] = None
     prev: dict[Id, Term] = {}
     for t in range(upto + 1):
         cur: dict[Id, Term] = {}
-        for i, n in sched.regs:
-            cur[i] = tb.const(n.init) if t == 0 else prev[n.data]
-        for i in sched.order:
-            n = sched.nodes[i]
+        for i, d, init in sched.regs:
+            cur[i] = tb.const(init) if t == 0 else prev[d]
+        for i, n, o in sched.order:
             if isinstance(n, Reg):
                 continue
             if isinstance(n, BV):
@@ -52,9 +51,9 @@ def symbolic_run(p: Prog, upto: int, tb: Optional[TermBuilder] = None
                 else:
                     cur[i] = tb.input(n.name, t, n.width)
             elif isinstance(n, Op):
-                cur[i] = tb.app(n.op, [cur[a] for a in n.args])
+                cur[i] = tb.app(n.op, [cur[o + a] for a in n.args])
             elif isinstance(n, Prim):
-                cur[i] = cur[n.body.root]
+                cur[i] = cur[o + n.base + n.body.root]
             else:
                 assert isinstance(n, Hole)
                 cur[i] = tb.hole(n.label, n.width)

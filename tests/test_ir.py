@@ -326,3 +326,76 @@ def test_dump_sexpr_covers_every_variant():
     text = dump_sexpr(Prog(out, b.nodes))
     for frag in ["(reg", "(hole m (constant 2))", "(prim buf", "extract 1 1"]:
         assert frag in text
+
+
+# -- shared bodies at id offsets ----------------------------------------------
+
+
+def _inverter():
+    """One body for every instance below: x at 0, not x at 1."""
+    return Prog(1, {0: Var("x", 2), 1: Op(Operator("not"), (0,))})
+
+
+def _inv_meta():
+    return EmitMeta("inv", (("x", "i"),), (), "o")
+
+
+def test_prims_sharing_one_body_at_disjoint_bases_are_well_formed():
+    body = _inverter()
+    p = Prog(3, {1: Var("a", 2),
+                 2: Prim((("x", 1),), body, _inv_meta(), base=10),
+                 3: Prim((("x", 2),), body, _inv_meta(), base=20)})
+    w = check_well_formed(p)
+    assert verify_witness(p, w)
+    assert w[3] > w[21] > w[20] > w[2] > w[11] > w[10] > w[1]
+    assert node_widths(p) == {1: 2, 2: 2, 3: 2, 10: 2, 11: 2, 20: 2, 21: 2}
+    text = dump_sexpr(p)
+    assert "(node 11 (op not 10))" in text
+    assert "(node 21 (op not 20))" in text
+    assert "(root 21)" in text
+    out = simulate(p, env_of_ints({"a": ([0, 1, 2, 3], 2)}), 4)
+    assert [v.value for v in out] == [0, 1, 2, 3]
+
+
+def test_overlapping_instance_ranges_are_w2():
+    body = _inverter()
+    p = Prog(3, {1: Var("a", 2),
+                 2: Prim((("x", 1),), body, _inv_meta(), base=10),
+                 3: Prim((("x", 2),), body, _inv_meta(), base=11)})
+    with pytest.raises(WellFormednessError) as e:
+        check_well_formed(p)
+    assert e.value.kind == "W2" and e.value.ids == (11,)
+
+
+def test_instance_range_over_a_top_level_id_is_w2():
+    # body ids 0 and 1 at base 2 stand at 2 and 3, and 3 is the Prim's own
+    p = Prog(3, {1: Var("a", 2),
+                 3: Prim((("x", 1),), _inverter(), _inv_meta(), base=2)})
+    with pytest.raises(WellFormednessError) as e:
+        check_well_formed(p)
+    assert e.value.kind == "W2" and e.value.ids == (3,)
+
+
+def test_nested_bodies_compose_offsets():
+    # the middle body holds the inverter at base 5; the top holds the
+    # middle body at base 100, so the inverter's nodes stand at 105, 106
+    middle = Prog(1, {0: Var("y", 2),
+                      1: Prim((("x", 0),), _inverter(), _inv_meta(), base=5)})
+    meta = EmitMeta("wrap", (("y", "i"),), (), "o")
+    p = Prog(2, {1: Var("a", 2), 2: Prim((("y", 1),), middle, meta, base=100)})
+    assert set(node_widths(p)) == {1, 2, 100, 101, 105, 106}
+    text = dump_sexpr(p)
+    assert "(node 106 (op not 105))" in text
+    assert "(binds (x 100))" in text
+    w = check_well_formed(p)
+    assert verify_witness(p, w)
+    assert w[2] > w[101] > w[106] > w[105] > w[100] > w[1]
+    out = simulate(p, env_of_ints({"a": ([1, 2], 2)}), 2)
+    assert [v.value for v in out] == [2, 1]
+    # the same nesting at base 0 puts the inverter over the middle's ids
+    clash = Prog(1, {0: Var("y", 2),
+                     1: Prim((("x", 0),), _inverter(), _inv_meta())})
+    p = Prog(2, {1: Var("a", 2), 2: Prim((("y", 1),), clash, meta, base=100)})
+    with pytest.raises(WellFormednessError) as e:
+        check_well_formed(p)
+    assert e.value.kind == "W2" and e.value.ids == (100,)

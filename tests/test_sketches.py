@@ -1,9 +1,11 @@
 """Tests for the sketch templates and their per-fabric specialization."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from sketchmap import arch
 from sketchmap.arch import (NoImplementation, load_arch, packaged_arch_path,
                             parse_arch)
 from sketchmap.cegis import Success, synthesize
@@ -11,7 +13,12 @@ from sketchmap.interp import env_of_ints, interp, simulate
 from sketchmap.ir import (BV, ArityError, BitVec, Prim,
                           ProgBuilder, check_well_formed, free_vars,
                           substitute_holes)
-from sketchmap.sketches import generate_sketch, list_templates
+from sketchmap.emit import to_json_netlist, to_structural_verilog
+from sketchmap.ir import dump_sexpr, schedule
+from sketchmap.portfolio import SolverSession
+from sketchmap.sketches import document_params, generate_sketch, list_templates
+from sketchmap.specdsl import parse_document
+from util_progs import copying_assemble_prim
 
 
 def _sofa():
@@ -355,3 +362,90 @@ def _pipelined_mul_add(w, stages):
     for _ in range(stages):
         root = b.reg(root, BitVec.of(0, w))
     return b.prog(root)
+
+
+# -- shared primitive bodies --------------------------------------------------
+
+# one small design per packaged architecture, solved to compare netlists
+_ORACLE_DESIGNS = {
+    "sofa.yml": ("bitwise", "(spec (inputs (a 2) (b 2)) (xor a b))"),
+    "generic-lut-carry.yml": ("bitwise-with-carry",
+                              "(spec (inputs (a 2) (b 2)) (add a b))"),
+    "minidsp.yml": ("dsp", "(spec (inputs (a 4) (b 4)) (mul a b))"),
+}
+
+
+def _both_ways(desc, template, params, monkeypatch):
+    """The sketch with shared bodies, and the same sketch built with a
+    relabelled copy of the body per instance."""
+    shared = generate_sketch(template, desc, params)
+    with monkeypatch.context() as m:
+        m.setattr(arch, "_assemble_prim", copying_assemble_prim)
+        copied = generate_sketch(template, desc, params)
+    return shared, copied
+
+
+@pytest.mark.parametrize("arch_file", sorted(_ORACLE_DESIGNS))
+def test_shared_bodies_read_as_relabelled_copies(arch_file, monkeypatch):
+    desc = load_arch(packaged_arch_path(arch_file))
+    built = 0
+    for info in list_templates():
+        for w in (2, 5, 8):
+            try:
+                shared, copied = _both_ways(desc, info.name, {"width": w},
+                                            monkeypatch)
+            except (NoImplementation, ArityError):
+                continue
+            built += 1
+            assert dump_sexpr(shared.psi) == dump_sexpr(copied.psi)
+            assert list(map(dump_sexpr, shared.side_constraints)) == \
+                list(map(dump_sexpr, copied.side_constraints))
+            s, c = schedule(shared.psi), schedule(copied.psi)
+            assert [i for i, _, _ in s.order] == [i for i, _, _ in c.order]
+            assert (s.widths, s.binds, s.regs) == (c.widths, c.binds, c.regs)
+    assert built >= 3
+
+    template, text = _ORACLE_DESIGNS[arch_file]
+    doc = parse_document(text)
+    (w,) = {w for _, w in doc.inputs}
+    shared, copied = _both_ways(desc, template,
+                                document_params(template, doc, w),
+                                monkeypatch)
+    with SolverSession() as session:
+        res = synthesize(doc.prog, shared, t=doc.pipeline, session=session)
+    assert isinstance(res, Success)
+    other = substitute_holes(copied, {k: BV(v) for k, v in res.model.items()})
+    assert dump_sexpr(res.program) == dump_sexpr(other)
+    assert to_structural_verilog(res.program, "top") == \
+        to_structural_verilog(other, "top")
+    assert to_json_netlist(res.program, "top") == to_json_netlist(other, "top")
+
+
+def test_instances_share_the_cached_body():
+    desc = _glc()
+    first = generate_sketch("bitwise-with-carry", desc, {"width": 4})
+    by_module = {}
+    for n in first.psi.nodes.values():
+        if isinstance(n, Prim):
+            by_module.setdefault(n.meta.module_name, []).append(n)
+    assert {m: len(ps) for m, ps in by_module.items()} == \
+        {"lut4": 8, "carry4": 1}
+    for module, prims in by_module.items():
+        cached = arch._load_model(desc.find_module(module), desc)[0]
+        assert all(p.body is cached for p in prims)
+    assert len({p.base for ps in by_module.values() for p in ps}) == 9
+
+    # a second build of the same sketch allocates its own top-level
+    # nodes but not one body node
+    tracemalloc.start()
+    try:
+        second = generate_sketch("bitwise-with-carry", desc, {"width": 4})
+        traced = lambda x: tracemalloc.get_object_traceback(x) is not None
+        top = sum(map(traced, second.psi.nodes.values()))
+        body = sum(traced(x) for n in second.psi.nodes.values()
+                   if isinstance(n, Prim)
+                   for x in (n.body, n.body.nodes, *n.body.nodes.values()))
+    finally:
+        tracemalloc.stop()
+    assert top > 0
+    assert body == 0

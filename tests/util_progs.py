@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 from sketchmap.ir import (
-    BV, OPS, BitVec, Id, Node, Op, Operator, Prim, Prog, Reg, Var, inputs,
+    BV, OPS, BitVec, Hole, Id, Node, Op, Operator, Prim, Prog, ProgBuilder,
+    Reg, SketchmapError, Var,
 )
+from sketchmap.primitives import packed_ranges
 
 _BIN_OPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr"]
 _CMP_OPS = ["eq", "ult", "ule", "slt", "sle"]
@@ -103,33 +105,47 @@ def random_unchecked(rng: random.Random, max_nodes: int = 6,
     return Prog(root, nodes)
 
 
+def _flat_nodes(p: Prog) -> list[tuple[Id, Node, Id]]:
+    """Every node of p's tree as (flat id, node, its program's offset),
+    each Prim body read at its offset."""
+    items = []
+    stack = [(p, 0)]
+    while stack:
+        q, off = stack.pop()
+        for i, nd in q.nodes.items():
+            items.append((off + i, nd, off))
+            if isinstance(nd, Prim):
+                stack.append((nd.body, off + nd.base))
+    return items
+
+
+def _edges(items: list[tuple[Id, Node, Id]]) -> list[tuple[Id, Id]]:
+    """Constraint edges src < dst over flat ids, mirroring the checker:
+    an Op after its args, a Prim after its body root, a body Var after
+    the node it binds."""
+    edges: list[tuple[Id, Id]] = []
+    for i, nd, off in items:
+        if isinstance(nd, Op):
+            edges.extend((off + a, i) for a in nd.args)
+        elif isinstance(nd, Prim):
+            inner = off + nd.base
+            edges.append((inner + nd.body.root, i))
+            bm = nd.bind_map()
+            for bi, bn in nd.body.nodes.items():
+                if isinstance(bn, Var):
+                    edges.append((off + bm[bn.name], inner + bi))
+    return edges
+
+
 def witness_exists_bruteforce(p: Prog) -> bool:
     """Search all level assignments 0..n-1 for one satisfying the witness
     conditions.  Only checks the ordering rules (W6); assumes the
     structural rules W1-W5 already passed.  Exponential; keep p tiny."""
-    items = []  # (prog, id, node) with prim bodies flattened
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        for i, nd in q.nodes.items():
-            items.append((q, i, nd))
-            if isinstance(nd, Prim):
-                stack.append(nd.body)
-    ids = [i for _, i, _ in items]
+    items = _flat_nodes(p)
+    ids = [i for i, _, _ in items]
     n = len(ids)
-    node_of = {i: nd for _, i, nd in items}
-
-    # Constraint edges src < dst, mirroring the checker.
-    edges: list[tuple[Id, Id]] = []
-    for q, i, nd in items:
-        if isinstance(nd, Op):
-            edges.extend((a, i) for a in nd.args)
-        elif isinstance(nd, Prim):
-            edges.append((nd.body.root, i))
-            bm = nd.bind_map()
-            for bi, bn in nd.body.nodes.items():
-                if isinstance(bn, Var):
-                    edges.append((bm[bn.name], bi))
+    node_of = {i: nd for i, nd, _ in items}
+    edges = _edges(items)
 
     assign: dict[Id, int] = {}
 
@@ -158,29 +174,61 @@ def witness_exists_bruteforce(p: Prog) -> bool:
 
 def verify_witness(p: Prog, w: dict[Id, int]) -> bool:
     """Check the four witness conditions directly on p and every Prim body
-    in it: each id has a level of 0 or more, a Reg's is 0, an Op's is
-    above its args', and a Prim's is above its body root's, each body Var
-    being above the node it binds."""
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        for i, n in q.nodes.items():
-            if i not in w or w[i] < 0:
-                return False
-            if isinstance(n, Reg):
-                if w[i] != 0:
-                    return False
-            elif isinstance(n, Prim):
-                if not w[i] > w[n.body.root]:
-                    return False
-                bm = n.bind_map()
-                for bi, bn in n.body.nodes.items():
-                    if isinstance(bn, Var) and not w[bi] > w[bm[bn.name]]:
-                        return False
-                stack.append(n.body)
-            elif not all(w[i] > w[a] for a in inputs(n)):
-                return False
-    return True
+    in it, by flat id: each id has a level of 0 or more, a Reg's is 0, an
+    Op's is above its args', and a Prim's is above its body root's, each
+    body Var being above the node it binds."""
+    items = _flat_nodes(p)
+    if any(i not in w or w[i] < 0 for i, _, _ in items):
+        return False
+    if any(isinstance(nd, Reg) and w[i] != 0 for i, nd, _ in items):
+        return False
+    return all(w[d] > w[s] for s, d in _edges(items))
+
+
+# -- the per-instance copy that shared bodies replaced ------------------------
+
+
+def relabel(prog: Prog, nb: ProgBuilder) -> Prog:
+    """Copy a program onto fresh node ids from nb's shared counter: how
+    each primitive instance got its own copy of the model's body before
+    instances shared it.  A test oracle only."""
+    mapping: dict[Id, Id] = {}
+    child = nb.child()
+    for i in prog.nodes:
+        mapping[i] = child.fresh()
+
+    def remap_node(n):
+        if isinstance(n, (BV, Var)):
+            return n
+        if isinstance(n, Op):
+            return Op(n.op, tuple(mapping[a] for a in n.args))
+        if isinstance(n, Reg):
+            return Reg(mapping[n.data], n.init)
+        if isinstance(n, Prim):
+            return Prim(tuple((k, mapping[v]) for k, v in n.binds),
+                        relabel(n.body, nb), n.meta)
+        if isinstance(n, Hole):
+            return n
+        raise SketchmapError(f"cannot relabel {type(n).__name__}")
+
+    nodes = {mapping[i]: remap_node(n) for i, n in prog.nodes.items()}
+    return Prog(mapping[prog.root], nodes)
+
+
+def copying_assemble_prim(impl, b: ProgBuilder, model, port_values,
+                          internal_ids):
+    """arch._assemble_prim as it was when every instance held a relabelled
+    copy of the model's body at base 0; patch it over arch._assemble_prim
+    to build a sketch the old way."""
+    semantics, _, packed, meta = model
+    binds = [(k, port_values[k]) for k, _ in meta.port_bindings
+             if k != "clk"]
+    binds += [(nm, internal_ids[nm]) for nm, _ in impl.internal_data]
+    prim = b.add(Prim(tuple(binds), relabel(semantics, b), meta))
+    if len(packed) == 1:
+        return prim, {packed[0][0]: prim}
+    return prim, {o: b.extract(hi, lo, prim)
+                  for o, (hi, lo) in packed_ranges(packed).items()}
 
 
 def record_calls(monkeypatch, module, name: str) -> list[tuple]:
