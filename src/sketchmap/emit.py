@@ -23,8 +23,8 @@ import re
 from typing import Union
 
 from .arch import ArchDescription, instantiate_from_ports
-from .ir import (WIRING_OPS, BV, BitVec, Hole, Id, Op, Prim, Prog, Reg,
-                 SketchmapError, Var, check_well_formed, node_widths,
+from .ir import (BV, BitVec, Hole, Id, Op, Prim, Prog, SketchmapError, Var,
+                 check_well_formed, node_widths, structural_violations,
                  var_widths)
 from .primitives import packed_ranges
 
@@ -56,18 +56,15 @@ _Atom = Union[str, tuple]
 
 
 def _check_structural(p: Prog) -> dict[Id, int]:
-    """p's node widths, once p is checked well-formed and structural."""
+    """p's node widths, once p is checked well-formed, structural
+    (ir.structural_violations) and free of holes."""
     widths = node_widths(p)
-    for i in sorted(p.nodes):
-        n = p.nodes[i]
-        if isinstance(n, Reg):
-            raise NotStructural(i, "a register outside any primitive")
+    bad = structural_violations(p)
+    if bad:
+        raise NotStructural(*bad[0])
+    for i, n in p.nodes.items():
         if isinstance(n, Hole):
             raise NotStructural(i, f"unfilled hole {n.label!r}")
-        if isinstance(n, Op) and n.op.name not in WIRING_OPS:
-            raise NotStructural(
-                i, f"operator {n.op.name!r} (only wiring survives to "
-                "netlists)")
     return widths
 
 

@@ -25,10 +25,11 @@ body through its offset instead of copying it.
 Well-formedness is checked over the whole tree at once, and produces a
 witness map assigning every flat id (Prim bodies included) a level such
 that every combinational dependency strictly decreases.  The
-witness doubles as the evaluation schedule for both the concrete and the
-symbolic interpreters.  Each stage that makes or reads a program checks
-it once: the spec, BTOR2 and JSON readers, the primitive models, both
-interpreters and the emitters.  Hole substitution keeps a well-formed
+witness doubles as the evaluation schedule (schedule), which
+interp.plan_program reduces to one cycle's steps for both the compiled
+simulator and the symbolic unroller.  Each stage that makes or reads a
+program checks it once: the spec, BTOR2 and JSON readers, the primitive
+models, the planner and the emitters.  Hole substitution keeps a well-formed
 program well-formed, so it checks nothing.
 """
 
@@ -541,8 +542,9 @@ def is_behavioral(p: Prog) -> bool:
     return not any(isinstance(n, (Prim, Hole)) for n in p.nodes.values())
 
 
-def structural_violations(p: Prog) -> list[str]:
-    """Why p is not a structural program ([] when it is one).
+def structural_violations(p: Prog) -> list[tuple[Id, str]]:
+    """Why p is not a structural program, as (node id, reason) in node
+    order ([] when it is one).
 
     Structural programs have no Reg at the top level, only wiring Ops, and
     every Prim body is behavioral.  Holes are allowed (sketches are
@@ -551,11 +553,11 @@ def structural_violations(p: Prog) -> list[str]:
     bad = []
     for i, n in p.nodes.items():
         if isinstance(n, Reg):
-            bad.append(f"node {i}: Reg not allowed at top level")
+            bad.append((i, "Reg not allowed at top level"))
         elif isinstance(n, Op) and n.op.name not in WIRING_OPS:
-            bad.append(f"node {i}: operator {n.op.name} is not wiring")
+            bad.append((i, f"operator {n.op.name} is not wiring"))
         elif isinstance(n, Prim) and not is_behavioral(n.body):
-            bad.append(f"node {i}: Prim body is not behavioral")
+            bad.append((i, "Prim body is not behavioral"))
     return bad
 
 
@@ -719,8 +721,8 @@ def node_widths(p: Prog) -> dict[Id, int]:
 
 @dataclass
 class Schedule:
-    """The cycle-by-cycle walk of a well-formed program tree, shared by the
-    concrete and the symbolic interpreter.
+    """The cycle-by-cycle walk of a well-formed program tree, which
+    interp.plan_program reads.
 
     order lists every node of the tree (p and all Prim bodies) as (flat
     id, node, its program's offset o) by witness level, then flat id, so

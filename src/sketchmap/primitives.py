@@ -29,8 +29,7 @@ from .ir import (
 )
 
 __all__ = [
-    "PrimitiveInterface", "PrimitiveModel", "interface_of", "output_slice",
-    "packed_ranges",
+    "PrimitiveInterface", "PrimitiveModel", "packed_ranges",
     "lut_model", "carry_model", "mux_model", "minidsp_model",
     "builtin_model",
 ]
@@ -120,10 +119,6 @@ class PrimitiveModel:
         return {n: (d, w) for n, d, w in self.ports}
 
 
-def interface_of(model: PrimitiveModel) -> PrimitiveInterface:
-    return model.interface
-
-
 def packed_ranges(outputs: tuple[tuple[str, int], ...]
                   ) -> dict[str, tuple[int, int]]:
     """name -> (hi, lo) bit range of each output in the packed root, for
@@ -135,14 +130,6 @@ def packed_ranges(outputs: tuple[tuple[str, int], ...]
         ranges[n] = (lo + w - 1, lo)
         lo += w
     return ranges
-
-
-def output_slice(model: PrimitiveModel, name: str) -> tuple[int, int]:
-    """(hi, lo) bit range of an output in the packed semantics root."""
-    ranges = packed_ranges(model.outputs)
-    if name not in ranges:
-        raise DomainError(f"model {model.name} has no output {name!r}")
-    return ranges[name]
 
 
 def _lut_read(b: ProgBuilder, mem, index_bits, mem_width: int):

@@ -681,10 +681,3 @@ class Script:
                     f"get-value of unknown term {_brief(name)}")
             parts.append(f"({name} {self._value_bits(self.env[name])})")
         self.output.append("(" + " ".join(parts) + ")")
-
-
-def run_script(text: str) -> str:
-    s = Script()
-    for cmd in parse_all(text):
-        s.run_command(cmd)
-    return "\n".join(s.output) + ("\n" if s.output else "")

@@ -7,7 +7,7 @@ a single expression over the inputs:
           (pipeline 2)
           (and (mul (add a b) c) d))
 
-``parse_spec`` lowers this to a behavioral program: every declared input
+``parse_document`` lowers this to a behavioral program: every declared input
 becomes a variable, the expression is built bottom-up with width checking,
 and ``pipeline`` registers (all initialized to 0) are wrapped around the
 root, so the program computes the expression ``pipeline`` cycles after its
@@ -52,7 +52,6 @@ __all__ = [
     "SpecDocument",
     "lower",
     "parse_document",
-    "parse_spec",
 ]
 
 
@@ -225,7 +224,3 @@ def parse_document(text: str, pipeline_override: int | None = None
     check_well_formed(prog)
     return SpecDocument(tuple(inputs), pipeline, prog)
 
-
-def parse_spec(text: str) -> Prog:
-    """Parse a document and return just its behavioral program."""
-    return parse_document(text).prog

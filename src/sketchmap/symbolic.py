@@ -1,9 +1,12 @@
 """Symbolic interpretation and equivalence-query construction.
 
 symbolic_run unrolls a program over cycles 0..T, producing one Term per
-cycle for the root.  Registers turn into references to the previous
-cycle's data term (init constant at cycle 0), so the result is a pure
-combinational term over input symbols (name, cycle) and hole symbols.
+cycle for the root, by running the compiled simulator's plan
+(interp.plan_program) over terms.  Registers turn into references to the
+previous cycle's data term (init constant at cycle 0), so the result is
+a pure combinational term over input symbols (name, cycle) and hole
+symbols.  Every fold the plan made is one TermBuilder.app would make
+too, as both go through ir.fold.
 
 build_query lines up a behavioral spec against a sketch over a shared
 TermBuilder: both sides see the same input symbols, so structurally
@@ -16,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .interp import Operand, plan_program
 from .ir import (
-    BV, Hole, Id, Op, Operator, Prim, Prog, Reg, Sketch, SketchmapError,
-    Var, WidthError, is_behavioral, schedule, structural_violations,
-    var_widths,
+    BitVec, Hole, Operator, Prog, Sketch, SketchmapError, WidthError,
+    is_behavioral, structural_violations, var_widths,
 )
 from .terms import Term, TermBuilder, term_leaves
 
@@ -30,35 +33,29 @@ class FreeVarMismatch(SketchmapError):
 
 def symbolic_run(p: Prog, upto: int, tb: Optional[TermBuilder] = None
                  ) -> list[Term]:
-    """Terms for the root at cycles 0..upto (well-formedness checked)."""
+    """Terms for the root at cycles 0..upto: p's plan
+    (interp.plan_program, which checks p) run over tb, each Op one
+    tb.app."""
     if tb is None:
         tb = TermBuilder()
-    sched = schedule(p)
+    plan = plan_program(p)
+
+    def term(x: Operand, w: int) -> Term:
+        return cur[x] if type(x) is str else tb.const(BitVec(w, x))
+
+    holes = {f"h{k}": tb.hole(label, w)
+             for k, (label, w) in enumerate(plan.holes)}
+    regs = {r: tb.const(init) for r, _, init in plan.regs}
     roots: list[Term] = []
-    prev: dict[Id, Term] = {}
     for t in range(upto + 1):
-        cur: dict[Id, Term] = {}
-        for i, d, init in sched.regs:
-            cur[i] = tb.const(init) if t == 0 else prev[d]
-        for i, n, o in sched.order:
-            if isinstance(n, Reg):
-                continue
-            if isinstance(n, BV):
-                cur[i] = tb.const(n.b)
-            elif isinstance(n, Var):
-                if i in sched.binds:
-                    cur[i] = cur[sched.binds[i]]
-                else:
-                    cur[i] = tb.input(n.name, t, n.width)
-            elif isinstance(n, Op):
-                cur[i] = tb.app(n.op, [cur[o + a] for a in n.args])
-            elif isinstance(n, Prim):
-                cur[i] = cur[o + n.base + n.body.root]
-            else:
-                assert isinstance(n, Hole)
-                cur[i] = tb.hole(n.label, n.width)
-        roots.append(cur[p.root])
-        prev = cur
+        cur = {f"x{k}": tb.input(name, t, w)
+               for k, (name, w) in enumerate(plan.inputs)}
+        cur.update(holes)
+        cur.update(regs)
+        for r, op, aw, args in plan.ops:
+            cur[r] = tb.app(op, [term(a, w) for a, w in zip(args, aw)])
+        roots.append(term(plan.root, plan.width))
+        regs = {r: term(d, init.width) for r, d, init in plan.regs}
     return roots
 
 
@@ -93,7 +90,8 @@ def build_query(spec: Prog, sketch: Sketch, t: int, c: int
                              "primitives, no holes)")
     bad = structural_violations(sketch.psi)
     if bad:
-        raise SketchmapError("sketch is not structural: " + "; ".join(bad))
+        raise SketchmapError("sketch is not structural: " + "; ".join(
+            f"node {i}: {why}" for i, why in bad))
     holes = sketch.holes    # WidthError if a label has two widths
     sw = var_widths(spec)
     kw = var_widths(sketch.psi)

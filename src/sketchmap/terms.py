@@ -25,8 +25,9 @@ so the rewrites that look inside one or build a new term stay here:
 The agreement of all this with the concrete interpreter is pinned by a
 randomized test over full programs.
 
-postorder is the one walk over terms: substitution, evaluation, leaf
-collection and SMT-LIB emission are loops over it.  It keeps its own
+postorder is the one walk over terms: substitution, leaf collection and
+SMT-LIB emission are loops over it, and so is the tests' concrete
+evaluation.  It keeps its own
 stack and skips every term the caller has already handled, so a deep
 term costs no Python frames and a shared subterm is visited once.
 """
@@ -257,30 +258,3 @@ def term_leaves(*roots: Term) -> tuple[set[Term], set[Term]]:
             elif x.kind == "hole":
                 holes.add(x)
     return ins, holes
-
-
-def eval_term(t: Term, inputs: dict[tuple[str, int], BitVec],
-              holes: dict[str, BitVec],
-              memo: Optional[dict] = None) -> BitVec:
-    """Concrete evaluation; the reference the solver path is tested
-    against.  Every term under t is evaluated, both branches of a mux
-    included, so every leaf under t needs a binding."""
-    if memo is None:
-        memo = {}
-    for x in postorder(t, memo):
-        if x.kind == "const":
-            v = x.value
-        elif x.kind == "input":
-            v = inputs[(x.name, x.time)]
-            if v.width != x.width:
-                raise WidthError(f"input {x.name!r} width mismatch")
-        elif x.kind == "hole":
-            v = holes[x.label]
-            if v.width != x.width:
-                raise WidthError(f"hole {x.label!r} width mismatch")
-        else:
-            args = [memo[id(a)] for a in x.args]
-            v = BitVec(x.width, fold(x.op, [a.width for a in args],
-                                     [a.value for a in args]))
-        memo[id(x)] = v
-    return memo[id(t)]

@@ -15,8 +15,7 @@ from sketchmap.arch import load_arch, packaged_arch_path, parse_arch
 from sketchmap.bench import run_corpus, write_corpus
 from sketchmap.btor2 import MissingInit, load_btor2, parse_btor2, to_prog
 from sketchmap.cegis import Success, Unsat, synthesize
-from sketchmap.interp import (Stream, compile_program, env_of_ints,
-                              interp, simulate)
+from sketchmap.interp import compile_program
 from sketchmap.ir import (BV, BitVec, Prim, ProgBuilder, Sketch,
                           WellFormednessError, check_well_formed, free_vars,
                           substitute_holes, var_widths)
@@ -25,11 +24,12 @@ from sketchmap.portfolio import (SolverConfig, SolverSession,
 from sketchmap.sketches import generate_sketch
 from sketchmap.specdsl import parse_document
 from sketchmap.symbolic import symbolic_run
-from sketchmap.terms import eval_term
 
 from test_emit import _prim_types, _random_structural
+from util_interp import Stream, env_of_ints, interp, simulate
 from util_progs import (random_behavioral, random_unchecked, verify_witness,
                         witness_exists_bruteforce)
+from util_terms import eval_term
 
 _ARCH = {}
 

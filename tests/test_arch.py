@@ -12,7 +12,6 @@ from sketchmap.arch import (
     parse_arch, parse_value_expr,
 )
 from sketchmap.cegis import Success, Unsat, synthesize
-from sketchmap.interp import Stream, interp
 from sketchmap.ir import (
     BV, BitVec, Hole, Operator, Prim, ProgBuilder, Sketch, Var,
     WidthError, check_well_formed, dump_sexpr, substitute_holes,
@@ -21,7 +20,9 @@ from sketchmap.primitives import (
     carry_interface, dsp_interface, lut_interface, mux_interface,
 )
 from sketchmap.sketches import generate_sketch
-from sketchmap.specdsl import ParseError, parse_spec
+from sketchmap.specdsl import ParseError
+from util_interp import Stream, interp
+from util_progs import parse_spec
 
 
 def _bv(v, w):

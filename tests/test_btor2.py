@@ -8,9 +8,9 @@ from sketchmap.btor2 import (
     MissingInit, MultipleOutputs, ParseError, Unsupported, load_btor2,
     parse_btor2, to_prog,
 )
-from sketchmap.interp import Stream, interp, simulate
 from sketchmap.ir import BitVec, Op, Reg, check_well_formed, free_vars
 from sketchmap.primitives import lut_model
+from util_interp import Stream, interp, simulate
 
 AND_MODEL = """\
 1 sort bitvec 1

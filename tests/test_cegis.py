@@ -15,9 +15,7 @@ from sketchmap.arch import load_arch, packaged_arch_path
 from sketchmap.bench import _document_text, corpus_benchmarks
 from sketchmap.cegis import Success, Timeout, Unsat, cegis, synthesize
 from sketchmap.emit import to_json_netlist, to_structural_verilog
-from sketchmap.interp import (
-    Compiled, compile_program, env_of_ints, interp, simulate,
-)
+from sketchmap.interp import Compiled, compile_program
 from sketchmap.ir import (
     BV, BitVec, EmitMeta, Hole, Prim,
     ProgBuilder, Sketch, substitute_holes,
@@ -26,6 +24,7 @@ from sketchmap.portfolio import SolverConfig, SolverSession
 from sketchmap.sketches import document_params, generate_sketch
 from sketchmap.specdsl import parse_document
 from sketchmap.symbolic import build_query
+from util_interp import env_of_ints, interp
 from util_progs import record_calls
 
 WEDGED = SolverConfig(
@@ -209,9 +208,10 @@ def test_revalidate_compiles_once_and_simulates_every_counterexample(
     from sketchmap import interp
     from sketchmap.portfolio import SolverError
     calls = record_calls(monkeypatch, cegis_module, "simulate")
-    scheduled = record_calls(monkeypatch, interp, "schedule")
     checked = record_calls(monkeypatch, cegis_module, "_first_disagreement")
     q = build_query(_reg_spec(5), _reg_sketch(5), 0, 1)
+    # build_query plans both sides too; count from here
+    scheduled = record_calls(monkeypatch, interp, "schedule")
     good = _reg_sketch(5).psi
     cexs = [{("a", 0): _bv(v, 4), ("a", 1): _bv(v + 1, 4)}
             for v in (0, 3, 9)] + [{}]
@@ -228,9 +228,9 @@ def test_revalidate_compiles_once_and_simulates_every_counterexample(
     # in the loop: the spec and the sketch are compiled once per call,
     # whatever the iteration count, and the accepted candidate's bound
     # form revalidates every counterexample
-    scheduled.clear()
     checked.clear()
     q = build_query(_bool_spec("xor"), _lut2_sketch(), 0, 0)
+    scheduled.clear()
     res = cegis(q)
     assert isinstance(res, Success) and res.iterations > 1
     assert [a[0] for a in scheduled] == [q.spec_prog, q.sketch.psi]

@@ -10,9 +10,9 @@ from sketchmap.arch import (HoleNamer, instantiate, load_arch,
 from sketchmap.emit import (JsonSchemaError, NotStructural,
                             from_json_netlist, to_json_netlist,
                             to_structural_verilog)
-from sketchmap.interp import env_of_ints, interp, simulate
 from sketchmap.ir import BitVec, Prim, ProgBuilder
 from sketchmap.primitives import carry_interface, lut_interface
+from util_interp import env_of_ints, interp, simulate
 
 
 def _sofa():

@@ -10,10 +10,7 @@ from sketchmap import interp as interp_module
 from sketchmap.arch import load_arch, packaged_arch_path
 from sketchmap.bench import _document_text, corpus_benchmarks
 from sketchmap.cegis import Success, synthesize
-from sketchmap.interp import (
-    HorizonExceeded, compile_program, env_of_ints, eval_op, interp,
-    interp_naive, simulate, stream_of_ints, trace_lines,
-)
+from sketchmap.interp import HorizonExceeded, compile_program
 from sketchmap.ir import (
     BV, BitVec, DomainError, EmitMeta, Hole, MissingAssignment, Op, Operator,
     Prim, Prog, ProgBuilder, Reg, Sketch, SketchmapError, Var, free_vars,
@@ -22,6 +19,10 @@ from sketchmap.ir import (
 from sketchmap.portfolio import SolverSession
 from sketchmap.sketches import document_params, generate_sketch
 from sketchmap.specdsl import parse_document
+from util_interp import (
+    env_of_ints, eval_op, interp, interp_naive, simulate, stream_of_ints,
+    trace_lines,
+)
 from util_progs import random_behavioral, record_calls
 
 

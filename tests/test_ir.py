@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from sketchmap.interp import env_of_ints, simulate
 from sketchmap.ir import (
     BV, BitVec, DomainError, EmitMeta, Hole,
     MissingAssignment, Op, Operator, Prim, Prog, ProgBuilder,
@@ -13,6 +12,7 @@ from sketchmap.ir import (
     op_result_width, structural_violations,
     substitute_holes,
 )
+from util_interp import env_of_ints, simulate
 from util_progs import (random_behavioral, random_unchecked, verify_witness,
                         witness_exists_bruteforce)
 

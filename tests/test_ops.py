@@ -10,14 +10,15 @@ import random
 
 import pytest
 
-from sketchmap.interp import eval_op
 from sketchmap.ir import (
     OPS, ArityError, BitVec, Operator, WidthError, op_result_width,
 )
 from sketchmap.ir import fold as ir_fold
 from sketchmap.smtlib import emit_smtlib, parse_solver_output
-from sketchmap.solver.qfbv import run_script
-from sketchmap.terms import TermBuilder, eval_term
+from sketchmap.terms import TermBuilder
+from util_interp import eval_op
+from util_solver import run_script
+from util_terms import eval_term
 
 SAMPLES = 20
 

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from sketchmap.interp import Stream, interp, simulate
 from sketchmap.ir import BitVec, DomainError, check_well_formed, free_vars
 from sketchmap.primitives import (
-    PrimitiveModel, builtin_model, carry_model, interface_of, lut_model,
-    minidsp_model, mux_model, output_slice,
+    PrimitiveModel, builtin_model, carry_model, lut_model, minidsp_model,
+    mux_model,
 )
+from util_interp import Stream, interp, simulate
+from util_progs import interface_of, output_slice
 
 
 def _bv(v, w):

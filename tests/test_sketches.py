@@ -9,7 +9,6 @@ from sketchmap import arch
 from sketchmap.arch import (NoImplementation, load_arch, packaged_arch_path,
                             parse_arch)
 from sketchmap.cegis import Success, synthesize
-from sketchmap.interp import env_of_ints, interp, simulate
 from sketchmap.ir import (BV, ArityError, BitVec, Prim,
                           ProgBuilder, check_well_formed, free_vars,
                           substitute_holes)
@@ -18,6 +17,7 @@ from sketchmap.ir import dump_sexpr, schedule
 from sketchmap.portfolio import SolverSession
 from sketchmap.sketches import document_params, generate_sketch, list_templates
 from sketchmap.specdsl import parse_document
+from util_interp import env_of_ints, interp, simulate
 from util_progs import copying_assemble_prim
 
 

@@ -152,7 +152,7 @@ class TestOutputParsing:
         assert model == {"p": BitVec(1, 1), "q": BitVec(1, 0)}
 
     def test_roundtrip_through_builtin_solver(self):
-        from sketchmap.solver.qfbv import run_script
+        from util_solver import run_script
         tb, a, b, eq = _simple_assert()
         text, names = emit_smtlib([eq], [], [a, b])
         status, model = parse_solver_output(run_script(text))

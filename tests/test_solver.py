@@ -16,8 +16,9 @@ from sketchmap import portfolio
 from sketchmap.solver import aig as aig_module
 from sketchmap.solver.aig import AIG, FALSE, TRUE
 from sketchmap.solver.qfbv import (HEADS, MAX_WIDTH, Reader, Script,
-                                   SolverInputError, parse_all, run_script)
+                                   SolverInputError, parse_all)
 from sketchmap.solver.sat import SatSolver
+from util_solver import run_script
 
 
 def _lit(v, pos=True):

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from sketchmap.interp import env_of_ints, interp, simulate
 from sketchmap.ir import Reg, WidthError, free_vars, node_widths
-from sketchmap.specdsl import ParseError, parse_document, parse_spec
+from sketchmap.specdsl import ParseError, parse_document
+from util_interp import env_of_ints, interp, simulate
+from util_progs import parse_spec
 
 ADD_MUL_AND = """
 (spec (inputs (a 16) (b 16) (c 16) (d 16))

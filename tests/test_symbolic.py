@@ -4,14 +4,17 @@ import random
 
 import pytest
 
-from sketchmap.interp import Stream, simulate
+from sketchmap.arch import NoImplementation, load_arch, packaged_arch_path
 from sketchmap.ir import (
-    BV, BitVec, Operator, Prog, ProgBuilder, Sketch, SketchmapError, Var,
-    WidthError,
+    BV, ArityError, BitVec, EmitMeta, Operator, Prim, Prog, ProgBuilder, Reg,
+    Sketch, SketchmapError, Var, WidthError,
 )
+from sketchmap.sketches import generate_sketch, list_templates
 from sketchmap.symbolic import FreeVarMismatch, build_query, symbolic_run
-from sketchmap.terms import TermBuilder, eval_term, term_leaves
-from util_progs import random_behavioral
+from sketchmap.terms import TermBuilder, term_leaves
+from util_interp import Stream, simulate
+from util_progs import random_behavioral, walk_symbolic_run
+from util_terms import eval_term
 
 
 def _bv(v, w):
@@ -338,3 +341,72 @@ class TestBuildQuery:
         q = build_query(spec, sk, 0, 2)
         assert all(t.kind == "const" and t.value.value == 1
                    for t in q.equal_terms)
+
+
+def _assert_same_roots(p: Prog, upto: int, tb=None) -> None:
+    """symbolic_run and the walk it replaced give the very same root term
+    at every cycle under one builder (tb, or a new one)."""
+    tb = tb or TermBuilder()
+    got = symbolic_run(p, upto, tb)
+    want = walk_symbolic_run(p, upto, tb)
+    assert len(got) == len(want) == upto + 1
+    for t, (g, w) in enumerate(zip(got, want)):
+        assert g is w, f"cycle {t}: {g!r} is not {w!r}"
+
+
+class TestPlanAgainstWalk:
+    @pytest.mark.parametrize("allow_reg", [False, True])
+    def test_random_programs(self, allow_reg):
+        rng = random.Random(41 + allow_reg)
+        with_regs = 0
+        for _ in range(300):
+            p = random_behavioral(rng, max_nodes=14, max_width=6,
+                                  allow_reg=allow_reg)
+            with_regs += any(isinstance(n, Reg) for n in p.nodes.values())
+            _assert_same_roots(p, 4)
+        assert (with_regs > 100) == allow_reg
+
+    @pytest.mark.parametrize("arch_file", ["generic-lut-carry.yml",
+                                           "minidsp.yml", "sofa.yml"])
+    def test_every_template_sketch(self, arch_file):
+        desc = load_arch(packaged_arch_path(arch_file))
+        built = 0
+        for info in list_templates():
+            for w in (2, 5, 8):
+                try:
+                    sketch = generate_sketch(info.name, desc, {"width": w})
+                except (NoImplementation, ArityError):
+                    continue
+                built += 1
+                tb = TermBuilder()
+                _assert_same_roots(sketch.psi, 3, tb)
+                for constraint in sketch.side_constraints:
+                    _assert_same_roots(constraint, 0, tb)
+        assert built >= 3
+
+    def test_sketch_with_a_register_and_a_side_constraint(self):
+        # a Prim whose body registers a hole-selected operand, and a side
+        # constraint over the sketch's holes
+        b = ProgBuilder()
+        a, c = b.var("a", 4), b.var("b", 4)
+        body_b = b.child()
+        x, y = body_b.var("x", 4), body_b.var("y", 4)
+        mode = body_b.var("mode", 1)
+        acc = body_b.reg(body_b.op("mux", mode, x, y), BitVec.of(3, 4))
+        body = body_b.prog(body_b.op("add", acc, x))
+        meta = EmitMeta("acc", (("x", "x"), ("y", "y")), (("MODE", "mode"),),
+                        "o")
+        pr = b.add(Prim((("x", a), ("y", c), ("mode", b.hole("mode", 1))),
+                        body, meta))
+        psi = b.prog(b.concat(b.hole("k", 4), pr))
+        cb = ProgBuilder()
+        side = cb.prog(cb.op("ult", cb.hole("k", 4), cb.bv(9, 4)))
+        sketch = Sketch(psi, (side,))
+        tb = TermBuilder()
+        _assert_same_roots(sketch.psi, 4, tb)
+        _assert_same_roots(side, 0, tb)
+        sb = ProgBuilder()
+        spec = sb.prog(sb.zext(4, sb.op("add", sb.var("a", 4),
+                                        sb.var("b", 4))))
+        q = build_query(spec, sketch, 1, 2)
+        assert q.side_constraints == symbolic_run(side, 0, q.builder)

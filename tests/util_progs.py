@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import random
 
+from typing import Optional
+
 from sketchmap.ir import (
-    BV, OPS, BitVec, Hole, Id, Node, Op, Operator, Prim, Prog, ProgBuilder,
-    Reg, SketchmapError, Var,
+    BV, OPS, BitVec, DomainError, Hole, Id, Node, Op, Operator, Prim, Prog,
+    ProgBuilder, Reg, SketchmapError, Var, schedule,
 )
-from sketchmap.primitives import packed_ranges
+from sketchmap.primitives import (
+    PrimitiveInterface, PrimitiveModel, packed_ranges,
+)
+from sketchmap.specdsl import parse_document
+from sketchmap.terms import Term, TermBuilder
 
 _BIN_OPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr"]
 _CMP_OPS = ["eq", "ult", "ule", "slt", "sle"]
@@ -243,3 +249,62 @@ def record_calls(monkeypatch, module, name: str) -> list[tuple]:
 
     monkeypatch.setattr(module, name, recording)
     return calls
+
+
+# -- the symbolic unroller's own walk, from before it read the plan ---------
+
+
+def walk_symbolic_run(p: Prog, upto: int, tb: Optional[TermBuilder] = None
+                      ) -> list[Term]:
+    """symbolic.symbolic_run as it was when it walked ir.schedule itself,
+    case by case over node kinds: terms for the root at cycles 0..upto.
+    A test oracle for the unroller that interprets the simulator's plan."""
+    if tb is None:
+        tb = TermBuilder()
+    sched = schedule(p)
+    roots: list[Term] = []
+    prev: dict[Id, Term] = {}
+    for t in range(upto + 1):
+        cur: dict[Id, Term] = {}
+        for i, d, init in sched.regs:
+            cur[i] = tb.const(init) if t == 0 else prev[d]
+        for i, n, o in sched.order:
+            if isinstance(n, Reg):
+                continue
+            if isinstance(n, BV):
+                cur[i] = tb.const(n.b)
+            elif isinstance(n, Var):
+                if i in sched.binds:
+                    cur[i] = cur[sched.binds[i]]
+                else:
+                    cur[i] = tb.input(n.name, t, n.width)
+            elif isinstance(n, Op):
+                cur[i] = tb.app(n.op, [cur[o + a] for a in n.args])
+            elif isinstance(n, Prim):
+                cur[i] = cur[o + n.base + n.body.root]
+            else:
+                assert isinstance(n, Hole)
+                cur[i] = tb.hole(n.label, n.width)
+        roots.append(cur[p.root])
+        prev = cur
+    return roots
+
+
+# -- one-line readers the package does not need -----------------------------
+
+
+def parse_spec(text: str) -> Prog:
+    """Parse a document and return just its behavioral program."""
+    return parse_document(text).prog
+
+
+def interface_of(model: PrimitiveModel) -> PrimitiveInterface:
+    return model.interface
+
+
+def output_slice(model: PrimitiveModel, name: str) -> tuple[int, int]:
+    """(hi, lo) bit range of an output in the packed semantics root."""
+    ranges = packed_ranges(model.outputs)
+    if name not in ranges:
+        raise DomainError(f"model {model.name} has no output {name!r}")
+    return ranges[name]
