@@ -49,8 +49,9 @@ errors — the schema is strict.
 
 Each internal_data entry an instance leaves free becomes a fresh Hole
 node, labelled with the instance's prefix and carrying the entry's
-width.  A lowering returns only outputs and constraints: the sketch
-reads its hole table off those nodes.
+width.  A lowering returns only outputs: the sketch reads its hole
+table off those nodes, and its side constraints off the HoleNamer that
+named the instances.
 """
 
 import os
@@ -71,7 +72,7 @@ __all__ = [
     "SchemaError", "UnknownInterface", "ModelLoadError", "WidthMismatch",
     "NoImplementation", "PortSpec", "InterfaceImpl", "ArchDescription",
     "parse_arch", "load_arch", "instantiate", "lower_interface",
-    "HoleNamer", "BuildResult", "packaged_arch_path",
+    "HoleNamer", "packaged_arch_path",
 ]
 
 
@@ -429,17 +430,17 @@ def packaged_arch_path(name: str) -> str:
 
 # -- model loading ------------------------------------------------------------
 
-Model = tuple[Prog, dict[str, int], tuple[tuple[str, int], ...], EmitMeta]
+Model = tuple[Prog, tuple[tuple[str, int], ...], EmitMeta]
 
 
 def _load_model(impl: InterfaceImpl, arch: ArchDescription) -> Model:
-    """(semantics, free-var widths, packed outputs MSB-first, emission
-    metadata), each packed output as wide as the interface declares it.
+    """(semantics, packed outputs MSB-first, emission metadata), each
+    packed output as wide as the interface declares it.
 
     Built once per implementation and architecture, on first use, and
     shared after that: every instance's Prim holds the same semantics,
     renumbered onto ids 0..n-1, at an offset of its own and the same
-    EmitMeta, and no caller changes any of the four."""
+    EmitMeta, and no caller changes any of the three."""
     hit = arch._models.get(id(impl))
     if hit is not None and hit[0] is impl:
         return hit[1]
@@ -449,6 +450,8 @@ def _load_model(impl: InterfaceImpl, arch: ArchDescription) -> Model:
 
 
 def _read_model(impl: InterfaceImpl, arch: ArchDescription) -> Model:
+    """Read impl's model and check it against impl: its outputs, input
+    ports and internal data at the widths impl declares."""
     semantics, fvw, packed = _read_semantics(impl, arch)
     declared = dict(impl.interface.outputs)
     for name, w in packed:
@@ -456,7 +459,17 @@ def _read_model(impl: InterfaceImpl, arch: ArchDescription) -> Model:
             raise WidthMismatch(
                 f"{impl.module_name}: model output {name!r} is {w} bits "
                 f"but {impl.interface.name} declares {declared.get(name)}")
-    return _renumber(semantics), fvw, packed, _emit_meta(impl, fvw, packed)
+    meta = _emit_meta(impl, fvw, packed)
+    for nm, w in impl.internal_data:
+        if nm not in fvw:
+            raise ModelLoadError(
+                f"{impl.module_name}: internal_data {nm!r} is not a free "
+                "variable of the model")
+        if fvw[nm] != w:
+            raise WidthMismatch(
+                f"{impl.module_name}: internal_data {nm!r} declared "
+                f"{w} bits but the model reads {fvw[nm]}")
+    return _renumber(semantics), packed, meta
 
 
 def _read_semantics(impl: InterfaceImpl, arch: ArchDescription
@@ -544,11 +557,15 @@ def _renumber(prog: Prog) -> Prog:
 # -- instantiation ------------------------------------------------------------
 
 class HoleNamer:
-    """Allocates unique hole-label prefixes, one per primitive instance."""
+    """Allocates unique hole-label prefixes, one per primitive instance,
+    for one sketch.  constraints collects the side constraints of the
+    instances it names, in the order instantiate made them: the sketch's
+    Sketch.side_constraints."""
 
     def __init__(self, stem: str = "u"):
         self.stem = stem
         self.count = 0
+        self.constraints: list[Prog] = []
 
     def prefix(self) -> str:
         p = f"{self.stem}{self.count}_"
@@ -556,29 +573,21 @@ class HoleNamer:
         return p
 
 
-@dataclass
-class BuildResult:
-    """What one lowering built; its holes are the Hole nodes it added."""
-    outputs: dict[str, Id]                 # interface output -> node id
-    constraints: list[Prog] = field(default_factory=list)
-
-
 def instantiate(impl: InterfaceImpl, b: ProgBuilder,
                 inputs: dict[str, Id], namer: HoleNamer,
                 arch: ArchDescription,
-                pinned: dict[str, BitVec] | None = None) -> BuildResult:
+                pinned: dict[str, BitVec] | None = None) -> dict[str, Id]:
     """Wire one concrete primitive instance into the program under b.
 
     inputs maps interface input names to existing node ids.  Each
     internal_data entry becomes a fresh hole of its declared width,
     labelled with the instance's prefix, unless `pinned` supplies a
-    constant for it.  Returns the interface outputs (extract nodes over
-    the packed primitive value when there are several) and each
-    constraint as a program over this instance's holes and pinned
-    constants.
+    constant for it.  Each constraint, as a program over this instance's
+    holes and pinned constants, joins namer.constraints.  Returns the
+    interface outputs (extract nodes over the packed primitive value when
+    there are several).
     """
     model = _load_model(impl, arch)
-    fvw = model[1]
     pinned = pinned or {}
     iface_in = {n for n, _ in impl.interface.inputs}
     extra = set(inputs) - iface_in
@@ -594,14 +603,6 @@ def instantiate(impl: InterfaceImpl, b: ProgBuilder,
     env = {n: (i, iface_w[n]) for n, i in inputs.items()}
     leaves: dict[str, tuple[Node, int]] = {}
     for nm, w in impl.internal_data:
-        if nm not in fvw:
-            raise ModelLoadError(
-                f"{impl.module_name}: internal_data {nm!r} is not a free "
-                "variable of the model")
-        if fvw[nm] != w:
-            raise WidthMismatch(
-                f"{impl.module_name}: internal_data {nm!r} declared "
-                f"{w} bits but the model reads {fvw[nm]}")
         if nm in pinned:
             if pinned[nm].width != w:
                 raise WidthMismatch(
@@ -618,11 +619,12 @@ def instantiate(impl: InterfaceImpl, b: ProgBuilder,
             port_values[p.name] = lower(p.value, b, env.__getitem__,
                                         _VALUE_HEADS)[0]
 
-    prim, outputs = _assemble_prim(impl, b, model, port_values,
-                                   {nm: env[nm][0] for nm, _ in
-                                    impl.internal_data})
-    constraints = [_lower_alone(c, leaves)[0] for c in impl.constraints]
-    return BuildResult(outputs, constraints)
+    _, outputs = _assemble_prim(impl, b, model, port_values,
+                                {nm: env[nm][0] for nm, _ in
+                                 impl.internal_data})
+    namer.constraints += [_lower_alone(c, leaves)[0]
+                          for c in impl.constraints]
+    return outputs
 
 
 def _assemble_prim(impl: InterfaceImpl, b: ProgBuilder, model: Model,
@@ -634,7 +636,7 @@ def _assemble_prim(impl: InterfaceImpl, b: ProgBuilder, model: Model,
     internal_ids maps internal_data names to ids (holes or constants).
     Returns the prim id and the interface-output map.
     """
-    semantics, _, packed, meta = model
+    semantics, packed, meta = model
     binds = [(k, port_values[k]) for k, _ in meta.port_bindings
              if k != "clk"]
     binds += [(nm, internal_ids[nm]) for nm, _ in impl.internal_data]
@@ -678,7 +680,7 @@ def instantiate_from_ports(impl: InterfaceImpl, b: ProgBuilder,
             f"match the module inputs {sorted(expected)}")
     prim, outputs = _assemble_prim(impl, b, model, port_values,
                                    internal_ids)
-    return prim, outputs, model[2]
+    return prim, outputs, model[1]
 
 
 # -- lowering plans -----------------------------------------------------------
@@ -695,7 +697,7 @@ class Direct:
     impl: InterfaceImpl
     interface: PrimitiveInterface
 
-    def build(self, b, inputs, namer, arch, pin_table=None) -> BuildResult:
+    def build(self, b, inputs, namer, arch, pin_table=None) -> dict[str, Id]:
         pinned = None
         if pin_table is not None:
             ((nm, w),) = self.impl.internal_data
@@ -709,7 +711,7 @@ class LutFromLarger:
     child: object
     interface: PrimitiveInterface
 
-    def build(self, b, inputs, namer, arch, pin_table=None) -> BuildResult:
+    def build(self, b, inputs, namer, arch, pin_table=None) -> dict[str, Id]:
         n = self.interface.param_map["num_inputs"]
         m = self.child.interface.param_map["num_inputs"]
         wide = dict(inputs)
@@ -726,7 +728,7 @@ class LutFromSmaller:
     mux: object           # plan for MUX(2)
     interface: PrimitiveInterface
 
-    def build(self, b, inputs, namer, arch, pin_table=None) -> BuildResult:
+    def build(self, b, inputs, namer, arch, pin_table=None) -> dict[str, Id]:
         n = self.interface.param_map["num_inputs"]
         low_in = {f"I{j}": inputs[f"I{j}"] for j in range(n - 1)}
         half_bits = 2 ** (n - 1)
@@ -734,13 +736,10 @@ class LutFromSmaller:
         t0 = t1 = None
         if pin_table is not None:
             t0, t1 = pin_table & mask, (pin_table >> half_bits) & mask
-        r0 = self.half.build(b, dict(low_in), namer, arch, t0)
-        r1 = self.half.build(b, dict(low_in), namer, arch, t1)
-        rm = self.mux.build(
-            b, {"I0": r0.outputs["O"], "I1": r1.outputs["O"],
-                "S0": inputs[f"I{n-1}"]}, namer, arch, None)
-        rm.constraints += r0.constraints + r1.constraints
-        return rm
+        o0 = self.half.build(b, dict(low_in), namer, arch, t0)["O"]
+        o1 = self.half.build(b, dict(low_in), namer, arch, t1)["O"]
+        return self.mux.build(b, {"I0": o0, "I1": o1,
+                                  "S0": inputs[f"I{n-1}"]}, namer, arch, None)
 
 
 @dataclass(frozen=True)
@@ -749,7 +748,7 @@ class MuxFromLut:
     lut3: object
     interface: PrimitiveInterface
 
-    def build(self, b, inputs, namer, arch, pin_table=None) -> BuildResult:
+    def build(self, b, inputs, namer, arch, pin_table=None) -> dict[str, Id]:
         assert pin_table is None
         return self.lut3.build(
             b, {"I0": inputs["I0"], "I1": inputs["I1"],
@@ -766,17 +765,14 @@ class MuxFromLutPair:
     lut2: object
     interface: PrimitiveInterface
 
-    def build(self, b, inputs, namer, arch, pin_table=None) -> BuildResult:
+    def build(self, b, inputs, namer, arch, pin_table=None) -> dict[str, Id]:
         assert pin_table is None
         lo = self.lut2.build(b, {"I0": inputs["I0"], "I1": inputs["S0"]},
                              namer, arch, _MUXLO_TABLE)
         hi = self.lut2.build(b, {"I0": inputs["I1"], "I1": inputs["S0"]},
                              namer, arch, _MUXHI_TABLE)
-        r = self.lut2.build(b, {"I0": lo.outputs["O"],
-                                "I1": hi.outputs["O"]}, namer, arch,
-                            _OR2_TABLE)
-        r.constraints += lo.constraints + hi.constraints
-        return r
+        return self.lut2.build(b, {"I0": lo["O"], "I1": hi["O"]}, namer,
+                               arch, _OR2_TABLE)
 
 
 @dataclass(frozen=True)
@@ -785,23 +781,19 @@ class MuxTree:
     mux2: object
     interface: PrimitiveInterface
 
-    def build(self, b, inputs, namer, arch, pin_table=None) -> BuildResult:
+    def build(self, b, inputs, namer, arch, pin_table=None) -> dict[str, Id]:
         assert pin_table is None
         n = self.interface.param_map["num_inputs"]
         k = n.bit_length() - 1
         layer = [inputs[f"I{i}"] for i in range(n)]
-        out = BuildResult({})
         for j in range(k):
             nxt = []
             for i in range(len(layer) // 2):
-                r = self.mux2.build(
+                nxt.append(self.mux2.build(
                     b, {"I0": layer[2 * i], "I1": layer[2 * i + 1],
-                        "S0": inputs[f"S{j}"]}, namer, arch, None)
-                out.constraints += r.constraints
-                nxt.append(r.outputs["O"])
+                        "S0": inputs[f"S{j}"]}, namer, arch, None)["O"])
             layer = nxt
-        out.outputs = {"O": layer[0]}
-        return out
+        return {"O": layer[0]}
 
 
 @dataclass(frozen=True)
@@ -812,26 +804,20 @@ class CarryFromLuts:
     lut3: object
     interface: PrimitiveInterface
 
-    def build(self, b, inputs, namer, arch, pin_table=None) -> BuildResult:
+    def build(self, b, inputs, namer, arch, pin_table=None) -> dict[str, Id]:
         assert pin_table is None
         w = self.interface.param_map["width"]
-        out = BuildResult({})
         c = inputs["CI"]
         bits = []
         for i in range(w):
             si = b.extract(i, i, inputs["S"])
             di = b.extract(i, i, inputs["DI"])
-            rs = self.lut2.build(b, {"I0": si, "I1": c}, namer, arch,
-                                 _XOR2_TABLE)
-            out.constraints += rs.constraints
-            bits.append(rs.outputs["O"])
+            bits.append(self.lut2.build(b, {"I0": si, "I1": c}, namer, arch,
+                                        _XOR2_TABLE)["O"])
             # c' = si ? c : di  ==  mux(a=di, b=c, s=si)
-            rc = self.lut3.build(b, {"I0": di, "I1": c, "I2": si},
-                                 namer, arch, _MUX_TABLE)
-            out.constraints += rc.constraints
-            c = rc.outputs["O"]
-        out.outputs = {"O": b.concat_all(list(reversed(bits))), "CO": c}
-        return out
+            c = self.lut3.build(b, {"I0": di, "I1": c, "I2": si}, namer,
+                                arch, _MUX_TABLE)["O"]
+        return {"O": b.concat_all(list(reversed(bits))), "CO": c}
 
 
 @dataclass(frozen=True)
@@ -840,14 +826,13 @@ class DspFromLarger:
     child: object
     interface: PrimitiveInterface
 
-    def build(self, b, inputs, namer, arch, pin_table=None) -> BuildResult:
+    def build(self, b, inputs, namer, arch, pin_table=None) -> dict[str, Id]:
         assert pin_table is None
         w = self.interface.param_map["width"]
         big = self.child.interface.param_map["width"]
         wide = {n: b.zext(big - w, i) for n, i in inputs.items()}
-        r = self.child.build(b, wide, namer, arch, None)
-        r.outputs = {"out": b.extract(w - 1, 0, r.outputs["out"])}
-        return r
+        out = self.child.build(b, wide, namer, arch, None)["out"]
+        return {"out": b.extract(w - 1, 0, out)}
 
 
 def lower_interface(requested: PrimitiveInterface, desc: ArchDescription,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cegis import Success, Timeout, Unsat, synthesize
-from .interp import compile_program, simulate
+from .interp import compile_program, plan_program, simulate
 from .ir import Prog, SketchmapError
 from .portfolio import SolverError, SolverSession
 from .sketches import document_params, generate_sketch
@@ -171,7 +171,8 @@ def validate_by_simulation(spec: Prog, program: Prog, t: int,
     the cycles >= t where they disagree (the first t cycles are pipeline
     fill and carry no guarantee).  Each program is compiled once and
     both run on plain ints."""
-    want_c, got_c = compile_program(spec), compile_program(program)
+    want_c = compile_program(plan_program(spec))
+    got_c = compile_program(plan_program(program))
     rng = random.Random(seed)
     env = {name: [rng.getrandbits(w) for _ in range(cycles)]
            for name, w in want_c.inputs}

@@ -17,9 +17,11 @@ The counterexample set is seeded with one deterministic pseudo-random
 environment before the first SYNTH call (SEED_SAMPLES).  Any environment
 is a sound member (the final program must agree on all of them), so
 between SYNTH and VERIFY each candidate is probed.  The spec and the
-sketch are each compiled once per call (interp.compile_program, the
-sketch's holes left as parameters); a candidate is the compiled sketch
-with the model's values bound to its holes (Compiled.bind), simulated
+sketch are compiled from the query's plans (interp.compile_program of
+query.spec_plan and query.sketch_plan, the sketch's holes left as
+parameters), so neither program is planned again; a candidate is the
+compiled sketch with the model's values bound to its holes
+(Compiled.bind), simulated
 against the spec on PROBES fixed pseudo-random environments over cycles
 0..t+c, drawn from their own seed.  The first environment on which they
 differ at a cycle t..t+c joins the set and the loop returns to SYNTH
@@ -191,8 +193,8 @@ def cegis(query: EquivalenceQuery,
     # drawn from a seed of their own; one already in the set is dropped
     probes = [env for env in _random_envs(query, PROBES, seed + 1)
               if env not in cexs]
-    spec = compile_program(query.spec_prog)
-    sketch = compile_program(query.sketch.psi)
+    spec = compile_program(query.spec_plan)
+    sketch = compile_program(query.sketch_plan)
     iterations, last_winner = 0, "none"
     try:
         while True:

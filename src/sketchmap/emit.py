@@ -239,7 +239,7 @@ def _atoms_of(p: Prog, widths: dict[Id, int]) -> dict[Id, list[_Atom]]:
         if isinstance(n, (Var, Prim)):
             a: list[_Atom] = [(i, k) for k in range(widths[i])]
         elif isinstance(n, BV):
-            a = [str((n.b.value >> k) & 1) for k in range(n.b.width)]
+            a = [str(n.b.bit(k)) for k in range(n.b.width)]
         elif n.op.name == "concat":
             a = go(n.args[1]) + go(n.args[0])
         elif n.op.name == "extract":

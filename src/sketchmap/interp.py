@@ -16,11 +16,12 @@ plan_program, the one walk of a schedule that evaluates a program,
 reduces a program to a Plan: one cycle's straight-line steps, only those
 the root needs.  compile_program turns a plan into one Python function
 that runs it on plain ints, and symbolic.symbolic_run runs it over terms,
-so the simulator and the queries read one semantics.  simulate runs a
-compiled program on int streams, linear in nodes x cycles.  A sketch
-compiles too: each hole label is a parameter of the generated function
-and Compiled.bind fixes their values, so one compiled sketch runs as
-every candidate hole assignment.
+so the simulator and the queries read one semantics; both take the plan,
+so a program planned once serves both.  simulate runs a compiled program
+on int streams, linear in nodes x cycles.  A sketch compiles too: each
+hole label is a parameter of the generated function and Compiled.bind
+fixes their values, so one compiled sketch runs as every candidate hole
+assignment.
 """
 
 from __future__ import annotations
@@ -71,15 +72,17 @@ class Plan:
 
 def plan_program(p: Prog) -> Plan:
     """Check and schedule p once (ir.schedule, Prim bodies included),
-    then plan one cycle.  Constants are literals, a Var, Prim or Hole is
-    an alias of what it reads, and an Op that ir.fold resolves from its
-    operands (a mux with a literal selector, say) is a literal or an
-    alias; every other Op gets a local.  A walk back from the root's
-    operand marks the live locals."""
+    then plan one cycle.  Holes are numbered in schedule order.
+    Constants are literals, a Var, Prim or Hole is an alias of what it
+    reads, and an Op that ir.fold resolves from its operands (a mux with
+    a literal selector, say) is a literal or an alias; every other Op
+    gets a local.  A walk back from the root's operand marks the live
+    locals.  A caller that both unrolls and compiles a program
+    (symbolic.build_query, then cegis) plans it once and passes the plan
+    on."""
     sched = schedule(p)
     inputs = tuple(var_widths(p).items())
-    holes = tuple(hole_widths(Prog(p.root, {
-        i: n for i, n, _ in sched.order if isinstance(n, Hole)})).items())
+    holes = tuple(hole_widths(n for _, n, _ in sched.order).items())
     stream = {name: f"x{k}" for k, (name, _) in enumerate(inputs)}
     hole = {label: f"h{k}" for k, (label, _) in enumerate(holes)}
     ref: dict[Id, Operand] = {i: f"r{i}" for i, _, _ in sched.regs}
@@ -161,8 +164,8 @@ class Compiled:
                         functools.partial(self.fn, *args))
 
 
-def compile_program(p: Prog) -> Compiled:
-    """Plan p (plan_program), then generate its simulator.
+def compile_program(plan: Plan) -> Compiled:
+    """Generate the simulator of a planned program (plan_program).
 
     The loop body computes one cycle: each planned Op is one assignment
     calling ir.OPS[name].sem bound for its widths and params, and the
@@ -171,7 +174,6 @@ def compile_program(p: Prog) -> Compiled:
     only integer ids, integer literals and fixed names: no program
     string enters it.
     """
-    plan = plan_program(p)
     fns: dict[tuple, int] = {}          # (operator, *widths) -> index
     sems: list[Callable[..., int]] = []
     body: list[str] = []

@@ -436,9 +436,6 @@ class Prim:
     meta: EmitMeta
     base: Id = 0
 
-    def bind_map(self) -> dict[str, Id]:
-        return dict(self.binds)
-
 
 @dataclass(frozen=True, slots=True)
 class Hole:
@@ -481,8 +478,8 @@ class Sketch:
 
     @cached_property
     def holes(self) -> dict[str, int]:
-        """hole_widths(psi), read once."""
-        return hole_widths(self.psi)
+        """hole_widths of psi's nodes, read once."""
+        return hole_widths(self.psi.nodes.values())
 
 
 WitnessMap = dict[Id, int]
@@ -529,11 +526,10 @@ def var_widths(p: Prog) -> dict[str, int]:
                                         if isinstance(n, Var)))
 
 
-def hole_widths(p: Prog) -> dict[str, int]:
-    """label -> width for p's Hole nodes; raises WidthError if a label
-    appears at two widths."""
-    return _widths_by_name("hole", ((n.label, n.width)
-                                    for n in p.nodes.values()
+def hole_widths(nodes: Iterable[Node]) -> dict[str, int]:
+    """label -> width for the Hole nodes among nodes, in the order they
+    come; raises WidthError if a label appears at two widths."""
+    return _widths_by_name("hole", ((n.label, n.width) for n in nodes
                                     if isinstance(n, Hole)))
 
 
@@ -821,9 +817,6 @@ class ProgBuilder:
 
     def zext(self, k: int, a: Id) -> Id:
         return self.op("zero_extend", a, params=(k,))
-
-    def sext(self, k: int, a: Id) -> Id:
-        return self.op("sign_extend", a, params=(k,))
 
     def concat(self, hi: Id, lo: Id) -> Id:
         return self.op("concat", hi, lo)

@@ -140,20 +140,40 @@ def default_portfolio() -> list[SolverConfig]:
 
 
 def load_solver_config(path: str) -> list[SolverConfig]:
+    """The portfolio a JSON config file lists.  Each entry needs a
+    non-empty string name that no other entry has, a non-empty list of
+    strings as its command and, if it gives one, a positive finite
+    number of seconds as its timeout.  A file that breaks any of these
+    raises SolverError naming the file and the entry."""
     with open(path) as f:
-        raw = json.load(f)
+        try:
+            raw = json.load(f)
+        except json.JSONDecodeError as e:
+            raise SolverError(f"{path}: not valid JSON: {e}")
     if not isinstance(raw, list) or not raw:
         raise SolverError(f"{path}: expected a non-empty list of solvers")
-    out = []
+    out: list[SolverConfig] = []
     for i, entry in enumerate(raw):
-        try:
-            out.append(SolverConfig(
-                name=entry["name"],
-                command=tuple(entry["command"]),
-                timeout=float(entry.get("timeout", 120.0)),
-            ))
-        except (KeyError, TypeError) as e:
-            raise SolverError(f"{path}: solver entry {i} is malformed: {e}")
+        where = f"{path}: solver entry {i}"
+        if not isinstance(entry, dict):
+            raise SolverError(f"{where} is not an object")
+        name = entry.get("name")
+        if not isinstance(name, str) or not name:
+            raise SolverError(f"{where} needs a non-empty string name")
+        if any(cfg.name == name for cfg in out):
+            raise SolverError(f"{where} repeats the name {name!r}")
+        command = entry.get("command")
+        if not isinstance(command, list) or not command or \
+                not all(isinstance(a, str) for a in command):
+            raise SolverError(
+                f"{where} needs a non-empty list of strings as its command")
+        timeout = entry.get("timeout", 120.0)
+        if isinstance(timeout, bool) or \
+                not isinstance(timeout, (int, float)) or \
+                not 0 < timeout < float("inf"):
+            raise SolverError(f"{where} needs a positive number of seconds "
+                              "as its timeout")
+        out.append(SolverConfig(name, tuple(command), float(timeout)))
     return out
 
 
@@ -274,6 +294,9 @@ class SolverSession:
             solvers = default_portfolio()
         if not solvers:
             raise SolverError("empty solver portfolio")
+        names = [cfg.name for cfg in solvers]
+        if len(set(names)) != len(names):
+            raise SolverError(f"solver portfolio repeats a name: {names}")
         start = time.monotonic()
         body = query.rstrip()
         if body.endswith("(exit)"):

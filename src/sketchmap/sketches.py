@@ -50,8 +50,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .arch import ArchDescription, BuildResult, HoleNamer, lower_interface
-from .ir import ArityError, Id, Prog, ProgBuilder, Sketch
+from .arch import ArchDescription, HoleNamer, lower_interface
+from .ir import ArityError, Id, ProgBuilder, Sketch
 from .primitives import carry_interface, dsp_interface, lut_interface
 
 __all__ = [
@@ -149,45 +149,37 @@ def _pack(b: ProgBuilder, bits: list[Id]) -> Id:
 
 
 def _hole_lut_pair_chain(b: ProgBuilder, desc: ArchDescription,
-                         namer: HoleNamer, constraints: list[Prog],
-                         a: Id, bb: Id, w: int) -> BuildResult:
+                         namer: HoleNamer, a: Id, bb: Id, w: int
+                         ) -> dict[str, Id]:
     """Per-bit hole LUT pairs over (a_i, b_i) feeding a carry chain.
 
-    Returns the chain's BuildResult (outputs O and CO); the chain's CI
-    is a fresh 1-bit hole.  Every part's constraints join constraints.
+    Returns the chain's outputs O and CO; the chain's CI is a fresh
+    1-bit hole.
     """
     lut2 = _lut_plan(desc, 2)
     chain = lower_interface(carry_interface(w), desc)
     s_bits, di_bits = [], []
     for i in range(w):
         ins = {"I0": _bit(b, a, i), "I1": _bit(b, bb, i)}
-        rs = lut2.build(b, dict(ins), namer, desc)
-        rd = lut2.build(b, dict(ins), namer, desc)
-        constraints += rs.constraints + rd.constraints
-        s_bits.append(rs.outputs["O"])
-        di_bits.append(rd.outputs["O"])
+        s_bits.append(lut2.build(b, dict(ins), namer, desc)["O"])
+        di_bits.append(lut2.build(b, dict(ins), namer, desc)["O"])
     ci = b.hole(namer.prefix() + "ci", 1)
-    r = chain.build(b, {"DI": _pack(b, di_bits), "S": _pack(b, s_bits),
-                        "CI": ci}, namer, desc)
-    constraints += r.constraints
-    return r
+    return chain.build(b, {"DI": _pack(b, di_bits), "S": _pack(b, s_bits),
+                           "CI": ci}, namer, desc)
 
 
 def _fixed_adder(b: ProgBuilder, desc: ArchDescription, namer: HoleNamer,
-                 constraints: list[Prog], x: Id, y: Id, w: int) -> Id:
+                 x: Id, y: Id, w: int) -> Id:
     """x + y via pinned xor LUTs and a carry chain (no holes)."""
     lut2 = _lut_plan(desc, 2)
     chain = lower_interface(carry_interface(w), desc)
     s_bits = []
     for i in range(w):
-        r = lut2.build(b, {"I0": _bit(b, x, i), "I1": _bit(b, y, i)},
-                       namer, desc, _XOR2_TABLE)
-        constraints += r.constraints
-        s_bits.append(r.outputs["O"])
-    r = chain.build(b, {"DI": x, "S": _pack(b, s_bits), "CI": b.bv(0, 1)},
-                    namer, desc)
-    constraints += r.constraints
-    return r.outputs["O"]
+        s_bits.append(lut2.build(b, {"I0": _bit(b, x, i),
+                                     "I1": _bit(b, y, i)},
+                                 namer, desc, _XOR2_TABLE)["O"])
+    return chain.build(b, {"DI": x, "S": _pack(b, s_bits), "CI": b.bv(0, 1)},
+                       namer, desc)["O"]
 
 
 # -- template bodies ----------------------------------------------------------
@@ -200,15 +192,12 @@ def _gen_bitwise(desc, params) -> Sketch:
     plan = _lut_plan(desc, len(names))
     b = ProgBuilder()
     namer = HoleNamer()
-    constraints: list[Prog] = []
     ops = [b.var(n, w) for n in names]
     bits = []
     for i in range(w):
         ins = {f"I{j}": _bit(b, op, i) for j, op in enumerate(ops)}
-        r = plan.build(b, ins, namer, desc)
-        constraints += r.constraints
-        bits.append(r.outputs["O"])
-    return Sketch(b.prog(_pack(b, bits)), tuple(constraints))
+        bits.append(plan.build(b, ins, namer, desc)["O"])
+    return Sketch(b.prog(_pack(b, bits)), tuple(namer.constraints))
 
 
 def _gen_bitwise_with_carry(desc, params) -> Sketch:
@@ -217,10 +206,9 @@ def _gen_bitwise_with_carry(desc, params) -> Sketch:
     names = _operands(params, 2, 2, ("a", "b"))
     b = ProgBuilder()
     namer = HoleNamer()
-    constraints: list[Prog] = []
     a, bb = (b.var(n, w) for n in names)
-    r = _hole_lut_pair_chain(b, desc, namer, constraints, a, bb, w)
-    return Sketch(b.prog(r.outputs["O"]), tuple(constraints))
+    r = _hole_lut_pair_chain(b, desc, namer, a, bb, w)
+    return Sketch(b.prog(r["O"]), tuple(namer.constraints))
 
 
 def _gen_comparison(desc, params) -> Sketch:
@@ -229,13 +217,11 @@ def _gen_comparison(desc, params) -> Sketch:
     names = _operands(params, 2, 2, ("a", "b"))
     b = ProgBuilder()
     namer = HoleNamer()
-    constraints: list[Prog] = []
     a, bb = (b.var(n, w) for n in names)
-    r = _hole_lut_pair_chain(b, desc, namer, constraints, a, bb, w)
+    r = _hole_lut_pair_chain(b, desc, namer, a, bb, w)
     post = _lut_plan(desc, 1)
-    rf = post.build(b, {"I0": r.outputs["CO"]}, namer, desc)
-    constraints += rf.constraints
-    return Sketch(b.prog(rf.outputs["O"]), tuple(constraints))
+    out = post.build(b, {"I0": r["CO"]}, namer, desc)["O"]
+    return Sketch(b.prog(out), tuple(namer.constraints))
 
 
 def _gen_multiplication(desc, params) -> Sketch:
@@ -244,7 +230,6 @@ def _gen_multiplication(desc, params) -> Sketch:
     names = _operands(params, 2, 2, ("a", "b"))
     b = ProgBuilder()
     namer = HoleNamer()
-    constraints: list[Prog] = []
     a, bb = (b.var(n, w) for n in names)
     lut2 = _lut_plan(desc, 2)
     # partial-product row j holds bits i of a_i & b_j for the surviving
@@ -254,15 +239,14 @@ def _gen_multiplication(desc, params) -> Sketch:
         bj = _bit(b, bb, j)
         row = []
         for i in range(w - j):
-            r = lut2.build(b, {"I0": _bit(b, a, i), "I1": bj}, namer, desc)
-            constraints += r.constraints
-            row.append(r.outputs["O"])
+            row.append(lut2.build(b, {"I0": _bit(b, a, i), "I1": bj}, namer,
+                                  desc)["O"])
         rows.append(row)
     acc = _pack(b, rows[0])
     for j in range(1, w):
         shifted = _pack(b, [b.bv(0, 1)] * j + rows[j])
-        acc = _fixed_adder(b, desc, namer, constraints, acc, shifted, w)
-    return Sketch(b.prog(acc), tuple(constraints))
+        acc = _fixed_adder(b, desc, namer, acc, shifted, w)
+    return Sketch(b.prog(acc), tuple(namer.constraints))
 
 
 def _gen_dsp(desc, params) -> Sketch:
@@ -284,8 +268,8 @@ def _gen_dsp(desc, params) -> Sketch:
         wiring = {"A": ops[0], "B": ops[1], "C": ops[2], "D": zero}
     else:
         wiring = {"A": ops[0], "B": ops[1], "C": zero, "D": zero}
-    r = plan.build(b, wiring, namer, desc)
-    return Sketch(b.prog(r.outputs["out"]), tuple(r.constraints))
+    out = plan.build(b, wiring, namer, desc)["out"]
+    return Sketch(b.prog(out), tuple(namer.constraints))
 
 
 _GENERATORS = {

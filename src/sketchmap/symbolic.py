@@ -1,17 +1,18 @@
 """Symbolic interpretation and equivalence-query construction.
 
-symbolic_run unrolls a program over cycles 0..T, producing one Term per
-cycle for the root, by running the compiled simulator's plan
-(interp.plan_program) over terms.  Registers turn into references to the
-previous cycle's data term (init constant at cycle 0), so the result is
-a pure combinational term over input symbols (name, cycle) and hole
-symbols.  Every fold the plan made is one TermBuilder.app would make
-too, as both go through ir.fold.
+symbolic_run unrolls a planned program (interp.plan_program) over cycles
+0..T, producing one Term per cycle for the root, by running the plan the
+compiled simulator is generated from over terms.  Registers turn into
+references to the previous cycle's data term (init constant at cycle 0),
+so the result is a pure combinational term over input symbols (name,
+cycle) and hole symbols.  Every fold the plan made is one TermBuilder.app
+would make too, as both go through ir.fold.
 
-build_query lines up a behavioral spec against a sketch over a shared
-TermBuilder: both sides see the same input symbols, so structurally
-aligned datapaths intern to the same terms and the equality conjuncts can
-fold before any solver runs.
+build_query plans the spec and the sketch once each and lines them up
+over a shared TermBuilder: both sides see the same input symbols, so
+structurally aligned datapaths intern to the same terms and the equality
+conjuncts can fold before any solver runs.  The query keeps both plans,
+so cegis compiles them without planning either program again.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .interp import Operand, plan_program
+from .interp import Operand, Plan, plan_program
 from .ir import (
     BitVec, Hole, Operator, Prog, Sketch, SketchmapError, WidthError,
-    is_behavioral, structural_violations, var_widths,
+    is_behavioral, structural_violations,
 )
 from .terms import Term, TermBuilder, term_leaves
 
@@ -31,14 +32,13 @@ class FreeVarMismatch(SketchmapError):
     """Spec and sketch disagree on their input signature."""
 
 
-def symbolic_run(p: Prog, upto: int, tb: Optional[TermBuilder] = None
+def symbolic_run(plan: Plan, upto: int, tb: Optional[TermBuilder] = None
                  ) -> list[Term]:
-    """Terms for the root at cycles 0..upto: p's plan
-    (interp.plan_program, which checks p) run over tb, each Op one
-    tb.app."""
+    """Terms for the root at cycles 0..upto: a program's plan
+    (interp.plan_program, which checks the program) run over tb, each Op
+    one tb.app."""
     if tb is None:
         tb = TermBuilder()
-    plan = plan_program(p)
 
     def term(x: Operand, w: int) -> Term:
         return cur[x] if type(x) is str else tb.const(BitVec(w, x))
@@ -67,7 +67,9 @@ class EquivalenceQuery:
     full claim is their conjunction plus the side constraints, which are
     the architecture's constraints (Sketch.side_constraints) and mention
     holes only.  input_symbols covers every (name, cycle) either side
-    reads.
+    reads.  spec_plan and sketch_plan are the plans the terms were
+    unrolled from (interp.plan_program of the spec and of sketch.psi),
+    kept so that each program is planned once per synthesis.
     """
 
     equal_terms: list[Term]
@@ -76,9 +78,10 @@ class EquivalenceQuery:
     hole_symbols: list[Term]
     t: int
     c: int
-    spec_prog: Prog = field(repr=False, default=None)
-    sketch: Sketch = field(repr=False, default=None)
-    builder: TermBuilder = field(repr=False, default=None)
+    spec_plan: Plan = field(repr=False)
+    sketch: Sketch = field(repr=False)
+    sketch_plan: Plan = field(repr=False)
+    builder: TermBuilder = field(repr=False)
 
 
 def build_query(spec: Prog, sketch: Sketch, t: int, c: int
@@ -93,16 +96,16 @@ def build_query(spec: Prog, sketch: Sketch, t: int, c: int
         raise SketchmapError("sketch is not structural: " + "; ".join(
             f"node {i}: {why}" for i, why in bad))
     holes = sketch.holes    # WidthError if a label has two widths
-    sw = var_widths(spec)
-    kw = var_widths(sketch.psi)
-    if sw != kw:
+    spec_plan = plan_program(spec)
+    sketch_plan = plan_program(sketch.psi)
+    if dict(spec_plan.inputs) != dict(sketch_plan.inputs):
         raise FreeVarMismatch(
-            f"spec inputs {sorted(sw.items())} but sketch inputs "
-            f"{sorted(kw.items())}")
+            f"spec inputs {sorted(spec_plan.inputs)} but sketch inputs "
+            f"{sorted(sketch_plan.inputs)}")
 
     tb = TermBuilder()
-    spec_all = symbolic_run(spec, t + c, tb)
-    sketch_all = symbolic_run(sketch.psi, t + c, tb)
+    spec_all = symbolic_run(spec_plan, t + c, tb)
+    sketch_all = symbolic_run(sketch_plan, t + c, tb)
     if spec_all[0].width != sketch_all[0].width:
         raise WidthError(
             f"spec output width {spec_all[0].width} != sketch output "
@@ -117,7 +120,7 @@ def build_query(spec: Prog, sketch: Sketch, t: int, c: int
             if isinstance(n, Hole) and holes.get(n.label) != n.width:
                 raise SketchmapError(
                     f"constraint references unknown hole {n.label!r}")
-        (ct,) = symbolic_run(constraint, 0, tb)
+        (ct,) = symbolic_run(plan_program(constraint), 0, tb)
         if ct.width != 1:
             raise WidthError("side constraints must have width 1")
         side.append(ct)
@@ -136,7 +139,8 @@ def build_query(spec: Prog, sketch: Sketch, t: int, c: int
         hole_symbols=sorted(hols, key=lambda s: s.label),
         t=t,
         c=c,
-        spec_prog=spec,
+        spec_plan=spec_plan,
         sketch=sketch,
+        sketch_plan=sketch_plan,
         builder=tb,
     )

@@ -15,7 +15,7 @@ from sketchmap.arch import load_arch, packaged_arch_path, parse_arch
 from sketchmap.bench import run_corpus, write_corpus
 from sketchmap.btor2 import MissingInit, load_btor2, parse_btor2, to_prog
 from sketchmap.cegis import Success, Unsat, synthesize
-from sketchmap.interp import compile_program
+from sketchmap.interp import compile_program, plan_program
 from sketchmap.ir import (BV, BitVec, Prim, ProgBuilder, Sketch,
                           WellFormednessError, check_well_formed, free_vars,
                           substitute_holes, var_widths)
@@ -128,7 +128,7 @@ def test_criterion_02_bitwise_with_carry_arithmetic():
                 r = synthesize(spec, sketch, t=0, c=0, timeout=120.0,
                                session=session)
                 assert isinstance(r, Success), f"{opname} width {w}"
-                compiled = compile_program(r.program)
+                compiled = compile_program(plan_program(r.program))
                 assert dict(compiled.inputs) == {"a": w, "b": w}
                 if w <= 5:
                     pairs = itertools.product(range(2 ** w), repeat=2)
@@ -368,7 +368,7 @@ def test_criterion_06_symbolic_concrete_agreement():
     for _ in range(500):
         p = random_behavioral(rng, max_nodes=12, max_width=6)
         vw = var_widths(p)
-        roots = symbolic_run(p, horizon - 1)
+        roots = symbolic_run(plan_program(p), horizon - 1)
         vals = {(n, t): BitVec.of(rng.getrandbits(w), w)
                 for n, w in vw.items() for t in range(horizon)}
         streams = {n: Stream(tuple(vals[(n, t)] for t in range(horizon)))

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sketchmap.arch import (
-    ArchDescription, CarryFromLuts, Direct, DspFromLarger, HoleNamer,
+    CarryFromLuts, Direct, DspFromLarger, HoleNamer,
     LutFromLarger, LutFromSmaller, ModelLoadError, MuxFromLut,
     NoImplementation, SchemaError, UnknownInterface, WidthMismatch,
     instantiate, load_arch, lower_interface, packaged_arch_path,
@@ -47,8 +47,7 @@ def _run_plan(plan, in_widths, assigns, arch, hole_values=None,
     (value, the program's hole table)."""
     b = ProgBuilder()
     ids = {n: b.var(n, w) for n, w in in_widths.items()}
-    r = plan.build(b, ids, HoleNamer(), arch, pin_table)
-    outs = dict(r.outputs)
+    outs = plan.build(b, ids, HoleNamer(), arch, pin_table)
     root = outs["O"] if "O" in outs else next(iter(outs.values()))
     if len(outs) > 1:
         root = b.concat_all([outs[k] for k in sorted(outs)])
@@ -166,7 +165,7 @@ class TestInstantiate:
         b = ProgBuilder()
         ids = {f"I{i}": b.var(f"I{i}", 1) for i in range(4)}
         r = instantiate(impl, b, ids, HoleNamer(), arch)
-        p = b.prog(r.outputs["O"])
+        p = b.prog(r["O"])
         assert Sketch(p).holes == {"u0_sram": 16}
         prim = next(n for n in p.nodes.values() if isinstance(n, Prim))
         assert prim.meta.module_name == "frac_lut4"
@@ -189,9 +188,9 @@ class TestInstantiate:
         r1 = instantiate(impl, b, ids, namer, arch)
         r2 = instantiate(impl, b, ids, namer, arch)
         for r, label in ((r1, "u0_sram"), (r2, "u1_sram")):
-            sram = b.nodes[r.outputs["O"]].bind_map()["sram"]
+            sram = dict(b.nodes[r["O"]].binds)["sram"]
             assert b.nodes[sram] == Hole(label, 16)
-        p = b.prog(r2.outputs["O"])
+        p = b.prog(r2["O"])
         assert Sketch(p).holes == {"u0_sram": 16, "u1_sram": 16}
         check_well_formed(p)  # bodies relabeled
 
@@ -202,7 +201,7 @@ class TestInstantiate:
         ids = {f"I{i}": b.var(f"I{i}", 1) for i in range(4)}
         r = instantiate(impl, b, ids, HoleNamer(), arch,
                         pinned={"sram": _bv(0x6, 16)})
-        p = b.prog(r.outputs["O"])
+        p = b.prog(r["O"])
         assert not Sketch(p).holes
         check_well_formed(p)
         env = {f"I{i}": Stream((_bv(1 if i == 0 else 0, 1),))
@@ -217,8 +216,9 @@ class TestInstantiate:
         arch = parse_arch(text, base_dir=_sofa().base_dir)
         b = ProgBuilder()
         ids = {f"I{i}": b.var(f"I{i}", 1) for i in range(4)}
-        r = instantiate(arch.implementations[0], b, ids, HoleNamer(), arch)
-        (c,) = r.constraints
+        namer = HoleNamer()
+        instantiate(arch.implementations[0], b, ids, namer, arch)
+        (c,) = namer.constraints
         root = c.nodes[c.root]
         assert root.op == Operator("extract", (0, 0)) and len(c.nodes) == 2
         assert c.nodes[root.args[0]] == Hole("u0_sram", 16)
@@ -238,8 +238,8 @@ class TestInstantiate:
         ids = {"DI": b.var("DI", 3), "S": b.var("S", 3),
                "CI": b.var("CI", 1)}
         r = instantiate(impl, b, ids, HoleNamer(), arch)
-        assert set(r.outputs) == {"O", "CO"}
-        p = b.prog(b.concat(r.outputs["CO"], r.outputs["O"]))
+        assert set(r) == {"O", "CO"}
+        p = b.prog(b.concat(r["CO"], r["O"]))
         check_well_formed(p)
         prim = next(n for n in p.nodes.values() if isinstance(n, Prim))
         assert prim.meta.output_slices == (("CO", 3, 3), ("O", 2, 0))
@@ -329,6 +329,88 @@ def test_models_load_once_per_implementation(monkeypatch):
             [dump_sexpr(c) for c in plain.side_constraints]
 
 
+def test_each_instance_adds_its_constraint_once_in_instantiate_order(
+        monkeypatch):
+    """On a LUT2-only fabric the carry chain's mux LUT3 lowers through
+    LutFromSmaller and MuxFromLutPair; the sketch's side constraints are
+    one per instance, each over that instance's own hole or pinned table,
+    in the order instantiate made the instances."""
+    import sketchmap.arch as arch_mod
+    arch = parse_arch(_lut2_only_text() + "    constraints:\n"
+                      "      - (extract 3 3 sram)\n")
+    real = arch_mod.instantiate
+    made = []      # per instance, its namer and its expected leaf
+
+    def recording(impl, b, inputs, namer, arch, pinned=None):
+        before = len(namer.constraints)
+        leaf = (BV(pinned["sram"]) if pinned
+                else Hole(f"u{namer.count}_sram", 4))
+        out = real(impl, b, inputs, namer, arch, pinned)
+        assert len(namer.constraints) == before + 1
+        made.append((namer, leaf))
+        return out
+
+    monkeypatch.setattr(arch_mod, "instantiate", recording)
+    sketch = generate_sketch("bitwise-with-carry", arch,
+                             {"width": 1, "inputs": ("a", "b")})
+    (namer,) = {id(n): n for n, _ in made}.values()
+    assert list(sketch.side_constraints) == namer.constraints
+    leaves = [c.nodes[c.nodes[c.root].args[0]]
+              for c in sketch.side_constraints]
+    assert leaves == [leaf for _, leaf in made]
+    # the S and DI hole LUTs, the chain's xor, then the mux LUT3's two
+    # halves (0xCA split) before the and-not, the and and the or
+    assert leaves == [Hole("u0_sram", 4), Hole("u1_sram", 4)] + [
+        BV(_bv(t, 4)) for t in (0b0110, 0xA, 0xC, 0b0010, 0b1000, 0b1110)]
+
+
+def _retyped(internal: str, extra_param: str = ""):
+    """The LUT2-only fabric with other internal_data, and optionally one
+    more parameter line."""
+    text = _lut2_only_text().replace("internal_data: {sram: 4}",
+                                     f"internal_data: {internal}")
+    return parse_arch(text.replace(
+        "      - {name: sram, value: sram}\n",
+        "      - {name: sram, value: sram}\n" + extra_param))
+
+
+_BAD_INTERNALS = [
+    # (internal_data, extra parameter, JSON parameter edit, error, message)
+    ("{sram: 8}", "", {"sram": "00000110"}, WidthMismatch,
+     "internal_data 'sram' declared 8 bits but the model reads 4"),
+    ("{sram: 4, extra: 2}", "      - {name: EXTRA, value: extra}\n",
+     {"EXTRA": "00"}, ModelLoadError,
+     "internal_data 'extra' is not a free variable of the model"),
+]
+
+
+@pytest.mark.parametrize("internal,param,_json,error,message",
+                         _BAD_INTERNALS, ids=["width", "unread"])
+def test_internal_data_checked_when_the_model_loads(internal, param, _json,
+                                                    error, message):
+    with pytest.raises(error, match=message):
+        generate_sketch("bitwise", _retyped(internal, param),
+                        {"width": 1, "inputs": ("a", "b")})
+
+
+@pytest.mark.parametrize("internal,param,edit,error,message",
+                         _BAD_INTERNALS, ids=["width", "unread"])
+def test_json_import_checks_internal_data_against_the_model(
+        internal, param, edit, error, message):
+    import json
+
+    from sketchmap.emit import from_json_netlist, to_json_netlist
+    sketch = generate_sketch("bitwise", parse_arch(_lut2_only_text()),
+                             {"width": 1, "inputs": ("a", "b")})
+    prog = substitute_holes(sketch, {label: BV(_bv(6, w))
+                                     for label, w in sketch.holes.items()})
+    doc = json.loads(to_json_netlist(prog, "m"))
+    (cell,) = doc["modules"]["m"]["cells"].values()
+    cell["parameters"].update(edit)
+    with pytest.raises(error, match=message):
+        from_json_netlist(json.dumps(doc), _retyped(internal, param))
+
+
 def test_instances_of_one_implementation_share_their_emit_meta():
     sketch = generate_sketch("bitwise", _sofa(),
                              {"width": 2, "inputs": ("a", "b")})
@@ -383,7 +465,7 @@ def test_value_expressions_are_spec_expressions(expr, spec_error):
     ids = {n: b.var(n, 18) for n in "ABCD"}
     instantiate(arch.implementations[0], b, ids, HoleNamer(), arch)
     (prim,) = (n for n in b.nodes.values() if isinstance(n, Prim))
-    assert _tree(b.nodes, prim.bind_map()["A"]) == \
+    assert _tree(b.nodes, dict(prim.binds)["A"]) == \
         _tree(prog.nodes, prog.root)
 
 
@@ -412,7 +494,7 @@ class TestLowering:
                 b = ProgBuilder()
                 ids = {f"I{i}": b.var(f"I{i}", 1) for i in range(2)}
                 r = plan.build(b, ids, HoleNamer(), arch, None)
-                sketch = Sketch(b.prog(r.outputs["O"]))
+                sketch = Sketch(b.prog(r["O"]))
                 (label,) = sketch.holes
                 p = substitute_holes(sketch, {label: BV(_bv(mem, 16))})
                 env = {f"I{i}": Stream((_bv((pat >> i) & 1, 1),))
@@ -480,7 +562,7 @@ class TestLowering:
         ids = {f"I{i}": b.var(f"I{i}", 1) for i in range(3)}
         r = plan.build(b, ids, HoleNamer(), arch, None)
         # two free 4-bit half-memories; the combining mux is pinned
-        holes = Sketch(b.prog(r.outputs["O"])).holes
+        holes = Sketch(b.prog(r["O"])).holes
         assert sorted(holes.values()) == [4, 4]
 
     def test_dsp_from_larger(self):
@@ -490,7 +572,7 @@ class TestLowering:
         b = ProgBuilder()
         ids = {n: b.var(n, 8) for n in "ABCD"}
         r = plan.build(b, ids, HoleNamer(), arch, None)
-        sketch = Sketch(b.prog(r.outputs["out"]))
+        sketch = Sketch(b.prog(r["out"]))
         assert {lbl.split("_", 1)[1] for lbl in sketch.holes} == \
             {"INREG", "MREG", "PREG", "PREADD_EN", "PREADD_SUB", "ALUMODE"}
         cfg = {"INREG": 0, "MREG": 0, "PREG": 0, "PREADD_EN": 1,

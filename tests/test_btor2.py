@@ -8,7 +8,7 @@ from sketchmap.btor2 import (
     MissingInit, MultipleOutputs, ParseError, Unsupported, load_btor2,
     parse_btor2, to_prog,
 )
-from sketchmap.ir import BitVec, Op, Reg, check_well_formed, free_vars
+from sketchmap.ir import BitVec, Reg, check_well_formed, free_vars
 from sketchmap.primitives import lut_model
 from util_interp import Stream, interp, simulate
 

@@ -15,7 +15,7 @@ from sketchmap.arch import load_arch, packaged_arch_path
 from sketchmap.bench import _document_text, corpus_benchmarks
 from sketchmap.cegis import Success, Timeout, Unsat, cegis, synthesize
 from sketchmap.emit import to_json_netlist, to_structural_verilog
-from sketchmap.interp import Compiled, compile_program
+from sketchmap.interp import Compiled, compile_program, plan_program
 from sketchmap.ir import (
     BV, BitVec, EmitMeta, Hole, Prim,
     ProgBuilder, Sketch, substitute_holes,
@@ -210,31 +210,36 @@ def test_revalidate_compiles_once_and_simulates_every_counterexample(
     calls = record_calls(monkeypatch, cegis_module, "simulate")
     checked = record_calls(monkeypatch, cegis_module, "_first_disagreement")
     q = build_query(_reg_spec(5), _reg_sketch(5), 0, 1)
-    # build_query plans both sides too; count from here
-    scheduled = record_calls(monkeypatch, interp, "schedule")
-    good = _reg_sketch(5).psi
+    good = compile_program(plan_program(_reg_sketch(5).psi))
     cexs = [{("a", 0): _bv(v, 4), ("a", 1): _bv(v + 1, 4)}
             for v in (0, 3, 9)] + [{}]
-    spec = compile_program(q.spec_prog)
-    cegis_module._revalidate(q, spec, compile_program(good), cexs)
+    spec = compile_program(q.spec_plan)
+    cegis_module._revalidate(q, spec, good, cexs)
     assert [a[2] for a in calls] == [2] * 8
-    assert [a[0] for a in scheduled] == [q.spec_prog, good]
     assert [a[3] for a in checked] == [cexs]
     with pytest.raises(SolverError, match=r"at cycle 0 \(spec 4'h5, "
                                           r"got 4'h7\)"):
-        cegis_module._revalidate(q, spec,
-                                 compile_program(_reg_sketch(7).psi), cexs)
+        cegis_module._revalidate(
+            q, spec, compile_program(plan_program(_reg_sketch(7).psi)), cexs)
 
-    # in the loop: the spec and the sketch are compiled once per call,
-    # whatever the iteration count, and the accepted candidate's bound
-    # form revalidates every counterexample
+    # one synthesize plans the spec, the sketch and each side constraint
+    # once, whatever the iteration count, and the accepted candidate's
+    # bound form revalidates every counterexample
     checked.clear()
-    q = build_query(_bool_spec("xor"), _lut2_sketch(), 0, 0)
-    scheduled.clear()
-    res = cegis(q)
+    scheduled = record_calls(monkeypatch, interp, "schedule")
+    cb = ProgBuilder()
+    side = cb.prog(cb.extract(1, 1, cb.hole("m", 4)))   # xor's table has it
+    spec, sketch = _bool_spec("xor"), Sketch(_lut2_sketch().psi, (side,))
+    res = synthesize(spec, sketch, t=0, c=0)
     assert isinstance(res, Success) and res.iterations > 1
-    assert [a[0] for a in scheduled] == [q.spec_prog, q.sketch.psi]
+    assert [a[0] for a in scheduled] == [spec, sketch.psi, side]
     assert checked[-1][3] is res.counterexamples
+
+    # cegis compiles the query's plans and plans nothing itself
+    q = build_query(spec, sketch, 0, 0)
+    scheduled.clear()
+    assert isinstance(cegis(q), Success)
+    assert scheduled == []
 
 
 def test_every_candidate_simulation_reaches_cegis_simulate(monkeypatch):

@@ -216,6 +216,22 @@ class TestBench:
         assert err.startswith("error: ") and "ghost" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("entry", [
+        {"name": "z3", "command": "z3 -in"},
+        {"name": "z3", "command": ["z3", "-in"], "timeout": "soon"},
+    ])
+    def test_benchrun_malformed_solver_config_exit_1(self, tmp_path, capsys,
+                                                     entry):
+        config = _write(tmp_path, json.dumps([entry]), "solvers.json")
+        code = main(["benchrun", "--corpus", str(tmp_path / "corpus"),
+                     "--arch-desc", "minidsp.yml",
+                     "--report", str(tmp_path / "r.csv"),
+                     "--solver-config", config])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: solver entry 0 ")
+        assert len(err.splitlines()) == 1
+
     def test_benchrun_missing_corpus(self, tmp_path, capsys):
         code = main(["benchrun", "--corpus", str(tmp_path / "nope"),
                      "--arch-desc", "minidsp.yml",

@@ -34,7 +34,7 @@ def _single_lut(table=0x8000, arch=None):
     ins = {f"I{i}": b.var(f"x{i}", 1) for i in range(4)}
     r = instantiate(impl, b, ins, HoleNamer(), arch,
                     pinned={"sram": BitVec.of(table, 16)})
-    return b.prog(r.outputs["O"]), arch
+    return b.prog(r["O"]), arch
 
 
 def _carry_program(w=3):
@@ -44,7 +44,7 @@ def _carry_program(w=3):
     di, s = b.var("di", w), b.var("s", w)
     ci = b.var("ci", 1)
     r = instantiate(impl, b, {"DI": di, "S": s, "CI": ci}, HoleNamer(), arch)
-    root = b.concat(r.outputs["CO"], r.outputs["O"])
+    root = b.concat(r["CO"], r["O"])
     return b.prog(root), arch
 
 
@@ -58,7 +58,7 @@ def _dsp_program(cfg=None):
     b = ProgBuilder()
     ins = {n: b.var(n.lower(), 18) for n in "ABCD"}
     r = instantiate(impl, b, ins, HoleNamer(), arch, pinned=pinned)
-    return b.prog(r.outputs["out"]), arch
+    return b.prog(r["out"]), arch
 
 
 class TestVerilog:
@@ -131,7 +131,7 @@ class TestVerilog:
         b = ProgBuilder()
         a = b.var("a", 3)
         z = b.zext(2, a)
-        s = b.sext(1, a)
+        s = b.op("sign_extend", a, params=(1,))
         c = b.concat(z, s)
         e = b.extract(6, 2, c)
         text = to_structural_verilog(b.prog(e), "wires")
@@ -172,7 +172,7 @@ class TestJsonEmission:
                "I3": b.bv(0, 1)}
         r = instantiate(impl, b, ins, HoleNamer(), arch,
                         pinned={"sram": BitVec.of(0xAAAA, 16)})
-        doc = json.loads(to_json_netlist(b.prog(r.outputs["O"])))
+        doc = json.loads(to_json_netlist(b.prog(r["O"])))
         (cell,) = doc["modules"]["top"]["cells"].values()
         assert cell["connections"]["I1"] == ["1"]
         assert cell["connections"]["I2"] == ["0"]
@@ -312,10 +312,10 @@ class TestImportErrors:
         ins = {f"I{i}": b.var(f"x{i}", 1) for i in range(4)}
         r1 = instantiate(impl, b, ins, HoleNamer(), arch,
                          pinned={"sram": BitVec.of(1, 16)})
-        ins2 = dict(ins, I0=r1.outputs["O"])
+        ins2 = dict(ins, I0=r1["O"])
         r2 = instantiate(impl, b, ins2, HoleNamer(), arch,
                          pinned={"sram": BitVec.of(2, 16)})
-        doc = json.loads(to_json_netlist(b.prog(r2.outputs["O"])))
+        doc = json.loads(to_json_netlist(b.prog(r2["O"])))
         cells = doc["modules"]["top"]["cells"]
         # u0 feeds u1; wire u1's output back into u0 to close a loop
         cells["u0"]["connections"]["I1"] = cells["u1"]["connections"]["O"]
@@ -375,14 +375,14 @@ def _random_structural(rng, arch):
             r = instantiate(lut, b, ins, namer, arch,
                             pinned={"sram": BitVec.of(rng.getrandbits(16),
                                                       16)})
-            bits.append(r.outputs["O"])
+            bits.append(r["O"])
         else:
             r = instantiate(carry, b,
                             {"DI": rng.choice(words),
                              "S": rng.choice(words),
                              "CI": rng.choice(bits)}, namer, arch)
-            words.append(r.outputs["O"])
-            bits.append(r.outputs["CO"])
+            words.append(r["O"])
+            bits.append(r["CO"])
     root_word = rng.choice(words)
     choice = rng.random()
     if choice < 0.3:
@@ -390,7 +390,7 @@ def _random_structural(rng, arch):
     elif choice < 0.5:
         root = b.zext(2, root_word)
     elif choice < 0.6:
-        root = b.sext(1, root_word)
+        root = b.op("sign_extend", root_word, params=(1,))
     else:
         root = root_word
     return b.prog(root)

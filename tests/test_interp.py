@@ -10,10 +10,10 @@ from sketchmap import interp as interp_module
 from sketchmap.arch import load_arch, packaged_arch_path
 from sketchmap.bench import _document_text, corpus_benchmarks
 from sketchmap.cegis import Success, synthesize
-from sketchmap.interp import HorizonExceeded, compile_program
+from sketchmap.interp import HorizonExceeded, compile_program, plan_program
 from sketchmap.ir import (
-    BV, BitVec, DomainError, EmitMeta, Hole, MissingAssignment, Op, Operator,
-    Prim, Prog, ProgBuilder, Reg, Sketch, SketchmapError, Var, free_vars,
+    BV, BitVec, DomainError, EmitMeta, Hole, MissingAssignment, Operator,
+    Prim, Prog, ProgBuilder, Reg, Sketch, SketchmapError, Var,
     substitute_holes,
 )
 from sketchmap.portfolio import SolverSession
@@ -178,7 +178,7 @@ def test_horizon_errors():
         simulate(p, env, 3)
     assert len(simulate(p, env, 2)) == 2
     with pytest.raises(HorizonExceeded):
-        simulate(compile_program(p), {"a": [1, 2]}, 3)
+        simulate(compile_program(plan_program(p)), {"a": [1, 2]}, 3)
 
 
 def test_missing_or_narrow_input_rejected():
@@ -189,7 +189,7 @@ def test_missing_or_narrow_input_rejected():
         interp(p, {}, 0, a)
     with pytest.raises(Exception):
         interp(p, env_of_ints({"a": ([1], 3)}), 0, a)
-    c = compile_program(p)
+    c = compile_program(plan_program(p))
     with pytest.raises(SketchmapError, match="missing input 'a'"):
         simulate(c, {}, 1)
     with pytest.raises(SketchmapError, match="outside 4 bits"):
@@ -208,7 +208,7 @@ def test_holes_are_rejected():
 def test_unbound_compiled_does_not_run():
     b = ProgBuilder()
     a = b.var("a", 4)
-    c = compile_program(b.prog(b.op("xor", a, b.hole("m", 4))))
+    c = compile_program(plan_program(b.prog(b.op("xor", a, b.hole("m", 4)))))
     assert c.holes == (("m", 4),)
     with pytest.raises(SketchmapError, match="unbound holes m"):
         simulate(c, {"a": [1]}, 1)
@@ -234,17 +234,17 @@ def _with_holes(rng: random.Random, p: Prog) -> Sketch:
 
 def _assert_bind_matches_substitution(rng: random.Random, sketch: Sketch,
                                       draws: int, horizon: int) -> None:
-    """compile_program(psi).bind(v) against compile_program of the
+    """compile_program(plan_program(psi)).bind(v) against the compiled
     program substitute_holes makes with v, on every cycle of random
     input streams, for draws random hole assignments v."""
-    compiled = compile_program(sketch.psi)
+    compiled = compile_program(plan_program(sketch.psi))
     assert compiled.holes == tuple(sketch.holes.items())
     for _ in range(draws):
         values = {label: _bv(rng.getrandbits(w), w)
                   for label, w in sketch.holes.items()}
         got = compiled.bind(values)
-        want = compile_program(substitute_holes(
-            sketch, {label: BV(v) for label, v in values.items()}))
+        want = compile_program(plan_program(substitute_holes(
+            sketch, {label: BV(v) for label, v in values.items()})))
         assert got.inputs == want.inputs and got.width == want.width
         env = {name: [rng.getrandbits(w) for _ in range(horizon)]
                for name, w in want.inputs}
@@ -286,7 +286,7 @@ def test_memoization_transparent_on_random_programs():
     for _ in range(3000):
         p = random_behavioral(rng, max_nodes=12, max_width=6)
         with_regs += any(isinstance(n, Reg) for n in p.nodes.values())
-        c = compile_program(p)
+        c = compile_program(plan_program(p))
         ints = {name: [rng.getrandbits(w) for _ in range(horizon)]
                 for name, w in c.inputs}
         env = {name: stream_of_ints(vs, w)
@@ -376,7 +376,8 @@ def test_compiled_hand_cases(case, want):
     assert [v.value for v in simulate(p, env, 4)] == want
     for t in range(4):
         assert interp_naive(p, env, t, p.root).value == want[t]
-    assert len(compile_program(p).fn.__defaults__ or ()) == calls
+    assert len(compile_program(plan_program(p)).fn.__defaults__ or ()) \
+        == calls
 
 
 def _unread_locals(src: str) -> set[str]:
@@ -404,7 +405,7 @@ def test_mapped_dsp_row_compiles_without_unread_locals(monkeypatch):
         res = synthesize(doc.prog, sketch, t=doc.pipeline, session=session)
     assert isinstance(res, Success)
     sources = record_calls(monkeypatch, interp_module, "_code")
-    compiled = compile_program(res.program)
+    compiled = compile_program(plan_program(res.program))
     (src,) = (a[0] for a in sources)
     assert _unread_locals(src) == set()
     assert not re.search(r"\br\d", src)      # no register survives
@@ -449,7 +450,7 @@ def test_input_names_never_enter_generated_code():
             v = (v * 3 + rows[name][t]) & 0xff
         want.append(v)
     assert [v.value for v in simulate(p, env, 6)] == want
-    assert simulate(compile_program(p), rows, 6) == want
+    assert simulate(compile_program(plan_program(p)), rows, 6) == want
 
 
 def test_naive_matches_fast_through_prims():

@@ -4,6 +4,7 @@ session's children serve query after query."""
 import json
 import marshal
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -159,6 +160,47 @@ def test_config_loading(tmp_path):
     (tmp_path / "bad2.json").write_text(json.dumps([{"name": "x"}]))
     with pytest.raises(SolverError):
         load_solver_config(str(tmp_path / "bad2.json"))
+
+
+_GOOD = {"name": "a", "command": ["prog"]}
+
+
+@pytest.mark.parametrize("entries,why", [
+    ([dict(_GOOD, command="z3 -in")], "list of strings as its command"),
+    ([dict(_GOOD, command=[])], "list of strings as its command"),
+    ([dict(_GOOD, command=["z3", 3])], "list of strings as its command"),
+    ([dict(_GOOD, timeout="soon")], "positive number of seconds"),
+    ([dict(_GOOD, timeout=0)], "positive number of seconds"),
+    ([dict(_GOOD, timeout=True)], "positive number of seconds"),
+    ([dict(_GOOD, timeout=float("inf"))], "positive number of seconds"),
+    ([_GOOD, dict(_GOOD, name="")], "non-empty string name"),
+    ([_GOOD, dict(_GOOD, name=7)], "non-empty string name"),
+    ([_GOOD, dict(_GOOD, command=["other"])], "repeats the name 'a'"),
+    ([_GOOD, ["a", "prog"]], "is not an object"),
+])
+def test_config_entries_are_validated_where_read(tmp_path, entries, why):
+    p = tmp_path / "solvers.json"
+    p.write_text(json.dumps(entries))
+    entry = len(entries) - 1
+    with pytest.raises(SolverError,
+                       match=f"{re.escape(str(p))}: solver entry {entry} "
+                             f".*{re.escape(why)}"):
+        load_solver_config(str(p))
+
+
+def test_config_that_is_not_json_is_a_solver_error(tmp_path):
+    p = tmp_path / "solvers.json"
+    p.write_text("[{")
+    with pytest.raises(SolverError,
+                       match=f"{re.escape(str(p))}: not valid JSON"):
+        load_solver_config(str(p))
+
+
+def test_portfolio_that_repeats_a_name_is_rejected():
+    twice = default_portfolio() * 2
+    with SolverSession() as session:
+        with pytest.raises(SolverError, match="repeats a name"):
+            session.solve(SAT_QUERY, twice)
 
 
 def test_session_serves_queries_from_one_child():

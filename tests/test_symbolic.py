@@ -5,9 +5,10 @@ import random
 import pytest
 
 from sketchmap.arch import NoImplementation, load_arch, packaged_arch_path
+from sketchmap.interp import plan_program
 from sketchmap.ir import (
-    BV, ArityError, BitVec, EmitMeta, Operator, Prim, Prog, ProgBuilder, Reg,
-    Sketch, SketchmapError, Var, WidthError,
+    ArityError, BitVec, EmitMeta, Operator, Prim, Prog, ProgBuilder, Reg,
+    Sketch, SketchmapError, WidthError,
 )
 from sketchmap.sketches import generate_sketch, list_templates
 from sketchmap.symbolic import FreeVarMismatch, build_query, symbolic_run
@@ -179,7 +180,7 @@ class TestSymbolicRun:
         a = b.var("a", 1)
         c = b.var("c", 1)
         g = b.op("and", a, c)
-        roots = symbolic_run(b.prog(g), 1)
+        roots = symbolic_run(plan_program(b.prog(g)), 1)
         assert roots[0].op.name == "and"
         assert {(s.name, s.time) for s in term_leaves(roots[0])[0]} == \
             {("a", 0), ("c", 0)}
@@ -190,7 +191,7 @@ class TestSymbolicRun:
         b = ProgBuilder()
         a = b.var("a", 4)
         r = b.reg(a, _bv(9, 4))
-        roots = symbolic_run(b.prog(r), 2)
+        roots = symbolic_run(plan_program(b.prog(r)), 2)
         assert roots[0].value == _bv(9, 4)
         assert roots[1].kind == "input" and roots[1].time == 0
         assert roots[2].time == 1
@@ -198,14 +199,14 @@ class TestSymbolicRun:
     def test_constant_hole_becomes_symbol(self):
         b = ProgBuilder()
         h = b.hole("m", 4)
-        roots = symbolic_run(b.prog(h), 0)
+        roots = symbolic_run(plan_program(b.prog(h)), 0)
         assert roots[0].kind == "hole" and roots[0].label == "m"
 
     def test_termination_on_random_programs(self):
         rng = random.Random(31)
         for _ in range(50):
             p = random_behavioral(rng, max_nodes=14, max_width=6)
-            roots = symbolic_run(p, 8)
+            roots = symbolic_run(plan_program(p), 8)
             assert len(roots) == 9
 
     def test_agreement_with_interpreter(self):
@@ -215,7 +216,7 @@ class TestSymbolicRun:
             from sketchmap.ir import var_widths
             vw = var_widths(p)
             horizon = 4
-            roots = symbolic_run(p, horizon - 1)
+            roots = symbolic_run(plan_program(p), horizon - 1)
             env_vals = {(n, t): _bv(rng.getrandbits(w), w)
                         for n, w in vw.items() for t in range(horizon)}
             streams = {n: Stream(tuple(env_vals[(n, t)]
@@ -347,7 +348,7 @@ def _assert_same_roots(p: Prog, upto: int, tb=None) -> None:
     """symbolic_run and the walk it replaced give the very same root term
     at every cycle under one builder (tb, or a new one)."""
     tb = tb or TermBuilder()
-    got = symbolic_run(p, upto, tb)
+    got = symbolic_run(plan_program(p), upto, tb)
     want = walk_symbolic_run(p, upto, tb)
     assert len(got) == len(want) == upto + 1
     for t, (g, w) in enumerate(zip(got, want)):
@@ -409,4 +410,5 @@ class TestPlanAgainstWalk:
         spec = sb.prog(sb.zext(4, sb.op("add", sb.var("a", 4),
                                         sb.var("b", 4))))
         q = build_query(spec, sketch, 1, 2)
-        assert q.side_constraints == symbolic_run(side, 0, q.builder)
+        assert q.side_constraints == \
+            symbolic_run(plan_program(side), 0, q.builder)

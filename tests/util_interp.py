@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 from sketchmap import interp as _interp
-from sketchmap.interp import Compiled, HorizonExceeded, compile_program
+from sketchmap.interp import (
+    Compiled, HorizonExceeded, compile_program, plan_program,
+)
 from sketchmap.ir import (
     BV, BitVec, Id, Op, Operator, Prim, Prog, Reg, SketchmapError, Var,
     check_well_formed, fold, op_result_width,
@@ -82,7 +84,7 @@ def simulate(p: Union[Prog, Compiled], env: Mapping, horizon: int) -> list:
     """
     if isinstance(p, Compiled):
         return _interp.simulate(p, env, horizon)
-    c = compile_program(p)
+    c = compile_program(plan_program(p))
     values = {}
     for name, w in c.inputs:
         if name in env:
@@ -130,7 +132,7 @@ def _naive(p: Prog, lookup: Callable[[str, int], BitVec], t: int,
             return node.init
         return _naive(p, lookup, t - 1, node.data)
     if isinstance(node, Prim):
-        bm = node.bind_map()
+        bm = dict(node.binds)
         inner = lambda x, tt: _naive(p, lookup, tt, bm[x])
         return _naive(node.body, inner, t, node.body.root)
     raise SketchmapError(f"cannot interpret node {n}: {node}")

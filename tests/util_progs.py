@@ -136,7 +136,7 @@ def _edges(items: list[tuple[Id, Node, Id]]) -> list[tuple[Id, Id]]:
         elif isinstance(nd, Prim):
             inner = off + nd.base
             edges.append((inner + nd.body.root, i))
-            bm = nd.bind_map()
+            bm = dict(nd.binds)
             for bi, bn in nd.body.nodes.items():
                 if isinstance(bn, Var):
                     edges.append((off + bm[bn.name], inner + bi))
@@ -226,7 +226,7 @@ def copying_assemble_prim(impl, b: ProgBuilder, model, port_values,
     """arch._assemble_prim as it was when every instance held a relabelled
     copy of the model's body at base 0; patch it over arch._assemble_prim
     to build a sketch the old way."""
-    semantics, _, packed, meta = model
+    semantics, packed, meta = model
     binds = [(k, port_values[k]) for k, _ in meta.port_bindings
              if k != "clk"]
     binds += [(nm, internal_ids[nm]) for nm, _ in impl.internal_data]
