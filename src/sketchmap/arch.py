@@ -172,16 +172,6 @@ class InterfaceImpl:
     outputs: tuple[tuple[str, str], ...]         # iface output -> module port
     constraints: tuple[object, ...]              # expressions as read
 
-    @property
-    def internal_map(self) -> dict[str, int]:
-        return dict(self.internal_data)
-
-    def port(self, name: str) -> PortSpec:
-        for p in self.ports:
-            if p.name == name:
-                return p
-        raise SketchmapError(f"{self.module_name} has no port {name!r}")
-
 
 @dataclass(frozen=True)
 class ArchDescription:
@@ -505,13 +495,12 @@ def _read_semantics(impl: InterfaceImpl, arch: ArchDescription
 def _emit_meta(impl: InterfaceImpl, fvw: dict[str, int],
                packed: tuple[tuple[str, int], ...]) -> EmitMeta:
     """How every instance of impl prints, after checking that its input
-    ports and internal data wire each model input at the model's width."""
-    port_bindings: list[tuple[str, str]] = []
+    ports and internal data wire each model input at the model's width.
+    Its outputs are impl's module ports for the packed outputs, each
+    with its bit range in the packed value."""
+    ports = tuple(p.name for p in impl.ports if p.direction == "in")
     for p in impl.ports:
-        if p.direction != "in":
-            continue
-        if p.name == "clk":
-            port_bindings.append(("clk", "clk"))
+        if p.direction != "in" or p.name == "clk":
             continue
         if p.name not in fvw:
             raise ModelLoadError(
@@ -521,9 +510,8 @@ def _emit_meta(impl: InterfaceImpl, fvw: dict[str, int],
             raise WidthMismatch(
                 f"{impl.module_name}: port {p.name!r} declared {p.width} "
                 f"bits but the model reads {fvw[p.name]}")
-        port_bindings.append((p.name, p.name))
 
-    unwired = (set(fvw) - {k for k, _ in port_bindings if k != "clk"}
+    unwired = (set(fvw) - (set(ports) - {"clk"})
                - {nm for nm, _ in impl.internal_data})
     if unwired:
         raise ModelLoadError(
@@ -534,11 +522,9 @@ def _emit_meta(impl: InterfaceImpl, fvw: dict[str, int],
     ranges = packed_ranges(packed)
     return EmitMeta(
         module_name=impl.module_name,
-        port_bindings=tuple(port_bindings),
+        ports=ports,
         parameter_bindings=impl.parameters,
-        output_port=out_map[packed[-1][0]],
-        output_slices=tuple((out_map[o], *ranges[o]) for o, _ in packed)
-        if len(packed) > 1 else ())
+        outputs=tuple((out_map[o], *ranges[o]) for o, _ in packed))
 
 
 def _renumber(prog: Prog) -> Prog:
@@ -562,13 +548,12 @@ class HoleNamer:
     instances it names, in the order instantiate made them: the sketch's
     Sketch.side_constraints."""
 
-    def __init__(self, stem: str = "u"):
-        self.stem = stem
+    def __init__(self):
         self.count = 0
         self.constraints: list[Prog] = []
 
     def prefix(self) -> str:
-        p = f"{self.stem}{self.count}_"
+        p = f"u{self.count}_"
         self.count += 1
         return p
 
@@ -637,8 +622,7 @@ def _assemble_prim(impl: InterfaceImpl, b: ProgBuilder, model: Model,
     Returns the prim id and the interface-output map.
     """
     semantics, packed, meta = model
-    binds = [(k, port_values[k]) for k, _ in meta.port_bindings
-             if k != "clk"]
+    binds = [(k, port_values[k]) for k in meta.ports if k != "clk"]
     binds += [(nm, internal_ids[nm]) for nm, _ in impl.internal_data]
     base = b.fresh(len(semantics.nodes))
     prim = b.add(Prim(tuple(binds), semantics, meta, base))
@@ -657,9 +641,8 @@ def instantiate_from_ports(impl: InterfaceImpl, b: ProgBuilder,
     The netlist importer's entry point: port_values are keyed by module
     port names (the interface-level port expressions have already been
     flattened to wires), and every internal_data entry must be pinned to
-    a constant.  Returns (prim id, interface-output ids, packed output
-    layout) where the layout lists (interface output, width) in packing
-    order, MSB first.
+    a constant.  Returns the prim id; its meta.outputs gives each module
+    output port's bit range in the prim's value.
     """
     model = _load_model(impl, arch)
     internal_ids: dict[str, Id] = {}
@@ -678,9 +661,7 @@ def instantiate_from_ports(impl: InterfaceImpl, b: ProgBuilder,
         raise SketchmapError(
             f"{impl.module_name}: ports {sorted(port_values)} do not "
             f"match the module inputs {sorted(expected)}")
-    prim, outputs = _assemble_prim(impl, b, model, port_values,
-                                   internal_ids)
-    return prim, outputs, model[1]
+    return _assemble_prim(impl, b, model, port_values, internal_ids)[0]
 
 
 # -- lowering plans -----------------------------------------------------------

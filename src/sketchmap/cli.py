@@ -29,7 +29,7 @@ from pathlib import Path
 from .arch import load_arch, packaged_arch_path
 from .bench import SoundnessFailure, run_corpus, write_corpus
 from .cegis import Success, Timeout, Unsat, synthesize
-from .emit import to_json_netlist, to_structural_verilog
+from .emit import check_names, to_json_netlist, to_structural_verilog
 from .ir import SketchmapError
 from .portfolio import SolverSession, load_solver_config
 from .sketches import document_params, generate_sketch, list_templates
@@ -125,6 +125,7 @@ def run_map(args) -> int:
         sketch = generate_sketch(args.template, arch,
                                  document_params(args.template, doc,
                                                  widths.pop()))
+        check_names(sketch.psi, args.module_name)
         with SolverSession() as session:
             result = synthesize(doc.prog, sketch, t=doc.pipeline,
                                 c=args.clock_cycles, solvers=solvers,

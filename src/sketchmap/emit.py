@@ -5,19 +5,27 @@ constants, named inputs, and pure wiring (concat / extract / zero_extend /
 sign_extend); registers live inside primitive bodies, which describe
 semantics only and are never printed.  Emission is a one-to-one syntactic
 mapping: each Prim becomes a module instance, wiring becomes assigns (in
-Verilog) or bit-index lists (in JSON), and nothing is optimized.
+Verilog) or bit-index lists (in JSON), and nothing is optimized.  Both
+formats print one walk of the program (_netlist), and each Prim's
+ir.EmitMeta states there, once, its module, input ports, parameters and
+output slices.  No input may be named out or clk, nor n<k> or u<k>,
+which name wires and cells, and the module may not be named after a cell
+type it instantiates (check_names, which ``map`` runs on the sketch
+before synthesis).
 
 The JSON format follows the Yosys netlist convention: a top-level
 ``modules`` map whose entries carry ``ports``, ``cells``, and
 ``netnames``; connections are lists of net bit indices (integers) or the
 constant strings "0"/"1"; bitvector parameters are binary strings.
 from_json_netlist inverts the mapping, rebuilding primitive semantics by
-looking the cell types up in an architecture description, so a round
-trip preserves both structure (up to id renaming) and behavior.
+looking the cell types up in an architecture description and reading
+each rebuilt Prim's EmitMeta for its output slices, so a round trip
+preserves both structure (up to id renaming) and behavior.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from typing import Union
@@ -26,11 +34,11 @@ from .arch import ArchDescription, instantiate_from_ports
 from .ir import (BV, BitVec, Hole, Id, Op, Prim, Prog, SketchmapError, Var,
                  check_well_formed, node_widths, structural_violations,
                  var_widths)
-from .primitives import packed_ranges
 
 __all__ = [
     "JsonSchemaError",
     "NotStructural",
+    "check_names",
     "from_json_netlist",
     "to_json_netlist",
     "to_structural_verilog",
@@ -50,7 +58,8 @@ class JsonSchemaError(SketchmapError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_RESERVED = {"out", "clk"}
+# the output and clock ports, and the names of wires (n<id>) and cells
+_TAKEN_RE = re.compile(r"out|clk|[nu]\d+")
 # bit atoms: "0"/"1" for constant bits, or (source node id, bit index)
 _Atom = Union[str, tuple]
 
@@ -68,17 +77,18 @@ def _check_structural(p: Prog) -> dict[Id, int]:
     return widths
 
 
-def _check_port_names(p: Prog) -> None:
+def check_names(p: Prog, module_name: str) -> set[Id]:
+    """The ids p's netlist prints, once its names are checked: no input
+    may be called out or clk, nor n<k> or u<k>, the names of wires and
+    cells, and module_name may not be the type of a cell the netlist
+    holds.  Raises ValueError otherwise.  Parameter-source constants are
+    not printed: their value is printed as a parameter, not a wire."""
     for name in var_widths(p):
-        if not _NAME_RE.match(name) or name in _RESERVED or \
-                re.fullmatch(r"n\d+", name):
+        if not _NAME_RE.match(name) or _TAKEN_RE.fullmatch(name):
             raise ValueError(
                 f"input name {name!r} cannot be used as a port name")
-
-
-def _reachable(p: Prog) -> set[Id]:
-    """Ids the netlist must print: parameter-source constants are
-    excluded (their value is printed as a parameter, not a wire)."""
+    if not _NAME_RE.match(module_name):
+        raise ValueError(f"bad module name {module_name!r}")
     seen: set[Id] = set()
     stack = [p.root]
     while stack:
@@ -90,37 +100,42 @@ def _reachable(p: Prog) -> set[Id]:
         if isinstance(n, Op):
             stack.extend(n.args)
         elif isinstance(n, Prim):
-            ported = {k for k, _ in n.meta.port_bindings}
-            stack.extend(b for k, b in n.binds if k in ported)
+            if n.meta.module_name == module_name:
+                raise ValueError(f"module name {module_name!r} is the type "
+                                 "of a cell it instantiates")
+            stack.extend(b for k, b in n.binds if k in n.meta.ports)
     return seen
 
 
-def _needs_clk(p: Prog, reach: set[Id]) -> bool:
+def _netlist(p: Prog, module_name: str) -> tuple:
+    """What both emitters print, once p is checked structural and its
+    names are checked: (node widths, printed ids ascending, inputs as
+    sorted (name, width) pairs, whether a clock input is needed, cells).
+    Each printed Prim, in id order, is one cell (instance name, prim id,
+    meta, parameter values, port sources), a port's source being a node
+    id, or None for the module clock."""
+    widths = _check_structural(p)
+    reach = sorted(check_names(p, module_name))
+    cells = []
     for i in reach:
         n = p.nodes[i]
-        if isinstance(n, Prim):
-            bound = {k for k, _ in n.binds}
-            if any(port == "clk" and k not in bound
-                   for k, port in n.meta.port_bindings):
-                return True
-    return False
-
-
-def _hex_literal(v: BitVec) -> str:
-    return f"{v.width}'h{v.value:x}"
-
-
-def _param_value(p: Prog, prim: Prim, prim_id: Id,
-                 spec: Union[str, BitVec]) -> BitVec:
-    """Resolve one parameter binding to its constant value."""
-    if isinstance(spec, BitVec):
-        return spec
-    binds = dict(prim.binds)
-    node = p.nodes[binds[spec]]
-    if not isinstance(node, BV):
-        raise NotStructural(
-            prim_id, f"parameter source {spec!r} is not a constant")
-    return node.b
+        if not isinstance(n, Prim):
+            continue
+        binds = dict(n.binds)
+        params = []
+        for pname, spec in n.meta.parameter_bindings:
+            if isinstance(spec, str):
+                src = p.nodes[binds[spec]]
+                if not isinstance(src, BV):
+                    raise NotStructural(
+                        i, f"parameter source {spec!r} is not a constant")
+                spec = src.b
+            params.append((pname, spec))
+        sources = [(k, None if k == "clk" else binds[k])
+                   for k in n.meta.ports]
+        cells.append((f"u{len(cells)}", i, n.meta, params, sources))
+    clk = any(src is None for *_, sources in cells for _, src in sources)
+    return widths, reach, sorted(var_widths(p).items()), clk, cells
 
 
 # -- Verilog ------------------------------------------------------------------
@@ -132,15 +147,10 @@ def to_structural_verilog(p: Prog, module_name: str) -> str:
     Inputs come from the program's named variables (sorted), the single
     output is named ``out``, and a ``clk`` input appears exactly when
     some instance has a clock port.  Wires are named n<id> after their
-    node; emission is deterministic byte-for-byte.
+    node and instances u<k>; emission is deterministic byte-for-byte.
+    Constants print as BitVec does, width'hvalue.
     """
-    widths = _check_structural(p)
-    _check_port_names(p)
-    if not _NAME_RE.match(module_name):
-        raise ValueError(f"bad module name {module_name!r}")
-    reach = _reachable(p)
-    vw = var_widths(p)
-    needs_clk = _needs_clk(p, reach)
+    widths, reach, inputs, clk, cells = _netlist(p, module_name)
 
     def ref(i: Id) -> str:
         n = p.nodes[i]
@@ -151,25 +161,16 @@ def to_structural_verilog(p: Prog, module_name: str) -> str:
             return ref(i)
         return f"{ref(i)}[{hi}:{lo}]" if hi != lo else f"{ref(i)}[{hi}]"
 
-    ports = []
-    if needs_clk:
-        ports.append("  input wire clk")
-    for name in sorted(vw):
-        ports.append(f"  input wire [{vw[name] - 1}:0] {name}")
+    ports = ["  input wire clk"] if clk else []
+    ports += [f"  input wire [{w - 1}:0] {name}" for name, w in inputs]
     ports.append(f"  output wire [{widths[p.root] - 1}:0] out")
+    lines = [f"module {module_name} (", ",\n".join(ports), ");"]
 
-    lines = [f"module {module_name} (", ",\n".join(ports) + "", ");"]
-
-    body: list[str] = []
-    insts: list[str] = []
-    counter = 0
-    for i in sorted(p.nodes):
-        if i not in reach:
-            continue
+    for i in reach:
         n = p.nodes[i]
         decl = f"  wire [{widths[i] - 1}:0] n{i}"
         if isinstance(n, BV):
-            body.append(f"{decl} = {_hex_literal(n.b)};")
+            lines.append(f"{decl} = {n.b};")
         elif isinstance(n, Op):
             if n.op.name == "concat":
                 rhs = f"{{{ref(n.args[0])}, {ref(n.args[1])}}}"
@@ -184,44 +185,22 @@ def to_structural_verilog(p: Prog, module_name: str) -> str:
                 msb = widths[n.args[0]] - 1
                 rhs = f"{{{{{k}{{{ref(n.args[0])}[{msb}]}}}}, " \
                       f"{ref(n.args[0])}}}"
-            body.append(f"{decl} = {rhs};")
+            lines.append(f"{decl} = {rhs};")
         elif isinstance(n, Prim):
-            body.append(f"{decl};")
-            insts.append(_verilog_instance(p, i, n, f"u{counter}", ref,
-                                           widths))
-            counter += 1
+            lines.append(f"{decl};")
 
-    lines.extend(body)
-    lines.extend(insts)
+    for name, i, meta, params, sources in cells:
+        conns = [f"    .{k}({'clk' if src is None else ref(src)})"
+                 for k, src in sources]
+        conns += [f"    .{k}({sel(i, hi, lo)})" for k, hi, lo in meta.outputs]
+        head = f"  {meta.module_name} "
+        if params:
+            head += "#(\n" + ",\n".join(f"    .{k}({v})" for k, v in params) \
+                + "\n  ) "
+        lines.append(f"{head}{name} (\n" + ",\n".join(conns) + "\n  );")
     lines.append(f"  assign out = {ref(p.root)};")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
-
-
-def _verilog_instance(p: Prog, i: Id, n: Prim, inst_name: str, ref,
-                      widths) -> str:
-    meta = n.meta
-    binds = dict(n.binds)
-    params = []
-    for pname, spec in meta.parameter_bindings:
-        params.append(f"    .{pname}({_hex_literal(_param_value(p, n, i, spec))})")
-    conns = []
-    for bound, port in meta.port_bindings:
-        if port == "clk" and bound not in binds:
-            conns.append("    .clk(clk)")
-        else:
-            conns.append(f"    .{port}({ref(binds[bound])})")
-    if meta.output_slices:
-        for port, hi, lo in meta.output_slices:
-            part = f"n{i}[{hi}:{lo}]" if hi != lo else f"n{i}[{hi}]"
-            conns.append(f"    .{port}({part})")
-    else:
-        conns.append(f"    .{meta.output_port}(n{i})")
-    head = f"  {meta.module_name} "
-    if params:
-        head += "#(\n" + ",\n".join(params) + "\n  ) "
-    head += f"{inst_name} (\n" + ",\n".join(conns) + "\n  );"
-    return head
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -260,33 +239,18 @@ def _atoms_of(p: Prog, widths: dict[Id, int]) -> dict[Id, list[_Atom]]:
 
 def to_json_netlist(p: Prog, module_name: str = "top") -> str:
     """Print a structural program as a Yosys-style JSON netlist."""
-    widths = _check_structural(p)
-    _check_port_names(p)
-    reach = _reachable(p)
-    vw = var_widths(p)
-    needs_clk = _needs_clk(p, reach)
+    widths, _, inputs, clk, cells = _netlist(p, module_name)
     atoms = _atoms_of(p, widths)
 
     # net numbering: input bits first (names sorted), then the clock,
-    # then each reachable primitive's packed output, in node order
-    nets: dict[tuple, int] = {}
-    nxt = 2
+    # then each cell's packed output, in node order
     var_id_of = {n.name: i for i, n in p.nodes.items() if isinstance(n, Var)}
-    for name in sorted(vw):
-        src = var_id_of[name]
-        for k in range(vw[name]):
-            nets[(src, k)] = nxt
-            nxt += 1
-    clk_net = None
-    if needs_clk:
-        clk_net = nxt
-        nxt += 1
-    prims = [i for i in sorted(p.nodes)
-             if i in reach and isinstance(p.nodes[i], Prim)]
-    for i in prims:
-        for k in range(widths[i]):
-            nets[(i, k)] = nxt
-            nxt += 1
+    nxt = itertools.count(2)
+    nets = {(var_id_of[name], k): next(nxt)
+            for name, w in inputs for k in range(w)}
+    clk_net = next(nxt) if clk else None
+    nets.update({(i, k): next(nxt)
+                 for _, i, *_ in cells for k in range(widths[i])})
 
     # a var node never emitted under one name may alias another Var node
     # with the same name; route through the canonical node for the name
@@ -299,62 +263,37 @@ def to_json_netlist(p: Prog, module_name: str = "top") -> str:
             return nets[(var_id_of[n.name], k)]
         return nets[(i, k)]
 
-    ports = {}
-    for name in sorted(vw):
-        ports[name] = {
-            "direction": "input",
-            "bits": [nets[(var_id_of[name], k)] for k in range(vw[name])],
-        }
-    if needs_clk:
+    ports = {name: {"direction": "input",
+                    "bits": [nets[(var_id_of[name], k)] for k in range(w)]}
+             for name, w in inputs}
+    if clk:
         ports["clk"] = {"direction": "input", "bits": [clk_net]}
     ports["out"] = {"direction": "output",
                     "bits": [net_of(a) for a in atoms[p.root]]}
 
-    cells = {}
-    netnames = {}
-    for name in sorted(vw):
-        netnames[name] = {"hide_name": 0, "bits": ports[name]["bits"]}
-    for counter, i in enumerate(prims):
-        n = p.nodes[i]
-        meta = n.meta
-        binds = dict(n.binds)
-        parameters = {}
-        for pname, spec in meta.parameter_bindings:
-            v = _param_value(p, n, i, spec)
-            parameters[pname] = f"{v.value:0{v.width}b}"
-        directions = {}
-        connections = {}
-        for bound, port in meta.port_bindings:
-            directions[port] = "input"
-            if port == "clk" and bound not in binds:
-                connections["clk"] = [clk_net]
-            else:
-                connections[port] = [net_of(a) for a in atoms[binds[bound]]]
-        if meta.output_slices:
-            for port, hi, lo in meta.output_slices:
-                directions[port] = "output"
-                connections[port] = [nets[(i, k)] for k in range(lo, hi + 1)]
-        else:
-            directions[meta.output_port] = "output"
-            connections[meta.output_port] = [nets[(i, k)]
-                                             for k in range(widths[i])]
-        cells[f"u{counter}"] = {
+    netnames = {name: {"hide_name": 0, "bits": ports[name]["bits"]}
+                for name, _ in inputs}
+    cell_docs = {}
+    for name, i, meta, params, sources in cells:
+        bits = [nets[(i, k)] for k in range(widths[i])]
+        cell_docs[name] = {
             "type": meta.module_name,
-            "parameters": parameters,
-            "port_directions": directions,
-            "connections": connections,
+            "parameters": {k: f"{v.value:0{v.width}b}" for k, v in params},
+            "port_directions": {k: "input" for k, _ in sources}
+            | {k: "output" for k, _, _ in meta.outputs},
+            "connections": {k: [clk_net] if src is None else
+                            [net_of(a) for a in atoms[src]]
+                            for k, src in sources}
+            | {k: bits[lo:hi + 1] for k, hi, lo in meta.outputs},
         }
-        netnames[f"u{counter}"] = {
-            "hide_name": 1,
-            "bits": [nets[(i, k)] for k in range(widths[i])],
-        }
+        netnames[name] = {"hide_name": 1, "bits": bits}
 
     doc = {
         "creator": "sketchmap",
         "modules": {
             module_name: {
                 "ports": ports,
-                "cells": cells,
+                "cells": cell_docs,
                 "netnames": netnames,
             }
         },
@@ -497,7 +436,7 @@ def from_json_netlist(text: str, arch: ArchDescription) -> Prog:
 
     root_bits = ports[out_ports[0]]["bits"]
 
-    # cname -> (prim id, {module out port -> (hi, lo)}, packed width)
+    # cname -> (prim id, {module out port -> its low bit in the prim})
     built: dict[str, tuple] = {}
     node_width_of: dict[Id, int] = {
         i: n.width for i, n in b.nodes.items() if isinstance(n, Var)}
@@ -520,8 +459,7 @@ def from_json_netlist(text: str, arch: ArchDescription) -> Prog:
             cname, pn, k = atom
             _expect(cname in built,
                     f"cell {cname!r} is referenced before it can be built")
-            _prim, slices, _w = built[cname]
-            return cname, slices[pn][1] + k
+            return cname, built[cname][1][pn] + k
         return atom                    # (var node id, bit)
 
     def materialize(bits: list) -> Id:
@@ -546,11 +484,8 @@ def from_json_netlist(text: str, arch: ArchDescription) -> Prog:
                 while j < len(norm) and norm[j] == (key, last + 1):
                     last += 1
                     j += 1
-                if isinstance(key, str):
-                    src, w = built[key][0], built[key][2]
-                else:
-                    src, w = key, node_width_of[key]
-                if pos == 0 and last == w - 1:
+                src = built[key][0] if isinstance(key, str) else key
+                if pos == 0 and last == node_width_of[src] - 1:
                     pieces.append(src)
                 else:
                     pieces.append(b.extract(last, pos, src))
@@ -560,18 +495,15 @@ def from_json_netlist(text: str, arch: ArchDescription) -> Prog:
             out = b.concat(piece, out)
         return out
 
+    def cells_in(bits: list) -> set[str]:
+        return {atom[0] for atom in map(resolve, bits)
+                if isinstance(atom, tuple) and len(atom) == 3}
+
     def deps_of(cname: str) -> set[str]:
-        impl = prepared[cname]
-        outs = {pn for _, pn in impl.outputs}
-        needed = set()
-        for pn, bits in cells[cname]["connections"].items():
-            if pn == "clk" or pn in outs:
-                continue
-            for net in bits:
-                atom = resolve(net)
-                if isinstance(atom, tuple) and len(atom) == 3:
-                    needed.add(atom[0])
-        return needed
+        outs = {pn for _, pn in prepared[cname].outputs}
+        return set().union(*(
+            cells_in(bits) for pn, bits in cells[cname]["connections"].items()
+            if pn != "clk" and pn not in outs))
 
     # Build cells in dependency order.  One cell per scan, always the
     # earliest ready one, so that re-emission reproduces the document's
@@ -592,16 +524,21 @@ def from_json_netlist(text: str, arch: ArchDescription) -> Prog:
             port_values[pt.name] = vid
             node_width_of[vid] = pt.width
         internals = _internals_from_params(impl, cells[cname])
-        prim, _outs, packed = instantiate_from_ports(
-            impl, b, port_values, internals, arch)
-        out_map = dict(impl.outputs)
-        slices = {out_map[o]: r for o, r in packed_ranges(packed).items()}
-        width = sum(w for _, w in packed)
-        built[cname] = (prim, slices, width)
-        node_width_of[prim] = width
+        prim = instantiate_from_ports(impl, b, port_values, internals, arch)
+        outputs = b.nodes[prim].meta.outputs       # MSB first
+        built[cname] = (prim, {o: lo for o, _, lo in outputs})
+        node_width_of[prim] = outputs[0][1] + 1
         remaining.remove(cname)
 
     root = materialize(root_bits)
+    # a cell whose output nothing reads is kept above the root's bits,
+    # so that the program still holds, and prints, every cell
+    read = cells_in(root_bits).union(*map(deps_of, cell_order))
+    unread = sorted(built[c][0] for c in cell_order if c not in read)
+    for prim in unread:
+        root = b.concat(prim, root)
+    if unread:
+        root = b.extract(len(root_bits) - 1, 0, root)
     prog = b.prog(root)
     check_well_formed(prog)
     return prog

@@ -108,12 +108,6 @@ class BitVec:
     def bit(self, i: int) -> int:
         return (self.value >> i) & 1
 
-    @property
-    def signed(self) -> int:
-        if self.value >> (self.width - 1):
-            return self.value - (1 << self.width)
-        return self.value
-
     def __str__(self):
         return f"{self.width}'h{self.value:x}"
 
@@ -396,28 +390,23 @@ class Reg:
 class EmitMeta:
     """Everything the emitter needs to print a Prim as a module instance.
 
-    port_bindings maps a bound body-variable name to the name of its
-    module input port.  It may also carry the reserved key "clk" with no
-    matching bind; the emitter connects that port to the global clock.
-    parameter_bindings maps a Verilog parameter name to either the bound
-    body-variable whose (post-substitution constant) value becomes the
-    parameter, or a fixed BitVec literal.  output_port names the single
-    output port; primitives with several output ports pack them into one
-    root value and list the packing in output_slices as (port, hi, lo)
-    ranges, in which case output_port is the name of the low slice.
+    ports lists the module's input ports in declaration order; each name
+    is also the body variable its bind carries, except "clk", which has
+    no bind and is wired to the module clock.  parameter_bindings maps a
+    Verilog parameter name to either the bound body variable whose
+    (post-substitution constant) value becomes the parameter, or a fixed
+    BitVec literal.  outputs lists every output port as (port, hi, lo),
+    its bit range in the Prim's value, MSB first; a single output spans
+    the whole value.
 
-    Invariant: every bound variable of the owning Prim appears in exactly
-    one port binding or parameter binding.
+    Invariant: every bound variable of the owning Prim is a port or the
+    source of a parameter binding.
     """
 
     module_name: str
-    port_bindings: tuple[tuple[str, str], ...]
+    ports: tuple[str, ...]
     parameter_bindings: tuple[tuple[str, Union[str, BitVec]], ...]
-    output_port: str
-    output_slices: tuple[tuple[str, int, int], ...] = ()
-
-    def param_map(self) -> dict[str, Union[str, BitVec]]:
-        return dict(self.parameter_bindings)
+    outputs: tuple[tuple[str, int, int], ...]
 
 
 @dataclass(frozen=True, slots=True)

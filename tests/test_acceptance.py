@@ -322,9 +322,9 @@ def _delayed_passthrough_prim(init):
     bx = body.var("x", 4)
     braw = body.reg(bx, BitVec.of(init, 4))
     meta = EmitMeta(module_name="dff4",
-                    port_bindings=(("x", "D"),),
+                    ports=("x",),
                     parameter_bindings=(),
-                    output_port="Q")
+                    outputs=(("Q", 3, 0),))
     prim = b.add(Prim(binds=(("x", x),), body=body.prog(braw), meta=meta))
     return b.prog(prim)
 

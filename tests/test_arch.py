@@ -22,7 +22,7 @@ from sketchmap.primitives import (
 from sketchmap.sketches import generate_sketch
 from sketchmap.specdsl import ParseError
 from util_interp import Stream, interp
-from util_progs import parse_spec
+from util_progs import internal_map, parse_spec, port_of
 
 
 def _bv(v, w):
@@ -70,12 +70,12 @@ class TestParsing:
         assert len(arch.implementations) == 1
         impl = arch.implementations[0]
         assert impl.interface == lut_interface(4)
-        assert impl.internal_map == {"sram": 16}
+        assert internal_map(impl) == {"sram": 16}
         assert impl.module_name == "frac_lut4"
         assert impl.source[0] == "btor2"
-        assert impl.port("mode").value == ["bv", "0", "1"]
+        assert port_of(impl, "mode").value == ["bv", "0", "1"]
         assert impl.outputs == (("O", "out"),)   # "0" key canonicalized
-        assert impl.port("in").value == ["concat", "I3", "I2", "I1", "I0"]
+        assert port_of(impl, "in").value == ["concat", "I3", "I2", "I1", "I0"]
         assert impl.parameters == (("sram", "sram"),)
 
     def test_generic_lut_carry_document(self):
@@ -88,8 +88,8 @@ class TestParsing:
         arch = _mdsp()
         impl = arch.find(dsp_interface(18))
         assert impl is not None
-        assert impl.internal_map["ALUMODE"] == 3
-        assert impl.port("clk").value is None
+        assert internal_map(impl)["ALUMODE"] == 3
+        assert port_of(impl, "clk").value is None
 
     def test_duplicate_rejected(self):
         text = _sofa_text()
@@ -169,7 +169,7 @@ class TestInstantiate:
         assert Sketch(p).holes == {"u0_sram": 16}
         prim = next(n for n in p.nodes.values() if isinstance(n, Prim))
         assert prim.meta.module_name == "frac_lut4"
-        assert prim.meta.param_map() == {"sram": "sram"}
+        assert prim.meta.parameter_bindings == (("sram", "sram"),)
         assert dict(prim.binds).keys() == {"in", "mode", "sram"}
         solved = substitute_holes(Sketch(p),
                                   {"u0_sram": BV(_bv(0x8000, 16))})
@@ -242,7 +242,7 @@ class TestInstantiate:
         p = b.prog(b.concat(r["CO"], r["O"]))
         check_well_formed(p)
         prim = next(n for n in p.nodes.values() if isinstance(n, Prim))
-        assert prim.meta.output_slices == (("CO", 3, 3), ("O", 2, 0))
+        assert prim.meta.outputs == (("CO", 3, 3), ("O", 2, 0))
         for a in range(8):
             for bval in range(8):
                 env = {"DI": Stream((_bv(a, 3),)),

@@ -53,8 +53,7 @@ def _lut2_sketch():
     h = b.hole("m", 4)
     bb, body = _lut_body(2)
     del bb
-    meta = EmitMeta("lut2", (("sel", "I"),),
-                    (("INIT", "tbl"),), "O")
+    meta = EmitMeta("lut2", ("sel",), (("INIT", "tbl"),), (("O", 0, 0),))
     # bodies get their ids from a child builder so ids stay disjoint
     b2 = ProgBuilder()
     a2 = b2.var("a", 1)
@@ -143,8 +142,7 @@ def _lut1_on_a_sketch():
     tbl = bb.var("tbl", 2)
     sel = bb.var("sel", 1)
     body = bb.prog(bb.extract(0, 0, bb.op("lshr", tbl, bb.zext(1, sel))))
-    meta = EmitMeta("lut1", (("sel", "I"),),
-                    (("INIT", "tbl"),), "O")
+    meta = EmitMeta("lut1", ("sel",), (("INIT", "tbl"),), (("O", 0, 0),))
     pr = b.add(Prim((("tbl", h), ("sel", a)), body, meta))
     return Sketch(b.prog(pr))
 
@@ -164,8 +162,8 @@ def _negate_task():
     m2 = bb.var("m", 8)
     k2 = bb.var("kk", 8)
     body = bb.prog(bb.op("add", bb.op("xor", x, m2), k2))
-    meta = EmitMeta("xoradd", (("x", "A"),),
-                    (("M", "m"), ("K", "kk")), "O")
+    meta = EmitMeta("xoradd", ("x",),
+                    (("M", "m"), ("K", "kk")), (("O", 7, 0),))
     pr = s.add(Prim((("x", a2), ("m", mask), ("kk", k)), body, meta))
     return spec, Sketch(s.prog(pr))
 
@@ -182,7 +180,7 @@ def _reg_sketch(init):
     bb = b.child()
     d = bb.var("d", 4)
     body = bb.prog(bb.reg(d, _bv(init, 4)))
-    meta = EmitMeta("dff", (("d", "D"),), (), "Q")
+    meta = EmitMeta("dff", ("d",), (), (("Q", 3, 0),))
     pr = b.add(Prim((("d", a),), body, meta))
     return Sketch(b.prog(pr))
 
@@ -374,7 +372,7 @@ class TestLoopMechanics:
         h = s.hole("m", 2)
         bb = s.child()
         body = bb.prog(bb.extract(0, 0, bb.var("tbl", 2)))
-        meta = EmitMeta("cst", (), (("INIT", "tbl"),), "O")
+        meta = EmitMeta("cst", (), (("INIT", "tbl"),), (("O", 0, 0),))
         pr = s.add(Prim((("tbl", h),), body, meta))
         res = synthesize(spec, Sketch(s.prog(pr)),
                          t=0, c=0)

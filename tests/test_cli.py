@@ -103,6 +103,28 @@ class TestMap:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,extra", [
+        ("n1", []), ("out", []), ("clk", []), ("u0", []),
+        ("a", ["--module-name", "bad name"]),
+        ("a", ["--module-name", "frac_lut4"]),
+    ])
+    def test_names_the_netlist_cannot_carry_exit_1(self, tmp_path, capsys,
+                                                   monkeypatch, name, extra):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("names are checked before synthesis")
+
+        monkeypatch.setattr("sketchmap.cli.synthesize", no_synthesis)
+        spec = _write(tmp_path,
+                      f"(spec (inputs ({name} 2) (b 2)) (xor {name} b))")
+        out = tmp_path / "mapped.v"
+        code = main(["map", spec, "--template", "bitwise",
+                     "--arch-desc", "sofa.yml", "--out", str(out)] + extra)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_malformed_document_exit_1(self, tmp_path, capsys):
         spec = _write(tmp_path, "(spec (inputs (a 4)) (nand a a))")
         code = main(["map", spec, "--template", "bitwise",

@@ -3,10 +3,11 @@ module imports what it does not use.
 
 Every module-level function and class in src/sketchmap must be loaded by
 name, as a variable or an attribute, somewhere in src/ or perfbench/
-outside its own definition, and so must every method and property of its
-classes.  What only tests call lives in tests/util_*.py.  Names are
-matched without regard to module or class, so this finds a definition
-that nothing reads under any name, not every unused one.  Every name a
+outside its own definition, and every method and property of its classes
+must be read as an attribute, the only way Python reads one.  What only
+tests call lives in tests/util_*.py.  Names are matched without regard
+to module or class, so this finds a definition that nothing reads under
+any name, not every unused one.  Every name a
 module under src/ or tests/ imports must be loaded in that module.
 """
 
@@ -39,8 +40,9 @@ def unread_definitions(root: Path = ROOT) -> list[str]:
 def unread_methods(root: Path = ROOT) -> list[str]:
     """Class.name for each method and property of the classes under
     root/src/sketchmap that no code under root/src or root/perfbench
-    names, as an attribute or a variable, outside the method itself.
-    Dunder methods, which Python calls, are not listed."""
+    reads as an attribute, outside the method itself: a variable of the
+    same name does not read it.  Dunder methods, which Python calls, are
+    not listed."""
     package = root / "src" / "sketchmap"
     defined: set[str] = set()
     named: set[str] = set()
@@ -57,25 +59,25 @@ def unread_methods(root: Path = ROOT) -> list[str]:
                         continue
                     if package in path.parents:
                         defined.add(f"{cls.name}.{fn.name}")
-                    named |= _names(fn) - {fn.name}
+                    named |= _attributes(fn) - {fn.name}
                     inside |= {id(n) for n in ast.walk(fn)}
-            named |= _names(tree, skip=inside)
+            named |= _attributes(tree, skip=inside)
     return sorted(d for d in defined if d.split(".")[1] not in named)
 
 
-def _names(tree: ast.AST, skip: set[int] | frozenset[int] = frozenset()
-           ) -> set[str]:
-    """Every variable and attribute name tree loads, leaving out the
-    nodes whose ids are in skip."""
-    out = set()
-    for n in ast.walk(tree):
-        if id(n) in skip:
-            continue
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-    return out
+def _names(tree: ast.AST) -> set[str]:
+    """Every variable and attribute name tree loads."""
+    return _attributes(tree) | {
+        n.id for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _attributes(tree: ast.AST, skip: set[int] = frozenset()) -> set[str]:
+    """Every attribute name tree loads, leaving out the nodes whose ids
+    are in skip."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and id(n) not in skip}
 
 
 def unused_imports(root: Path = ROOT) -> list[str]:
@@ -145,11 +147,13 @@ def test_an_unread_method_and_an_unused_import_are_listed(tmp_path):
         "class Box:\n    def __init__(self):\n        self.n = 0\n\n"
         "    def used(self):\n        return os.sep\n\n"
         "    def again(self, k):\n        return self.again(k - 1)\n\n"
-        "    @property\n    def size(self):\n        return self.n\n\n\n"
+        "    @property\n    def size(self):\n        return self.n\n\n"
+        "    def spare(self):\n        return 0\n\n\n"
         "print(Box().used())\n")
+    # a variable called spare, read but not as an attribute
     (tmp_path / "perfbench" / "run.py").write_text(
-        "from sketchmap import a\n\nprint(a.Box().size)\n")
+        "from sketchmap import a\n\nspare = a.Box().size\nprint(spare)\n")
     (tmp_path / "tests" / "test_a.py").write_text(
         "import json\nfrom sketchmap.a import Box\n\nBox()\n")
-    assert unread_methods(tmp_path) == ["Box.again"]
+    assert unread_methods(tmp_path) == ["Box.again", "Box.spare"]
     assert unused_imports(tmp_path) == ["a: argv", "test_a: json"]

@@ -5,13 +5,15 @@ import random
 
 import pytest
 
-from sketchmap.arch import (HoleNamer, instantiate, load_arch,
-                            packaged_arch_path)
+from sketchmap.arch import (HoleNamer, NoImplementation, instantiate,
+                            load_arch, packaged_arch_path)
 from sketchmap.emit import (JsonSchemaError, NotStructural,
                             from_json_netlist, to_json_netlist,
                             to_structural_verilog)
-from sketchmap.ir import BitVec, Prim, ProgBuilder
+from sketchmap.ir import (BV, BitVec, Prim, ProgBuilder, substitute_holes,
+                          var_widths)
 from sketchmap.primitives import carry_interface, lut_interface
+from sketchmap.sketches import generate_sketch, list_templates
 from util_interp import env_of_ints, interp, simulate
 
 
@@ -105,7 +107,7 @@ class TestVerilog:
             to_structural_verilog(p, "m")
 
     def test_reserved_input_names(self):
-        for bad in ("out", "clk", "n17", "3x"):
+        for bad in ("out", "clk", "n17", "3x", "u0", "u12"):
             b = ProgBuilder()
             a = b.var(bad, 2)
             with pytest.raises(ValueError):
@@ -234,6 +236,47 @@ class TestRoundTrip:
                                    for nm, w in vw.items()})
                 assert interp(p, env, 0, p.root) == \
                     interp(p2, env, 0, p2.root), trial
+
+
+def test_module_names_are_refused_in_both_formats():
+    # a module may not instantiate itself
+    p, _ = _single_lut()
+    for emit in (to_structural_verilog, to_json_netlist):
+        with pytest.raises(ValueError, match="cell it instantiates"):
+            emit(p, "frac_lut4")
+        with pytest.raises(ValueError, match="bad module name"):
+            emit(p, "bad name")
+    # a cell's instance name is no module type
+    doc = json.loads(to_json_netlist(p, "u0"))
+    assert doc["modules"]["u0"]["cells"]["u0"]["type"] == "frac_lut4"
+
+
+@pytest.mark.parametrize("template", [t.name for t in list_templates()])
+def test_every_packaged_sketch_round_trips(template):
+    """Every sketch the template makes on a packaged architecture at
+    widths 2, 5 and 8, its holes filled at random, re-emits the same JSON
+    after import and simulates the same."""
+    rng = random.Random(template)
+    made = 0
+    for name in ("generic-lut-carry.yml", "sofa.yml", "minidsp.yml"):
+        arch = load_arch(packaged_arch_path(name))
+        for w in (2, 5, 8):
+            try:
+                sketch = generate_sketch(template, arch, {"width": w})
+            except NoImplementation:
+                continue
+            made += 1
+            p = substitute_holes(sketch, {
+                label: BV(BitVec.of(rng.getrandbits(hw), hw))
+                for label, hw in sketch.holes.items()})
+            j1 = to_json_netlist(p)
+            p2 = from_json_netlist(j1, arch)
+            assert to_json_netlist(p2) == j1, (name, w)
+            n = 6
+            env = env_of_ints({nm: ([rng.getrandbits(vw) for _ in range(n)],
+                                    vw) for nm, vw in var_widths(p).items()})
+            assert simulate(p, env, n) == simulate(p2, env, n), (name, w)
+    assert made
 
 
 class TestImportErrors:

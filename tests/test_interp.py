@@ -123,7 +123,7 @@ def test_prim_body_evaluates_under_binds():
     x = bb.var("x", 4)
     y = bb.op("not", x)
     body = bb.prog(y)
-    meta = EmitMeta("inv4", (("x", "i"),), (), "o")
+    meta = EmitMeta("inv4", ("x",), (), (("o", 3, 0),))
     pr = b.add(Prim((("x", s),), body, meta))
     p = b.prog(pr)
     env = env_of_ints({"a": ([3], 4), "c": ([4], 4)})
@@ -137,7 +137,7 @@ def test_prim_with_register_inside():
     x = bb.var("x", 4)
     r = bb.reg(x, _bv(3, 4))
     body = bb.prog(r)
-    meta = EmitMeta("dff", (("x", "d"),), (), "q")
+    meta = EmitMeta("dff", ("x",), (), (("q", 3, 0),))
     pr = b.add(Prim((("x", a),), body, meta))
     p = b.prog(pr)
     env = env_of_ints({"a": ([8, 9, 10], 4)})
@@ -333,7 +333,7 @@ def _prim_with_reg():
     bb = b.child()
     x = bb.var("x", 4)
     y = bb.op("add", bb.reg(x, _bv(1, 4)), x)
-    meta = EmitMeta("acc", (("x", "i"),), (), "o")
+    meta = EmitMeta("acc", ("x",), (), (("o", 3, 0),))
     pr = b.add(Prim((("x", a),), bb.prog(y), meta))
     return b.prog(pr), env_of_ints({"a": ([2, 3, 4, 5], 4)}), 1
 
@@ -461,7 +461,7 @@ def test_naive_matches_fast_through_prims():
     r = bb.reg(x, _bv(1, 4))
     y = bb.op("add", r, x)
     body = bb.prog(y)
-    meta = EmitMeta("acc", (("x", "i"),), (), "o")
+    meta = EmitMeta("acc", ("x",), (), (("o", 3, 0),))
     pr = b.add(Prim((("x", a),), body, meta))
     out = b.op("xor", pr, a)
     p = b.prog(out)

@@ -20,9 +20,9 @@ from util_progs import (random_behavioral, random_unchecked, verify_witness,
 def _lut_meta(name="lut4"):
     return EmitMeta(
         module_name=name,
-        port_bindings=(("in", "in"),),
+        ports=("in",),
         parameter_bindings=(("sram", BitVec.of(6, 16)),),
-        output_port="out",
+        outputs=(("out", 0, 0),),
     )
 
 
@@ -30,7 +30,6 @@ def test_bitvec_invariants():
     assert BitVec(4, 15).value == 15
     assert BitVec.of(16, 4).value == 0
     assert BitVec.of(-1, 4).value == 15
-    assert BitVec(4, 9).signed == -7
     with pytest.raises(ValueError):
         BitVec(4, 16)
     with pytest.raises(WidthError):
@@ -72,7 +71,7 @@ def test_free_vars_skips_prim_bodies():
     body_b = b.child()
     x = body_b.var("x", 1)
     body = body_b.prog(x)
-    meta = EmitMeta("buf", (("x", "i"),), (), "o")
+    meta = EmitMeta("buf", ("x",), (), (("o", 0, 0),))
     p_id = b.add(Prim((("x", a),), body, meta))
     p = b.prog(p_id)
     assert free_vars(p) == {"a"}
@@ -128,7 +127,7 @@ def test_dangling_arg_is_w3():
 
 def test_duplicate_ids_across_body_is_w2():
     body = Prog(1, {1: Var("x", 1)})  # id 1 collides with outer
-    meta = EmitMeta("buf", (("x", "i"),), (), "o")
+    meta = EmitMeta("buf", ("x",), (), (("o", 0, 0),))
     p = Prog(2, {1: Var("a", 1), 2: Prim((("x", 1),), body, meta)})
     with pytest.raises(WellFormednessError) as e:
         check_well_formed(p)
@@ -141,7 +140,7 @@ def test_bind_mismatch_is_w5():
     bb = b.child()
     x = bb.var("x", 1)
     body = bb.prog(x)
-    meta = EmitMeta("buf", (("x", "i"),), (), "o")
+    meta = EmitMeta("buf", ("x",), (), (("o", 0, 0),))
     p_id = b.add(Prim((("x", a), ("y", a)), body, meta))
     with pytest.raises(WellFormednessError) as e:
         check_well_formed(b.prog(p_id))
@@ -181,7 +180,7 @@ def test_prim_bind_width_mismatch():
     bb = b.child()
     x = bb.var("x", 1)
     body = bb.prog(x)
-    meta = EmitMeta("buf", (("x", "i"),), (), "o")
+    meta = EmitMeta("buf", ("x",), (), (("o", 0, 0),))
     p_id = b.add(Prim((("x", a),), body, meta))
     with pytest.raises(WellFormednessError) as e:
         check_well_formed(b.prog(p_id))
@@ -197,7 +196,7 @@ def test_witness_orders_prim_above_body_and_binds_below_vars():
     x = bb.var("x", 1)
     inv = bb.op("not", x)
     body = bb.prog(inv)
-    meta = EmitMeta("inv", (("x", "i"),), (), "o")
+    meta = EmitMeta("inv", ("x",), (), (("o", 0, 0),))
     p_id = b.add(Prim((("x", x_outer),), body, meta))
     p = b.prog(p_id)
     w = check_well_formed(p)
@@ -212,7 +211,7 @@ def test_node_widths_cover_bodies():
     x = bb.var("x", 3)
     y = bb.op("not", x)
     body = bb.prog(y)
-    meta = EmitMeta("inv", (("x", "i"),), (), "o")
+    meta = EmitMeta("inv", ("x",), (), (("o", 2, 0),))
     p_id = b.add(Prim((("x", a),), body, meta))
     widths = node_widths(b.prog(p_id))
     assert widths == {a: 3, x: 3, y: 3, p_id: 3}
@@ -320,7 +319,7 @@ def test_dump_sexpr_covers_every_variant():
     bb = b.child()
     x = bb.var("x", 2)
     body = bb.prog(x)
-    meta = EmitMeta("buf", (("x", "i"),), (), "o")
+    meta = EmitMeta("buf", ("x",), (), (("o", 1, 0),))
     pr = b.add(Prim((("x", a),), body, meta))
     out = b.op("concat", e, h)
     text = dump_sexpr(Prog(out, b.nodes))
@@ -337,7 +336,7 @@ def _inverter():
 
 
 def _inv_meta():
-    return EmitMeta("inv", (("x", "i"),), (), "o")
+    return EmitMeta("inv", ("x",), (), (("o", 1, 0),))
 
 
 def test_prims_sharing_one_body_at_disjoint_bases_are_well_formed():
@@ -381,7 +380,7 @@ def test_nested_bodies_compose_offsets():
     # middle body at base 100, so the inverter's nodes stand at 105, 106
     middle = Prog(1, {0: Var("y", 2),
                       1: Prim((("x", 0),), _inverter(), _inv_meta(), base=5)})
-    meta = EmitMeta("wrap", (("y", "i"),), (), "o")
+    meta = EmitMeta("wrap", ("y",), (), (("o", 1, 0),))
     p = Prog(2, {1: Var("a", 2), 2: Prim((("y", 1),), middle, meta, base=100)})
     assert set(node_widths(p)) == {1, 2, 100, 101, 105, 106}
     text = dump_sexpr(p)

@@ -243,10 +243,7 @@ def _lut2_sketch(width_out=1):
     shifted = body_b.op("lshr", tbl, body_b.zext(2, sel))
     out = body_b.extract(0, 0, shifted)
     body = body_b.prog(out)
-    meta = EmitMeta(
-        "lut2",
-        (("sel", "in"),),
-        (("sram", "tbl"),), "out")
+    meta = EmitMeta("lut2", ("sel",), (("sram", "tbl"),), (("out", 0, 0),))
     pr = b.add(Prim((("tbl", h), ("sel", idx)), body, meta))
     return Sketch(b.prog(pr))
 
@@ -335,8 +332,7 @@ class TestBuildQuery:
         s = b3.op("add", x, y)
         body = b3.prog(s)
         from sketchmap.ir import EmitMeta, Prim
-        meta = EmitMeta("adder", (("x", "a"),
-                                  ("y", "b")), (), "o")
+        meta = EmitMeta("adder", ("x", "y"), (), (("o", 3, 0),))
         pr = b2.add(Prim((("x", a2), ("y", c2)), body, meta))
         sk = Sketch(b2.prog(pr))
         q = build_query(spec, sk, 0, 2)
@@ -395,8 +391,8 @@ class TestPlanAgainstWalk:
         mode = body_b.var("mode", 1)
         acc = body_b.reg(body_b.op("mux", mode, x, y), BitVec.of(3, 4))
         body = body_b.prog(body_b.op("add", acc, x))
-        meta = EmitMeta("acc", (("x", "x"), ("y", "y")), (("MODE", "mode"),),
-                        "o")
+        meta = EmitMeta("acc", ("x", "y"), (("MODE", "mode"),),
+                        (("o", 3, 0),))
         pr = b.add(Prim((("x", a), ("y", c), ("mode", b.hole("mode", 1))),
                         body, meta))
         psi = b.prog(b.concat(b.hole("k", 4), pr))

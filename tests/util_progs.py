@@ -191,6 +191,22 @@ def verify_witness(p: Prog, w: dict[Id, int]) -> bool:
     return all(w[d] > w[s] for s, d in _edges(items))
 
 
+# -- reading an architecture's implementations --------------------------------
+
+
+def internal_map(impl) -> dict[str, int]:
+    """An arch.InterfaceImpl's internal data, name -> width."""
+    return dict(impl.internal_data)
+
+
+def port_of(impl, name: str):
+    """The arch.PortSpec of impl's module port called name."""
+    for p in impl.ports:
+        if p.name == name:
+            return p
+    raise SketchmapError(f"{impl.module_name} has no port {name!r}")
+
+
 # -- the per-instance copy that shared bodies replaced ------------------------
 
 
@@ -227,8 +243,7 @@ def copying_assemble_prim(impl, b: ProgBuilder, model, port_values,
     copy of the model's body at base 0; patch it over arch._assemble_prim
     to build a sketch the old way."""
     semantics, packed, meta = model
-    binds = [(k, port_values[k]) for k, _ in meta.port_bindings
-             if k != "clk"]
+    binds = [(k, port_values[k]) for k in meta.ports if k != "clk"]
     binds += [(nm, internal_ids[nm]) for nm, _ in impl.internal_data]
     prim = b.add(Prim(tuple(binds), relabel(semantics, b), meta))
     if len(packed) == 1:
