@@ -13,6 +13,17 @@ solver or encoding bug surfaces as a hard error instead of a wrong
 netlist.  SYNTH unsat means no hole assignment can work: the sketch
 cannot express the spec.
 
+A query whose spec and sketch plans hold no register, and whose inputs
+span at most EXHAUSTIVE_BITS bits in one cycle, sends no VERIFY: each
+cycle of it is the same function of that cycle's inputs, so the bound
+candidate and the spec are simulated (one batched simulate call each)
+on every input vector of one cycle, in ascending order, and the first
+vector they disagree on is learned at every (name, cycle) of
+query.input_symbols.  Such a Success rests on that enumeration, a
+proof that shares no code with the solver, and never on a solver's
+unsat; SYNTH unsat, and VERIFY for wider or pipelined queries, still
+come from the solver.
+
 The counterexample set is seeded with one deterministic pseudo-random
 environment before the first SYNTH call (SEED_SAMPLES).  Any environment
 is a sound member (the final program must agree on all of them), so
@@ -26,14 +37,14 @@ against the spec on PROBES fixed pseudo-random environments over cycles
 0..t+c, drawn from their own seed.  The first environment on which they
 differ at a cycle t..t+c joins the set and the loop returns to SYNTH
 without a VERIFY call; only a candidate that passes every probe goes to
-VERIFY, and the same bound form is the one revalidated.  Holes are
-substituted into a program (substitute_holes) only for the accepted
-candidate.  A probe is a simulation where VERIFY is a solver call, and
-one seed keeps SYNTH small, since it holds one copy of the sketch per
-environment in the set.  Each environment is substituted once, as it
-joins.  Progress is asserted every iteration: a refuting environment
-already in the set would mean the loop cannot terminate, so it raises
-instead.
+VERIFY (or the enumeration), and the same bound form is the one
+revalidated.  Holes are substituted into a program (substitute_holes)
+only for the accepted candidate.  A probe is a simulation where VERIFY
+is a solver call, and one seed keeps SYNTH small, since it holds one
+copy of the sketch per environment in the set.  Each environment is
+substituted once, as it joins.  Progress is asserted every iteration: a
+refuting environment already in the set would mean the loop cannot
+terminate, so it raises instead.
 """
 
 from __future__ import annotations
@@ -57,6 +68,8 @@ CexEnv = dict[tuple[str, int], BitVec]
 
 SEED_SAMPLES = 1    # environments in the set before the first SYNTH call
 PROBES = 16         # environments each candidate is simulated on
+EXHAUSTIVE_BITS = 10    # register-free input bits per cycle enumerated
+                        # in place of VERIFY
 
 
 @dataclass
@@ -139,6 +152,25 @@ def _first_disagreement(query: EquivalenceQuery, spec: Compiled,
     return None
 
 
+def _input_vectors(query: EquivalenceQuery
+                   ) -> Optional[tuple[int, dict[str, list[int]]]]:
+    """Every input vector of one cycle as (n, streams): vector k is the
+    bits of k cut into the inputs in spec_plan order, the first input
+    highest, so ascending k is ascending vectors.  None unless both plans
+    are register-free and one cycle has at most EXHAUSTIVE_BITS input
+    bits."""
+    if query.spec_plan.regs or query.sketch_plan.regs:
+        return None
+    bits = sum(w for _, w in query.spec_plan.inputs)
+    if bits > EXHAUSTIVE_BITS:
+        return None
+    n, lo, streams = 1 << bits, 0, {}
+    for name, w in reversed(query.spec_plan.inputs):
+        streams[name] = [(k >> lo) & ((1 << w) - 1) for k in range(n)]
+        lo += w
+    return n, streams
+
+
 def _revalidate(query: EquivalenceQuery, spec: Compiled, got: Compiled,
                 cexs: list[CexEnv]) -> None:
     """Concrete agreement of the compiled candidate with the compiled
@@ -195,6 +227,7 @@ def cegis(query: EquivalenceQuery,
               if env not in cexs]
     spec = compile_program(query.spec_plan)
     sketch = compile_program(query.sketch_plan)
+    vectors = _input_vectors(query)
     iterations, last_winner = 0, "none"
     try:
         while True:
@@ -224,7 +257,6 @@ def cegis(query: EquivalenceQuery,
                 learn(bad[0])
                 continue
 
-            # VERIFY the candidate over all inputs
             hole_map = {s: tb.const(by_label[s.label])
                         for s in query.hole_symbols}
             memo: dict = {}
@@ -232,28 +264,44 @@ def cegis(query: EquivalenceQuery,
                 if tb.substitute(sc, hole_map, memo) is not one:
                     raise SolverError(
                         "SYNTH model violates a side constraint")
-            conj = one
-            for eq in query.equal_terms:
-                conj = tb.app(Operator("and"),
-                              [conj, tb.substitute(eq, hole_map, memo)])
-            refute = tb.app(Operator("not"), [conj])
-            if refute.kind == "const":
-                if refute.value.value == 1:
-                    # differs on every input, so on the all-zero one too
-                    learn({})
+            if vectors is not None:
+                # no register: each cycle is the same function of its own
+                # inputs, so one cycle's vectors decide the whole window
+                n, streams = vectors
+                want = simulate(spec, streams, n)
+                have = simulate(got, streams, n)
+                if want != have:
+                    k = next(k for k, (x, y) in enumerate(zip(want, have))
+                             if x != y)
+                    learn({(s.name, s.time): BitVec.of(streams[s.name][k],
+                                                         s.width)
+                           for s in query.input_symbols})
                     continue
             else:
-                r = solve([refute], query.input_symbols,
-                          query.input_symbols)
-                if r.status != "unsat":
-                    last_winner = r.winner
-                    env: CexEnv = {}
-                    for s in query.input_symbols:
-                        v = r.model.get(symbol_name(s),
-                                        BitVec.of(0, s.width))
-                        env[(s.name, s.time)] = BitVec.of(v.value, s.width)
-                    learn(env)
-                    continue
+                # VERIFY the candidate over all inputs
+                conj = one
+                for eq in query.equal_terms:
+                    conj = tb.app(Operator("and"),
+                                  [conj, tb.substitute(eq, hole_map, memo)])
+                refute = tb.app(Operator("not"), [conj])
+                if refute.kind == "const":
+                    if refute.value.value == 1:
+                        # differs on every input, so on the all-zero one too
+                        learn({})
+                        continue
+                else:
+                    r = solve([refute], query.input_symbols,
+                              query.input_symbols)
+                    if r.status != "unsat":
+                        last_winner = r.winner
+                        env: CexEnv = {}
+                        for s in query.input_symbols:
+                            v = r.model.get(symbol_name(s),
+                                            BitVec.of(0, s.width))
+                            env[(s.name, s.time)] = BitVec.of(v.value,
+                                                              s.width)
+                        learn(env)
+                        continue
 
             _revalidate(query, spec, got, cexs)
             return Success(

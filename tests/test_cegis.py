@@ -6,6 +6,8 @@ the solver path under test.
 """
 
 import hashlib
+import itertools
+import random
 import sys
 
 import pytest
@@ -17,15 +19,15 @@ from sketchmap.cegis import Success, Timeout, Unsat, cegis, synthesize
 from sketchmap.emit import to_json_netlist, to_structural_verilog
 from sketchmap.interp import Compiled, compile_program, plan_program
 from sketchmap.ir import (
-    BV, BitVec, EmitMeta, Hole, Prim,
-    ProgBuilder, Sketch, substitute_holes,
+    BV, BitVec, EmitMeta, Hole, Op, Operator, Prim, Prog, ProgBuilder,
+    Sketch, Var, substitute_holes, var_widths,
 )
 from sketchmap.portfolio import SolverConfig, SolverSession
 from sketchmap.sketches import document_params, generate_sketch
 from sketchmap.specdsl import parse_document
 from sketchmap.symbolic import build_query
-from util_interp import env_of_ints, interp
-from util_progs import record_calls
+from util_interp import env_of_ints, interp, interp_naive
+from util_progs import random_behavioral, record_calls
 
 WEDGED = SolverConfig(
     "wedged", (sys.executable, "-c", "import time; time.sleep(600)"),
@@ -244,14 +246,17 @@ def test_every_candidate_simulation_reaches_cegis_simulate(monkeypatch):
     # the benchmark's tracer counts interp.sim_cycles from the third
     # positional argument of cegis.simulate: each environment a probe or
     # the revalidation checks is two calls, the spec and the bound
-    # candidate, each over the whole window
+    # candidate, each over the whole window, and each candidate that
+    # passes every probe is two more, over all 2**8 input vectors at once
     real_probe = cegis_module._first_disagreement
     checked = []        # per call, the environments it simulated
+    passed = []         # per call, whether every environment agreed
 
     def probe(query, spec, got, envs):
         out = real_probe(query, spec, got, envs)
         checked.append(envs if out is None
                        else envs[:envs.index(out[0]) + 1])
+        passed.append(out is None)
         return out
 
     monkeypatch.setattr(cegis_module, "_first_disagreement", probe)
@@ -259,8 +264,13 @@ def test_every_candidate_simulation_reaches_cegis_simulate(monkeypatch):
     res = synthesize(*_negate_task(), t=1, c=1)
     assert isinstance(res, Success) and res.iterations > 1
     assert checked[-1] == res.counterexamples
-    assert len(calls) == 2 * sum(map(len, checked))
-    assert all(a[2] == 3 for a in calls)
+    window = [a for a in calls if a[2] == 3]
+    enumerated = [a for a in calls if a[2] != 3]
+    assert len(window) == 2 * sum(map(len, checked))
+    # the last passing call is the revalidation, which enumerates nothing
+    assert len(enumerated) == 2 * (sum(passed) - 1) > 0
+    assert all(a[2] == 2 ** 8 and a[1] == {"a": list(range(2 ** 8))}
+               for a in enumerated)
     specs = {id(a[0]) for a in calls[::2]}
     candidates = [a[0] for a in calls[1::2]]
     assert len(specs) == 1
@@ -316,6 +326,8 @@ class TestProbes:
     def test_probes_save_verify_calls(self, monkeypatch):
         # the 8-bit negate needs several counterexamples; with probes the
         # only VERIFY call is the one that proves the final candidate
+        # (with enumeration off, which would make that call too)
+        monkeypatch.setattr(cegis_module, "EXHAUSTIVE_BITS", 0)
         events = _record_stages(monkeypatch)
         res = synthesize(*_negate_task(), t=0, c=0)
         assert isinstance(res, Success)
@@ -340,6 +352,190 @@ class TestProbes:
         assert any(type(e) is tuple and e[1] is not None for e in events)
         assert "verify" not in events
         assert events[-1] == "synth"
+
+
+def _reg_negate_task():
+    """_negate_task with a register after each side's datapath."""
+    b = ProgBuilder()
+    a = b.var("a", 8)
+    spec = b.prog(b.reg(b.op("neg", a), _bv(0, 8)))
+    s = ProgBuilder()
+    a2 = s.var("a", 8)
+    mask = s.hole("mask", 8)
+    k = s.hole("k", 8)
+    bb = s.child()
+    x = bb.var("x", 8)
+    m2 = bb.var("m", 8)
+    k2 = bb.var("kk", 8)
+    body = bb.prog(bb.reg(bb.op("add", bb.op("xor", x, m2), k2), _bv(0, 8)))
+    meta = EmitMeta("xoraddreg", ("x",),
+                    (("M", "m"), ("K", "kk")), (("Q", 7, 0),))
+    pr = s.add(Prim((("x", a2), ("m", mask), ("kk", k)), body, meta))
+    return spec, Sketch(s.prog(pr))
+
+
+def _lowest_failing_vector(spec, program, inputs):
+    """The first input vector in ascending order (the first of inputs
+    most significant) on which program and spec differ at cycle 0, as
+    name -> int, by the recursive semantics; None when none does."""
+    for values in itertools.product(*(range(2 ** w) for _, w in inputs)):
+        env = env_of_ints({name: ([v], w)
+                           for (name, w), v in zip(inputs, values)})
+        if (interp_naive(spec, env, 0, spec.root)
+                != interp_naive(program, env, 0, program.root)):
+            return dict(zip((name for name, _ in inputs), values))
+    return None
+
+
+def _add_w6_task():
+    """A 6-bit add on the carry-chain architecture: 12 input bits a
+    cycle and no register."""
+    doc = parse_document("(spec (inputs (a 6) (b 6)) (add a b))\n")
+    sketch = generate_sketch(
+        "bitwise-with-carry", load_arch(packaged_arch_path(
+            "generic-lut-carry.yml")),
+        document_params("bitwise-with-carry", doc, 6))
+    return doc.prog, sketch
+
+
+class TestExhaustiveVerify:
+    TASKS = {"xor": lambda: (_bool_spec("xor"), _lut2_sketch()),
+             "negate": _negate_task}
+
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    def test_no_verify_text_under_the_cap(self, monkeypatch, task):
+        events = _record_stages(monkeypatch)
+        res = synthesize(*self.TASKS[task](), t=0, c=0)
+        assert isinstance(res, Success)
+        assert "synth" in events and "verify" not in events
+
+    @pytest.mark.parametrize("cap,verifies", [(None, True), (11, True),
+                                              (12, False)])
+    def test_verify_is_sent_past_the_cap(self, monkeypatch, cap, verifies):
+        if cap is not None:
+            monkeypatch.setattr(cegis_module, "EXHAUSTIVE_BITS", cap)
+        events = _record_stages(monkeypatch)
+        with SolverSession() as session:
+            res = synthesize(*_add_w6_task(), session=session)
+        assert isinstance(res, Success)
+        assert ("verify" in events) is verifies
+
+    def test_a_register_keeps_verify(self, monkeypatch):
+        spec, sketch = _reg_negate_task()
+        assert cegis_module._input_vectors(
+            build_query(spec, sketch, 0, 1)) is None
+        events = _record_stages(monkeypatch)
+        res = synthesize(spec, sketch, t=0, c=1)
+        assert isinstance(res, Success)
+        assert res.model == {"mask": _bv(0xFF, 8), "k": _bv(1, 8)}
+        assert "verify" in events
+
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    def test_lowest_failing_vector_is_learned(self, monkeypatch, task):
+        # with no probes every candidate is enumerated, and each
+        # counterexample after the seed is the lowest vector on which the
+        # candidate before it fails
+        monkeypatch.setattr(cegis_module, "PROBES", 0)
+        candidates = []
+        real_decode = cegis_module._decode_model
+
+        def decode(query, model):
+            candidates.append(real_decode(query, model))
+            return candidates[-1]
+
+        monkeypatch.setattr(cegis_module, "_decode_model", decode)
+        events = _record_stages(monkeypatch)
+        spec, sketch = self.TASKS[task]()
+        res = synthesize(spec, sketch, t=0, c=0)
+        assert isinstance(res, Success) and res.iterations > 1
+        assert "verify" not in events
+        assert len(candidates) == len(res.counterexamples)
+        inputs = plan_program(spec).inputs
+        for model, env in zip(candidates, res.counterexamples[1:]):
+            program = substitute_holes(
+                sketch, {label: BV(v) for label, v in model.items()})
+            low = _lowest_failing_vector(spec, program, inputs)
+            assert env == {(name, 0): _bv(low[name], w)
+                           for name, w in inputs}
+        assert _lowest_failing_vector(spec, res.program, inputs) is None
+
+
+_SWAPS = {name: group for group in (
+    ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr"],
+    ["eq", "ult", "ule", "slt", "sle"], ["not", "neg"]) for name in group}
+
+
+def _random_task(rng):
+    """A register-free spec and a sketch over its inputs, cut from one
+    random program.  The spec is one node's cone.  The sketch is one Prim
+    whose body is the cone of a node of the same width (half the time the
+    spec's own), with about half its constants read from holes and some
+    of its operators replaced by another of their kind, or by a hole's
+    choice of the two.  So some of these sketches can express their spec
+    and some cannot."""
+    p = random_behavioral(rng, max_nodes=12, max_width=3, allow_reg=False)
+    spec_root = rng.choice(list(p.nodes))
+    width = plan_program(Prog(spec_root, p.nodes)).width
+    same = [i for i in p.nodes
+            if plan_program(Prog(i, p.nodes)).width == width]
+    root = spec_root if rng.random() < 0.5 else rng.choice(same)
+    s = ProgBuilder()
+    binds = [(x, s.var(x, w)) for x, w in var_widths(p).items()]
+    ports = tuple(x for x, _ in binds)
+    nodes, fresh = dict(p.nodes), max(p.nodes) + 1
+    for i, n in p.nodes.items():
+        if isinstance(n, BV) and rng.random() < 0.5:
+            nodes[i] = Var(f"k{i}", n.b.width)
+            binds.append((f"k{i}", s.hole(f"k{i}", n.b.width)))
+        elif (isinstance(n, Op) and n.op.name in _SWAPS
+              and rng.random() < 0.4):
+            other = Op(Operator(rng.choice(_SWAPS[n.op.name])), n.args)
+            if rng.random() < 0.5:
+                nodes[i] = other
+                continue
+            sel, a, b = fresh, fresh + 1, fresh + 2
+            fresh += 3
+            nodes.update({sel: Var(f"s{i}", 1), a: other, b: n,
+                          i: Op(Operator("mux"), (sel, a, b))})
+            binds.append((f"s{i}", s.hole(f"s{i}", 1)))
+    meta = EmitMeta("blk", ports,
+                    tuple((x.upper(), x) for x, _ in binds[len(ports):]),
+                    (("O", width - 1, 0),))
+    pr = Prim(tuple(binds), Prog(root, nodes), meta, s.fresh(fresh))
+    return Prog(spec_root, p.nodes), Sketch(s.prog(s.add(pr)))
+
+
+def test_enumeration_and_verify_agree_on_random_sketches(monkeypatch):
+    # the same verdict with VERIFY (cap 0) and with enumeration, and each
+    # success matches its spec on every input vector by the recursive
+    # semantics; with no seed and no probes every candidate reaches the
+    # check, and at the default cap no VERIFY text is sent
+    rng = random.Random(41)
+    verdicts, verified, refuted = [], 0, 0
+    with SolverSession() as session:
+        for _ in range(100):
+            spec, sketch = _random_task(rng)
+            inputs = plan_program(spec).inputs
+            runs = []
+            for cap in (0, cegis_module.EXHAUSTIVE_BITS):
+                monkeypatch.setattr(cegis_module, "SEED_SAMPLES", 0)
+                monkeypatch.setattr(cegis_module, "PROBES", 0)
+                monkeypatch.setattr(cegis_module, "EXHAUSTIVE_BITS", cap)
+                events = _record_stages(monkeypatch)
+                runs.append(synthesize(spec, sketch, t=0, c=1,
+                                       session=session))
+                monkeypatch.undo()
+                assert cap == 0 or "verify" not in events
+                verified += cap == 0 and "verify" in events
+            assert type(runs[0]) is type(runs[1])
+            for r in runs:
+                if isinstance(r, Success):
+                    assert _lowest_failing_vector(spec, r.program,
+                                                  inputs) is None
+            verdicts.append(type(runs[0]))
+            refuted += runs[1].iterations > 1
+    assert verdicts.count(Success) >= 40 and verdicts.count(Unsat) >= 10
+    assert verified >= 15 and refuted >= 15
 
 
 class TestLoopMechanics:
@@ -391,11 +587,13 @@ class TestLoopMechanics:
 # depend on term folding, emission and (through the counterexamples) on
 # the solver's models, so a change to any of them that alters a query must
 # update these constants on purpose and say why.
+# add_w4 and tt_4b are register-free and under cegis.EXHAUSTIVE_BITS, so
+# their texts are SYNTH queries alone.
 PINNED_QUERIES = {
     "add_w4": ("generic-lut-carry.yml", "bitwise-with-carry",
                "(spec (inputs (a 4) (b 4)) (add a b))\n",
-               "c8e2396b8ab94d2e5a49e93e86f338c7"
-               "8c1aeb72d9bc5f1eab4733220a04f703"),
+               "c03620a3a810627c3e46fcf63b854bde"
+               "853ac785103852cb5799e26cd6b51bce"),
     # a minidsp corpus row: the block's operand and ALU muxes leave a
     # few hundred mux terms in each query
     "add_mul_xor_w08_d1": ("minidsp.yml", "dsp", None,
@@ -409,8 +607,8 @@ PINNED_QUERIES = {
               "(and (and (not a) (not b)) (not c)) "
               "(and (and a (not b)) (not c))) (and (and a b) (not c))) "
               "(and (and (not a) b) c)))\n",
-              "4d7a50df559c80ca730b9dff496cb898"
-              "e5f0ac0821a05d8d47669d867291dc72"),
+              "0ba7be8355e57a16272794f658fd9cbe"
+              "145212b7d0637184f484364f9f34171d"),
 }
 
 
