@@ -52,6 +52,12 @@ node, labelled with the instance's prefix and carrying the entry's
 width.  A lowering returns only outputs: the sketch reads its hole
 table off those nodes, and its side constraints off the HoleNamer that
 named the instances.
+
+``source`` names the model: a builtin (``lut``, ``carry``, ``mux``,
+``minidsp``) or a single-output btor2 file.  Either is a behavioral
+program whose root packs the interface's outputs, the first-listed
+lowest, and whose free variables are the input ports but ``clk`` and the
+internal data; it is read and checked once per architecture.
 """
 
 import os
@@ -59,10 +65,10 @@ from dataclasses import dataclass, field
 
 from .ir import (
     BV, BitVec, EmitMeta, Hole, Id, Node, Op, Prim, Prog, ProgBuilder, Reg,
-    SketchmapError, Var, WidthError, free_vars, node_widths,
+    SketchmapError, Var, WidthError, node_widths, var_widths,
 )
 from .primitives import (
-    PrimitiveInterface, builtin_model, carry_interface, dsp_interface,
+    FAMILIES, PrimitiveInterface, builtin_model, dsp_interface,
     lut_interface, mux_interface, packed_ranges,
 )
 from .solver.qfbv import SolverInputError, parse_all
@@ -198,12 +204,6 @@ class ArchDescription:
         return None
 
 
-_IFACE_PARAM_KEYS = {"LUT": ("num_inputs",), "MUX": ("num_inputs",),
-                     "CARRY": ("width",), "DSP": ("width",)}
-_IFACE_MAKERS = {"LUT": lut_interface, "MUX": mux_interface,
-                 "CARRY": carry_interface, "DSP": dsp_interface}
-
-
 def _expect_map(v, path: str) -> dict:
     if not isinstance(v, dict):
         raise SchemaError(path, f"expected a mapping, got {type(v).__name__}")
@@ -230,12 +230,12 @@ def _parse_interface(m, path: str) -> PrimitiveInterface:
     if "name" not in m:
         raise SchemaError(path, "interface needs a name")
     name = m["name"]
-    if name not in _IFACE_MAKERS:
+    if name not in FAMILIES:
         raise UnknownInterface(f"{path}: unknown interface {name!r}")
-    keys = _IFACE_PARAM_KEYS[name]
-    _expect_keys(m, path, ("name",) + keys)
+    fam = FAMILIES[name]
+    _expect_keys(m, path, ("name", fam.param))
     try:
-        return _IFACE_MAKERS[name](_pos_int(m[keys[0]], path))
+        return fam.interface(_pos_int(m[fam.param], path))
     except SketchmapError as e:
         if isinstance(e, SchemaError):
             raise
@@ -292,7 +292,7 @@ def _parse_impl(m, path: str) -> InterfaceImpl:
                 raise SchemaError(ppath, "input ports need a value")
             value, prog, got = _check_value(pm["value"], f"{ppath}.value",
                                             leaves)
-            consumed |= free_vars(prog)
+            consumed |= set(var_widths(prog))
             if got != pw:
                 raise WidthMismatch(
                     f"{ppath}: port {pname!r} is {pw} bits but its value "
@@ -311,7 +311,7 @@ def _parse_impl(m, path: str) -> InterfaceImpl:
         pm = _expect_map(pm, ppath)
         _expect_keys(pm, ppath, ("name", "value"))
         _, prog, _ = _check_value(pm["value"], f"{ppath}.value", leaves)
-        bad = free_vars(prog) - set(dict(internal))
+        bad = set(var_widths(prog)) - set(dict(internal))
         if bad:
             raise SchemaError(f"{ppath}.value", "parameters may only "
                               f"reference internal_data, not {sorted(bad)}")
@@ -353,7 +353,7 @@ def _parse_impl(m, path: str) -> InterfaceImpl:
     for i, c in enumerate(m.get("constraints", ())):
         cpath = f"{path}.constraints[{i}]"
         expr, prog, w = _check_value(c, cpath, leaves)
-        bad = free_vars(prog) - set(dict(internal))
+        bad = set(var_widths(prog)) - set(dict(internal))
         if bad:
             raise SchemaError(cpath, "constraints may only reference "
                               f"internal_data, not {sorted(bad)}")
@@ -420,17 +420,16 @@ def packaged_arch_path(name: str) -> str:
 
 # -- model loading ------------------------------------------------------------
 
-Model = tuple[Prog, tuple[tuple[str, int], ...], EmitMeta]
+Model = tuple[Prog, EmitMeta]
 
 
 def _load_model(impl: InterfaceImpl, arch: ArchDescription) -> Model:
-    """(semantics, packed outputs MSB-first, emission metadata), each
-    packed output as wide as the interface declares it.
+    """(semantics, emission metadata) of impl's model.
 
     Built once per implementation and architecture, on first use, and
     shared after that: every instance's Prim holds the same semantics,
     renumbered onto ids 0..n-1, at an offset of its own and the same
-    EmitMeta, and no caller changes any of the three."""
+    EmitMeta, and no caller changes either."""
     hit = arch._models.get(id(impl))
     if hit is not None and hit[0] is impl:
         return hit[1]
@@ -440,91 +439,59 @@ def _load_model(impl: InterfaceImpl, arch: ArchDescription) -> Model:
 
 
 def _read_model(impl: InterfaceImpl, arch: ArchDescription) -> Model:
-    """Read impl's model and check it against impl: its outputs, input
-    ports and internal data at the widths impl declares."""
-    semantics, fvw, packed = _read_semantics(impl, arch)
-    declared = dict(impl.interface.outputs)
-    for name, w in packed:
-        if declared.get(name) != w:
-            raise WidthMismatch(
-                f"{impl.module_name}: model output {name!r} is {w} bits "
-                f"but {impl.interface.name} declares {declared.get(name)}")
-    meta = _emit_meta(impl, fvw, packed)
-    for nm, w in impl.internal_data:
-        if nm not in fvw:
-            raise ModelLoadError(
-                f"{impl.module_name}: internal_data {nm!r} is not a free "
-                "variable of the model")
-        if fvw[nm] != w:
-            raise WidthMismatch(
-                f"{impl.module_name}: internal_data {nm!r} declared "
-                f"{w} bits but the model reads {fvw[nm]}")
-    return _renumber(semantics), packed, meta
-
-
-def _read_semantics(impl: InterfaceImpl, arch: ArchDescription
-                    ) -> tuple[Prog, dict[str, int],
-                               tuple[tuple[str, int], ...]]:
+    """Read impl's model, a builtin or btor2 program, and check it against
+    impl: its root packs the interface's outputs, and its free variables
+    are the input ports other than clk and the internal data, at the
+    widths impl declares.  Every instance prints with the EmitMeta made
+    here: impl's module ports for the interface's outputs, MSB first,
+    each with its bit range in the packed value."""
     kind, val = impl.source
-    if kind == "builtin":
-        try:
-            model = builtin_model(val, impl.interface.param_map)
-        except SketchmapError as e:
-            raise ModelLoadError(f"{impl.module_name}: {e}")
-        fvw = {n: w for n, (d, w) in model.port_map.items()
-               if d == "in" and n != "clk"}
-        fvw.update(model.internal_map)
-        return model.semantics, fvw, model.outputs
-    from .btor2 import load_btor2
-    path = os.path.join(arch.base_dir, val)
     try:
-        imported = load_btor2(path)
-    except OSError as e:
-        raise ModelLoadError(f"{impl.module_name}: cannot read {path}: {e}")
-    except SketchmapError as e:
-        raise ModelLoadError(f"{impl.module_name}: {path}: {e}")
-    root_w = node_widths(imported.semantics)[imported.semantics.root]
-    if len(impl.outputs) != 1:
+        if kind == "builtin":
+            semantics = builtin_model(val, impl.interface.param_map)
+        else:
+            from .btor2 import load_btor2
+            semantics = load_btor2(os.path.join(arch.base_dir, val))
+    except (OSError, SketchmapError) as e:
+        raise ModelLoadError(f"{impl.module_name}: {kind} {val}: {e}")
+    if kind == "btor2" and len(impl.outputs) != 1:
         raise ModelLoadError(
             f"{impl.module_name}: btor2-backed implementations support "
             "exactly one output")
-    return imported.semantics, dict(imported.inputs), \
-        ((impl.outputs[0][0], root_w),)
+    root_w = node_widths(semantics)[semantics.root]
+    out_w = sum(w for _, w in impl.interface.outputs)
+    if root_w != out_w:
+        raise WidthMismatch(
+            f"{impl.module_name}: model root is {root_w} bits but "
+            f"{impl.interface.name} outputs {out_w}")
 
-
-def _emit_meta(impl: InterfaceImpl, fvw: dict[str, int],
-               packed: tuple[tuple[str, int], ...]) -> EmitMeta:
-    """How every instance of impl prints, after checking that its input
-    ports and internal data wire each model input at the model's width.
-    Its outputs are impl's module ports for the packed outputs, each
-    with its bit range in the packed value."""
-    ports = tuple(p.name for p in impl.ports if p.direction == "in")
-    for p in impl.ports:
-        if p.direction != "in" or p.name == "clk":
-            continue
-        if p.name not in fvw:
-            raise ModelLoadError(
-                f"{impl.module_name}: port {p.name!r} is not an input of "
-                "the model")
-        if fvw[p.name] != p.width:
+    inputs = var_widths(semantics)
+    wired = [(f"port {p.name!r}", p.name, p.width) for p in impl.ports
+             if p.direction == "in" and p.name != "clk"]
+    wired += [(f"internal_data {nm!r}", nm, w)
+              for nm, w in impl.internal_data]
+    for what, nm, w in wired:
+        if nm not in inputs:
+            raise ModelLoadError(f"{impl.module_name}: {what} is not a "
+                                 "free variable of the model")
+        if inputs[nm] != w:
             raise WidthMismatch(
-                f"{impl.module_name}: port {p.name!r} declared {p.width} "
-                f"bits but the model reads {fvw[p.name]}")
-
-    unwired = (set(fvw) - (set(ports) - {"clk"})
-               - {nm for nm, _ in impl.internal_data})
+                f"{impl.module_name}: {what} declared {w} bits but the "
+                f"model reads {inputs[nm]}")
+    unwired = set(inputs) - {nm for _, nm, _ in wired}
     if unwired:
         raise ModelLoadError(
             f"{impl.module_name}: model inputs never wired: "
             f"{sorted(unwired)}")
 
-    out_map = dict(impl.outputs)
-    ranges = packed_ranges(packed)
-    return EmitMeta(
+    out_port = dict(impl.outputs)
+    ranges = packed_ranges(impl.interface)
+    return _renumber(semantics), EmitMeta(
         module_name=impl.module_name,
-        ports=ports,
+        ports=tuple(p.name for p in impl.ports if p.direction == "in"),
         parameter_bindings=impl.parameters,
-        outputs=tuple((out_map[o], *ranges[o]) for o, _ in packed))
+        outputs=tuple((out_port[o], *ranges[o])
+                      for o, _ in reversed(impl.interface.outputs)))
 
 
 def _renumber(prog: Prog) -> Prog:
@@ -621,15 +588,16 @@ def _assemble_prim(impl: InterfaceImpl, b: ProgBuilder, model: Model,
     internal_ids maps internal_data names to ids (holes or constants).
     Returns the prim id and the interface-output map.
     """
-    semantics, packed, meta = model
+    semantics, meta = model
     binds = [(k, port_values[k]) for k in meta.ports if k != "clk"]
     binds += [(nm, internal_ids[nm]) for nm, _ in impl.internal_data]
     base = b.fresh(len(semantics.nodes))
     prim = b.add(Prim(tuple(binds), semantics, meta, base))
-    if len(packed) == 1:
-        return prim, {packed[0][0]: prim}
+    outs = impl.interface.outputs
+    if len(outs) == 1:
+        return prim, {outs[0][0]: prim}
     return prim, {o: b.extract(hi, lo, prim)
-                  for o, (hi, lo) in packed_ranges(packed).items()}
+                  for o, (hi, lo) in packed_ranges(impl.interface).items()}
 
 
 def instantiate_from_ports(impl: InterfaceImpl, b: ProgBuilder,
@@ -638,29 +606,17 @@ def instantiate_from_ports(impl: InterfaceImpl, b: ProgBuilder,
                            arch: "ArchDescription"):
     """Rebuild a concrete instance from module-level port values.
 
-    The netlist importer's entry point: port_values are keyed by module
-    port names (the interface-level port expressions have already been
-    flattened to wires), and every internal_data entry must be pinned to
-    a constant.  Returns the prim id; its meta.outputs gives each module
-    output port's bit range in the prim's value.
+    The netlist importer's entry point: port_values holds an id for each
+    module input port but clk (the interface-level port expressions have
+    already been flattened to wires), and internals a constant, at its
+    declared width, for each internal_data entry; the importer decodes
+    and checks both from the cell.  Returns the prim id; its
+    meta.outputs gives each module output port's bit range in the prim's
+    value.
     """
     model = _load_model(impl, arch)
-    internal_ids: dict[str, Id] = {}
-    for nm, w in impl.internal_data:
-        if nm not in internals:
-            raise ModelLoadError(
-                f"{impl.module_name}: no value for internal data {nm!r}")
-        if internals[nm].width != w:
-            raise WidthMismatch(
-                f"{impl.module_name}: internal {nm!r} has width "
-                f"{internals[nm].width}, expected {w}")
-        internal_ids[nm] = b.bv(internals[nm].value, w)
-    expected = {p.name for p in impl.ports
-                if p.direction == "in" and p.name != "clk"}
-    if set(port_values) != expected:
-        raise SketchmapError(
-            f"{impl.module_name}: ports {sorted(port_values)} do not "
-            f"match the module inputs {sorted(expected)}")
+    internal_ids = {nm: b.bv(internals[nm].value, w)
+                    for nm, w in impl.internal_data}
     return _assemble_prim(impl, b, model, port_values, internal_ids)[0]
 
 

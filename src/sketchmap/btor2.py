@@ -7,6 +7,10 @@ comes from its ``init`` line.  One btor2 transition therefore equals one
 simulation timestep.  Arrays and liveness constructs are out of scope,
 and every state must carry both an init and a next line so the result
 has fully defined register semantics.
+
+The result is the model itself: a single-rooted behavioral program whose
+Var nodes are the inputs, named by their symbols (``in<id>`` when a line
+has none).  An architecture description reads it like a builtin model.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,7 @@ from .ir import (
 )
 
 __all__ = [
-    "Btor2Line", "ImportedModel", "ParseError", "Unsupported",
+    "Btor2Line", "ParseError", "Unsupported",
     "MissingInit", "MultipleOutputs", "parse_btor2", "to_prog",
     "load_btor2",
 ]
@@ -69,14 +73,6 @@ class Btor2Line:
     params: tuple[int, ...]   # slice bounds / extension amounts
     value: int | None         # constant value or declared sort width
     symbol: str | None
-
-
-@dataclass(frozen=True)
-class ImportedModel:
-    name: str
-    inputs: tuple[tuple[str, int], ...]
-    semantics: Prog
-    states: tuple[tuple[int, str], ...]   # (btor2 state id, symbol)
 
 
 def _int(tok: str, lineno: int, what: str) -> int:
@@ -196,13 +192,11 @@ def parse_btor2(text: str) -> list[Btor2Line]:
     return lines
 
 
-def to_prog(lines: list[Btor2Line], name: str = "imported"
-            ) -> ImportedModel:
+def to_prog(lines: list[Btor2Line]) -> Prog:
     """Translate parsed lines into a single-rooted behavioral program."""
     widths: dict[int, int] = {}          # sort id -> bit width
     node_ids: dict[int, int] = {}        # btor2 id -> program node id
     nodes: dict[int, object] = {}
-    inputs: list[tuple[str, int]] = []
     states: list[Btor2Line] = []
     inits: dict[int, int] = {}           # state id -> value node id
     nexts: dict[int, int] = {}           # state id -> data node id
@@ -239,9 +233,7 @@ def to_prog(lines: list[Btor2Line], name: str = "imported"
             continue
         w = widths[ln.sort]
         if ln.kind == "input":
-            nm = ln.symbol or f"in{ln.id}"
-            inputs.append((nm, w))
-            node_ids[ln.id] = alloc(Var(nm, w))
+            node_ids[ln.id] = alloc(Var(ln.symbol or f"in{ln.id}", w))
         elif ln.kind in ("constd", "consth", "const", "zero", "one",
                          "ones"):
             node_ids[ln.id] = alloc(BV(BitVec.of(ln.value, w)))
@@ -276,15 +268,10 @@ def to_prog(lines: list[Btor2Line], name: str = "imported"
     root = operand(output.args[0])
     prog = Prog(root, nodes)
     check_well_formed(prog)
-    return ImportedModel(
-        name=name, inputs=tuple(inputs), semantics=prog,
-        states=tuple((st.id, st.symbol or f"state{st.id}")
-                     for st in states))
+    return prog
 
 
-def load_btor2(path: str, name: str | None = None) -> ImportedModel:
+def load_btor2(path: str) -> Prog:
+    """The behavioral program of the btor2 model in the file at path."""
     with open(path, encoding="utf-8") as f:
-        text = f.read()
-    if name is None:
-        name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return to_prog(parse_btor2(text), name)
+        return to_prog(parse_btor2(f.read()))

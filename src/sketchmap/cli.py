@@ -7,7 +7,8 @@ Four subcommands:
         for the target architecture, synthesize hole values, and emit the
         resulting structural netlist.  Exit status: 0 success, 2 the
         sketch provably cannot implement the specification, 3 the CEGIS
-        loop ran past --timeout, 1 usage or input errors.
+        loop ran past --timeout, 1 usage or input errors (a malformed
+        command line included; --help exits 0).
 
     sketchmap templates
         List the available sketch templates and their parameters.
@@ -23,6 +24,7 @@ Four subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -57,6 +59,27 @@ def _arch_argument(path: str):
     return load_arch(p)
 
 
+def _checked(convert, ok, what: str):
+    """An argparse type: convert(text), which ok must accept."""
+    def parse(text: str):
+        try:
+            v = convert(text)
+        except ValueError:
+            v = None
+        if v is None or not ok(v):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return v
+    return parse
+
+
+_seconds = _checked(float, lambda v: 0 < v < math.inf,
+                    "a positive, finite number of seconds")
+
+
+def _count(least: int):
+    return _checked(int, lambda v: v >= least, f"an integer >= {least}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="sketchmap",
@@ -69,11 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sketch template name (see `sketchmap templates`)")
     m.add_argument("--arch-desc", required=True,
                    help="architecture description file or packaged name")
-    m.add_argument("--timeout", type=float, default=120.0,
+    m.add_argument("--timeout", type=_seconds, default=120.0,
                    help=_TIMEOUT_HELP)
     m.add_argument("--pipeline-depth", type=int, default=None,
                    help="override the document's pipeline depth")
-    m.add_argument("--clock-cycles", type=int, default=2, metavar="C",
+    m.add_argument("--clock-cycles", type=_count(0), default=2, metavar="C",
                    help="extra cycles over which outputs must agree "
                         "(default 2)")
     m.add_argument("--solver-config", default=None,
@@ -96,12 +119,12 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--corpus", required=True, help="directory from benchgen")
     r.add_argument("--arch-desc", required=True)
     r.add_argument("--template", default="dsp")
-    r.add_argument("--timeout", type=float, default=120.0,
+    r.add_argument("--timeout", type=_seconds, default=120.0,
                    help=_TIMEOUT_HELP)
-    r.add_argument("--clock-cycles", type=int, default=2)
-    r.add_argument("--sim-cycles", type=int, default=2000,
+    r.add_argument("--clock-cycles", type=_count(0), default=2)
+    r.add_argument("--sim-cycles", type=_count(1), default=2000,
                    help="simulation length used to re-validate successes")
-    r.add_argument("--jobs", type=int, default=1)
+    r.add_argument("--jobs", type=_count(1), default=1)
     r.add_argument("--solver-config", default=None)
     r.add_argument("--report", required=True, help="CSV report path")
     r.add_argument("--only", nargs="*", action="extend", default=None,
@@ -200,7 +223,10 @@ def run_benchrun(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse: 0 after --help, else a misuse
+        return EXIT_SUCCESS if exc.code == 0 else EXIT_USAGE
     handler = {
         "map": run_map,
         "templates": run_templates,

@@ -490,11 +490,6 @@ def inputs(node: Node) -> frozenset[Id]:
     return frozenset()
 
 
-def free_vars(p: Prog) -> set[str]:
-    """Names of the Var nodes of p itself (Prim bodies have their own)."""
-    return {n.name for n in p.nodes.values() if isinstance(n, Var)}
-
-
 def _widths_by_name(what: str, pairs: Iterable[tuple[str, int]]
                     ) -> dict[str, int]:
     """name -> width over (name, width) pairs; raises WidthError if a name

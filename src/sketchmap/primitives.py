@@ -1,11 +1,13 @@
 """Built-in primitive interfaces and their semantic models.
 
 A primitive interface is an architecture-neutral signature for a class of
-hardware blocks (LUT, CARRY, MUX, DSP).  A primitive model pairs a port
-signature with a behavioral program giving the block's cycle semantics;
-configuration state (LUT memories, DSP mode bits) appears as free
-variables listed in ``internal_data`` so architecture descriptions can
-back them with holes.
+hardware blocks (LUT, CARRY, MUX, DSP).  A primitive model is just a
+behavioral program giving the block's cycle semantics: its free
+variables are the interface's inputs other than ``clk`` plus its
+configuration state (LUT memories, DSP mode bits), which architecture
+descriptions list as ``internal_data`` and back with holes.  ``FAMILIES``
+names, per interface family, its size parameter, its interface maker
+and its builtin model.
 
 Conventions fixed here and relied on everywhere downstream:
 
@@ -13,28 +15,25 @@ Conventions fixed here and relied on everywhere downstream:
   I0 is the least-significant index bit — and output bit for pattern
   ``i`` is bit ``i`` of the memory.  A 2-input XOR is therefore the
   memory ``0b0110``.
-* Multi-output models pack their outputs into a single root as
-  ``concat`` with the *later-listed* output in the low bits: the carry
-  chain's root is ``concat(CO, O)``.  ``packed_ranges`` recovers each
-  output's bit range.
-* ``clk`` is a port of sequential models but never a free variable of
-  the semantics: registers are explicit Reg nodes and the clock is
+* A model's root packs its interface's outputs as one ``concat`` with
+  the *first-listed* output in the low bits: the carry chain's outputs
+  are (O, CO) and its root is ``concat(CO, O)``.  ``packed_ranges``
+  recovers each output's bit range from the interface alone.
+* ``clk`` is an input of sequential interfaces but never a free variable
+  of the semantics: registers are explicit Reg nodes and the clock is
   implicit in the cycle index.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .ir import (
-    BitVec, DomainError, Prog, ProgBuilder, check_well_formed, free_vars,
-)
+from .ir import BitVec, DomainError, Prog, ProgBuilder
 
 __all__ = [
-    "PrimitiveInterface", "PrimitiveModel", "packed_ranges",
+    "PrimitiveInterface", "FAMILIES", "packed_ranges",
     "lut_model", "carry_model", "mux_model", "minidsp_model",
     "builtin_model",
 ]
-
-INTERFACE_NAMES = ("LUT", "CARRY", "MUX", "DSP")
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class PrimitiveInterface:
     outputs: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        if self.name not in INTERFACE_NAMES:
+        if self.name not in FAMILIES:
             raise DomainError(f"unknown interface name {self.name!r}")
         for k, v in self.params:
             if v <= 0:
@@ -84,49 +83,13 @@ def dsp_interface(width: int) -> PrimitiveInterface:
         (("out", width),))
 
 
-@dataclass(frozen=True)
-class PrimitiveModel:
-    """A primitive's semantics as a behavioral program.
-
-    ``semantics`` is single-rooted; multi-output models pack outputs
-    MSB-first in the order of ``outputs``.  Free variables of the
-    program are exactly the non-clk input ports plus ``internal_data``.
-    """
-    name: str
-    ports: tuple[tuple[str, str, int], ...]   # (name, "in"/"out", width)
-    internal_data: tuple[tuple[str, int], ...]
-    outputs: tuple[tuple[str, int], ...]      # packing order, MSB first
-    semantics: Prog
-    interface: PrimitiveInterface
-    sequential: bool = field(default=False)
-
-    def __post_init__(self):
-        check_well_formed(self.semantics)
-        fv = free_vars(self.semantics)
-        expected = {n for n, d, _ in self.ports if d == "in" and n != "clk"}
-        expected |= {n for n, _ in self.internal_data}
-        if fv != expected:
-            raise DomainError(
-                f"model {self.name}: semantics reads {sorted(fv)} but the "
-                f"signature promises {sorted(expected)}")
-
-    @property
-    def internal_map(self) -> dict[str, int]:
-        return dict(self.internal_data)
-
-    @property
-    def port_map(self) -> dict[str, tuple[str, int]]:
-        return {n: (d, w) for n, d, w in self.ports}
-
-
-def packed_ranges(outputs: tuple[tuple[str, int], ...]
+def packed_ranges(iface: PrimitiveInterface
                   ) -> dict[str, tuple[int, int]]:
-    """name -> (hi, lo) bit range of each output in the packed root, for
-    outputs listed (name, width) in packing order, MSB first.  The result
-    lists them from the low slice up."""
+    """name -> (hi, lo) bit range of each of iface's outputs in a model's
+    packed root, the first-listed output lowest, in that order."""
     ranges: dict[str, tuple[int, int]] = {}
     lo = 0
-    for n, w in reversed(outputs):
+    for n, w in iface.outputs:
         ranges[n] = (lo + w - 1, lo)
         lo += w
     return ranges
@@ -140,22 +103,17 @@ def _lut_read(b: ProgBuilder, mem, index_bits, mem_width: int):
     return b.extract(0, 0, b.op("lshr", mem, amt))
 
 
-def lut_model(n: int) -> PrimitiveModel:
+def lut_model(n: int) -> Prog:
     """n-input lookup table: O = sram[concat(I{n-1},...,I0)], I0 = LSB."""
     if not 1 <= n <= 6:
         raise DomainError(f"LUT size {n} out of range 1..6")
     b = ProgBuilder()
     sram = b.var("sram", 2 ** n)
     ins = [b.var(f"I{i}", 1) for i in range(n)]
-    root = _lut_read(b, sram, ins, 2 ** n)
-    ports = tuple((f"I{i}", "in", 1) for i in range(n)) + (("O", "out", 1),)
-    return PrimitiveModel(
-        name=f"lut{n}", ports=ports, internal_data=(("sram", 2 ** n),),
-        outputs=(("O", 1),), semantics=b.prog(root),
-        interface=lut_interface(n))
+    return b.prog(_lut_read(b, sram, ins, 2 ** n))
 
 
-def carry_model(w: int) -> PrimitiveModel:
+def carry_model(w: int) -> Prog:
     """w-bit ripple carry chain.
 
     c_0 = CI; O_i = S_i xor c_i; c_{i+1} = S_i ? c_i : DI_i; CO = c_w.
@@ -174,16 +132,10 @@ def carry_model(w: int) -> PrimitiveModel:
         dii = b.extract(i, i, di)
         outs.append(b.op("xor", si, c))
         c = b.op("mux", si, c, dii)
-    root = b.concat(c, b.concat_all(list(reversed(outs))))
-    return PrimitiveModel(
-        name=f"carry{w}",
-        ports=(("DI", "in", w), ("S", "in", w), ("CI", "in", 1),
-               ("O", "out", w), ("CO", "out", 1)),
-        internal_data=(), outputs=(("CO", 1), ("O", w)),
-        semantics=b.prog(root), interface=carry_interface(w))
+    return b.prog(b.concat(c, b.concat_all(list(reversed(outs)))))
 
 
-def mux_model(n: int) -> PrimitiveModel:
+def mux_model(n: int) -> Prog:
     """n-to-1 single-bit mux, n in {2, 4, 8}; O = I[S], S0 = select LSB."""
     if n not in (2, 4, 8):
         raise DomainError(f"mux size {n} must be 2, 4, or 8")
@@ -195,15 +147,10 @@ def mux_model(n: int) -> PrimitiveModel:
     for j in range(k):
         layer = [b.op("mux", sels[j], layer[2 * i + 1], layer[2 * i])
                  for i in range(len(layer) // 2)]
-    ports = tuple((f"I{i}", "in", 1) for i in range(n)) + \
-        tuple((f"S{j}", "in", 1) for j in range(k)) + (("O", "out", 1),)
-    return PrimitiveModel(
-        name=f"mux{n}", ports=ports, internal_data=(),
-        outputs=(("O", 1),), semantics=b.prog(layer[0]),
-        interface=mux_interface(n))
+    return b.prog(layer[0])
 
 
-def minidsp_model(width: int) -> PrimitiveModel:
+def minidsp_model(width: int) -> Prog:
     """Configurable multiply-ALU block with 0-3 pipeline stages.
 
     Datapath: pre = PREADD_EN ? (PREADD_SUB ? A-D : A+D) : A;
@@ -254,28 +201,31 @@ def minidsp_model(width: int) -> PrimitiveModel:
     for i in range(len(modes) - 2, -1, -1):
         is_i = b.op("eq", alumode, b.bv(i, 3))
         alu = b.op("mux", is_i, modes[i], alu)
-    root = staged(preg, alu)
-    return PrimitiveModel(
-        name=f"minidsp{width}",
-        ports=(("clk", "in", 1), ("A", "in", width), ("B", "in", width),
-               ("C", "in", width), ("D", "in", width),
-               ("out", "out", width)),
-        internal_data=(("INREG", 1), ("MREG", 1), ("PREG", 1),
-                       ("PREADD_EN", 1), ("PREADD_SUB", 1),
-                       ("ALUMODE", 3)),
-        outputs=(("out", width),), semantics=b.prog(root),
-        interface=dsp_interface(width), sequential=True)
+    return b.prog(staged(preg, alu))
 
 
-def builtin_model(name: str, params: dict[str, int]) -> PrimitiveModel:
-    """Look up a built-in model by family name, for arch descriptions."""
-    makers = {"lut": (lut_model, "num_inputs"),
-              "carry": (carry_model, "width"),
-              "mux": (mux_model, "num_inputs"),
-              "minidsp": (minidsp_model, "width")}
-    if name not in makers:
+class Family(NamedTuple):
+    """An interface family's size parameter and interface maker, and the
+    name and maker of the builtin model that implements it."""
+    param: str
+    interface: Callable[[int], PrimitiveInterface]
+    builtin: str
+    model: Callable[[int], Prog]
+
+
+FAMILIES: dict[str, Family] = {
+    "LUT": Family("num_inputs", lut_interface, "lut", lut_model),
+    "CARRY": Family("width", carry_interface, "carry", carry_model),
+    "MUX": Family("num_inputs", mux_interface, "mux", mux_model),
+    "DSP": Family("width", dsp_interface, "minidsp", minidsp_model),
+}
+
+
+def builtin_model(name: str, params: dict[str, int]) -> Prog:
+    """Look up a built-in model by name, for arch descriptions."""
+    fam = next((f for f in FAMILIES.values() if f.builtin == name), None)
+    if fam is None:
         raise DomainError(f"no built-in model family {name!r}")
-    fn, key = makers[name]
-    if key not in params:
-        raise DomainError(f"built-in {name} needs parameter {key!r}")
-    return fn(params[key])
+    if fam.param not in params:
+        raise DomainError(f"built-in {name} needs parameter {fam.param!r}")
+    return fam.model(params[fam.param])

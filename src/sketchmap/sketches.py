@@ -94,14 +94,6 @@ def list_templates() -> tuple[TemplateInfo, ...]:
 # -- parameter handling -------------------------------------------------------
 
 
-def _check_keys(template: str, params: Mapping, allowed: set[str]) -> None:
-    extra = set(params) - allowed
-    if extra:
-        raise ValueError(
-            f"template {template!r} does not take {sorted(extra)}; "
-            f"allowed: {sorted(allowed)}")
-
-
 def _width(params: Mapping) -> int:
     if "width" not in params:
         raise ValueError("missing required parameter 'width'")
@@ -186,7 +178,6 @@ def _fixed_adder(b: ProgBuilder, desc: ArchDescription, namer: HoleNamer,
 
 
 def _gen_bitwise(desc, params) -> Sketch:
-    _check_keys("bitwise", params, {"width", "inputs"})
     w = _width(params)
     names = _operands(params, 1, 16, ("a", "b"))
     plan = _lut_plan(desc, len(names))
@@ -201,7 +192,6 @@ def _gen_bitwise(desc, params) -> Sketch:
 
 
 def _gen_bitwise_with_carry(desc, params) -> Sketch:
-    _check_keys("bitwise-with-carry", params, {"width", "inputs"})
     w = _width(params)
     names = _operands(params, 2, 2, ("a", "b"))
     b = ProgBuilder()
@@ -212,7 +202,6 @@ def _gen_bitwise_with_carry(desc, params) -> Sketch:
 
 
 def _gen_comparison(desc, params) -> Sketch:
-    _check_keys("comparison", params, {"width", "inputs"})
     w = _width(params)
     names = _operands(params, 2, 2, ("a", "b"))
     b = ProgBuilder()
@@ -225,7 +214,6 @@ def _gen_comparison(desc, params) -> Sketch:
 
 
 def _gen_multiplication(desc, params) -> Sketch:
-    _check_keys("multiplication", params, {"width", "inputs"})
     w = _width(params)
     names = _operands(params, 2, 2, ("a", "b"))
     b = ProgBuilder()
@@ -250,7 +238,6 @@ def _gen_multiplication(desc, params) -> Sketch:
 
 
 def _gen_dsp(desc, params) -> Sketch:
-    _check_keys("dsp", params, {"width", "inputs", "pipeline_depth"})
     w = _width(params)
     depth = params.get("pipeline_depth", 0)
     if not isinstance(depth, int) or isinstance(depth, bool) or \
@@ -295,9 +282,10 @@ def generate_sketch(template: str, desc: ArchDescription,
                     params: Mapping) -> Sketch:
     """Specialize a named template against an architecture description.
 
-    params is a mapping with at least ``width``; ``inputs`` names the
-    operands (and fixes their count), and the dsp template also accepts
-    ``pipeline_depth``.  Raises ValueError for malformed parameters,
+    params is a mapping over the names the template's TemplateInfo lists,
+    with at least ``width``; ``inputs`` names the operands (and fixes
+    their count), and the dsp template also takes ``pipeline_depth``.
+    Raises ValueError for malformed parameters,
     ArityError when the operand count cannot be honored, and lets
     NoImplementation propagate when the fabric lacks a required
     primitive.  The returned sketch is well-formed for every hole
@@ -309,4 +297,11 @@ def generate_sketch(template: str, desc: ArchDescription,
         raise ValueError(
             f"unknown template {template!r}; available: "
             f"{', '.join(t.name for t in _TEMPLATES)}") from None
+    allowed = {p for t in _TEMPLATES if t.name == template
+               for p, _ in t.params}
+    extra = set(params) - allowed
+    if extra:
+        raise ValueError(
+            f"template {template!r} does not take {sorted(extra)}; "
+            f"allowed: {sorted(allowed)}")
     return gen(desc, params)

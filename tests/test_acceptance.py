@@ -17,7 +17,7 @@ from sketchmap.btor2 import MissingInit, load_btor2, parse_btor2, to_prog
 from sketchmap.cegis import Success, Unsat, synthesize
 from sketchmap.interp import compile_program, plan_program
 from sketchmap.ir import (BV, BitVec, Prim, ProgBuilder, Sketch,
-                          WellFormednessError, check_well_formed, free_vars,
+                          WellFormednessError, check_well_formed,
                           substitute_holes, var_widths)
 from sketchmap.portfolio import (SolverConfig, SolverSession,
                                  default_portfolio)
@@ -430,29 +430,28 @@ UNINITIALIZED_MODEL = """\
 
 
 def test_criterion_08_btor2_import():
-    m = to_prog(parse_btor2(AND_MODEL), "andgate")
-    assert [w for _, w in m.inputs] == [1, 1]
-    n0, n1 = (name for name, _ in m.inputs)
+    m = to_prog(parse_btor2(AND_MODEL))
+    assert list(var_widths(m).values()) == [1, 1]
+    n0, n1 = var_widths(m)
     for a in (0, 1):
         for b in (0, 1):
             env = env_of_ints({n0: ([a], 1), n1: ([b], 1)})
-            assert interp(m.semantics, env, 0, m.semantics.root).value == \
+            assert interp(m, env, 0, m.root).value == \
                 (a & b)
 
     lut = load_btor2(packaged_arch_path("frac_lut4.btor2"))
-    widths = dict(lut.inputs)
-    assert widths == {"in": 4, "mode": 1, "sram": 16}
+    assert var_widths(lut) == {"in": 4, "mode": 1, "sram": 16}
     rng = random.Random(8)
     for _ in range(10000):
         idx = rng.getrandbits(4)
         sram = rng.getrandbits(16)
         env = env_of_ints({"in": ([idx], 4), "mode": ([rng.getrandbits(1)], 1),
                            "sram": ([sram], 16)})
-        got = interp(lut.semantics, env, 0, lut.semantics.root).value
+        got = interp(lut, env, 0, lut.root).value
         assert got == (sram >> idx) & 1
 
     with pytest.raises(MissingInit):
-        to_prog(parse_btor2(UNINITIALIZED_MODEL), "acc")
+        to_prog(parse_btor2(UNINITIALIZED_MODEL))
     print("criterion 8 (btor2 import): PASS — AND model exhaustive, "
           "LUT4 model 10^4 samples, MissingInit raised on an "
           "uninitialized state")
@@ -468,7 +467,8 @@ def test_criterion_09_netlist_round_trip():
         p2 = from_json_netlist(j, glc)
         assert to_json_netlist(p2) == j, f"trial {trial}: not stable"
         assert _prim_types(p) == _prim_types(p2), f"trial {trial}"
-        assert free_vars(p2) <= free_vars(p), f"trial {trial}"
+        assert var_widths(p2).keys() <= var_widths(p).keys(), \
+            f"trial {trial}"
         vw = var_widths(p)
         for _ in range(100):
             env = env_of_ints({n: ([rng.getrandbits(w)], w)

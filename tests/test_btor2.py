@@ -8,7 +8,7 @@ from sketchmap.btor2 import (
     MissingInit, MultipleOutputs, ParseError, Unsupported, load_btor2,
     parse_btor2, to_prog,
 )
-from sketchmap.ir import BitVec, Reg, check_well_formed, free_vars
+from sketchmap.ir import BitVec, Reg, Var, check_well_formed, var_widths
 from sketchmap.primitives import lut_model
 from util_interp import Stream, interp, simulate
 
@@ -27,8 +27,8 @@ def _bv(v, w):
 
 def _run1(m, assigns):
     env = {k: Stream((_bv(v, w),))
-           for (k, w), v in zip(m.inputs, assigns)}
-    return interp(m.semantics, env, 0, m.semantics.root).value
+           for (k, w), v in zip(var_widths(m).items(), assigns)}
+    return interp(m, env, 0, m.root).value
 
 
 class TestParse:
@@ -119,9 +119,9 @@ class TestParse:
 
 class TestTranslate:
     def test_and_semantics_exhaustive(self):
-        m = to_prog(parse_btor2(AND_MODEL), "andgate")
-        assert m.inputs == (("in2", 1), ("in3", 1))
-        check_well_formed(m.semantics)
+        m = to_prog(parse_btor2(AND_MODEL))
+        assert list(var_widths(m).items()) == [("in2", 1), ("in3", 1)]
+        check_well_formed(m)
         for a in (0, 1):
             for b in (0, 1):
                 assert _run1(m, (a, b)) == (a & b)
@@ -137,13 +137,12 @@ class TestTranslate:
 7 output 3
 """
         m = to_prog(parse_btor2(text))
-        reg = [n for n in m.semantics.nodes.values()
-               if isinstance(n, Reg)]
+        reg = [n for n in m.nodes.values() if isinstance(n, Reg)]
         assert len(reg) == 1 and reg[0].init == _bv(5, 4)
+        assert m.nodes[reg[0].data] == Var("d", 4)
         env = {"d": Stream((_bv(9, 4), _bv(3, 4)))}
-        out = simulate(m.semantics, env, 2)
+        out = simulate(m, env, 2)
         assert [v.value for v in out] == [5, 9]
-        assert m.states[0][1] == "q"
 
     def test_missing_init(self):
         text = ("1 sort bitvec 1\n2 input 1\n3 state 1\n4 next 1 3 2\n"
@@ -195,7 +194,7 @@ class TestTranslate:
 14 output 13
 """
         m = to_prog(parse_btor2(text))
-        check_well_formed(m.semantics)
+        check_well_formed(m)
 
         def oracle(a, b):
             def sgn(x):
@@ -234,8 +233,7 @@ class TestLut4File:
         path = os.path.join(os.path.dirname(__file__), "..", "src",
                             "sketchmap", "archfiles", "frac_lut4.btor2")
         m = load_btor2(path)
-        assert m.name == "frac_lut4"
-        assert dict(m.inputs) == {"in": 4, "mode": 1, "sram": 16}
+        assert var_widths(m) == {"in": 4, "mode": 1, "sram": 16}
         builtin = lut_model(4)
         rng = random.Random(71)
         for _ in range(10_000):
@@ -244,12 +242,11 @@ class TestLut4File:
             env = {"in": Stream((_bv(pat, 4),)),
                    "mode": Stream((_bv(0, 1),)),
                    "sram": Stream((_bv(sram, 16),))}
-            got = interp(m.semantics, env, 0, m.semantics.root).value
+            got = interp(m, env, 0, m.root).value
             benv = {"sram": Stream((_bv(sram, 16),))}
             for i in range(4):
                 benv[f"I{i}"] = Stream((_bv((pat >> i) & 1, 1),))
-            want = interp(builtin.semantics, benv, 0,
-                          builtin.semantics.root).value
+            want = interp(builtin, benv, 0, builtin.root).value
             assert got == want == (sram >> pat) & 1
 
     def test_unused_input_is_still_free(self):
@@ -257,4 +254,4 @@ class TestLut4File:
         path = os.path.join(os.path.dirname(__file__), "..", "src",
                             "sketchmap", "archfiles", "frac_lut4.btor2")
         m = load_btor2(path)
-        assert "mode" in free_vars(m.semantics)
+        assert "mode" in var_widths(m)

@@ -94,14 +94,34 @@ class TestMap:
         {"spec": "/nonexistent/x.spec"},
         {"arch": "nonexistent.yml"},
         {"template": "mystery"},
+        {"template": None},
+        {"extra": ["--timeout", "abc"]},
+        {"extra": ["--timeout", "-1"]},
+        {"extra": ["--timeout", "0"]},
+        {"extra": ["--timeout", "inf"]},
+        {"extra": ["--timeout", "nan"]},
+        {"extra": ["--clock-cycles", "-1"]},
+        {"extra": ["--clock-cycles", "two"]},
+        {"extra": ["--out-format", "edif"]},
     ])
-    def test_usage_errors_exit_1(self, tmp_path, capsys, argv_patch):
+    def test_usage_errors_exit_1(self, tmp_path, capsys, monkeypatch,
+                                 argv_patch):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("usage errors are found before synthesis")
+
+        monkeypatch.setattr("sketchmap.cli.synthesize", no_synthesis)
         spec = argv_patch.get("spec") or _write(tmp_path, ADD_MUL_AND)
+        template = argv_patch.get("template", "dsp")
         code = main(["map", spec,
-                     "--template", argv_patch.get("template", "dsp"),
-                     "--arch-desc", argv_patch.get("arch", "minidsp.yml")])
+                     *(["--template", template] if template else []),
+                     "--arch-desc", argv_patch.get("arch", "minidsp.yml"),
+                     *argv_patch.get("extra", [])])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["map", "--help"]) == 0
+        assert "--clock-cycles" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name,extra", [
         ("n1", []), ("out", []), ("clk", []), ("u0", []),
@@ -253,6 +273,26 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: solver entry 0 ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("extra", [
+        ["--timeout", "abc"],
+        ["--timeout", "-1"],
+        ["--clock-cycles", "-1"],
+        ["--sim-cycles", "0"],
+        ["--jobs", "0"],
+        ["--jobs", "many"],
+    ])
+    def test_benchrun_usage_errors_exit_1(self, tmp_path, capsys, extra):
+        corpus = tmp_path / "corpus"
+        main(["benchgen", "--out-dir", str(corpus)])
+        capsys.readouterr()
+        report = tmp_path / "r.csv"
+        code = main(["benchrun", "--corpus", str(corpus),
+                     "--arch-desc", "minidsp.yml", "--report", str(report),
+                     "--only", "mul_w08_d0", *extra])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_benchrun_missing_corpus(self, tmp_path, capsys):
         code = main(["benchrun", "--corpus", str(tmp_path / "nope"),

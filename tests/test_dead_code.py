@@ -112,6 +112,33 @@ def unused_imports(root: Path = ROOT) -> list[str]:
     return out
 
 
+def undefined_exports(root: Path = ROOT) -> list[str]:
+    """"module: name" for each name in the __all__ of a module under
+    root/src that the module neither defines, assigns nor imports."""
+    out = []
+    for path in sorted((root / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        exported: list[str] = []
+        bound: set[str] = set()
+        for stmt in tree.body:
+            if isinstance(stmt, _DEFS):
+                bound.add(stmt.name)
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                bound |= {a.asname or a.name.split(".")[0]
+                          for a in stmt.names}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                    else [stmt.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                if "__all__" in names:
+                    exported += [e.value for e in ast.walk(stmt.value)
+                                 if isinstance(e, ast.Constant)]
+                bound |= names
+        out += [f"{path.stem}: {name}" for name in exported
+                if name not in bound]
+    return out
+
+
 def test_every_package_definition_is_read():
     assert unread_definitions() == []
 
@@ -122,6 +149,20 @@ def test_every_method_is_named():
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def test_every_export_is_defined():
+    assert undefined_exports() == []
+
+
+def test_an_undefined_export_is_listed(tmp_path):
+    pkg = tmp_path / "src" / "sketchmap"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        "from os import sep\n\n__all__ = ['sep', 'Gone', 'TABLE', 'f', "
+        "'Kept', 'later']\n\nTABLE: dict = {}\n\n\n"
+        "def f():\n    return sep\n\n\nclass Kept:\n    pass\n")
+    assert undefined_exports(tmp_path) == ["a: Gone", "a: later"]
 
 
 def test_an_unread_definition_is_listed(tmp_path):

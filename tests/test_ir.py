@@ -8,9 +8,9 @@ from sketchmap.ir import (
     BV, BitVec, DomainError, EmitMeta, Hole,
     MissingAssignment, Op, Operator, Prim, Prog, ProgBuilder,
     Reg, Sketch, Var, WellFormednessError, WidthError, check_well_formed,
-    dump_sexpr, free_vars, inputs, is_behavioral, node_widths,
+    dump_sexpr, inputs, is_behavioral, node_widths,
     op_result_width, structural_violations,
-    substitute_holes,
+    substitute_holes, var_widths,
 )
 from util_interp import env_of_ints, simulate
 from util_progs import (random_behavioral, random_unchecked, verify_witness,
@@ -64,7 +64,7 @@ def test_inputs_per_variant():
     assert inputs(pr) == frozenset({3})
 
 
-def test_free_vars_skips_prim_bodies():
+def test_var_widths_skips_prim_bodies():
     # A body variable is not free in the outer program.
     b = ProgBuilder()
     a = b.var("a", 1)
@@ -74,8 +74,8 @@ def test_free_vars_skips_prim_bodies():
     meta = EmitMeta("buf", ("x",), (), (("o", 0, 0),))
     p_id = b.add(Prim((("x", a),), body, meta))
     p = b.prog(p_id)
-    assert free_vars(p) == {"a"}
-    assert free_vars(body) == {"x"}
+    assert set(var_widths(p)) == {"a"}
+    assert set(var_widths(body)) == {"x"}
 
 
 def test_register_self_loop_is_fine():

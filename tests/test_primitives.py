@@ -4,27 +4,58 @@ import random
 
 import pytest
 
-from sketchmap.ir import BitVec, DomainError, check_well_formed, free_vars
+from sketchmap.ir import (
+    BitVec, DomainError, Prog, Reg, check_well_formed, dump_sexpr,
+    node_widths, var_widths,
+)
 from sketchmap.primitives import (
-    PrimitiveModel, builtin_model, carry_model, lut_model, minidsp_model,
-    mux_model,
+    FAMILIES, builtin_model, carry_interface, carry_model, dsp_interface,
+    lut_model, minidsp_model, mux_model, packed_ranges,
 )
 from util_interp import Stream, interp, simulate
-from util_progs import interface_of, output_slice
 
 
 def _bv(v, w):
     return BitVec.of(v, w)
 
 
-def _comb_eval(model: PrimitiveModel, assigns: dict[str, int]) -> int:
-    env = {}
-    for name, d, w in model.ports:
-        if d == "in" and name != "clk":
-            env[name] = Stream((_bv(assigns[name], w),))
-    for name, w in model.internal_data:
-        env[name] = Stream((_bv(assigns[name], w),))
-    return interp(model.semantics, env, 0, model.semantics.root).value
+def _comb_eval(model: Prog, assigns: dict[str, int]) -> int:
+    env = {name: Stream((_bv(assigns[name], w),))
+           for name, w in var_widths(model).items()}
+    return interp(model, env, 0, model.root).value
+
+
+_DSP_INTERNAL = {"INREG": 1, "MREG": 1, "PREG": 1, "PREADD_EN": 1,
+                 "PREADD_SUB": 1, "ALUMODE": 3}
+
+
+def _internal_data(family: str, size: int) -> dict[str, int]:
+    """The configuration state each builtin model reads besides its
+    interface's inputs."""
+    return {"LUT": {"sram": 2 ** size}, "CARRY": {}, "MUX": {},
+            "DSP": _DSP_INTERNAL}[family]
+
+
+_LEGAL_SIZES = ([("LUT", n) for n in range(1, 7)]
+                + [("CARRY", w) for w in range(1, 9)]
+                + [("MUX", n) for n in (2, 4, 8)]
+                + [("DSP", w) for w in range(4, 19)])
+
+
+@pytest.mark.parametrize("family,size", _LEGAL_SIZES)
+def test_model_reads_its_interface(family, size):
+    """A builtin model's inputs are its interface's inputs other than clk
+    plus its internal data, its root is as wide as the interface's
+    outputs together, and only the DSP model has registers."""
+    fam = FAMILIES[family]
+    iface = fam.interface(size)
+    m = builtin_model(fam.builtin, {fam.param: size})
+    check_well_formed(m)
+    assert var_widths(m) == {n: w for n, w in iface.inputs if n != "clk"} \
+        | _internal_data(family, size)
+    assert node_widths(m)[m.root] == sum(w for _, w in iface.outputs)
+    assert any(isinstance(n, Reg) for n in m.nodes.values()) == \
+        (family == "DSP")
 
 
 class TestLut:
@@ -63,13 +94,9 @@ class TestLut:
     def test_shape(self):
         for n in (1, 4, 6):
             m = lut_model(n)
-            check_well_formed(m.semantics)
-            assert m.internal_map == {"sram": 2 ** n}
-            iface = interface_of(m)
-            assert iface.name == "LUT"
-            assert iface.param_map == {"num_inputs": n}
-            assert free_vars(m.semantics) == \
-                {"sram"} | {f"I{i}" for i in range(n)}
+            check_well_formed(m)
+            assert var_widths(m) == \
+                {"sram": 2 ** n} | {f"I{i}": 1 for i in range(n)}
         with pytest.raises(DomainError):
             lut_model(0)
         with pytest.raises(DomainError):
@@ -80,8 +107,9 @@ class TestCarry:
     @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
     def test_addition_exhaustive(self, w):
         m = carry_model(w)
-        hi, lo = output_slice(m, "O")
-        co_hi, co_lo = output_slice(m, "CO")
+        ranges = packed_ranges(carry_interface(w))
+        hi, lo = ranges["O"]
+        co_hi, co_lo = ranges["CO"]
         assert (hi, lo) == (w - 1, 0) and (co_hi, co_lo) == (w, w)
         for a in range(2 ** w):
             for b in range(2 ** w):
@@ -105,13 +133,10 @@ class TestCarry:
 
     def test_interface(self):
         m = carry_model(8)
-        iface = interface_of(m)
-        assert iface.name == "CARRY" and iface.param_map == {"width": 8}
-        assert m.internal_data == ()
+        assert var_widths(m) == {"DI": 8, "S": 8, "CI": 1}
         with pytest.raises(DomainError):
             carry_model(0)
-        with pytest.raises(DomainError):
-            output_slice(m, "Q")
+        assert "Q" not in packed_ranges(carry_interface(8))
 
 
 class TestMux:
@@ -197,15 +222,15 @@ class TestMiniDsp:
             env = {}
             for name, vals in zip("ABCD", rows):
                 env[name] = Stream(tuple(_bv(v, 6) for v in vals))
-            for name, w in m.internal_data:
+            for name, w in _DSP_INTERNAL.items():
                 env[name] = Stream(tuple(_bv(cfg[name], w)
                                          for _ in range(3)))
-            base = simulate(m.semantics, env, 3)[1]
+            base = simulate(m, env, 3)[1]
             env2 = dict(env)
             env2["A"] = Stream((
                 _bv(rng.getrandbits(6), 6), env["A"].at(1),
                 _bv(rng.getrandbits(6), 6)))
-            assert simulate(m.semantics, env2, 3)[1] == base
+            assert simulate(m, env2, 3)[1] == base
 
     def test_three_stage_pipeline(self):
         m = minidsp_model(8)
@@ -216,10 +241,10 @@ class TestMiniDsp:
         rows = {n: [rng.getrandbits(8) for _ in range(horizon)]
                 for n in "ABCD"}
         env = {n: Stream(tuple(_bv(v, 8) for v in rows[n])) for n in rows}
-        for name, w in m.internal_data:
+        for name, w in _DSP_INTERNAL.items():
             env[name] = Stream(tuple(_bv(cfg[name], w)
                                      for _ in range(horizon)))
-        out = simulate(m.semantics, env, horizon)
+        out = simulate(m, env, horizon)
         for t in range(3, horizon):
             want = _dsp_reference(8, cfg, rows["A"][t - 3],
                                   rows["B"][t - 3], rows["C"][t - 3],
@@ -237,10 +262,10 @@ class TestMiniDsp:
                     for n in "ABCD"}
             env = {n: Stream(tuple(_bv(v, 5) for v in rows[n]))
                    for n in rows}
-            for name, w in m.internal_data:
+            for name, w in _DSP_INTERNAL.items():
                 env[name] = Stream(tuple(_bv(cfg[name], w)
                                          for _ in range(horizon)))
-            out = simulate(m.semantics, env, horizon)
+            out = simulate(m, env, horizon)
             for t in range(1, horizon):
                 want = _dsp_reference(5, cfg, rows["A"][t - 1],
                                       rows["B"][t - 1], rows["C"][t - 1],
@@ -249,13 +274,10 @@ class TestMiniDsp:
 
     def test_interface_and_bounds(self):
         m = minidsp_model(16)
-        iface = interface_of(m)
-        assert iface.name == "DSP" and iface.param_map == {"width": 16}
-        assert dict(m.internal_data) == {
-            "INREG": 1, "MREG": 1, "PREG": 1, "PREADD_EN": 1,
-            "PREADD_SUB": 1, "ALUMODE": 3}
-        assert m.sequential
-        assert ("clk", "in", 1) in m.ports
+        assert var_widths(m) == {"A": 16, "B": 16, "C": 16, "D": 16} | \
+            _DSP_INTERNAL
+        assert any(isinstance(n, Reg) for n in m.nodes.values())
+        assert ("clk", 1) in dsp_interface(16).inputs
         for bad in (3, 19):
             with pytest.raises(DomainError):
                 minidsp_model(bad)
@@ -263,9 +285,15 @@ class TestMiniDsp:
 
 class TestLookup:
     def test_builtin_model(self):
-        assert builtin_model("lut", {"num_inputs": 3}).name == "lut3"
-        assert builtin_model("carry", {"width": 4}).name == "carry4"
-        assert builtin_model("minidsp", {"width": 9}).name == "minidsp9"
+        for got, want in ((builtin_model("lut", {"num_inputs": 3}),
+                           lut_model(3)),
+                          (builtin_model("carry", {"width": 4}),
+                           carry_model(4)),
+                          (builtin_model("mux", {"num_inputs": 4}),
+                           mux_model(4)),
+                          (builtin_model("minidsp", {"width": 9}),
+                           minidsp_model(9))):
+            assert dump_sexpr(got) == dump_sexpr(want)
         with pytest.raises(DomainError):
             builtin_model("alu", {})
         with pytest.raises(DomainError):

@@ -10,8 +10,8 @@ from sketchmap.arch import (NoImplementation, load_arch, packaged_arch_path,
                             parse_arch)
 from sketchmap.cegis import Success, synthesize
 from sketchmap.ir import (BV, ArityError, BitVec, Prim,
-                          ProgBuilder, check_well_formed, free_vars,
-                          substitute_holes)
+                          ProgBuilder, check_well_formed,
+                          substitute_holes, var_widths)
 from sketchmap.emit import to_json_netlist, to_structural_verilog
 from sketchmap.ir import dump_sexpr, schedule
 from sketchmap.portfolio import SolverSession
@@ -165,7 +165,7 @@ class TestStructure:
         assert _prim_count(sk.psi) == 8
         assert len(sk.holes) == 8
         assert set(sk.holes.values()) == {16}
-        assert free_vars(sk.psi) == {"a", "b"}
+        assert set(var_widths(sk.psi)) == {"a", "b"}
         # a full assignment must leave a well-formed, hole-free program
         zeros = {lbl: BV(BitVec.of(0, w)) for lbl, w in sk.holes.items()}
         check_well_formed(substitute_holes(sk, zeros))
@@ -189,7 +189,7 @@ class TestStructure:
         assert sorted(mems) == [1] + [16] * (2 * w)
         ci = [lbl for lbl, w in sk.holes.items() if w == 1]
         assert len(ci) == 1 and ci[0].endswith("_ci")
-        assert free_vars(sk.psi) == {"a", "b"}
+        assert set(var_widths(sk.psi)) == {"a", "b"}
 
     def test_comparison_structure(self):
         w = 3
@@ -212,10 +212,10 @@ class TestStructure:
                     sk.holes.items()}
         assert suffixes == {"INREG": 1, "MREG": 1, "PREG": 1,
                             "PREADD_EN": 1, "PREADD_SUB": 1, "ALUMODE": 3}
-        assert free_vars(sk.psi) == {"a", "b"}
+        assert set(var_widths(sk.psi)) == {"a", "b"}
         four = generate_sketch("dsp", _mdsp(),
                                {"width": 8, "inputs": list("abcd")})
-        assert free_vars(four.psi) == {"a", "b", "c", "d"}
+        assert set(var_widths(four.psi)) == {"a", "b", "c", "d"}
 
     def test_dsp_needs_a_dsp(self):
         with pytest.raises(NoImplementation):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sketchmap.ir import Reg, WidthError, free_vars, node_widths
+from sketchmap.ir import Reg, WidthError, node_widths, var_widths
 from sketchmap.specdsl import ParseError, parse_document
 from util_interp import env_of_ints, interp, simulate
 from util_progs import parse_spec
@@ -26,7 +26,7 @@ class TestParsing:
         doc = parse_document(ADD_MUL_AND)
         assert doc.inputs == (("a", 16), ("b", 16), ("c", 16), ("d", 16))
         assert doc.pipeline == 2
-        assert free_vars(doc.prog) == {"a", "b", "c", "d"}
+        assert set(var_widths(doc.prog)) == {"a", "b", "c", "d"}
         root = doc.prog.nodes[doc.prog.root]
         assert isinstance(root, Reg)
         assert isinstance(doc.prog.nodes[root.data], Reg)
@@ -39,11 +39,11 @@ class TestParsing:
 
     def test_comments_and_whitespace(self):
         text = "; adder\n(spec (inputs (x 3) (y 3)) ; two words\n (add x y))"
-        assert free_vars(parse_spec(text)) == {"x", "y"}
+        assert set(var_widths(parse_spec(text))) == {"x", "y"}
 
     def test_unused_input_still_declared(self):
         p = parse_spec("(spec (inputs (a 2) (b 2)) (not a))")
-        assert free_vars(p) == {"a", "b"}
+        assert set(var_widths(p)) == {"a", "b"}
 
     def test_width_of_root(self):
         p = parse_spec("(spec (inputs (a 5) (b 5)) (ult a b))")

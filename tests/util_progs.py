@@ -7,12 +7,10 @@ import random
 from typing import Optional
 
 from sketchmap.ir import (
-    BV, OPS, BitVec, DomainError, Hole, Id, Node, Op, Operator, Prim, Prog,
+    BV, OPS, BitVec, Hole, Id, Node, Op, Operator, Prim, Prog,
     ProgBuilder, Reg, SketchmapError, Var, schedule,
 )
-from sketchmap.primitives import (
-    PrimitiveInterface, PrimitiveModel, packed_ranges,
-)
+from sketchmap.primitives import packed_ranges
 from sketchmap.specdsl import parse_document
 from sketchmap.terms import Term, TermBuilder
 
@@ -242,14 +240,15 @@ def copying_assemble_prim(impl, b: ProgBuilder, model, port_values,
     """arch._assemble_prim as it was when every instance held a relabelled
     copy of the model's body at base 0; patch it over arch._assemble_prim
     to build a sketch the old way."""
-    semantics, packed, meta = model
+    semantics, meta = model
     binds = [(k, port_values[k]) for k in meta.ports if k != "clk"]
     binds += [(nm, internal_ids[nm]) for nm, _ in impl.internal_data]
     prim = b.add(Prim(tuple(binds), relabel(semantics, b), meta))
-    if len(packed) == 1:
-        return prim, {packed[0][0]: prim}
+    outs = impl.interface.outputs
+    if len(outs) == 1:
+        return prim, {outs[0][0]: prim}
     return prim, {o: b.extract(hi, lo, prim)
-                  for o, (hi, lo) in packed_ranges(packed).items()}
+                  for o, (hi, lo) in packed_ranges(impl.interface).items()}
 
 
 def record_calls(monkeypatch, module, name: str) -> list[tuple]:
@@ -311,15 +310,3 @@ def walk_symbolic_run(p: Prog, upto: int, tb: Optional[TermBuilder] = None
 def parse_spec(text: str) -> Prog:
     """Parse a document and return just its behavioral program."""
     return parse_document(text).prog
-
-
-def interface_of(model: PrimitiveModel) -> PrimitiveInterface:
-    return model.interface
-
-
-def output_slice(model: PrimitiveModel, name: str) -> tuple[int, int]:
-    """(hi, lo) bit range of an output in the packed semantics root."""
-    ranges = packed_ranges(model.outputs)
-    if name not in ranges:
-        raise DomainError(f"model {model.name} has no output {name!r}")
-    return ranges[name]
